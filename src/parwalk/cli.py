@@ -16,7 +16,10 @@ import time
 
 import numpy as np
 
-from .blockenc import build_ancilla_efficient_Q, extract_block, verify_encoding
+# extract_block is not called here: verify_encoding extracts the block once.
+# It stays bound in this module because perfbench/tracing.py wraps
+# parwalk.cli.extract_block.
+from .blockenc import build_ancilla_efficient_Q, extract_block, verify_encoding  # noqa: F401
 from .cnf import load_dimacs
 from .errors import BoundViolated, NotErgodic, ParwalkError
 from .markov import (
@@ -36,7 +39,7 @@ from .parchain import (
     transition_matrix,
 )
 from .spectra import eigenbasis_embedding, phase_gap_check, walk_spectrum
-from .szegedy import ancilla_comparison, comparison_counts, par_walk, standard_walk
+from .szegedy import ancilla_comparison, comparison_counts, par_walk
 
 DEFAULT_CAP = 6
 EXTRACT_TOL_DEFAULT = 1e-9
@@ -65,12 +68,20 @@ class _Timer:
 
 def _build_bundle(args, need_matrices: bool):
     """Model echo plus (model, prop), the latter None for counts-only."""
+    if not math.isfinite(args.beta):
+        raise ParwalkError(f"--beta must be finite, got {args.beta}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ParwalkError(f"--tol must be finite and nonnegative, got {args.tol}")
     if args.model == "hypercube":
         if args.n is None:
             raise ParwalkError("hypercube models need --n")
+        if args.n < 1:
+            raise ParwalkError(f"--n must be at least 1, got {args.n}")
         levels = args.n + 1 if args.energy == "hamming" else args.levels
         if levels is None:
             raise ParwalkError("random energies need --B")
+        if levels < 1:
+            raise ParwalkError(f"--B must be at least 1, got {levels}")
         echo = {
             "source": "hypercube",
             "n": int(args.n),
@@ -83,7 +94,7 @@ def _build_bundle(args, need_matrices: bool):
         }
         if not need_matrices:
             return echo, None, None
-        _check_cap(args, args.n)
+        _check_cap(args, args.n, levels)
         model, prop = build_hypercube(
             args.n, energy=args.energy, levels=levels, seed=args.seed, beta=args.beta
         )
@@ -104,18 +115,26 @@ def _build_bundle(args, need_matrices: bool):
     }
     if not need_matrices:
         return echo, None, None
-    _check_cap(args, formula.num_vars)
+    _check_cap(args, formula.num_vars, formula.num_clauses + 1)
     model, prop = build_cnf(formula, beta=args.beta)
     return echo, model, prop
 
 
-def _check_cap(args, n: int):
+def _check_cap(args, n: int, levels: int):
     cap = DEFAULT_CAP if args.max_n is None else args.max_n
     if args.max_n is not None:
-        walk_bytes = (2 * (1 << (2 * args.max_n))) ** 2 * 8
+        # the two arrays whose size grows fastest with n: the flagged walk's
+        # T and R T (2 N^2 x N each), and the basis batch extraction applies
+        # the encoding to (N x N 2^c, c at most the quoted ancilla count);
+        # both bit-flip families propose with kappa = n
+        states = 1 << n
+        anc = comparison_counts(states, n, levels).paper_qubits
+        walk_bytes = 2 * (2 * states * states) * states * 8
+        batch_bytes = states * (states << anc) * 8
         print(
-            f"cap raised to n={args.max_n}: largest dense walk "
-            f"~{walk_bytes / 2**20:.0f} MiB",
+            f"cap raised to n={args.max_n}: n={n} allocates a walk isometry "
+            f"pair of ~{walk_bytes / 2**20:.0f} MiB and an extraction batch "
+            f"of at most ~{batch_bytes / 2**20:.0f} MiB",
             file=sys.stderr,
         )
     if n > cap:
@@ -222,8 +241,8 @@ def _run_report(args):
         be = timer.time(
             "encoding", lambda: build_ancilla_efficient_Q(model, prop, rule)
         )
-        got = extract_block(be)
-        ext_dev = float(np.abs(got - dec.q).max())
+        enc_rep = verify_encoding(be, dec.q, tol=args.tol)
+        ext_dev = float(enc_rep.max_abs_dev)
         deviations["extraction"] = {"value": ext_dev, "tol": args.tol}
         ancillas["logical"] = be.anc_qubits
         gamma = float(be.gamma)
@@ -231,7 +250,6 @@ def _run_report(args):
             failures.append(
                 ("DecompositionMismatch", f"extraction deviates by {ext_dev:.3e}")
             )
-        enc_rep = verify_encoding(be, dec.q, tol=args.tol)
         if not enc_rep.passed:
             failures.append(
                 ("DecompositionMismatch",
@@ -254,8 +272,7 @@ def _run_report(args):
     if args.construction in ("szegedy", "both"):
         a = acceptance_matrix(model, rule)
         walk = timer.time("walks", lambda: par_walk(prop, a))
-        got = walk.t.T @ walk.reflector @ walk.t
-        par_dev = float(np.abs(got - dec.q).max())
+        par_dev = float(np.abs(walk.trt - dec.q).max())
         deviations["par_tst"] = {"value": par_dev, "tol": WALK_TOL}
         if par_dev > WALK_TOL:
             failures.append(

@@ -142,12 +142,16 @@ class AcceptanceRule:
 
 
 def metropolis() -> AcceptanceRule:
-    return AcceptanceRule("metropolis", lambda d, beta: min(1.0, math.exp(-beta * d)))
+    # min(1, e^x) as e^min(0, x): the exponent never overflows
+    return AcceptanceRule("metropolis", lambda d, beta: math.exp(min(0.0, -beta * d)))
 
 
 def glauber() -> AcceptanceRule:
     def f(d, beta):
-        w = math.exp(-beta * d)
+        try:
+            w = math.exp(-beta * d)
+        except OverflowError:
+            return 1.0  # w / (1 + w) rounds to 1 long before e^x overflows
         return w / (1.0 + w)
 
     return AcceptanceRule("glauber", f)

@@ -1,13 +1,18 @@
 """Reference quantum walks on doubled state space, used as independent
 oracles for the compressed constructions and for ancilla-count comparison.
 
-All walks here are dense by design; they exist to be checked against, not
-to scale.
+Every reflector here is a row permutation (the register swap, or the swap
+on the accept flag's 0 branch and the identity on its 1 branch), so a walk
+keeps only the isometry T (2N^2 x N for the flagged walks), the involutive
+index array of its reflector and T^dag R T, all computed in O(N^4). The
+dense reflector and walk step, (2N^2)^2 arrays, are built on first access,
+for the spectral checks at small N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,30 +30,51 @@ IDENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SzegedyWalk:
-    """Isometry, reflector, and one walk step W = reflector (2 T T^dag - I)."""
+    """Isometry t, reflector R given by the involution perm (R v = v[perm]),
+    and trt = T^dag R T. The dense reflector and one walk step
+    W = R (2 T T^dag - I) are computed on first access."""
 
     variant: str
-    total_dim: int
     t: np.ndarray
-    reflector: np.ndarray
-    w: np.ndarray
+    perm: np.ndarray
+    trt: np.ndarray
+
+    @property
+    def total_dim(self) -> int:
+        return self.t.shape[0]
+
+    @cached_property
+    def reflector(self) -> np.ndarray:
+        dim = self.total_dim
+        r = np.zeros((dim, dim))
+        r[np.arange(dim), self.perm] = 1.0
+        return r
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        # R (2 T T^dag - I) = 2 (R T) T^dag - R, with R T = t[perm]: rank N
+        return 2.0 * (self.t[self.perm] @ self.t.conj().T) - self.reflector
 
 
-def _swap_matrix(n: int) -> np.ndarray:
-    s = np.zeros((n * n, n * n))
-    x = np.repeat(np.arange(n), n)
-    y = np.tile(np.arange(n), n)
-    s[y * n + x, x * n + y] = 1.0
-    return s
+def _swap(n: int) -> np.ndarray:
+    """Index of |y, x> at position x * n + y: the register swap on C^N (x) C^N."""
+    x = np.arange(n)
+    return (x[None, :] * n + x[:, None]).ravel()
 
 
-def _walk_from(variant: str, t: np.ndarray, reflector: np.ndarray) -> SzegedyWalk:
-    dim = t.shape[0]
+def _checked_walk(
+    variant: str, t: np.ndarray, perm: np.ndarray, expected: np.ndarray, what: str
+) -> SzegedyWalk:
     gram = t.conj().T @ t
     if np.abs(gram - np.eye(t.shape[1])).max() > IDENT_TOL:
         raise DecompositionMismatch("isometry columns are not orthonormal")
-    w = reflector @ (2.0 * (t @ t.conj().T) - np.eye(dim))
-    return SzegedyWalk(variant=variant, total_dim=dim, t=t, reflector=reflector, w=w)
+    # T^dag R as a row-major array: the same BLAS product as with a dense R,
+    # so T^dag R T matches the dense oracle bit for bit
+    trt = np.ascontiguousarray(t[perm].conj().T) @ t
+    dev = np.abs(trt - expected).max()
+    if dev > IDENT_TOL:
+        raise DecompositionMismatch(f"{what} by {dev:.3e}")
+    return SzegedyWalk(variant=variant, t=t, perm=perm, trt=trt)
 
 
 def standard_walk(p: StochasticMatrix) -> SzegedyWalk:
@@ -60,17 +86,12 @@ def standard_walk(p: StochasticMatrix) -> SzegedyWalk:
     n = p.n
     pi = stationary_distribution(p)
     q = discriminant(p, pi)  # raises NotReversible first if unbalanced
-    amps = np.sqrt(p.entries)
     t = np.zeros((n * n, n))
-    for x in range(n):
-        t[x * n : (x + 1) * n, x] = amps[:, x]
-    walk = _walk_from("standard", t, _swap_matrix(n))
-    tst = t.T @ walk.reflector @ t
-    if np.abs(tst - q).max() > IDENT_TOL:
-        raise DecompositionMismatch(
-            f"T^dag S T deviates from the discriminant by {np.abs(tst - q).max():.3e}"
-        )
-    return walk
+    x = np.arange(n)
+    t[x[:, None] * n + x[None, :], x[:, None]] = np.sqrt(p.entries).T
+    return _checked_walk(
+        "standard", t, _swap(n), q, "T^dag S T deviates from the discriminant"
+    )
 
 
 def _par_q(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -79,6 +100,27 @@ def _par_q(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     stay = 1.0 - (a * s).sum(axis=0) + np.diag(a * s)
     np.fill_diagonal(q, stay)
     return q
+
+
+def _flagged_walk(
+    variant: str,
+    accepted: np.ndarray,
+    rejected: np.ndarray,
+    expected: np.ndarray,
+    what: str,
+) -> SzegedyWalk:
+    """Walk on C^N (x) C^N (x) C^2: column x carries accepted[y, x] on
+    |x,y,0> and rejected[y, x] on |x,y,1>, at index 2 (x n + y) + flag.
+    The reflector swaps the state registers on flag 0 only."""
+    n = accepted.shape[0]
+    t = np.zeros((2 * n * n, n), dtype=np.result_type(accepted, rejected))
+    x = np.arange(n)
+    rows = 2 * (x[:, None] * n + x[None, :])
+    t[rows, x[:, None]] = accepted.T
+    t[rows + 1, x[:, None]] = rejected.T
+    perm = np.arange(2 * n * n)
+    perm[0::2] = 2 * _swap(n)
+    return _checked_walk(variant, t, perm, expected, what)
 
 
 def par_walk(prop: ProposalDecomposition, a: np.ndarray) -> SzegedyWalk:
@@ -93,24 +135,10 @@ def par_walk(prop: ProposalDecomposition, a: np.ndarray) -> SzegedyWalk:
     if a.shape != (n, n):
         raise DimensionMismatch(f"acceptance shape {a.shape} vs proposal dim {n}")
     s = prop.assemble()
-    t = np.zeros((2 * n * n, n))
-    for x in range(n):
-        block = slice(x * n * 2, (x + 1) * n * 2)
-        col = np.empty(2 * n)
-        col[0::2] = np.sqrt(s[:, x] * a[:, x])
-        col[1::2] = np.sqrt(s[:, x] * (1.0 - a[:, x]))
-        t[block, x] = col
-    swap = _swap_matrix(n)
-    refl = np.zeros((2 * n * n, 2 * n * n))
-    refl[0::2, 0::2] = swap
-    refl[1::2, 1::2] = np.eye(n * n)
-    walk = _walk_from("par", t, refl)
-    trt = t.T @ refl @ t
-    expected = _par_q(s, a)
-    dev = np.abs(trt - expected).max()
-    if dev > IDENT_TOL:
-        raise DecompositionMismatch(f"T^dag R T deviates from Q by {dev:.3e}")
-    return walk
+    return _flagged_walk(
+        "par", np.sqrt(s * a), np.sqrt(s * (1.0 - a)), _par_q(s, a),
+        "T^dag R T deviates from Q",
+    )
 
 
 def quantum_enhanced_walk(u_prop: np.ndarray, a: np.ndarray) -> SzegedyWalk:
@@ -130,26 +158,10 @@ def quantum_enhanced_walk(u_prop: np.ndarray, a: np.ndarray) -> SzegedyWalk:
         raise NotSymmetricUnitary("proposal unitary is not symmetric")
     if a.shape != (n, n):
         raise DimensionMismatch(f"acceptance shape {a.shape} vs unitary dim {n}")
-    t = np.zeros((2 * n * n, n), dtype=complex)
-    for x in range(n):
-        block = slice(x * n * 2, (x + 1) * n * 2)
-        col = np.empty(2 * n, dtype=complex)
-        col[0::2] = u[:, x] * np.sqrt(a[:, x])
-        col[1::2] = u[:, x] * np.sqrt(1.0 - a[:, x])
-        t[block, x] = col
-    swap = _swap_matrix(n)
-    refl = np.zeros((2 * n * n, 2 * n * n))
-    refl[0::2, 0::2] = swap
-    refl[1::2, 1::2] = np.eye(n * n)
-    walk = _walk_from("quantum_enhanced", t, refl)
-    trt = t.conj().T @ refl @ t
-    expected = _par_q(np.abs(u) ** 2, a)
-    dev = np.abs(trt - expected).max()
-    if dev > IDENT_TOL:
-        raise DecompositionMismatch(
-            f"T^dag R T deviates from the induced Q by {dev:.3e}"
-        )
-    return walk
+    return _flagged_walk(
+        "quantum_enhanced", u * np.sqrt(a), u * np.sqrt(1.0 - a),
+        _par_q(np.abs(u) ** 2, a), "T^dag R T deviates from the induced Q",
+    )
 
 
 @dataclass(frozen=True)

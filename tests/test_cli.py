@@ -7,7 +7,11 @@ import random
 import numpy as np
 import pytest
 
+from parwalk.blockenc import build_ancilla_efficient_Q, extract_block
 from parwalk.cli import main
+from parwalk.models import build_hypercube
+from parwalk.parchain import acceptance_matrix, decompose_discriminant, metropolis
+from parwalk.szegedy import par_walk
 
 LN2 = math.log(2.0)
 
@@ -56,6 +60,22 @@ def test_verify_hypercube_schema_and_pass(capsys):
     assert report["deviations"]["extraction"]["value"] <= 1e-9
     assert report["deviations"]["par_tst"]["value"] <= 1e-10
     assert report["timings_ms"] == {k: 0.0 for k in report["timings_ms"]}
+
+
+def test_reported_deviations_are_those_of_the_built_objects(capsys):
+    code, out, err = run(
+        capsys, "verify", "--n", "3", "--energy", "random", "--B", "5",
+        "--seed", "4", "--beta", "0.7", "--json", "--deterministic",
+    )
+    assert code == 0, err
+    dev = json.loads(out)["deviations"]
+    model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
+    rule = metropolis()
+    q = decompose_discriminant(model, prop, rule).q
+    block = extract_block(build_ancilla_efficient_Q(model, prop, rule))
+    assert dev["extraction"]["value"] == float(np.abs(block - q).max())
+    walk = par_walk(prop, acceptance_matrix(model, rule))
+    assert dev["par_tst"]["value"] == float(np.abs(walk.trt - q).max())
 
 
 def test_build_compressed_only_leaves_walk_fields_null(capsys):
@@ -299,3 +319,34 @@ def test_malformed_cnf_is_an_input_error(capsys, tmp_path):
 def test_random_energy_requires_level_count(capsys):
     code, _, err = run(capsys, "build", "--n", "2", "--energy", "random")
     assert code == 2 and "--B" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--n", "-1"), "--n"),
+        (("--n", "0"), "--n"),
+        (("--energy", "random", "--B", "0"), "--B"),
+        (("--tol", "-1"), "--tol"),
+        (("--tol", "nan"), "--tol"),
+        (("--tol", "inf"), "--tol"),
+        (("--beta", "nan"), "--beta"),
+        (("--beta=-inf",), "--beta"),
+    ],
+)
+def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv, "--json")
+    assert code == 2 and out == ""
+    assert f"error: ParwalkError: {flag} " in err
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "glauber"])
+def test_huge_beta_underflows_to_an_input_error(capsys, rule):
+    # e^{-1000} underflows to a zero acceptance value, which the (0, 1]
+    # table check rejects; the exponent itself must not overflow
+    code, out, err = run(
+        capsys, "verify", "--n", "2", "--beta", "1000", "--acceptance", rule,
+        "--json",
+    )
+    assert code == 2 and out == ""
+    assert "FunctionalEquationViolated" in err and rule in err

@@ -12,6 +12,7 @@ from parwalk.errors import (
     NotSymmetricUnitary,
 )
 from parwalk.markov import GibbsModel, StochasticMatrix, qsample, stationary_distribution
+from parwalk.models import hamming_energies
 from parwalk.parchain import (
     acceptance_matrix,
     decompose_discriminant,
@@ -128,6 +129,42 @@ def test_par_walk_isospectral_with_transition_matrix():
     lam_q = np.sort(np.linalg.eigvalsh(q))
     lam_p = np.sort(np.linalg.eigvals(p.entries).real)
     assert np.abs(lam_q - lam_p).max() < 1e-9
+
+
+def test_par_walk_n7_never_forms_dense_operators():
+    # 2N^2 = 32768: a dense reflector or W would take 8 GiB each
+    n = 7
+    model = GibbsModel(energies=hamming_energies(n), levels=n + 1, beta=0.8)
+    prop = hypercube_proposal(n)
+    rule = metropolis()
+    walk = par_walk(prop, acceptance_matrix(model, rule))
+    assert walk.total_dim == 2 * 4**n
+    q = decompose_discriminant(model, prop, rule).q
+    assert np.abs(walk.trt - q).max() <= 1e-10
+    assert "w" not in walk.__dict__ and "reflector" not in walk.__dict__
+
+
+def _lazy_fields_match_dense_products(walk):
+    t, r = walk.t, walk.reflector
+    assert np.array_equal(r, r.T) and np.array_equal(r @ r, np.eye(walk.total_dim))
+    assert np.array_equal(walk.trt, t.conj().T @ r @ t)
+    proj = t @ t.conj().T
+    assert np.abs(walk.w - r @ (2.0 * proj - np.eye(walk.total_dim))).max() <= 1e-14
+
+
+def test_lazy_fields_of_every_constructor_match_dense_products():
+    model = GibbsModel(energies=np.array([0, 2, 1, 3, 1, 2, 0, 1]), levels=4,
+                       beta=0.6)
+    prop = hypercube_proposal(3)
+    a = acceptance_matrix(model, glauber())
+    _lazy_fields_match_dense_products(par_walk(prop, a))
+    _lazy_fields_match_dense_products(
+        standard_walk(transition_matrix(prop, a))
+    )
+    c, s = math.cos(0.4), math.sin(0.4)
+    u2 = np.array([[c, s], [s, -c]])
+    u = np.kron(np.kron(u2, u2), u2)
+    _lazy_fields_match_dense_products(quantum_enhanced_walk(u, a))
 
 
 # --------------------------------------------------------- quantum-enhanced
