@@ -10,7 +10,14 @@ count never exceeds the quoted one.
 The headline constructor build_ancilla_efficient_Q encodes the discriminant
 matrix of a propose-accept/reject chain with gamma = 4B and at most
 2 ceil(log kappa) + ceil(log B) + 2 ancilla qubits, where B counts energy
-levels (padded to a power of two) and kappa proposal permutations.
+levels (padded to a power of two) and kappa proposal permutations. The route
+follows from the proposal. When every permutation is an involution, the
+fused route shares one select register between the accept and reject terms
+(ceil(log kappa) + ceil(log B) + 2 qubits); it is built in factored form,
+from one pair of 4B x 4B matrices and one Householder vector per system
+state, so its cost grows linearly with the system size. Any other proposal
+takes the generic route, which encodes the accept and reject parts
+separately, combines them and reflectionizes the sum.
 """
 
 from __future__ import annotations
@@ -37,12 +44,14 @@ from .linops import (
     Compose,
     DenseUnitary,
     Embedded,
+    FactoredSelect,
     Identity,
     Kron,
     LinOp,
     Permutation,
     Select,
     SystemControlled,
+    SystemControlledReflection,
     energy_shift,
     householder_to,
     xor_shift,
@@ -58,11 +67,6 @@ from .parchain import (
 
 UNITARY_TOL = 1e-10
 EXTRACT_TOL = 1e-9
-
-# fused-route dilation blocks are materialized densely; beyond this block
-# dimension the generic matrix-free route takes over (unless kappa = 1,
-# where only the fused route meets the ancilla bound)
-FUSED_BLOCK_CAP = 1024
 
 
 def _ceil_log2(k: int) -> int:
@@ -188,48 +192,6 @@ class ZeroIsometry(Isometry):
 
     def adjoint_apply(self, v):
         return v[..., : self.domain_dim]
-
-
-class CopyIsometry(Isometry):
-    """|x> -> |x>|x>."""
-
-    kind = "copy"
-
-    def __init__(self, n: int):
-        self.domain_dim = n
-        self.codomain_dim = n * n
-        self._idx = np.arange(n) * n + np.arange(n)
-
-    def apply(self, v):
-        out = np.zeros(v.shape[:-1] + (self.codomain_dim,), dtype=v.dtype)
-        out[..., self._idx] = v
-        return out
-
-    def adjoint_apply(self, v):
-        return v[..., self._idx]
-
-
-class EnergyIsometry(Isometry):
-    """|x> -> |E_x>|x> onto a level register of the given size."""
-
-    kind = "energy"
-
-    def __init__(self, energies: np.ndarray, levels: int):
-        e = np.asarray(energies, dtype=np.intp)
-        if e.size and e.max() >= levels:
-            raise EnergyOutOfRange(f"energy {e.max()} >= level register size {levels}")
-        n = e.size
-        self.domain_dim = n
-        self.codomain_dim = levels * n
-        self._idx = e * n + np.arange(n)
-
-    def apply(self, v):
-        out = np.zeros(v.shape[:-1] + (self.codomain_dim,), dtype=v.dtype)
-        out[..., self._idx] = v
-        return out
-
-    def adjoint_apply(self, v):
-        return v[..., self._idx]
 
 
 class PlusIsometry(Isometry):
@@ -582,20 +544,41 @@ def _generic_reflection(
     )
 
 
+def _dilation(p: np.ndarray) -> np.ndarray:
+    """Real symmetric involution [[p, c], [c, -p]] with c = sqrt(I - p^2),
+    for a real symmetric p of spectral norm at most 1."""
+    lam, vec = np.linalg.eigh(p)
+    lam = np.clip(lam, -1.0, 1.0)
+    c = (vec * np.sqrt(1.0 - lam**2)) @ vec.T
+    return np.block([[p, c], [c, -p]])
+
+
 def _fused_reflection(
     model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
 ) -> BlockEncoding:
     """Involution route: accept and reject terms share one select register.
 
-    For each permutation slot k a hermitian combination of the accept table
-    (on the level register, with the permutation on the system) and the
-    reject table (on a direction qubit j marking whether the level register
-    holds E_x or E_{pi_k x}) is unitarily dilated into an involution; a
-    paired-energy state preparation contracts the select, direction, and
-    level registers against it. Saves the ceil(log kappa) qubits the
-    generic route spends on a second select register, and is the only route
-    meeting the ancilla bound at kappa = 1.
+    For each permutation slot k the hermitian matrix
+
+        M_k = I_2 (x) G-hat (x) Pi_k + L^T (x) J-hat^T (x) I + L (x) J-hat (x) I
+
+    on (direction, level, system) combines the accept table (with the
+    permutation on the system) and the reject table (on a direction qubit
+    marking whether the level register holds E_x or E_{pi_k x}); M_k / 4B
+    is dilated into an involution. Every term commutes with I (x) Pi_k and
+    Pi_k^2 = I, so on the +-1 eigenspaces of Pi_k the dilation is D_+ or
+    D_-, the dilation of (+-I_2 (x) G-hat + L^T (x) J-hat^T + L (x) J-hat) / 4B,
+    and the slot-k block is A (x) I + B (x) Pi_k with A, B = (D_+ +- D_-) / 2:
+    one 4B x 4B pair for every k and every system size. A paired-energy
+    state preparation, one Householder vector per system state, contracts
+    the select, direction, and level registers against it.
+
+    Saves the ceil(log kappa) qubits the generic route spends on a second
+    select register, and is the only route meeting the ancilla bound at
+    kappa = 1.
     """
+    if not prop.all_involutions:
+        raise DimensionMismatch("fused route needs involution permutations")
     n = model.n
     bt = _pow2_pad(model.levels)
     bbits = bt.bit_length() - 1
@@ -607,47 +590,30 @@ def _fused_reflection(
     ga_t[: model.levels, : model.levels] = compress(ga_matrix(model, rule))
     ja_t = np.zeros((bt, bt))
     ja_t[: model.levels, : model.levels] = compress(rejection_matrix(model, rule))
-
-    weights = list(prop.weights) + [0.0] * (k_dim - kappa)
-    perms = list(prop.perms) + [np.arange(n)] * (k_dim - kappa)
     scale = 4.0 * bt
 
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
-    dils = []
-    for p in perms:
-        pim = np.zeros((n, n))
-        pim[p, np.arange(n)] = 1.0
-        m_k = (
-            np.kron(np.eye(2), np.kron(ga_t, pim))
-            + np.kron(lower.T, np.kron(ja_t.T, np.eye(n)))
-            + np.kron(lower, np.kron(ja_t, np.eye(n)))
-        )
-        p_k = m_k / scale
-        lam, vec = np.linalg.eigh(p_k)
-        lam = np.clip(lam, -1.0, 1.0)
-        c_k = (vec * np.sqrt(1.0 - lam**2)) @ vec.T
-        dil = np.block([[p_k, c_k], [c_k, -p_k]])
-        dils.append(DenseUnitary(dil))
-    sel = Select(dils) if len(dils) > 1 else dils[0]
+    hop = np.kron(lower.T, ja_t.T) + np.kron(lower, ja_t)
+    acc = np.kron(np.eye(2), ga_t)
+    d_plus = _dilation((acc + hop) / scale)
+    d_minus = _dilation((hop - acc) / scale)
+    perms = list(prop.perms) + [np.arange(n)] * (k_dim - kappa)
+    sel = FactoredSelect((d_plus + d_minus) / 2, (d_plus - d_minus) / 2, perms)
 
-    # completion of the paired-energy isometry on (select, direction, level)
-    d = k_dim * 2 * bt
+    # paired-energy state t_x on (select, direction, level), prepared by the
+    # reflection about e_0 - t_x
     e = model.energies
-    amats = np.empty((n, d, d))
-    for x in range(n):
-        t = np.zeros(d)
-        for k, (w, p) in enumerate(zip(weights, perms)):
-            if w == 0.0:
-                continue
-            amp = math.sqrt(0.5 * w)
-            t[(2 * k) * bt + e[x]] += amp
-            t[(2 * k + 1) * bt + e[p[x]]] += amp
-        amats[x] = householder_to(t)
-    prep = SystemControlled(amats)
+    rows = np.arange(n)
+    u = np.zeros((n, k_dim * 2 * bt))
+    u[:, 0] = 1.0
+    for k, (w, p) in enumerate(zip(prop.weights, prop.perms)):
+        amp = math.sqrt(0.5 * w)
+        u[rows, (2 * k) * bt + e] -= amp
+        u[rows, (2 * k + 1) * bt + e[p]] -= amp
     dims = [k_dim, 2, 2, bt, n]  # select, dilation, direction, level, system
-    emb = Embedded(prep, dims, [0, 2, 3, 4])
+    emb = Embedded(SystemControlledReflection(u), dims, [0, 2, 3, 4])
 
-    # prep is a real symmetric involution, so it is its own adjoint
+    # the preparation is a real symmetric involution, so it is its own adjoint
     op = Compose(emb, sel, emb)
     return BlockEncoding(
         sys_dim=n,
@@ -659,24 +625,17 @@ def _fused_reflection(
 
 
 def build_ancilla_efficient_Q(
-    model: GibbsModel,
-    prop: ProposalDecomposition,
-    rule: AcceptanceRule,
-    route: str = "auto",
+    model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
 ) -> BlockEncoding:
     """Reflection encoding of the discriminant matrix with gamma = 4B and
     at most 2 ceil(log kappa) + ceil(log B) + 2 ancilla qubits (B padded to
-    a power of two)."""
+    a power of two).
+
+    Proposals made of involutions take the fused route (ceil(log kappa) +
+    ceil(log B) + 2 qubits); any other proposal takes the generic route.
+    """
     if model.n != prop.n:
         raise DimensionMismatch(f"model dim {model.n} vs proposal dim {prop.n}")
-    if route not in ("auto", "fused", "generic"):
-        raise ValueError(f"unknown route {route!r}")
-    if route == "auto":
-        small = 4 * _pow2_pad(model.levels) * model.n <= FUSED_BLOCK_CAP
-        fused = prop.all_involutions and (prop.kappa == 1 or small)
-        route = "fused" if fused else "generic"
-    if route == "fused":
-        if not prop.all_involutions:
-            raise DimensionMismatch("fused route needs involution permutations")
+    if prop.all_involutions:
         return _fused_reflection(model, prop, rule)
     return _generic_reflection(model, prop, rule)

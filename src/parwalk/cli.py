@@ -31,7 +31,11 @@ from .markov import (
     stationary_distribution,
 )
 from .models import build_cnf, build_hypercube
-from .parchain import (
+# acceptance_matrix and transition_matrix are not called here: the chain
+# decomposition returns A and P. They stay bound in this module because
+# perfbench/tracing.py wraps parwalk.cli.acceptance_matrix and
+# parwalk.cli.transition_matrix.
+from .parchain import (  # noqa: F401
     acceptance_matrix,
     decompose_discriminant,
     glauber,
@@ -143,26 +147,11 @@ def _check_cap(args, n: int, levels: int):
         )
 
 
-def _faulted_deviation(dec) -> float:
-    """Test hook: perturb the accept table at a live proposal entry and
-    recompose against Q."""
-    ga = dec.ga.copy()
-    off = dec.s * (1.0 - np.eye(dec.s.shape[0]))
-    ys, xs = np.nonzero(off)
-    if ys.size:
-        y, x = ys[0], xs[0]
-        ga[y, x] += 1e-6
-        ga[x, y] += 1e-6
-    return float(np.abs(ga * dec.s + dec.r - dec.q).max())
-
-
-def _spectrum_quantities(dec, model, prop, rule):
+def _spectrum_quantities(dec, model):
     """Embed the chain (lazy when periodic) and return gap data."""
     report = spectral_gaps(dec.q)
     if report.periodic:
-        a = acceptance_matrix(model, rule)
-        p_lazy = lazy(transition_matrix(prop, a))
-        q_used = discriminant(p_lazy, gibbs_distribution(model))
+        q_used = discriminant(lazy(dec.p), gibbs_distribution(model))
         used = spectral_gaps(q_used)
         was_lazy = True
     else:
@@ -209,8 +198,6 @@ def _run_report(args):
     rule = _rule(args.acceptance)
     dec = timer.time("chain", lambda: decompose_discriminant(model, prop, rule))
     decomp_dev = float(dec.deviation)
-    if args.inject_fault:
-        decomp_dev = _faulted_deviation(dec)
     if decomp_dev > DECOMP_TOL:
         failures.append(
             ("DecompositionMismatch",
@@ -218,8 +205,7 @@ def _run_report(args):
         )
 
     pi = gibbs_distribution(model)
-    p = transition_matrix(prop, acceptance_matrix(model, rule))
-    if not check_detailed_balance(p, pi, tol=BALANCE_TOL):
+    if not check_detailed_balance(dec.p, pi, tol=BALANCE_TOL):
         failures.append(
             ("NotReversible", f"detailed balance fails at {BALANCE_TOL}")
         )
@@ -258,7 +244,7 @@ def _run_report(args):
             )
 
     spectrum, q_used, gaps_used, emb, spec = timer.time(
-        "spectrum", lambda: _spectrum_quantities(dec, model, prop, rule)
+        "spectrum", lambda: _spectrum_quantities(dec, model)
     )
     tst_dev = float(np.abs(emb.t.T @ emb.s @ emb.t - q_used).max())
     deviations["tst"] = {"value": tst_dev, "tol": args.tol}
@@ -270,8 +256,7 @@ def _run_report(args):
         failures.append(("BoundViolated", str(exc)))
 
     if args.construction in ("szegedy", "both"):
-        a = acceptance_matrix(model, rule)
-        walk = timer.time("walks", lambda: par_walk(prop, a))
+        walk = timer.time("walks", lambda: par_walk(prop, dec.a))
         par_dev = float(np.abs(walk.trt - dec.q).max())
         deviations["par_tst"] = {"value": par_dev, "tol": WALK_TOL}
         if par_dev > WALK_TOL:
@@ -280,7 +265,7 @@ def _run_report(args):
             )
 
     try:
-        pi_fix = stationary_distribution(p)
+        pi_fix = stationary_distribution(dec.p)
         stat_dev = float(np.abs(pi_fix.probs - pi.probs).max())
         if stat_dev > STATIONARY_TOL:
             failures.append(
@@ -321,9 +306,7 @@ def cmd_spectrum(args) -> int:
     echo, model, prop = _build_bundle(args, need_matrices=True)
     rule = _rule(args.acceptance)
     dec = decompose_discriminant(model, prop, rule)
-    spectrum, q_used, gaps_used, emb, spec = _spectrum_quantities(
-        dec, model, prop, rule
-    )
+    spectrum, q_used, gaps_used, emb, spec = _spectrum_quantities(dec, model)
     lines = ["index,lambda,predicted_phase,measured_phase,abs_err"]
     for i, (lam, pred, meas) in enumerate(
         zip(spec.lambdas, spec.predicted, spec.measured)
@@ -419,7 +402,6 @@ def _parser() -> argparse.ArgumentParser:
             help="zero the timing fields for byte-stable reports",
         )
         p.add_argument("--counts-only", action="store_true")
-        p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 

@@ -189,6 +189,71 @@ class SystemControlled(LinOp):
         return self._run(v, np.conj(np.swapaxes(self.mats, 1, 2)))
 
 
+class FactoredSelect(LinOp):
+    """sum_k |k><k| (x) (a (x) I + b (x) P_k), with (P_k v)[x] = v[perms[k][x]]
+    on the trailing system register.
+
+    One (a, b) pair shared by every select slot stands in for a dense
+    per-slot block that commutes with the slot's system permutation.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, perms):
+        a, b = np.asarray(a), np.asarray(b)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+            raise DimensionMismatch("a and b must be square and of one shape")
+        perms = np.asarray(perms, dtype=np.intp)
+        if perms.ndim != 2:
+            raise DimensionMismatch("expected permutations of shape (slots, n_sys)")
+        self.a, self.b = a, b
+        self.perms = perms
+        self.inverses = np.argsort(perms, axis=1)
+        self.slots, self.n_sys = perms.shape
+        self.block_dim = a.shape[0]
+        self.dim = self.slots * self.block_dim * self.n_sys
+
+    def _run(self, v, a, b, perms):
+        shape = v.shape
+        w = v.reshape(shape[:-1] + (self.slots, self.block_dim, self.n_sys))
+        out = np.matmul(a, w)
+        for k, p in enumerate(perms):
+            out[..., k, :, :] += np.matmul(b, w[..., k, :, :][..., p])
+        return out.reshape(shape)
+
+    def apply(self, v):
+        return self._run(v, self.a, self.b, self.perms)
+
+    def adjoint_apply(self, v):
+        return self._run(v, self.a.conj().T, self.b.conj().T, self.inverses)
+
+
+class SystemControlledReflection(LinOp):
+    """sum_x (I - 2 u_x u_x^T / |u_x|^2) (x) |x><x|: a real Householder
+    reflection on the leading register for every system basis state, stored
+    as the (n_sys, d) array of vectors u_x; the identity where |u_x|^2 <
+    1e-28. Each factor is a symmetric involution, so the operator is its
+    own adjoint."""
+
+    def __init__(self, u: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2:
+            raise DimensionMismatch("expected reflection vectors of shape (n_sys, d)")
+        nrm2 = np.einsum("xa,xa->x", u, u)
+        self.u = u
+        self.n_sys, self.block_dim = u.shape
+        self.dim = self.n_sys * self.block_dim
+        self._coef = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 >= 1e-28)
+
+    def apply(self, v):
+        shape = v.shape
+        w = v.reshape(shape[:-1] + (self.block_dim, self.n_sys))
+        proj = np.einsum("xa,...ax->...x", self.u, w) * self._coef
+        out = w - self.u.T * proj[..., None, :]
+        return out.reshape(shape)
+
+    def adjoint_apply(self, v):
+        return self.apply(v)
+
+
 class Embedded(LinOp):
     """Lift an operator onto selected registers of a larger register layout.
 

@@ -169,7 +169,6 @@ class EnergyDependentMatrix:
     the expanded form on N states is table[E_y, E_x].
     """
 
-    fn: Callable[[int, int], float]
     levels: int
     compressed: np.ndarray
 
@@ -179,7 +178,7 @@ class EnergyDependentMatrix:
             [[fn(e1, e2) for e2 in range(levels)] for e1 in range(levels)],
             dtype=float,
         )
-        return cls(fn=fn, levels=levels, compressed=table)
+        return cls(levels=levels, compressed=table)
 
     def expand(self, energies: np.ndarray) -> np.ndarray:
         e = np.asarray(energies, dtype=np.intp)
@@ -278,8 +277,11 @@ def r_matrix(prop: ProposalDecomposition, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscriminantDecomposition:
-    """Factors of Q = ga (.) s + r together with the verified deviation."""
+    """Factors of Q = ga (.) s + r together with the verified deviation,
+    the acceptance matrix a and the transition matrix p they came from."""
 
+    a: np.ndarray
+    p: StochasticMatrix
     ga: np.ndarray
     s: np.ndarray
     r: np.ndarray
@@ -316,7 +318,9 @@ def decompose_discriminant(
         raise DecompositionMismatch(
             f"(G(.)A)(.)S + R deviates from Q by {deviation:.3e}"
         )
-    return DiscriminantDecomposition(ga=ga, s=s, r=r, q=q, deviation=deviation)
+    return DiscriminantDecomposition(
+        a=a, p=p, ga=ga, s=s, r=r, q=q, deviation=deviation
+    )
 
 
 def compress(mat: EnergyDependentMatrix) -> np.ndarray:
@@ -330,29 +334,3 @@ def compress(mat: EnergyDependentMatrix) -> np.ndarray:
     if t.min() >= -1e-12 and t.max() <= 1 + 1e-12 and bound > mat.levels + 1e-9:
         raise BoundViolated(f"bound {bound:.6f} exceeds level count {mat.levels}")
     return t.copy()
-
-
-def compress_dense(mat: np.ndarray, energies: np.ndarray, levels: int) -> np.ndarray:
-    """Recover the table of an energy-dependent dense matrix.
-
-    Entries sharing an energy pair must agree within 1e-12; unoccupied
-    pairs are filled with 0.
-    """
-    e = np.asarray(energies, dtype=np.intp)
-    n = e.size
-    if mat.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {mat.shape} vs {n} energies")
-    table = np.zeros((levels, levels))
-    seen = np.zeros((levels, levels), dtype=bool)
-    for y in range(n):
-        for x in range(n):
-            ey, ex = e[y], e[x]
-            if seen[ey, ex]:
-                if abs(table[ey, ex] - mat[y, x]) > 1e-12:
-                    raise DimensionMismatch(
-                        f"entries for energy pair ({ey}, {ex}) disagree"
-                    )
-            else:
-                table[ey, ex] = mat[y, x]
-                seen[ey, ex] = True
-    return table

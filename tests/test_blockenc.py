@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import parwalk.blockenc
 from parwalk.blockenc import (
     BlockEncoding,
-    CopyIsometry,
-    EnergyIsometry,
     ZeroIsometry,
+    _fused_reflection,
+    _generic_reflection,
     build_ancilla_efficient_Q,
     combine_two,
     compressed_hadamard_be,
@@ -38,8 +39,17 @@ from parwalk.errors import (
     ScaleMismatch,
     WeightMismatch,
 )
-from parwalk.linops import DenseUnitary, Permutation
+from parwalk.linops import (
+    Compose,
+    DenseUnitary,
+    Embedded,
+    Permutation,
+    Select,
+    SystemControlled,
+    householder_to,
+)
 from parwalk.markov import GibbsModel
+from parwalk.models import build_hypercube
 from parwalk.parchain import (
     acceptance_matrix,
     compress,
@@ -115,27 +125,6 @@ def test_zero_isometry():
     assert out.shape == (12,)
     assert np.array_equal(out[:3], v) and np.abs(out[3:]).max() == 0.0
     assert np.array_equal(iso.adjoint_apply(out), v)
-
-
-def test_copy_isometry():
-    iso = CopyIsometry(3)
-    d = iso.dense()
-    assert np.abs(d.conj().T @ d - np.eye(3)).max() == 0.0
-    v = np.zeros(3)
-    v[1] = 1.0
-    out = iso.apply(v)
-    assert out[1 * 3 + 1] == 1.0 and np.abs(out).sum() == 1.0
-
-
-def test_energy_isometry():
-    iso = EnergyIsometry(np.array([0, 1, 1]), levels=2)
-    d = iso.dense()
-    assert np.abs(d.conj().T @ d - np.eye(3)).max() == 0.0
-    v = np.zeros(3)
-    v[2] = 1.0
-    assert iso.apply(v)[1 * 3 + 2] == 1.0
-    with pytest.raises(EnergyOutOfRange):
-        EnergyIsometry(np.array([2]), levels=2)
 
 
 # --------------------------------------------------------------- svd encoding
@@ -350,7 +339,7 @@ def test_generic_route_matches_fused():
     prop = hypercube_proposal(2)
     rule = metropolis()
     dec = decompose_discriminant(model, prop, rule)
-    gen = build_ancilla_efficient_Q(model, prop, rule, route="generic")
+    gen = _generic_reflection(model, prop, rule)
     assert np.abs(extract_block(gen) - dec.q).max() < 1e-9
     assert gen.anc_qubits == 1 + 2 + 3 and gen.paper_anc == 2 * 1 + 2 + 2
     dense = gen.dense()
@@ -360,7 +349,7 @@ def test_generic_route_matches_fused():
 def test_generic_route_needs_two_terms():
     model, prop = two_state_chain()
     with pytest.raises(BoundViolated):
-        build_ancilla_efficient_Q(model, prop, metropolis(), route="generic")
+        _generic_reflection(model, prop, metropolis())
 
 
 def test_fused_route_needs_involutions():
@@ -368,17 +357,83 @@ def test_fused_route_needs_involutions():
     prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
     model = GibbsModel(energies=np.array([0, 1, 1]), levels=2, beta=0.3)
     with pytest.raises(DimensionMismatch):
-        build_ancilla_efficient_Q(model, prop, metropolis(), route="fused")
-    # auto falls back to the generic route and still encodes Q
+        _fused_reflection(model, prop, metropolis())
+    # non-involutive proposals take the generic route and still encode Q
     be = build_ancilla_efficient_Q(model, prop, metropolis())
     dec = decompose_discriminant(model, prop, metropolis())
     assert np.abs(extract_block(be) - dec.q).max() < 1e-9
 
 
-def test_unknown_route_rejected():
-    model, prop = two_state_chain()
-    with pytest.raises(ValueError):
-        build_ancilla_efficient_Q(model, prop, metropolis(), route="speedy")
+def dense_fused_op(model, prop, rule):
+    """The fused route built densely: one eigh of the full M_k / 4B per
+    permutation slot and an (N, d, d) stack of Householder matrices."""
+    n = model.n
+    bt = 1 << (model.levels - 1).bit_length()
+    m = (prop.kappa - 1).bit_length()
+    k_dim = 1 << m
+    ga_t = np.zeros((bt, bt))
+    ga_t[: model.levels, : model.levels] = compress(ga_matrix(model, rule))
+    ja_t = np.zeros((bt, bt))
+    ja_t[: model.levels, : model.levels] = compress(rejection_matrix(model, rule))
+    weights = list(prop.weights) + [0.0] * (k_dim - prop.kappa)
+    perms = list(prop.perms) + [np.arange(n)] * (k_dim - prop.kappa)
+    lower = np.array([[0.0, 0.0], [1.0, 0.0]])
+    dils = []
+    for p in perms:
+        pim = np.zeros((n, n))
+        pim[p, np.arange(n)] = 1.0
+        p_k = (
+            np.kron(np.eye(2), np.kron(ga_t, pim))
+            + np.kron(lower.T, np.kron(ja_t.T, np.eye(n)))
+            + np.kron(lower, np.kron(ja_t, np.eye(n)))
+        ) / (4.0 * bt)
+        lam, vec = np.linalg.eigh(p_k)
+        c_k = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
+        dils.append(DenseUnitary(np.block([[p_k, c_k], [c_k, -p_k]])))
+    d = k_dim * 2 * bt
+    e = model.energies
+    amats = np.empty((n, d, d))
+    for x in range(n):
+        t = np.zeros(d)
+        for k, (w, p) in enumerate(zip(weights, perms)):
+            if w > 0.0:
+                t[(2 * k) * bt + e[x]] += math.sqrt(0.5 * w)
+                t[(2 * k + 1) * bt + e[p[x]]] += math.sqrt(0.5 * w)
+        amats[x] = householder_to(t)
+    emb = Embedded(SystemControlled(amats), [k_dim, 2, 2, bt, n], [0, 2, 3, 4])
+    sel = Select(dils) if len(dils) > 1 else dils[0]
+    return Compose(emb, sel, emb)
+
+
+@pytest.mark.parametrize(
+    "n, energy, levels, rule",
+    [(2, "hamming", 3, metropolis()), (2, "random", 2, glauber()),
+     (3, "random", 4, metropolis()), (3, "hamming", 4, glauber())],
+)
+def test_fused_route_matches_dense_dilations(n, energy, levels, rule):
+    model, prop = build_hypercube(n, energy=energy, levels=levels, seed=5, beta=0.9)
+    be = build_ancilla_efficient_Q(model, prop, rule)
+    want = dense_fused_op(model, prop, rule).dense()
+    assert np.abs(be.dense() - want).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, energy, levels", [(6, "hamming", 7), (7, "random", 16)]
+)
+def test_fused_route_above_the_old_block_cap(monkeypatch, n, energy, levels):
+    # 4 pad(B) N = 2048 and 8192: past the dense dilations' 1024 cap
+    def no_generic(*_args):
+        raise AssertionError("generic route reached")
+
+    monkeypatch.setattr(parwalk.blockenc, "_generic_reflection", no_generic)
+    model, prop = build_hypercube(n, energy=energy, levels=levels, seed=2, beta=0.8)
+    rule = glauber()
+    be = build_ancilla_efficient_Q(model, prop, rule)
+    dec = decompose_discriminant(model, prop, rule)
+    m = (prop.kappa - 1).bit_length()
+    b = (model.levels - 1).bit_length()
+    assert be.anc_qubits == m + b + 2
+    assert np.abs(extract_block(be) - dec.q).max() <= 1e-9
 
 
 def test_ancilla_bound_across_small_grid():

@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, exit codes, report schema, CSV."""
 
+import dataclasses
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import parwalk.cli
 from parwalk.blockenc import build_ancilla_efficient_Q, extract_block
 from parwalk.cli import main
 from parwalk.models import build_hypercube
@@ -136,11 +138,19 @@ def test_verify_text_output_lists_fields(capsys):
     assert "phase_gap" in out
 
 
-def test_inject_fault_fails_verification(capsys):
-    code, out, err = run(
-        capsys, "verify", "--n", "2", "--json", "--deterministic",
-        "--inject-fault",
-    )
+def test_inject_fault_fails_verification(capsys, monkeypatch):
+    # recompose Q from an accept table perturbed at a live proposal entry
+    def faulted(model, prop, rule):
+        dec = decompose_discriminant(model, prop, rule)
+        ga = dec.ga.copy()
+        ys, xs = np.nonzero(dec.s * (1.0 - np.eye(dec.s.shape[0])))
+        ga[ys[0], xs[0]] += 1e-6
+        ga[xs[0], ys[0]] += 1e-6
+        dev = float(np.abs(ga * dec.s + dec.r - dec.q).max())
+        return dataclasses.replace(dec, deviation=dev)
+
+    monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted)
+    code, out, err = run(capsys, "verify", "--n", "2", "--json", "--deterministic")
     assert code == 1
     assert "FAIL DecompositionMismatch" in err
     report = json.loads(out)

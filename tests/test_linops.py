@@ -9,11 +9,13 @@ from parwalk.linops import (
     Compose,
     DenseUnitary,
     Embedded,
+    FactoredSelect,
     Identity,
     Kron,
     Permutation,
     Select,
     SystemControlled,
+    SystemControlledReflection,
     energy_shift,
     householder_to,
     xor_shift,
@@ -92,6 +94,48 @@ def test_system_controlled():
             for b in range(2):
                 want[a * 3 + x, b * 3 + x] = mats[x, a, b]
     assert np.abs(op.dense() - want).max() < 1e-14
+
+
+def test_factored_select_matches_dense_blocks():
+    # sum_k |k><k| (x) (a (x) I + b (x) Pi_k^T), system register trailing
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(2, 3, 3))
+    perms = np.array([[1, 0, 3, 2], [0, 1, 2, 3], [2, 3, 0, 1]])
+    op = FactoredSelect(a, b, perms)
+    want = np.zeros((36, 36))
+    for k, p in enumerate(perms):
+        pk = np.zeros((4, 4))
+        pk[np.arange(4), p] = 1.0  # (P_k v)[x] = v[p[x]]
+        want[12 * k : 12 * k + 12, 12 * k : 12 * k + 12] = (
+            np.kron(a, np.eye(4)) + np.kron(b, pk)
+        )
+    assert np.abs(op.dense() - want).max() < 1e-14
+    batch = rng.normal(size=(5, 36))
+    assert np.abs(op.adjoint_apply(batch) - batch @ want).max() < 1e-13
+    # non-involutive slots take the inverse permutation in the adjoint
+    cyc = FactoredSelect(a, b, np.array([[1, 2, 0]]))
+    assert np.abs(Adjoint(cyc).dense() - cyc.dense().T).max() < 1e-14
+    with pytest.raises(DimensionMismatch):
+        FactoredSelect(a, b[:2, :2], perms)
+    with pytest.raises(DimensionMismatch):
+        FactoredSelect(a, b, perms[0])
+
+
+def test_system_controlled_reflection_matches_householder():
+    rng = np.random.default_rng(10)
+    t = rng.normal(size=(3, 4))
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    t[1] = np.eye(4)[0]  # u = 0: identity fallback
+    u = -t
+    u[:, 0] += 1.0
+    op = SystemControlledReflection(u)
+    want = SystemControlled(np.stack([householder_to(tx) for tx in t])).dense()
+    d = op.dense()
+    assert np.abs(d - want).max() < 1e-14
+    assert np.abs(d @ d - np.eye(12)).max() < 1e-13
+    assert np.abs(Adjoint(op).dense() - d.T).max() < 1e-14
+    with pytest.raises(DimensionMismatch):
+        SystemControlledReflection(np.zeros(4))
 
 
 def test_embedded_acts_on_selected_registers():

@@ -18,7 +18,6 @@ from parwalk.parchain import (
     ProposalDecomposition,
     acceptance_matrix,
     compress,
-    compress_dense,
     custom_rule,
     decompose_discriminant,
     g_matrix,
@@ -176,18 +175,6 @@ class TestEnergyTables:
         for y in range(4):
             for x in range(4):
                 assert abs(dense[y, x] - mat.compressed[e[y], e[x]]) < 1e-15
-
-    def test_compress_dense_round_trip(self):
-        model = GibbsModel(energies=np.array([2, 0, 1, 2]), levels=3, beta=0.9)
-        mat = ga_matrix(model, metropolis())
-        dense = mat.expand(model.energies)
-        table = compress_dense(dense, model.energies, model.levels)
-        assert np.abs(table - mat.compressed).max() < 1e-15
-
-    def test_compress_dense_rejects_inconsistent(self):
-        dense = np.array([[0.1, 0.2], [0.3, 0.4]])
-        with pytest.raises(DimensionMismatch):
-            compress_dense(dense, np.array([0, 0]), 1)
 
     def test_compress_norm_bound(self):
         model = GibbsModel(energies=np.array([0, 1, 2, 3]), levels=4, beta=0.6)

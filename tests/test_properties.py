@@ -1,0 +1,72 @@
+"""Property tests of the discriminant encoding over random small chains:
+random involutions with fixed points (fused route), optionally joined by a
+cycle and its inverse (generic route), random energies on B levels, beta
+from 0 to 40 and both acceptance rules."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from parwalk.blockenc import build_ancilla_efficient_Q, extract_block  # noqa: E402
+from parwalk.markov import GibbsModel  # noqa: E402
+from parwalk.parchain import (  # noqa: E402
+    decompose_discriminant,
+    glauber,
+    metropolis,
+    proposal_from_permutations,
+)
+
+
+def _involution(order, pairs):
+    p = np.arange(order.size)
+    a, b = order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]
+    p[a], p[b] = b, a
+    return p
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(2, 12))
+    cyclic = n >= 3 and draw(st.booleans())
+    perms, weights = [], []
+    for _ in range(draw(st.integers(0 if cyclic else 1, 3))):
+        order = np.array(draw(st.permutations(range(n))))
+        perms.append(_involution(order, draw(st.integers(0, n // 2))))
+        weights.append(draw(st.integers(1, 5)))
+    if cyclic:
+        order = np.array(draw(st.permutations(range(n))))
+        length = draw(st.integers(3, n))
+        cyc = np.arange(n)
+        cyc[order[:length]] = np.roll(order[:length], 1)
+        w = draw(st.integers(1, 5))
+        perms += [cyc, np.argsort(cyc)]
+        weights += [w, w]
+    weights = np.array(weights, dtype=float)
+    prop = proposal_from_permutations(weights / weights.sum(), perms)
+    levels = draw(st.integers(1, 9))
+    energies = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)))
+    beta = draw(st.floats(0.0, 40.0))
+    model = GibbsModel(energies=energies, levels=levels, beta=beta)
+    rule = draw(st.sampled_from([metropolis(), glauber()]))
+    return model, prop, rule
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chains())
+def test_encoding_properties(chain):
+    model, prop, rule = chain
+    be = build_ancilla_efficient_Q(model, prop, rule)
+    dec = decompose_discriminant(model, prop, rule)
+    assert np.abs(extract_block(be) - dec.q).max() <= 1e-9
+    pad = 1 << (model.levels - 1).bit_length()
+    assert be.gamma == 4 * pad
+    m = (prop.kappa - 1).bit_length()
+    b = pad.bit_length() - 1
+    assert be.anc_qubits <= 2 * m + b + 2
+    if prop.all_involutions:
+        assert be.anc_qubits == m + b + 2
+    probes = np.random.default_rng(0).standard_normal((3, be.op.dim))
+    assert np.abs(be.op.apply(be.op.apply(probes)) - probes).max() <= 1e-10
