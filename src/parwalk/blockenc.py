@@ -67,6 +67,8 @@ from .parchain import (
 
 UNITARY_TOL = 1e-10
 EXTRACT_TOL = 1e-9
+# bytes of one extraction chunk, about the per-core L2 cache size
+EXTRACT_BUDGET = 2 * 2**20
 
 
 def _ceil_log2(k: int) -> int:
@@ -114,13 +116,34 @@ def unitary_encoding(op: LinOp) -> BlockEncoding:
     return BlockEncoding(sys_dim=op.dim, anc_qubits=0, paper_anc=0, gamma=1.0, op=op)
 
 
+def extraction_chunk_width(sys_dim: int, op_dim: int) -> int:
+    """Basis columns per extraction chunk: as many float64 vectors of length
+    op_dim as fit in EXTRACT_BUDGET, at least one and at most sys_dim."""
+    return max(1, min(sys_dim, EXTRACT_BUDGET // (8 * op_dim)))
+
+
 def extract_block(be: BlockEncoding) -> np.ndarray:
-    """gamma * (<0^c| (x) I) V (|0^c> (x) I), without materializing V."""
+    """gamma * (<0^c| (x) I) V (|0^c> (x) I), without materializing V.
+
+    V is applied to the basis columns |0^c, x> in consecutive chunks of at
+    most EXTRACT_BUDGET bytes, so every pass over a chunk stays in cache
+    and the working set does not grow with the number of columns.
+    """
     n = be.sys_dim
-    vecs = np.zeros((n, be.op.dim))
-    vecs[np.arange(n), np.arange(n)] = 1.0  # ancillas lead, so |0^c,x> has index x
-    out = be.op.apply(vecs)
-    return np.ascontiguousarray(be.gamma * out[:, :n].T)
+    dim = be.op.dim
+    width = extraction_chunk_width(n, dim)
+    block = None
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        vecs = np.zeros((hi - lo, dim))
+        # ancillas lead, so |0^c,x> has index x
+        vecs[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+        top = be.op.apply(vecs)[:, :n]
+        if block is None:
+            block = np.empty((n, n), dtype=top.dtype)
+        block[:, lo:hi] = top.T
+    block *= be.gamma
+    return block
 
 
 @dataclass(frozen=True)

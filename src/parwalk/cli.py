@@ -19,7 +19,12 @@ import numpy as np
 # extract_block is not called here: verify_encoding extracts the block once.
 # It stays bound in this module because perfbench/tracing.py wraps
 # parwalk.cli.extract_block.
-from .blockenc import build_ancilla_efficient_Q, extract_block, verify_encoding  # noqa: F401
+from .blockenc import (  # noqa: F401
+    build_ancilla_efficient_Q,
+    extract_block,
+    extraction_chunk_width,
+    verify_encoding,
+)
 from .cnf import load_dimacs
 from .errors import BoundViolated, NotErgodic, ParwalkError
 from .markov import (
@@ -128,17 +133,18 @@ def _check_cap(args, n: int, levels: int):
     cap = DEFAULT_CAP if args.max_n is None else args.max_n
     if args.max_n is not None:
         # the two arrays whose size grows fastest with n: the flagged walk's
-        # T and R T (2 N^2 x N each), and the basis batch extraction applies
-        # the encoding to (N x N 2^c, c at most the quoted ancilla count);
-        # both bit-flip families propose with kappa = n
+        # T and R T (2 N^2 x N each), and one chunk of basis columns that
+        # extraction applies the encoding to (width x N 2^c, c at most the
+        # quoted ancilla count); both bit-flip families propose with kappa = n
         states = 1 << n
         anc = comparison_counts(states, n, levels).paper_qubits
         walk_bytes = 2 * (2 * states * states) * states * 8
-        batch_bytes = states * (states << anc) * 8
+        dim = states << anc
+        chunk_bytes = extraction_chunk_width(states, dim) * dim * 8
         print(
             f"cap raised to n={args.max_n}: n={n} allocates a walk isometry "
-            f"pair of ~{walk_bytes / 2**20:.0f} MiB and an extraction batch "
-            f"of at most ~{batch_bytes / 2**20:.0f} MiB",
+            f"pair of ~{walk_bytes / 2**20:.0f} MiB and an extraction chunk "
+            f"of at most ~{chunk_bytes / 2**20:.0f} MiB",
             file=sys.stderr,
         )
     if n > cap:
@@ -295,11 +301,9 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     report, failures = _run_report(args)
     _emit(args, report)
-    if failures:
-        name, msg = failures[0]
+    for name, msg in failures:
         print(f"FAIL {name}: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_spectrum(args) -> int:

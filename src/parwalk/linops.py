@@ -228,7 +228,7 @@ class FactoredSelect(LinOp):
 
 class SystemControlledReflection(LinOp):
     """sum_x (I - 2 u_x u_x^T / |u_x|^2) (x) |x><x|: a real Householder
-    reflection on the leading register for every system basis state, stored
+    reflection on the leading register for every system basis state, given
     as the (n_sys, d) array of vectors u_x; the identity where |u_x|^2 <
     1e-28. Each factor is a symmetric involution, so the operator is its
     own adjoint."""
@@ -238,7 +238,8 @@ class SystemControlledReflection(LinOp):
         if u.ndim != 2:
             raise DimensionMismatch("expected reflection vectors of shape (n_sys, d)")
         nrm2 = np.einsum("xa,xa->x", u, u)
-        self.u = u
+        # stored as a contiguous u^T, in the (d, n_sys) layout of the operand
+        self._ut = np.ascontiguousarray(u.T)
         self.n_sys, self.block_dim = u.shape
         self.dim = self.n_sys * self.block_dim
         self._coef = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 >= 1e-28)
@@ -246,8 +247,9 @@ class SystemControlledReflection(LinOp):
     def apply(self, v):
         shape = v.shape
         w = v.reshape(shape[:-1] + (self.block_dim, self.n_sys))
-        proj = np.einsum("xa,...ax->...x", self.u, w) * self._coef
-        out = w - self.u.T * proj[..., None, :]
+        proj = np.einsum("ax,...ax->...x", self._ut, w) * self._coef
+        out = self._ut * proj[..., None, :]
+        np.subtract(w, out, out=out)
         return out.reshape(shape)
 
     def adjoint_apply(self, v):

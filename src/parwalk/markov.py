@@ -7,6 +7,7 @@ probability of moving from x to y. Energies are integers in {0, ..., B-1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +86,8 @@ class GibbsModel:
                 f"energies must lie in [0, {self.levels - 1}], got range "
                 f"[{e.min()}, {e.max()}]"
             )
-        if self.beta < 0:
-            raise DimensionMismatch("beta must be nonnegative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise DimensionMismatch(f"beta must be finite and nonnegative, got {self.beta!r}")
         object.__setattr__(self, "energies", e.astype(np.intp))
 
     @property

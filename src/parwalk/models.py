@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cnf import CnfFormula, gibbs_from_cnf
-from .errors import ParwalkError
+from .errors import EnergyOutOfRange, ParwalkError
 from .markov import GibbsModel
 from .parchain import ProposalDecomposition, hypercube_proposal
 
@@ -19,6 +19,8 @@ def hamming_energies(n: int) -> np.ndarray:
 
 
 def random_energies(n_states: int, levels: int, seed: int) -> np.ndarray:
+    if levels < 1:
+        raise EnergyOutOfRange(f"random energies need at least one level, got {levels}")
     # Philox is splittable and stream-stable across platforms
     gen = np.random.Generator(np.random.Philox(seed))
     return gen.integers(0, levels, size=n_states, dtype=np.int64)

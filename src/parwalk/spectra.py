@@ -59,9 +59,9 @@ class EigenbasisEmbedding:
     thetas: np.ndarray
 
 
-def _circular_gap(a: float, b: float) -> float:
-    d = (a - b + math.pi) % (2.0 * math.pi) - math.pi
-    return abs(d)
+def _circular_gap(a, b):
+    """Distance between angles on the circle, elementwise on arrays."""
+    return np.abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
 
 
 def _unitary_eigenphases(w: np.ndarray) -> np.ndarray:
@@ -148,7 +148,7 @@ def walk_spectrum(walk, q: np.ndarray) -> WalkSpectrum:
     unmatched = []
     for j, target in expected:
         free = np.flatnonzero(~used)
-        dists = np.array([_circular_gap(phases[i], target) for i in free])
+        dists = _circular_gap(phases[free], target)
         pick = free[dists.argmin()]
         if dists.min() > PHASE_TOL:
             unmatched.append((target, float(dists.min())))
@@ -163,16 +163,16 @@ def walk_spectrum(walk, q: np.ndarray) -> WalkSpectrum:
         )
 
     leftovers = phases[~used]
-    bad = [p for p in leftovers if min(abs(p), abs(_circular_gap(p, math.pi))) > PHASE_TOL]
-    if bad:
+    bad = leftovers[
+        np.minimum(np.abs(leftovers), _circular_gap(leftovers, math.pi)) > PHASE_TOL
+    ]
+    if bad.size:
         raise SpectrumMismatch(
-            f"{len(bad)} complementary-subspace phases off the trivial set: "
+            f"{bad.size} complementary-subspace phases off the trivial set: "
             + ", ".join(f"{p:.6f}" for p in bad[:8])
         )
 
-    matched_abs = np.array(
-        [abs(phases[i]) for i in range(phases.size) if used[i]]
-    )
+    matched_abs = np.abs(phases[used])
     nonzero = matched_abs[matched_abs > SNAP]
     gap = float(nonzero.min()) if nonzero.size else 0.0
     predicted = np.arccos(lams)
@@ -230,10 +230,9 @@ def eigenbasis_embedding(q: np.ndarray) -> EigenbasisEmbedding:
     lam[lam >= 1.0 - 1e-12] = 1.0
     thetas = np.arccos(lam)
 
-    chi = np.zeros((2 * n, n))
-    for j in range(n):
-        chi[0::2, j] = math.cos(thetas[j] / 2.0) * vecs[:, j]
-        chi[1::2, j] = math.sin(thetas[j] / 2.0) * vecs[:, j]
+    chi = np.empty((2 * n, n))
+    chi[0::2] = np.cos(thetas / 2.0) * vecs
+    chi[1::2] = np.sin(thetas / 2.0) * vecs
     # t sends the original basis through the eigenbasis: t = sum_j chi_j v_j^T
     t = chi @ vecs.T
     s = np.diag(np.tile([1.0, -1.0], n))

@@ -2,6 +2,7 @@
 ancilla-efficient discriminant construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from parwalk.blockenc import (
     combine_two,
     compressed_hadamard_be,
     extract_block,
+    extraction_chunk_width,
     hadamard_be,
     identity_encoding,
     lcu,
@@ -451,3 +453,48 @@ def test_ancilla_bound_across_small_grid():
         assert be.anc_qubits <= 2 * m + b + 2
         dec = decompose_discriminant(model, prop, rule)
         assert np.abs(extract_block(be) - dec.q).max() < 1e-10
+
+
+# ------------------------------------------------------ chunked extraction
+
+
+def one_batch_block(be):
+    """gamma * the top rows of V applied to all N basis columns at once."""
+    n = be.sys_dim
+    vecs = np.zeros((n, be.op.dim))
+    vecs[np.arange(n), np.arange(n)] = 1.0
+    return be.gamma * be.op.apply(vecs)[:, :n].T
+
+
+def test_chunked_extraction_matches_one_batch_on_generic_route(monkeypatch):
+    cyc = (np.arange(8) + 1) % 8
+    prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
+    model = GibbsModel(energies=np.array([0, 1, 2, 1, 0, 2, 1, 1]), levels=3, beta=0.6)
+    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    assert not prop.all_involutions
+    # three columns per chunk: 8 = 3 + 3 + 2
+    monkeypatch.setattr(parwalk.blockenc, "EXTRACT_BUDGET", 3 * 8 * be.op.dim)
+    assert extraction_chunk_width(be.sys_dim, be.op.dim) == 3
+    assert np.array_equal(extract_block(be), one_batch_block(be))
+
+
+def test_chunked_extraction_matches_one_batch_at_n7():
+    model, prop = build_hypercube(7, energy="hamming", beta=0.9)
+    be = build_ancilla_efficient_Q(model, prop, glauber())
+    assert prop.all_involutions
+    assert extraction_chunk_width(be.sys_dim, be.op.dim) < be.sys_dim
+    assert np.array_equal(extract_block(be), one_batch_block(be))
+
+
+def test_chunked_extraction_memory_at_n7():
+    # one batch of all 128 columns would be 64 MiB per temporary
+    model, prop = build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8)
+    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    assert be.sys_dim * be.op.dim * 8 == 64 * 2**20
+    tracemalloc.start()
+    try:
+        extract_block(be)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20

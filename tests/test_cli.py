@@ -304,6 +304,16 @@ def test_max_n_raises_cap_and_prints_estimate(capsys):
     assert "cap raised to n=4" in err and "MiB" in err
 
 
+def test_max_n_estimate_prices_one_extraction_chunk(capsys):
+    # n = 7, B = 16 quotes 2*3 + 4 + 2 = 12 ancillas, so one column is
+    # 2^7 * 2^12 * 8 bytes = 4 MiB, above the chunk budget: one column per
+    # chunk, where a batch of all 128 columns would be 512 MiB
+    args = parwalk.cli._parser().parse_args(["verify", "--max-n", "7"])
+    parwalk.cli._check_cap(args, 7, 16)
+    err = capsys.readouterr().err
+    assert "an extraction chunk of at most ~4 MiB" in err
+
+
 def test_missing_cnf_file_flag(capsys):
     code, _, err = run(capsys, "verify", "--model", "cnf")
     assert code == 2 and "cnf" in err
@@ -315,6 +325,21 @@ def test_nonexistent_cnf_path(capsys, tmp_path):
         str(tmp_path / "missing.cnf"),
     )
     assert code == 2 and "error:" in err
+
+
+def test_verify_prints_every_failure(capsys, monkeypatch):
+    def faulted(model, prop, rule):
+        return dataclasses.replace(decompose_discriminant(model, prop, rule), deviation=1.0)
+
+    monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted)
+    monkeypatch.setattr(parwalk.cli, "check_detailed_balance", lambda *a, **k: False)
+    code, out, err = run(capsys, "verify", "--n", "2", "--json", "--deterministic")
+    assert code == 1
+    assert err.splitlines() == [
+        "FAIL DecompositionMismatch: (G(.)A)(.)S + R deviates from Q by 1.000e+00",
+        "FAIL NotReversible: detailed balance fails at 1e-12",
+    ]
+    assert json.loads(out)["pass"] is False
 
 
 def test_malformed_cnf_is_an_input_error(capsys, tmp_path):

@@ -55,6 +55,12 @@ def test_gibbs_model_validation():
         GibbsModel(energies=np.array([0, 1]), levels=2, beta=-1.0)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+def test_gibbs_model_rejects_nonfinite_beta(beta):
+    with pytest.raises(ParwalkError, match="finite"):
+        GibbsModel(energies=np.array([0, 1]), levels=2, beta=beta)
+
+
 def test_gibbs_distribution_two_state():
     model = GibbsModel(energies=np.array([0, 1]), levels=2, beta=np.log(2.0))
     assert abs(model.partition_function - 1.5) < 1e-15

@@ -38,6 +38,12 @@ def test_build_hypercube_hamming_defaults():
 def test_build_hypercube_random_needs_levels():
     with pytest.raises(ParwalkError):
         build_hypercube(2, energy="random")
+
+
+@pytest.mark.parametrize("levels", [0, -2])
+def test_build_hypercube_rejects_levels_below_one(levels):
+    with pytest.raises(ParwalkError, match="at least one level"):
+        build_hypercube(3, energy="random", levels=levels)
     model, _ = build_hypercube(2, energy="random", levels=7, seed=3)
     assert model.levels == 7
 
