@@ -67,8 +67,16 @@ from .parchain import (
 
 UNITARY_TOL = 1e-10
 EXTRACT_TOL = 1e-9
-# bytes of one extraction chunk, about the per-core L2 cache size
-EXTRACT_BUDGET = 2 * 2**20
+# Bytes one extraction chunk keeps alive while it passes through the
+# encoding: half of a 2 MiB per-core L2 cache, so that the operator's own
+# tables (reflection vectors, dilation pairs, permutations) stay cached
+# beside it. A chunk of w columns holds up to CHUNK_ARRAYS arrays of
+# w x op.dim floats at once: the operand of a node, its output and the
+# partial products of the factored select. In a sweep of the chunk's input
+# array over 128 KiB to 2 MiB at n = 5, 6, 7, 256 KiB (this budget) was
+# fastest or within noise of it, and 1-2 MiB were slowest (see the README).
+EXTRACT_BUDGET = 2**20
+CHUNK_ARRAYS = 4
 
 
 def _ceil_log2(k: int) -> int:
@@ -117,17 +125,25 @@ def unitary_encoding(op: LinOp) -> BlockEncoding:
 
 
 def extraction_chunk_width(sys_dim: int, op_dim: int) -> int:
-    """Basis columns per extraction chunk: as many float64 vectors of length
-    op_dim as fit in EXTRACT_BUDGET, at least one and at most sys_dim."""
-    return max(1, min(sys_dim, EXTRACT_BUDGET // (8 * op_dim)))
+    """Columns per extraction chunk: as many float64 vectors of length
+    op_dim as keep CHUNK_ARRAYS arrays of them within EXTRACT_BUDGET, at
+    least one and at most sys_dim."""
+    return max(1, min(sys_dim, EXTRACT_BUDGET // (CHUNK_ARRAYS * 8 * op_dim)))
+
+
+def _basis_columns(lo: int, hi: int, dim: int) -> np.ndarray:
+    """Rows |0^c, x> for x in [lo, hi); ancillas lead, so that is index x."""
+    vecs = np.zeros((hi - lo, dim))
+    vecs[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+    return vecs
 
 
 def extract_block(be: BlockEncoding) -> np.ndarray:
     """gamma * (<0^c| (x) I) V (|0^c> (x) I), without materializing V.
 
-    V is applied to the basis columns |0^c, x> in consecutive chunks of at
-    most EXTRACT_BUDGET bytes, so every pass over a chunk stays in cache
-    and the working set does not grow with the number of columns.
+    V is applied to the basis columns |0^c, x> in consecutive chunks whose
+    working set fits EXTRACT_BUDGET, so every pass over a chunk stays in
+    cache and the working set does not grow with the number of columns.
     """
     n = be.sys_dim
     dim = be.op.dim
@@ -135,10 +151,9 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     block = None
     for lo in range(0, n, width):
         hi = min(lo + width, n)
-        vecs = np.zeros((hi - lo, dim))
-        # ancillas lead, so |0^c,x> has index x
-        vecs[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        top = be.op.apply(vecs)[:, :n]
+        # no reference to the input is kept here, so it is freed as soon as
+        # the first node has consumed it
+        top = be.op.apply(_basis_columns(lo, hi, dim))[:, :n]
         if block is None:
             block = np.empty((n, n), dtype=top.dtype)
         block[:, lo:hi] = top.T
@@ -158,7 +173,7 @@ def verify_encoding(
     be: BlockEncoding, target: np.ndarray, tol: float = EXTRACT_TOL, seed: int = 7
 ) -> EncodingReport:
     """Compare the extracted block to target and spot-check unitarity of op
-    on 8 random vectors."""
+    on 8 random vectors, drawn and applied in extraction-sized chunks."""
     target = np.asarray(target)
     if target.shape != (be.sys_dim, be.sys_dim):
         raise DimensionMismatch(
@@ -166,12 +181,17 @@ def verify_encoding(
         )
     dev = float(np.abs(extract_block(be) - target).max())
     rng = np.random.Generator(np.random.Philox(seed))
-    v = rng.standard_normal((8, be.op.dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    w = be.op.apply(v)
-    norm_dev = np.abs(np.linalg.norm(w, axis=1) - 1.0).max()
-    round_dev = np.abs(be.op.adjoint_apply(w) - v).max()
-    unitary_dev = float(max(norm_dev, round_dev))
+    width = extraction_chunk_width(be.sys_dim, be.op.dim)
+    unitary_dev = 0.0
+    for lo in range(0, 8, width):
+        # consecutive draws from one generator give the same vectors as a
+        # single draw of all 8
+        v = rng.standard_normal((min(width, 8 - lo), be.op.dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = be.op.apply(v)
+        norm_dev = np.abs(np.linalg.norm(w, axis=1) - 1.0).max()
+        round_dev = np.abs(be.op.adjoint_apply(w) - v).max()
+        unitary_dev = max(unitary_dev, float(norm_dev), float(round_dev))
     return EncodingReport(
         max_abs_dev=dev,
         tol=tol,
@@ -633,11 +653,12 @@ def _fused_reflection(
         amp = math.sqrt(0.5 * w)
         u[rows, (2 * k) * bt + e] -= amp
         u[rows, (2 * k + 1) * bt + e[p]] -= amp
-    dims = [k_dim, 2, 2, bt, n]  # select, dilation, direction, level, system
-    emb = Embedded(SystemControlledReflection(u), dims, [0, 2, 3, 4])
+    # registers: select, dilation, direction, level, system; the
+    # preparation leaves the dilation register alone
+    prep = SystemControlledReflection(u, passive=(k_dim, 2))
 
     # the preparation is a real symmetric involution, so it is its own adjoint
-    op = Compose(emb, sel, emb)
+    op = Compose(prep, sel, prep)
     return BlockEncoding(
         sys_dim=n,
         anc_qubits=m + bbits + 2,

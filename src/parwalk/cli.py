@@ -132,19 +132,25 @@ def _build_bundle(args, need_matrices: bool):
 def _check_cap(args, n: int, levels: int):
     cap = DEFAULT_CAP if args.max_n is None else args.max_n
     if args.max_n is not None:
-        # the two arrays whose size grows fastest with n: the flagged walk's
-        # T and R T (2 N^2 x N each), and one chunk of basis columns that
-        # extraction applies the encoding to (width x N 2^c, c at most the
-        # quoted ancilla count); both bit-flip families propose with kappa = n
+        # the arrays whose size grows fastest with n, for the constructions
+        # requested: the flagged walk's T and R T (2 N^2 x N each), and one
+        # chunk of basis columns that extraction applies the encoding to
+        # (width x N 2^c, c at most the quoted ancilla count); both bit-flip
+        # families propose with kappa = n
         states = 1 << n
-        anc = comparison_counts(states, n, levels).paper_qubits
-        walk_bytes = 2 * (2 * states * states) * states * 8
-        dim = states << anc
-        chunk_bytes = extraction_chunk_width(states, dim) * dim * 8
+        parts = []
+        if args.construction in ("szegedy", "both"):
+            walk_bytes = 2 * (2 * states * states) * states * 8
+            parts.append(f"a walk isometry pair of ~{walk_bytes / 2**20:.0f} MiB")
+        if args.construction in ("compressed", "both"):
+            anc = comparison_counts(states, n, levels).paper_qubits
+            dim = states << anc
+            chunk_bytes = extraction_chunk_width(states, dim) * dim * 8
+            parts.append(
+                f"an extraction chunk of at most ~{chunk_bytes / 2**20:.0f} MiB"
+            )
         print(
-            f"cap raised to n={args.max_n}: n={n} allocates a walk isometry "
-            f"pair of ~{walk_bytes / 2**20:.0f} MiB and an extraction chunk "
-            f"of at most ~{chunk_bytes / 2**20:.0f} MiB",
+            f"cap raised to n={args.max_n}: n={n} allocates " + " and ".join(parts),
             file=sys.stderr,
         )
     if n > cap:

@@ -231,24 +231,37 @@ class SystemControlledReflection(LinOp):
     reflection on the leading register for every system basis state, given
     as the (n_sys, d) array of vectors u_x; the identity where |u_x|^2 <
     1e-28. Each factor is a symmetric involution, so the operator is its
-    own adjoint."""
+    own adjoint.
 
-    def __init__(self, u: np.ndarray):
+    passive = (outer, size) inserts a register of size values, on which
+    every factor is the identity, after the first outer values of the
+    leading register: the operand layout is (outer, size, d // outer,
+    n_sys). The reflection broadcasts over that register instead of moving
+    it, so no copy of the operand is made; the default (1, 1) is the plain
+    (d, n_sys) layout."""
+
+    def __init__(self, u: np.ndarray, passive: tuple[int, int] = (1, 1)):
         u = np.asarray(u, dtype=float)
         if u.ndim != 2:
             raise DimensionMismatch("expected reflection vectors of shape (n_sys, d)")
-        nrm2 = np.einsum("xa,xa->x", u, u)
-        # stored as a contiguous u^T, in the (d, n_sys) layout of the operand
-        self._ut = np.ascontiguousarray(u.T)
+        outer, size = passive
         self.n_sys, self.block_dim = u.shape
-        self.dim = self.n_sys * self.block_dim
+        if self.block_dim % outer:
+            raise DimensionMismatch(f"cannot split {self.block_dim} values after {outer}")
+        inner = self.block_dim // outer
+        nrm2 = np.einsum("xa,xa->x", u, u)
+        # stored as a contiguous u^T, in the operand layout with the passive
+        # register of size 1
+        self._ut = np.ascontiguousarray(u.T).reshape(outer, 1, inner, self.n_sys)
+        self._layout = (outer, size, inner, self.n_sys)
+        self.dim = self.n_sys * self.block_dim * size
         self._coef = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 >= 1e-28)
 
     def apply(self, v):
         shape = v.shape
-        w = v.reshape(shape[:-1] + (self.block_dim, self.n_sys))
-        proj = np.einsum("ax,...ax->...x", self._ut, w) * self._coef
-        out = self._ut * proj[..., None, :]
+        w = v.reshape(shape[:-1] + self._layout)
+        proj = np.einsum("kax,...kpax->...px", self._ut[:, 0], w) * self._coef
+        out = self._ut * proj[..., None, :, None, :]
         np.subtract(w, out, out=out)
         return out.reshape(shape)
 

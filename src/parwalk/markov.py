@@ -117,21 +117,28 @@ def gibbs_distribution(model: GibbsModel) -> Distribution:
 
 
 def stationary_distribution(p: StochasticMatrix, tol: float = 1e-9) -> Distribution:
-    """Unique eigenvalue-1 eigenvector of p, normalized to a distribution.
+    """Unique stationary distribution of p.
 
-    Raises NotErgodic when eigenvalue 1 is degenerate or the eigenvector is
-    not strictly positive.
+    Raises NotErgodic when eigenvalue 1 is degenerate or the solution is
+    not strictly positive. pi solves the bordered system (P - I, with its
+    last row replaced by 1^T) pi = e_N, which is nonsingular exactly when
+    eigenvalue 1 is simple; unlike the eigenvector of the nonsymmetric
+    eigensolver, it stays accurate when pi spans many orders of magnitude.
     """
-    vals, vecs = np.linalg.eig(p.entries)
+    vals = np.linalg.eigvals(p.entries)
     close = np.abs(vals - 1.0) < tol
     if close.sum() != 1:
         raise NotErgodic(
             f"eigenvalue 1 has multiplicity {int(close.sum())}; chain is not ergodic"
         )
-    v = np.real(vecs[:, close.argmax()])
+    bordered = p.entries - np.eye(p.n)
+    bordered[-1] = 1.0
+    rhs = np.zeros(p.n)
+    rhs[-1] = 1.0
+    v = np.linalg.solve(bordered, rhs)
     v = v / v.sum()
     if v.min() <= 0:
-        raise NotErgodic("stationary eigenvector is not strictly positive")
+        raise NotErgodic("stationary distribution is not strictly positive")
     return Distribution(v)
 
 

@@ -71,26 +71,30 @@ def _unitary_eigenphases(w: np.ndarray) -> np.ndarray:
     complex pairs with O(sqrt(eps)) phase error, which swamps the 1e-8
     matching tolerance. Instead diagonalize the commuting hermitian parts:
     eigh gives the cosines exactly, and the sine operator restricted to
-    each cosine cluster separates the +- pairs.
+    each cosine cluster separates the +- pairs. The sine operator is
+    rotated into the cosine eigenbasis once; each cluster is a diagonal
+    block of it, and clusters of one size are diagonalized as one stack.
+    A real w stays real up to the sine operator, which is i times a real
+    antisymmetric matrix.
     """
-    wc = np.asarray(w, dtype=complex)
-    unit_dev = np.abs(wc @ wc.conj().T - np.eye(wc.shape[0])).max()
+    w = np.asarray(w)
+    if not np.isrealobj(w):
+        w = w.astype(complex)
+    n = w.shape[0]
+    unit_dev = np.abs(w @ w.conj().T - np.eye(n)).max()
     if unit_dev > 1e-9:
         raise SpectrumOutOfRange(f"walk operator is not unitary (dev {unit_dev:.3e})")
-    hc = 0.5 * (wc + wc.conj().T)
-    hs = (wc - wc.conj().T) / 2j
-    cos_vals, vecs = np.linalg.eigh(hc)
-    phases = np.empty(wc.shape[0])
-    i = 0
-    while i < cos_vals.size:
-        j = i + 1
-        while j < cos_vals.size and cos_vals[j] - cos_vals[j - 1] < 1e-8:
-            j += 1
-        block = vecs[:, i:j]
-        sin_vals = np.linalg.eigvalsh(block.conj().T @ hs @ block)
-        c = float(cos_vals[i:j].mean())
-        phases[i:j] = [math.atan2(float(s), c) for s in sin_vals]
-        i = j
+    cos_vals, vecs = np.linalg.eigh(0.5 * (w + w.conj().T))
+    # V^dag hs V with hs = (w - w^dag) / 2i
+    sin_op = (vecs.conj().T @ ((w - w.conj().T) / 2.0) @ vecs) / 1j
+    # a cluster ends where the next cosine is 1e-8 or more above the last
+    starts = np.flatnonzero(np.r_[True, ~(np.diff(cos_vals) < 1e-8)])
+    sizes = np.diff(np.r_[starts, n])
+    phases = np.empty(n)
+    for size in np.unique(sizes):
+        idx = starts[sizes == size][:, None] + np.arange(size)
+        sin_vals = np.linalg.eigvalsh(sin_op[idx[:, :, None], idx[:, None, :]])
+        phases[idx] = np.arctan2(sin_vals, cos_vals[idx].mean(axis=1, keepdims=True))
     return phases
 
 
@@ -235,29 +239,49 @@ def eigenbasis_embedding(q: np.ndarray) -> EigenbasisEmbedding:
     chi[1::2] = np.sin(thetas / 2.0) * vecs
     # t sends the original basis through the eigenbasis: t = sum_j chi_j v_j^T
     t = chi @ vecs.T
-    s = np.diag(np.tile([1.0, -1.0], n))
-    u = s @ (2.0 * (t @ t.T) - np.eye(2 * n))
+    signs = np.tile([1.0, -1.0], n)
+    s = np.diag(signs)
+    # s is diagonal, so s @ m is a row scaling
+    u = signs[:, None] * (2.0 * (t @ t.T) - np.eye(2 * n))
 
     if np.abs(t.T @ t - np.eye(n)).max() > RESIDUAL_TOL:
         raise SpectrumOutOfRange("embedding isometry lost orthonormality")
     if np.abs(t.T @ s @ t - q).max() > RESIDUAL_TOL:
         raise SpectrumOutOfRange("t^dag s t deviates from q")
-
-    for j in range(n):
-        chi_j = chi[:, j]
-        if thetas[j] < 1e-8:
-            if np.linalg.norm(u @ chi_j - chi_j) > RESIDUAL_TOL:
-                raise SpectrumOutOfRange("unit eigenvalue is not fixed by the walk")
-            partner = np.zeros(2 * n)
-            partner[1::2] = vecs[:, j]
-            if np.linalg.norm(u @ partner - partner) > RESIDUAL_TOL:
-                raise SpectrumOutOfRange("partner of a unit eigenvalue moved")
-            continue
-        for sign in (1.0, -1.0):
-            mu = complex(math.cos(thetas[j]), sign * math.sin(thetas[j]))
-            vec = chi_j - mu * (s @ chi_j)
-            if np.linalg.norm(u @ vec - mu * vec) > RESIDUAL_TOL:
-                raise SpectrumOutOfRange(
-                    f"two-reflection eigenvector relation fails at theta={thetas[j]:.6f}"
-                )
+    _check_walk_relations(u, chi, vecs, thetas)
     return EigenbasisEmbedding(t=t, s=s, u=u, thetas=thetas)
+
+
+def _check_walk_relations(u, chi, vecs, thetas) -> None:
+    """Two-reflection eigenvector relations of the embedding walk u, for
+    every eigenvalue at once, in the order of the eigenvalues.
+
+    For theta_j > 0: u (chi_j - mu s chi_j) = mu (chi_j - mu s chi_j) for
+    both mu = e^{+-i theta_j}. For theta_j = 0: u fixes chi_j and its
+    partner |v_j> (x) |1>.
+    """
+    n2 = chi.shape[0]
+    sc = np.tile([1.0, -1.0], n2 // 2)[:, None] * chi
+    uc = u @ chi
+    unit = thetas < 1e-8
+    fixed = np.linalg.norm(uc - chi, axis=0) > RESIDUAL_TOL
+    partner = np.zeros_like(chi)
+    partner[1::2] = vecs
+    moved = np.linalg.norm(u @ partner - partner, axis=0) > RESIDUAL_TOL
+    # (u - mu)(chi - mu s chi) = u chi - mu (u s chi + chi) + mu^2 s chi
+    b = u @ sc + chi
+    rel = np.zeros(thetas.size, dtype=bool)
+    for sign in (1.0, -1.0):
+        mu = np.cos(thetas) + 1j * sign * np.sin(thetas)
+        rel |= np.linalg.norm(uc - mu * b + mu * mu * sc, axis=0) > RESIDUAL_TOL
+    bad = np.where(unit, fixed | moved, rel)
+    if not bad.any():
+        return
+    j = int(bad.argmax())
+    if not unit[j]:
+        raise SpectrumOutOfRange(
+            f"two-reflection eigenvector relation fails at theta={thetas[j]:.6f}"
+        )
+    if fixed[j]:
+        raise SpectrumOutOfRange("unit eigenvalue is not fixed by the walk")
+    raise SpectrumOutOfRange("partner of a unit eigenvalue moved")

@@ -9,6 +9,7 @@ import pytest
 
 import parwalk.blockenc
 from parwalk.blockenc import (
+    CHUNK_ARRAYS,
     BlockEncoding,
     ZeroIsometry,
     _fused_reflection,
@@ -45,6 +46,7 @@ from parwalk.linops import (
     Compose,
     DenseUnitary,
     Embedded,
+    LinOp,
     Permutation,
     Select,
     SystemControlled,
@@ -473,7 +475,8 @@ def test_chunked_extraction_matches_one_batch_on_generic_route(monkeypatch):
     be = build_ancilla_efficient_Q(model, prop, metropolis())
     assert not prop.all_involutions
     # three columns per chunk: 8 = 3 + 3 + 2
-    monkeypatch.setattr(parwalk.blockenc, "EXTRACT_BUDGET", 3 * 8 * be.op.dim)
+    budget = 3 * CHUNK_ARRAYS * 8 * be.op.dim
+    monkeypatch.setattr(parwalk.blockenc, "EXTRACT_BUDGET", budget)
     assert extraction_chunk_width(be.sys_dim, be.op.dim) == 3
     assert np.array_equal(extract_block(be), one_batch_block(be))
 
@@ -486,15 +489,70 @@ def test_chunked_extraction_matches_one_batch_at_n7():
     assert np.array_equal(extract_block(be), one_batch_block(be))
 
 
-def test_chunked_extraction_memory_at_n7():
-    # one batch of all 128 columns would be 64 MiB per temporary
+def test_chunked_extraction_matches_one_batch_at_n7_random_b16():
+    # 4B = 64 wide dilation, one 512 KiB column per chunk
     model, prop = build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8)
     be = build_ancilla_efficient_Q(model, prop, metropolis())
+    assert extraction_chunk_width(be.sys_dim, be.op.dim) == 1
+    assert np.array_equal(extract_block(be), one_batch_block(be))
+
+
+def test_chunked_extraction_memory_at_n7():
+    # one batch of all 128 columns would be 64 MiB per temporary; a chunk's
+    # working set is about 2 MiB, and verify_encoding's unitarity spot
+    # check runs in chunks of the same width (measured peak: 2.1 MiB)
+    model, prop = build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8)
+    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    q = decompose_discriminant(model, prop, metropolis()).q
     assert be.sys_dim * be.op.dim * 8 == 64 * 2**20
     tracemalloc.start()
     try:
-        extract_block(be)
+        report = verify_encoding(be, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert report.passed
+    assert peak <= 4 * 2**20
+
+
+class RecordingScale(LinOp):
+    """A non-unitary diagonal operator that records every batch it is
+    applied to."""
+
+    def __init__(self, diag):
+        self.diag = diag
+        self.dim = diag.size
+        self.seen = []
+
+    def apply(self, v):
+        self.seen.append(v.copy())
+        return v * self.diag
+
+    def adjoint_apply(self, v):
+        return v * self.diag
+
+
+def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
+    n, dim = 4, 64
+    # the first of the 8 vectors deviates most, so a check that dropped any
+    # chunk but the last would read less than the one-batch check
+    diag = 1.0 + 0.1 * np.random.default_rng(1).random(dim)
+    # the former one-batch spot check, on all 8 vectors at once
+    v = np.random.Generator(np.random.Philox(7)).standard_normal((8, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    w = v * diag
+    want = max(
+        np.abs(np.linalg.norm(w, axis=1) - 1.0).max(), np.abs(w * diag - v).max()
+    )
+    for width in range(1, 9):
+        budget = width * CHUNK_ARRAYS * 8 * dim
+        monkeypatch.setattr(parwalk.blockenc, "EXTRACT_BUDGET", budget)
+        op = RecordingScale(diag)
+        be = BlockEncoding(sys_dim=n, anc_qubits=4, paper_anc=4, gamma=1.0, op=op)
+        report = verify_encoding(be, np.diag(diag[:n]))
+        # n basis columns for the extraction, then the 8 spot-check vectors
+        seen = np.concatenate(op.seen)
+        assert seen.shape[0] == n + 8
+        assert np.array_equal(seen[n:], v)
+        assert report.max_abs_dev == 0.0
+        assert report.unitary_dev == want and not report.passed

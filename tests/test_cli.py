@@ -314,6 +314,33 @@ def test_max_n_estimate_prices_one_extraction_chunk(capsys):
     assert "an extraction chunk of at most ~4 MiB" in err
 
 
+def test_max_n_estimate_follows_the_construction(capsys):
+    code, _, err = run(
+        capsys, "verify", "--n", "2", "--max-n", "7", "--construction",
+        "compressed", "--json",
+    )
+    assert code == 0
+    assert "an extraction chunk" in err and "walk isometry" not in err
+    code, _, err = run(
+        capsys, "verify", "--n", "2", "--max-n", "7", "--construction",
+        "szegedy", "--json",
+    )
+    assert code == 0
+    assert "walk isometry" in err and "extraction" not in err
+
+
+def test_verify_passes_when_pi_spans_orders_of_magnitude(capsys):
+    # failed with NotErgodic (stationary vs Gibbs 1.9e-10 > 1e-10) while
+    # the stationary state came from the nonsymmetric eigensolver
+    code, out, err = run(
+        capsys, "verify", "--n", "4", "--energy", "random", "--B", "17",
+        "--seed", "856035082", "--construction", "compressed", "--json",
+        "--deterministic",
+    )
+    assert code == 0, err
+    assert json.loads(out)["pass"] and "FAIL" not in err
+
+
 def test_missing_cnf_file_flag(capsys):
     code, _, err = run(capsys, "verify", "--model", "cnf")
     assert code == 2 and "cnf" in err

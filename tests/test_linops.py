@@ -138,6 +138,25 @@ def test_system_controlled_reflection_matches_householder():
         SystemControlledReflection(np.zeros(4))
 
 
+def test_passive_register_reflection_matches_embedded():
+    # the fused route's layout: select, dilation, direction, level, system,
+    # with the dilation register passive
+    rng = np.random.default_rng(11)
+    for k_dim, bt, n, batch in ((8, 16, 16, (2, 3)), (1, 1, 2, (3,)), (2, 4, 8, (5,))):
+        u = rng.normal(size=(n, k_dim * 2 * bt))
+        u[0] = 0.0  # identity fallback
+        dims = [k_dim, 2, 2, bt, n]
+        moved = Embedded(SystemControlledReflection(u), dims, [0, 2, 3, 4])
+        op = SystemControlledReflection(u, passive=(k_dim, 2))
+        assert op.dim == moved.dim
+        v = rng.normal(size=batch + (op.dim,))
+        assert np.array_equal(op.apply(v), moved.apply(v))
+        assert np.array_equal(op.adjoint_apply(v), moved.adjoint_apply(v))
+    assert np.abs(op.dense() - moved.dense()).max() == 0.0
+    with pytest.raises(DimensionMismatch):
+        SystemControlledReflection(np.zeros((2, 6)), passive=(4, 2))
+
+
 def test_embedded_acts_on_selected_registers():
     rng = np.random.default_rng(5)
     u = random_unitary(rng, 6)

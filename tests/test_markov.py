@@ -19,6 +19,8 @@ from parwalk.markov import (
     spectral_gaps,
     stationary_distribution,
 )
+from parwalk.models import build_hypercube
+from parwalk.parchain import decompose_discriminant, metropolis
 
 RT = np.sqrt(0.5)
 
@@ -79,6 +81,23 @@ def test_stationary_two_state(two_state):
 def test_stationary_rejects_degenerate_fixed_space():
     with pytest.raises(NotErgodic):
         stationary_distribution(StochasticMatrix(np.eye(2)))
+
+
+def test_stationary_rejects_transient_state():
+    # eigenvalue 1 is simple, but state 1 is left for good: pi = (1, 0)
+    with pytest.raises(NotErgodic, match="strictly positive"):
+        stationary_distribution(StochasticMatrix(np.array([[1.0, 0.5], [0.0, 0.5]])))
+
+
+def test_stationary_accurate_when_pi_spans_orders_of_magnitude():
+    # the warm-up chain of the benchmark's encode-n7 workload at seed 17:
+    # pi spans almost seven orders of magnitude, and the eigenvector of the
+    # nonsymmetric eigensolver deviated from Gibbs by 1.9e-10
+    model, prop = build_hypercube(4, energy="random", levels=17, seed=856035082, beta=1.0)
+    p = decompose_discriminant(model, prop, metropolis()).p
+    pi = gibbs_distribution(model)
+    assert pi.probs.max() / pi.probs.min() > 1e6
+    assert np.abs(stationary_distribution(p).probs - pi.probs).max() <= 1e-11
 
 
 def test_detailed_balance(two_state):

@@ -25,7 +25,11 @@ from parwalk.parchain import (
     metropolis,
     transition_matrix,
 )
+from parwalk.models import build_hypercube
 from parwalk.spectra import (
+    RESIDUAL_TOL,
+    _check_walk_relations,
+    _unitary_eigenphases,
     eigenbasis_embedding,
     phase_gap_check,
     walk_spectrum,
@@ -215,3 +219,136 @@ def test_delta_plus_one_keeps_quadratic_bound():
     report = phase_gap_check(spec, 1.0)
     assert report.holds
     assert report.lower_bound == math.sqrt(2.0) and spec.phase_gap > report.lower_bound
+
+
+# ------------------------------------------- batched checks vs the loop form
+
+
+def loop_eigenphases(w):
+    """The former per-cluster loop of _unitary_eigenphases (complex eigh)."""
+    wc = np.asarray(w, dtype=complex)
+    hc = 0.5 * (wc + wc.conj().T)
+    hs = (wc - wc.conj().T) / 2j
+    cos_vals, vecs = np.linalg.eigh(hc)
+    phases = np.empty(wc.shape[0])
+    i = 0
+    while i < cos_vals.size:
+        j = i + 1
+        while j < cos_vals.size and cos_vals[j] - cos_vals[j - 1] < 1e-8:
+            j += 1
+        block = vecs[:, i:j]
+        sin_vals = np.linalg.eigvalsh(block.conj().T @ hs @ block)
+        c = float(cos_vals[i:j].mean())
+        phases[i:j] = [math.atan2(float(s), c) for s in sin_vals]
+        i = j
+    return phases
+
+
+def loop_relations(u, chi, vecs, thetas):
+    """The former per-eigenvalue loop of the embedding's relation checks;
+    returns the message it would raise, or None."""
+    n2 = chi.shape[0]
+    s = np.diag(np.tile([1.0, -1.0], n2 // 2))
+    for j in range(chi.shape[1]):
+        chi_j = chi[:, j]
+        if thetas[j] < 1e-8:
+            if np.linalg.norm(u @ chi_j - chi_j) > RESIDUAL_TOL:
+                return "unit eigenvalue is not fixed by the walk"
+            partner = np.zeros(n2)
+            partner[1::2] = vecs[:, j]
+            if np.linalg.norm(u @ partner - partner) > RESIDUAL_TOL:
+                return "partner of a unit eigenvalue moved"
+            continue
+        for sign in (1.0, -1.0):
+            mu = complex(math.cos(thetas[j]), sign * math.sin(thetas[j]))
+            vec = chi_j - mu * (s @ chi_j)
+            if np.linalg.norm(u @ vec - mu * vec) > RESIDUAL_TOL:
+                return f"two-reflection eigenvector relation fails at theta={thetas[j]:.6f}"
+    return None
+
+
+def batched_relations(u, chi, vecs, thetas):
+    try:
+        _check_walk_relations(u, chi, vecs, thetas)
+    except SpectrumOutOfRange as exc:
+        return str(exc)
+    return None
+
+
+def embedding_parts(q):
+    """The embedding of q with the chi columns and eigenvectors it checks."""
+    emb = eigenbasis_embedding(q)
+    vecs = np.linalg.eigh(q)[1][:, ::-1]
+    chi = np.empty((2 * q.shape[0], q.shape[0]))
+    chi[0::2] = np.cos(emb.thetas / 2.0) * vecs
+    chi[1::2] = np.sin(emb.thetas / 2.0) * vecs
+    return emb, chi, vecs
+
+
+def check_chains():
+    """Discriminants at n = 2..6 (Hamming and random energies), their lazy
+    versions at beta = 0, and chains with one or more unit eigenvalues."""
+    qs = []
+    for n in range(2, 7):
+        for energy, levels, beta in (("hamming", None, 0.7), ("random", 4, 1.3)):
+            model, prop = build_hypercube(n, energy=energy, levels=levels, seed=n, beta=beta)
+            qs.append(decompose_discriminant(model, prop, metropolis()).q)
+        model, prop = build_hypercube(n, energy="hamming", beta=0.0)
+        p = transition_matrix(prop, acceptance_matrix(model, metropolis()))
+        qs.append(discriminant(lazy(p), gibbs_distribution(model)))
+    two = qs[0]
+    qs += [np.eye(3), np.block([[two, np.zeros((4, 4))], [np.zeros((4, 4)), two]])]
+    return qs
+
+
+def test_batched_spectral_checks_match_loop_form():
+    for q in check_chains():
+        emb, chi, vecs = embedding_parts(q)
+        assert batched_relations(emb.u, chi, vecs, emb.thetas) is None
+        assert loop_relations(emb.u, chi, vecs, emb.thetas) is None
+        phases = _unitary_eigenphases(emb.u)
+        assert np.abs(np.sort(phases) - np.sort(loop_eigenphases(emb.u))).max() < 1e-12
+        spec = walk_spectrum(emb, q)
+        assert np.abs(spec.measured - spec.predicted).max() < 1e-8
+
+
+def test_batched_eigenphases_of_a_complex_unitary_with_clusters():
+    rng = np.random.default_rng(12)
+    v, _ = np.linalg.qr(rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)))
+    phases = np.array([0.3, 0.3, -0.3, -0.3, 1.0, math.pi, 0.0, 2.0, 2.0, -2.0])
+    w = (v * np.exp(1j * phases)) @ v.conj().T
+    got = _unitary_eigenphases(w)
+    assert np.abs(np.sort(got) - np.sort(loop_eigenphases(w))).max() < 1e-12
+    # pi may come out as -pi
+    assert np.abs(np.sort(np.abs(got)) - np.sort(np.abs(phases))).max() < 1e-9
+
+
+def broken_eigenvector(u, chi, theta, j, sign):
+    """u with the eigenvalue of its mu = e^{sign i theta_j} eigenvector
+    chi_j - mu s chi_j turned by 0.1 rad; every other relation holds."""
+    mu = complex(math.cos(theta), sign * math.sin(theta))
+    sc = np.tile([1.0, -1.0], chi.shape[0] // 2) * chi[:, j]
+    vec = chi[:, j] - mu * sc
+    turn = mu * (np.exp(0.1j) - 1.0)
+    return u + turn * np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
+
+
+def test_batched_relations_catch_each_broken_relation():
+    model, prop = build_hypercube(3, energy="hamming", beta=0.7)
+    q = decompose_discriminant(model, prop, metropolis()).q
+    emb, chi, vecs = embedding_parts(q)
+    j = 1
+    assert emb.thetas[0] < 1e-8 < emb.thetas[j]
+    for sign in (1.0, -1.0):
+        u = broken_eigenvector(emb.u, chi, emb.thetas[j], j, sign)
+        msg = batched_relations(u, chi, vecs, emb.thetas)
+        assert msg is not None and msg.startswith("two-reflection")
+        assert msg == loop_relations(u, chi, vecs, emb.thetas)
+    # the unit eigenvalue's chi and its partner, reflected one at a time
+    partner = np.zeros(chi.shape[0])
+    partner[1::2] = vecs[:, 0]
+    for vec, want in ((chi[:, 0], "not fixed"), (partner, "partner")):
+        u = emb.u @ (np.eye(vec.size) - 2.0 * np.outer(vec, vec))
+        msg = batched_relations(u, chi, vecs, emb.thetas)
+        assert msg is not None and want in msg
+        assert msg == loop_relations(u, chi, vecs, emb.thetas)
