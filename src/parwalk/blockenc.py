@@ -276,18 +276,6 @@ def prepare_unitary(weights: np.ndarray) -> np.ndarray:
     return householder_to(col)
 
 
-def select_unitary(perms) -> LinOp:
-    """sum_k |k><k| (x) Pi_k, padded to a power of two with identities."""
-    ops = [Permutation(np.asarray(p, dtype=np.intp)) for p in perms]
-    dims = {op.dim for op in ops}
-    if len(dims) != 1:
-        raise DimensionMismatch("permutations must share one dimension")
-    n = ops[0].dim
-    pad = _pow2_pad(len(ops)) - len(ops)
-    ops.extend(Identity(n) for _ in range(pad))
-    return Select(ops) if len(ops) > 1 else ops[0]
-
-
 def _pad_op(be: BlockEncoding, target_c: int) -> LinOp:
     # extra ancillas prepend in |0>; the block-encoding contract is unchanged
     if target_c == be.anc_qubits:

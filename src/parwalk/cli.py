@@ -28,6 +28,7 @@ from .blockenc import (  # noqa: F401
 from .cnf import load_dimacs
 from .errors import BoundViolated, NotErgodic, ParwalkError
 from .markov import (
+    EIG_TOL,
     check_detailed_balance,
     discriminant,
     gibbs_distribution,
@@ -170,6 +171,12 @@ def _spectrum_quantities(dec, model):
         q_used = dec.q
         used = report
         was_lazy = False
+    if used.delta_plus <= EIG_TOL:
+        # the stationary and phase-gap checks cannot tell lambda_2 from 1
+        raise NotErgodic(
+            f"one-sided gap {used.delta_plus:.3e} is below {EIG_TOL:g}: "
+            "eigenvalue 1 is numerically degenerate"
+        )
     emb = eigenbasis_embedding(q_used)
     spec = walk_spectrum(emb, q_used)
     return {
@@ -258,7 +265,7 @@ def _run_report(args):
     spectrum, q_used, gaps_used, emb, spec = timer.time(
         "spectrum", lambda: _spectrum_quantities(dec, model)
     )
-    tst_dev = float(np.abs(emb.t.T @ emb.s @ emb.t - q_used).max())
+    tst_dev = float(np.abs(emb.t.T @ (emb.s[:, None] * emb.t) - q_used).max())
     deviations["tst"] = {"value": tst_dev, "tol": args.tol}
     if tst_dev > args.tol:
         failures.append(("DecompositionMismatch", f"tst deviates by {tst_dev:.3e}"))

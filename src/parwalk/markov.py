@@ -116,14 +116,14 @@ def gibbs_distribution(model: GibbsModel) -> Distribution:
     return Distribution(w / w.sum())
 
 
-def stationary_distribution(p: StochasticMatrix, tol: float = 1e-9) -> Distribution:
+def stationary_distribution(p: StochasticMatrix, tol: float = EIG_TOL) -> Distribution:
     """Unique stationary distribution of p.
 
     Raises NotErgodic when eigenvalue 1 is degenerate or the solution is
-    not strictly positive. pi solves the bordered system (P - I, with its
-    last row replaced by 1^T) pi = e_N, which is nonsingular exactly when
-    eigenvalue 1 is simple; unlike the eigenvector of the nonsymmetric
-    eigensolver, it stays accurate when pi spans many orders of magnitude.
+    not strictly positive. Grassmann-Taksar-Heyman state reduction censors
+    the states one at a time, last first, and sums each escape probability
+    instead of taking 1 - p_kk: with no subtraction, every entry of pi is
+    accurate relative to its own size, however many orders pi spans.
     """
     vals = np.linalg.eigvals(p.entries)
     close = np.abs(vals - 1.0) < tol
@@ -131,11 +131,17 @@ def stationary_distribution(p: StochasticMatrix, tol: float = 1e-9) -> Distribut
         raise NotErgodic(
             f"eigenvalue 1 has multiplicity {int(close.sum())}; chain is not ergodic"
         )
-    bordered = p.entries - np.eye(p.n)
-    bordered[-1] = 1.0
-    rhs = np.zeros(p.n)
-    rhs[-1] = 1.0
-    v = np.linalg.solve(bordered, rhs)
+    # row-stochastic copy: a[x, y] is the probability of moving from x to y
+    a = p.entries.T.copy()
+    for k in range(p.n - 1, 0, -1):
+        escape = a[k, :k].sum()
+        if escape <= 0.0:  # k is absorbing once censored: no mass below it
+            raise NotErgodic("stationary distribution is not strictly positive")
+        a[:k, k] /= escape
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    v = np.ones(p.n)
+    for k in range(1, p.n):
+        v[k] = v[:k] @ a[:k, k]
     v = v / v.sum()
     if v.min() <= 0:
         raise NotErgodic("stationary distribution is not strictly positive")

@@ -21,6 +21,8 @@ def hamming_energies(n: int) -> np.ndarray:
 def random_energies(n_states: int, levels: int, seed: int) -> np.ndarray:
     if levels < 1:
         raise EnergyOutOfRange(f"random energies need at least one level, got {levels}")
+    if seed < 0:
+        raise ParwalkError(f"seed must be nonnegative, got {seed}")
     # Philox is splittable and stream-stable across platforms
     gen = np.random.Generator(np.random.Philox(seed))
     return gen.integers(0, levels, size=n_states, dtype=np.int64)

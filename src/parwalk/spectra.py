@@ -50,13 +50,14 @@ class GapReport:
 
 @dataclass(frozen=True)
 class EigenbasisEmbedding:
-    """Isometry t into C^N (x) C^2, reflection s = I (x) Z, and the
-    two-reflection walk u built from them."""
+    """Isometry t into C^N (x) C^2, the signs s of the reflection I (x) Z,
+    and the 2N eigenphases of the walk u = s (2 t t^T - I), read from its
+    invariant 2x2 blocks; u itself is never formed."""
 
     t: np.ndarray
     s: np.ndarray
-    u: np.ndarray
     thetas: np.ndarray
+    phases: np.ndarray
 
 
 def _circular_gap(a, b):
@@ -101,8 +102,6 @@ def _unitary_eigenphases(w: np.ndarray) -> np.ndarray:
 def _walk_unitary(walk) -> np.ndarray:
     if isinstance(walk, SzegedyWalk):
         return walk.w
-    if isinstance(walk, EigenbasisEmbedding):
-        return walk.u
     if isinstance(walk, tuple) and len(walk) == 2:
         be, iso = walk
         if isinstance(be, BlockEncoding) and isinstance(iso, Isometry):
@@ -118,11 +117,13 @@ def _walk_unitary(walk) -> np.ndarray:
 def walk_spectrum(walk, q: np.ndarray) -> WalkSpectrum:
     """Diagonalize the walk and match its phases to +-arccos(lambda_j).
 
+    An EigenbasisEmbedding brings its phases, read from its checked 2x2
+    blocks; every other walk is diagonalized densely.
+
     Phases for eigenvalues in (-1, 1) come in +- pairs; lambda = +-1
     contributes a single phase 0 or pi. Everything left after matching must
     sit on the trivial phases {0, pi} of the complementary subspace.
     """
-    w = _walk_unitary(walk)
     q = np.asarray(q)
     lams = np.linalg.eigvalsh(q)[::-1]
     if np.abs(lams).max() > 1 + 1e-9:
@@ -133,8 +134,11 @@ def walk_spectrum(walk, q: np.ndarray) -> WalkSpectrum:
     lams[lams >= 1.0 - 1e-12] = 1.0
     lams[lams <= -1.0 + 1e-12] = -1.0
 
-    phases = _unitary_eigenphases(w)
-    phases[np.abs(phases) < SNAP] = 0.0
+    if isinstance(walk, EigenbasisEmbedding):
+        phases = walk.phases
+    else:
+        phases = _unitary_eigenphases(_walk_unitary(walk))
+    phases = np.where(np.abs(phases) < SNAP, 0.0, phases)
 
     expected = []  # (lambda index, expected phase)
     for j, lam in enumerate(lams):
@@ -214,9 +218,9 @@ def eigenbasis_embedding(q: np.ndarray) -> EigenbasisEmbedding:
     """Embed Q into C^N (x) C^2 via |chi_j> = |v_j> (x) (cos(theta_j/2),
     sin(theta_j/2)) with theta_j = arccos(lambda_j).
 
-    Verifies t^dag s t = q and the two-reflection eigenvector relations:
-    u (chi - mu s chi) = mu (chi - mu s chi) for mu = e^{+-i theta}, with
-    the partner vectors |v_j> (x) |1> fixed by u when lambda_j = 1.
+    Verifies t^dag t = I, t^dag s t = q, and that the walk
+    u = s (2 t t^T - I) is block diagonal in the basis W = V (x) I, turning
+    each plane |v_j> (x) C^2 by theta_j (_block_phases).
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
@@ -240,48 +244,28 @@ def eigenbasis_embedding(q: np.ndarray) -> EigenbasisEmbedding:
     # t sends the original basis through the eigenbasis: t = sum_j chi_j v_j^T
     t = chi @ vecs.T
     signs = np.tile([1.0, -1.0], n)
-    s = np.diag(signs)
-    # s is diagonal, so s @ m is a row scaling
-    u = signs[:, None] * (2.0 * (t @ t.T) - np.eye(2 * n))
 
     if np.abs(t.T @ t - np.eye(n)).max() > RESIDUAL_TOL:
         raise SpectrumOutOfRange("embedding isometry lost orthonormality")
-    if np.abs(t.T @ s @ t - q).max() > RESIDUAL_TOL:
+    if np.abs(t.T @ (signs[:, None] * t) - q).max() > RESIDUAL_TOL:
         raise SpectrumOutOfRange("t^dag s t deviates from q")
-    _check_walk_relations(u, chi, vecs, thetas)
-    return EigenbasisEmbedding(t=t, s=s, u=u, thetas=thetas)
+    phases = _block_phases(t, vecs, thetas)
+    return EigenbasisEmbedding(t=t, s=signs, thetas=thetas, phases=phases)
 
 
-def _check_walk_relations(u, chi, vecs, thetas) -> None:
-    """Two-reflection eigenvector relations of the embedding walk u, for
-    every eigenvalue at once, in the order of the eigenvalues.
+def _block_phases(t, vecs, thetas) -> np.ndarray:
+    """Eigenphases of u = s (2 t t^T - I) from its 2x2 blocks in W = V (x) I.
 
-    For theta_j > 0: u (chi_j - mu s chi_j) = mu (chi_j - mu s chi_j) for
-    both mu = e^{+-i theta_j}. For theta_j = 0: u fixes chi_j and its
-    partner |v_j> (x) |1>.
+    The (a, b) block of W^T t t^T W is g_ab = h_a h_b^T with h_a = V^T t[a::2].
+    g_ab = diag(c_a c_b), c = (cos(theta/2), sin(theta/2)), makes W^T u W
+    block diagonal, turning the plane |v_j> (x) C^2 by theta_j.
     """
-    n2 = chi.shape[0]
-    sc = np.tile([1.0, -1.0], n2 // 2)[:, None] * chi
-    uc = u @ chi
-    unit = thetas < 1e-8
-    fixed = np.linalg.norm(uc - chi, axis=0) > RESIDUAL_TOL
-    partner = np.zeros_like(chi)
-    partner[1::2] = vecs
-    moved = np.linalg.norm(u @ partner - partner, axis=0) > RESIDUAL_TOL
-    # (u - mu)(chi - mu s chi) = u chi - mu (u s chi + chi) + mu^2 s chi
-    b = u @ sc + chi
-    rel = np.zeros(thetas.size, dtype=bool)
-    for sign in (1.0, -1.0):
-        mu = np.cos(thetas) + 1j * sign * np.sin(thetas)
-        rel |= np.linalg.norm(uc - mu * b + mu * mu * sc, axis=0) > RESIDUAL_TOL
-    bad = np.where(unit, fixed | moved, rel)
-    if not bad.any():
-        return
-    j = int(bad.argmax())
-    if not unit[j]:
-        raise SpectrumOutOfRange(
-            f"two-reflection eigenvector relation fails at theta={thetas[j]:.6f}"
-        )
-    if fixed[j]:
-        raise SpectrumOutOfRange("unit eigenvalue is not fixed by the walk")
-    raise SpectrumOutOfRange("partner of a unit eigenvalue moved")
+    h0, h1 = (vecs.T @ t[a::2] for a in (0, 1))
+    c0, c1 = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    g00, g01, g11 = h0 @ h0.T, h0 @ h1.T, h1 @ h1.T
+    pairs = ((g00, c0 * c0), (g01, c0 * c1), (g11, c1 * c1))
+    dev = max(np.abs(g - np.diag(c)).max() for g, c in pairs)
+    if dev > RESIDUAL_TOL:
+        raise SpectrumOutOfRange(f"walk leaves its 2x2 blocks (residual {dev:.3e})")
+    half = np.arctan2(2.0 * np.diag(g01), 2.0 * np.diag(g00) - 1.0)
+    return np.concatenate([half, -half])

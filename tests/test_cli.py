@@ -341,6 +341,27 @@ def test_verify_passes_when_pi_spans_orders_of_magnitude(capsys):
     assert json.loads(out)["pass"] and "FAIL" not in err
 
 
+@pytest.mark.parametrize("beta", ["15", "40"])
+def test_verify_passes_at_large_beta(capsys, beta):
+    # pi reaches 8.8e-27 at beta = 15; the stationary check reported it as
+    # not strictly positive
+    code, out, err = run(capsys, "verify", "--n", "4", "--beta", beta, "--json")
+    assert code == 0, err
+    assert json.loads(out)["pass"]
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "spectrum"])
+def test_gap_below_resolution_is_an_input_error(capsys, command):
+    # a local minimum of the random energies traps the chain: at beta = 157
+    # its escape probability is ~1e-68 and lambda_2 rounds to 1
+    code, out, err = run(
+        capsys, command, "--n", "3", "--energy", "random", "--B", "3",
+        "--seed", "238", "--beta", "157", "--json",
+    )
+    assert code == 2 and out == ""
+    assert "error: NotErgodic: one-sided gap 0.000e+00 is below 1e-09" in err
+
+
 def test_missing_cnf_file_flag(capsys):
     code, _, err = run(capsys, "verify", "--model", "cnf")
     assert code == 2 and "cnf" in err
@@ -394,6 +415,7 @@ def test_random_energy_requires_level_count(capsys):
         (("--tol", "inf"), "--tol"),
         (("--beta", "nan"), "--beta"),
         (("--beta=-inf",), "--beta"),
+        (("--energy", "random", "--B", "4", "--seed", "-1"), "seed"),
     ],
 )
 def test_out_of_range_flags_are_input_errors(capsys, argv, flag):

@@ -87,6 +87,9 @@ def test_stationary_rejects_transient_state():
     # eigenvalue 1 is simple, but state 1 is left for good: pi = (1, 0)
     with pytest.raises(NotErgodic, match="strictly positive"):
         stationary_distribution(StochasticMatrix(np.array([[1.0, 0.5], [0.0, 0.5]])))
+    # and mirrored: state 0 is left for good, state 1 absorbs, pi = (0, 1)
+    with pytest.raises(NotErgodic, match="strictly positive"):
+        stationary_distribution(StochasticMatrix(np.array([[0.5, 0.0], [0.5, 1.0]])))
 
 
 def test_stationary_accurate_when_pi_spans_orders_of_magnitude():
@@ -98,6 +101,18 @@ def test_stationary_accurate_when_pi_spans_orders_of_magnitude():
     pi = gibbs_distribution(model)
     assert pi.probs.max() / pi.probs.min() > 1e6
     assert np.abs(stationary_distribution(p).probs - pi.probs).max() <= 1e-11
+
+
+@pytest.mark.parametrize("beta", [15.0, 40.0])
+def test_stationary_keeps_relative_accuracy_at_large_beta(beta):
+    # pi reaches 8.8e-27 at beta = 15 and 3.3e-70 at beta = 40, below the
+    # absolute accuracy of a linear solve, which returned nonpositive entries
+    model, prop = build_hypercube(4, beta=beta)
+    p = decompose_discriminant(model, prop, metropolis()).p
+    pi = gibbs_distribution(model).probs
+    assert pi.min() < 1e-26
+    got = stationary_distribution(p).probs
+    assert np.abs(got / pi - 1.0).max() <= 1e-14
 
 
 def test_detailed_balance(two_state):

@@ -27,6 +27,12 @@ def test_random_energies_are_seeded_and_bounded():
     assert a.min() >= 0 and a.max() < 5
 
 
+def test_random_energies_reject_a_negative_seed():
+    with pytest.raises(ParwalkError, match="seed must be nonnegative, got -1"):
+        random_energies(8, levels=4, seed=-1)
+    assert random_energies(8, levels=4, seed=0).shape == (8,)
+
+
 def test_build_hypercube_hamming_defaults():
     model, prop = build_hypercube(3, beta=0.5)
     assert model.levels == 4

@@ -1,22 +1,39 @@
 """Property tests of the discriminant encoding over random small chains:
 random involutions with fixed points (fused route), optionally joined by a
 cycle and its inverse (generic route), random energies on B levels, beta
-from 0 to 40 and both acceptance rules."""
+from 0 to 40 and both acceptance rules. The embedding walk's block phases
+are checked against its dense diagonalization on the same chains, and the
+command line's exit-code contract over its flag ranges."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from parwalk.blockenc import build_ancilla_efficient_Q, extract_block  # noqa: E402
-from parwalk.markov import GibbsModel  # noqa: E402
+from parwalk.cli import main  # noqa: E402
+from parwalk.markov import (  # noqa: E402
+    GibbsModel,
+    discriminant,
+    gibbs_distribution,
+    lazy,
+    spectral_gaps,
+)
 from parwalk.parchain import (  # noqa: E402
     decompose_discriminant,
     glauber,
     metropolis,
     proposal_from_permutations,
+)
+from parwalk.spectra import (  # noqa: E402
+    PHASE_TOL,
+    _unitary_eigenphases,
+    eigenbasis_embedding,
 )
 
 
@@ -70,3 +87,57 @@ def test_encoding_properties(chain):
         assert be.anc_qubits == m + b + 2
     probes = np.random.default_rng(0).standard_normal((3, be.op.dim))
     assert np.abs(be.op.apply(be.op.apply(probes)) - probes).max() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chains())
+def test_block_phases_match_the_dense_walk(chain):
+    model, prop, rule = chain
+    dec = decompose_discriminant(model, prop, rule)
+    q = dec.q
+    if spectral_gaps(q).periodic:
+        q = discriminant(lazy(dec.p), gibbs_distribution(model))
+    emb = eigenbasis_embedding(q)
+    u = emb.s[:, None] * (2.0 * emb.t @ emb.t.T - np.eye(emb.t.shape[0]))
+    phases = np.sort(emb.phases)
+    # no phase sits near the cut at pi: the embedded chain is aperiodic
+    assert np.abs(phases - np.sort(np.angle(np.linalg.eigvals(u)))).max() <= 1e-12
+    # _unitary_eigenphases gives distinct eigenvalues closer than 1e-8 their
+    # mean cosine, so it agrees to within the matching tolerance only
+    assert np.abs(phases - np.sort(_unitary_eigenphases(u))).max() <= PHASE_TOL
+
+
+@st.composite
+def cli_calls(draw):
+    argv = [
+        draw(st.sampled_from(["build", "verify", "spectrum", "compare"])),
+        "--n", str(draw(st.integers(-2, 5))),
+        "--energy", draw(st.sampled_from(["hamming", "random"])),
+        "--seed", str(draw(st.integers(-5, 2**70))),
+        f"--beta={draw(st.floats(0.0, 50.0) | st.floats())!r}",
+        "--acceptance", draw(st.sampled_from(["metropolis", "glauber"])),
+        "--construction", draw(st.sampled_from(["compressed", "szegedy", "both"])),
+        "--tol", "1e-9",
+        "--json",
+    ]
+    levels = draw(st.none() | st.integers(-2, 20))
+    if levels is not None:
+        argv += ["--B", str(levels)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(["verify", "--n", "3", "--energy", "random", "--B", "4", "--seed", "-1"])
+@example(["verify", "--n", "4", "--beta", "15"])
+@example(["verify", "--n", "4", "--beta", "40"])
+@example(
+    ["verify", "--n", "3", "--energy", "random", "--B", "3", "--seed", "238", "--beta", "157"]
+)
+@given(cli_calls())
+def test_cli_exits_with_zero_or_two(argv):
+    # every input the flags admit is either verified or an input error:
+    # never a verification failure, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())

@@ -1,6 +1,7 @@
 """Walk eigenphase extraction, the arccos phase mapping, and the
 quadratic gap lower bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from parwalk.parchain import (
 from parwalk.models import build_hypercube
 from parwalk.spectra import (
     RESIDUAL_TOL,
-    _check_walk_relations,
+    _block_phases,
     _unitary_eigenphases,
     eigenbasis_embedding,
     phase_gap_check,
@@ -67,14 +68,24 @@ def test_embedding_single_state_half_turn():
     assert report.holds and abs(report.lower_bound - math.sqrt(2.0)) < 1e-12
 
 
+def dense_walk(emb):
+    """The embedding walk u = s (2 t t^T - I), formed densely."""
+    n2 = emb.t.shape[0]
+    return emb.s[:, None] * (2.0 * emb.t @ emb.t.T - np.eye(n2))
+
+
 def test_embedding_verifies_its_own_relations():
     model, prop = two_state()
     dec = decompose_discriminant(model, prop, metropolis())
     emb = eigenbasis_embedding(dec.q)
     n = 2
+    assert np.array_equal(emb.s, [1.0, -1.0, 1.0, -1.0])
     assert np.abs(emb.t.T @ emb.t - np.eye(n)).max() < 1e-12
-    assert np.abs(emb.t.T @ emb.s @ emb.t - dec.q).max() < 1e-12
-    assert np.abs(emb.u @ emb.u.T - np.eye(2 * n)).max() < 1e-12
+    assert np.abs(emb.t.T @ (emb.s[:, None] * emb.t) - dec.q).max() < 1e-12
+    u = dense_walk(emb)
+    assert np.abs(u @ u.T - np.eye(2 * n)).max() < 1e-12
+    # the walk turns plane j by theta_j: phases +-theta_j
+    assert np.abs(emb.phases - np.r_[emb.thetas, -emb.thetas]).max() < 1e-12
 
 
 def test_embedding_rejects_out_of_range_spectra():
@@ -267,14 +278,6 @@ def loop_relations(u, chi, vecs, thetas):
     return None
 
 
-def batched_relations(u, chi, vecs, thetas):
-    try:
-        _check_walk_relations(u, chi, vecs, thetas)
-    except SpectrumOutOfRange as exc:
-        return str(exc)
-    return None
-
-
 def embedding_parts(q):
     """The embedding of q with the chi columns and eigenvectors it checks."""
     emb = eigenbasis_embedding(q)
@@ -302,12 +305,15 @@ def check_chains():
 
 
 def test_batched_spectral_checks_match_loop_form():
+    # the block phases against the dense walk, whose eigenvector relations
+    # and eigenphases the former loops check
     for q in check_chains():
         emb, chi, vecs = embedding_parts(q)
-        assert batched_relations(emb.u, chi, vecs, emb.thetas) is None
-        assert loop_relations(emb.u, chi, vecs, emb.thetas) is None
-        phases = _unitary_eigenphases(emb.u)
-        assert np.abs(np.sort(phases) - np.sort(loop_eigenphases(emb.u))).max() < 1e-12
+        u = dense_walk(emb)
+        assert loop_relations(u, chi, vecs, emb.thetas) is None
+        phases = _unitary_eigenphases(u)
+        assert np.abs(np.sort(phases) - np.sort(loop_eigenphases(u))).max() < 1e-12
+        assert np.abs(np.sort(emb.phases) - np.sort(phases)).max() < 1e-12
         spec = walk_spectrum(emb, q)
         assert np.abs(spec.measured - spec.predicted).max() < 1e-8
 
@@ -323,32 +329,46 @@ def test_batched_eigenphases_of_a_complex_unitary_with_clusters():
     assert np.abs(np.sort(np.abs(got)) - np.sort(np.abs(phases))).max() < 1e-9
 
 
-def broken_eigenvector(u, chi, theta, j, sign):
-    """u with the eigenvalue of its mu = e^{sign i theta_j} eigenvector
-    chi_j - mu s chi_j turned by 0.1 rad; every other relation holds."""
-    mu = complex(math.cos(theta), sign * math.sin(theta))
-    sc = np.tile([1.0, -1.0], chi.shape[0] // 2) * chi[:, j]
-    vec = chi[:, j] - mu * sc
-    turn = mu * (np.exp(0.1j) - 1.0)
-    return u + turn * np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
-
-
-def test_batched_relations_catch_each_broken_relation():
+def test_block_check_catches_a_flipped_sine_half():
     model, prop = build_hypercube(3, energy="hamming", beta=0.7)
     q = decompose_discriminant(model, prop, metropolis()).q
     emb, chi, vecs = embedding_parts(q)
-    j = 1
-    assert emb.thetas[0] < 1e-8 < emb.thetas[j]
-    for sign in (1.0, -1.0):
-        u = broken_eigenvector(emb.u, chi, emb.thetas[j], j, sign)
-        msg = batched_relations(u, chi, vecs, emb.thetas)
-        assert msg is not None and msg.startswith("two-reflection")
-        assert msg == loop_relations(u, chi, vecs, emb.thetas)
-    # the unit eigenvalue's chi and its partner, reflected one at a time
-    partner = np.zeros(chi.shape[0])
-    partner[1::2] = vecs[:, 0]
-    for vec, want in ((chi[:, 0], "not fixed"), (partner, "partner")):
-        u = emb.u @ (np.eye(vec.size) - 2.0 * np.outer(vec, vec))
-        msg = batched_relations(u, chi, vecs, emb.thetas)
-        assert msg is not None and want in msg
-        assert msg == loop_relations(u, chi, vecs, emb.thetas)
+    flipped = emb.t.copy()
+    flipped[1::2] *= -1.0
+    # t^T t and t^T s t cannot see the sign of the sine half ...
+    assert np.abs(flipped.T @ flipped - np.eye(8)).max() <= RESIDUAL_TOL
+    assert np.abs(flipped.T @ (emb.s[:, None] * flipped) - q).max() <= RESIDUAL_TOL
+    # ... but its walk breaks the relations of chi, and the block residual
+    # sees that
+    u = dense_walk(dataclasses.replace(emb, t=flipped))
+    assert loop_relations(u, chi, vecs, emb.thetas).startswith("two-reflection")
+    with pytest.raises(SpectrumOutOfRange, match="2x2 blocks"):
+        _block_phases(flipped, vecs, emb.thetas)
+    assert np.array_equal(_block_phases(emb.t, vecs, emb.thetas), emb.phases)
+
+
+def test_block_check_catches_one_plane_turned_too_far():
+    model, prop = build_hypercube(3, energy="hamming", beta=0.7)
+    q = decompose_discriminant(model, prop, metropolis()).q
+    emb, chi, vecs = embedding_parts(q)
+    # plane 0 holds the unit eigenvalue: its walk must fix chi_0 and its
+    # partner |v_0> (x) |1>
+    assert emb.thetas[0] == 0.0 < emb.thetas[1]
+    for j in (0, 1):
+        turned = chi.copy()
+        turned[0::2, j] = math.cos(emb.thetas[j] / 2.0 + 0.05) * vecs[:, j]
+        turned[1::2, j] = math.sin(emb.thetas[j] / 2.0 + 0.05) * vecs[:, j]
+        with pytest.raises(SpectrumOutOfRange, match="2x2 blocks"):
+            _block_phases(turned @ vecs.T, vecs, emb.thetas)
+
+
+def test_shifted_block_phase_is_a_spectrum_mismatch():
+    model, prop = build_hypercube(3, energy="hamming", beta=0.7)
+    q = decompose_discriminant(model, prop, metropolis()).q
+    emb = eigenbasis_embedding(q)
+    assert walk_spectrum(emb, q).b_perp_dim == 1
+    for j in (0, 1, 9):
+        phases = emb.phases.copy()
+        phases[j] += 0.1
+        with pytest.raises(SpectrumMismatch):
+            walk_spectrum(dataclasses.replace(emb, phases=phases), q)
