@@ -9,6 +9,7 @@ timings, which are otherwise the only nonreproducible field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -375,7 +376,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="parwalk",
         description="Ancilla-efficient discriminant encodings of "

@@ -32,12 +32,13 @@ class StochasticMatrix:
 
     def __post_init__(self):
         p = np.asarray(self.entries, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionMismatch("transition matrix must be square")
-        if p.min() < -COLUMN_SUM_TOL or p.max() > 1 + COLUMN_SUM_TOL:
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.size == 0:
+            raise DimensionMismatch("transition matrix must be square and nonempty")
+        # written so that NaN fails every range check
+        if not (p.min() >= -COLUMN_SUM_TOL and p.max() <= 1 + COLUMN_SUM_TOL):
             raise SpectrumOutOfRange("transition probabilities must lie in [0, 1]")
         colsums = p.sum(axis=0)
-        if np.abs(colsums - 1.0).max() > COLUMN_SUM_TOL:
+        if not np.abs(colsums - 1.0).max() <= COLUMN_SUM_TOL:
             raise DimensionMismatch(
                 f"columns must sum to 1 (max deviation {np.abs(colsums - 1).max():.3e})"
             )
@@ -58,9 +59,9 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1:
             raise DimensionMismatch("distribution must be a vector")
-        if abs(p.sum() - 1.0) > COLUMN_SUM_TOL:
+        if not abs(p.sum() - 1.0) <= COLUMN_SUM_TOL:
             raise DimensionMismatch(f"probabilities sum to {p.sum()!r}, expected 1")
-        if p.min() <= 0:
+        if not p.min() > 0:
             raise NotErgodic("distribution has a nonpositive entry")
         object.__setattr__(self, "probs", p)
 
@@ -79,6 +80,8 @@ class GibbsModel:
 
     def __post_init__(self):
         e = np.asarray(self.energies)
+        if e.ndim != 1 or e.size == 0:
+            raise DimensionMismatch("energies must be a nonempty vector")
         if not np.issubdtype(e.dtype, np.integer):
             raise DimensionMismatch("energies must be integers")
         if e.min() < 0 or e.max() >= self.levels:
@@ -116,27 +119,27 @@ def gibbs_distribution(model: GibbsModel) -> Distribution:
     return Distribution(w / w.sum())
 
 
-def stationary_distribution(p: StochasticMatrix, tol: float = EIG_TOL) -> Distribution:
+def stationary_distribution(p: StochasticMatrix) -> Distribution:
     """Unique stationary distribution of p.
 
-    Raises NotErgodic when eigenvalue 1 is degenerate or the solution is
-    not strictly positive. Grassmann-Taksar-Heyman state reduction censors
-    the states one at a time, last first, and sums each escape probability
-    instead of taking 1 - p_kk: with no subtraction, every entry of pi is
-    accurate relative to its own size, however many orders pi spans.
+    Grassmann-Taksar-Heyman state reduction censors the states one at a
+    time, last first, and sums each escape probability instead of taking
+    1 - p_kk: with no subtraction, every entry of pi is accurate relative
+    to its own size, however many orders pi spans. It rejects every
+    structurally reducible chain exactly, with NotErgodic: either a
+    censored state has no escape, or a transient state's pi is an exact
+    zero. A chain whose eigenvalue 1 is degenerate only numerically passes
+    here: the one-sided gap floor (Delta+ <= EIG_TOL) is what rejects it.
     """
-    vals = np.linalg.eigvals(p.entries)
-    close = np.abs(vals - 1.0) < tol
-    if close.sum() != 1:
-        raise NotErgodic(
-            f"eigenvalue 1 has multiplicity {int(close.sum())}; chain is not ergodic"
-        )
     # row-stochastic copy: a[x, y] is the probability of moving from x to y
     a = p.entries.T.copy()
     for k in range(p.n - 1, 0, -1):
         escape = a[k, :k].sum()
         if escape <= 0.0:  # k is absorbing once censored: no mass below it
-            raise NotErgodic("stationary distribution is not strictly positive")
+            raise NotErgodic(
+                f"state {k} cannot reach a lower state: the chain is reducible "
+                "and has no unique strictly positive stationary distribution"
+            )
         a[:k, k] /= escape
         a[:k, :k] += np.outer(a[:k, k], a[k, :k])
     v = np.ones(p.n)
@@ -177,7 +180,9 @@ def discriminant(p: StochasticMatrix, pi: Distribution) -> np.ndarray:
 def spectral_gaps(q: np.ndarray) -> SpectralReport:
     """Eigenvalues and gaps of a symmetric contraction (descending order)."""
     q = np.asarray(q, dtype=float)
-    if np.abs(q - q.T).max() > STRUCT_TOL:
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+        raise DimensionMismatch("spectral_gaps expects a nonempty square matrix")
+    if not np.abs(q - q.T).max() <= STRUCT_TOL:
         raise NotReversible("spectral_gaps expects a symmetric matrix")
     vals = np.linalg.eigvalsh(q)[::-1]
     if np.abs(vals).max() > 1 + EIG_TOL:

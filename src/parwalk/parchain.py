@@ -51,14 +51,14 @@ class ProposalDecomposition:
             raise BadWeights("weights must be a nonempty vector")
         if w.size != len(perms):
             raise WeightMismatch(f"{w.size} weights for {len(perms)} permutations")
-        if w.min() <= 0:
+        if not w.min() > 0:
             raise BadWeights("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
         n = perms[0].size
         ref = np.arange(n)
         for p in perms:
-            if p.size != n or np.any(np.sort(p) != ref):
+            if p.ndim != 1 or p.size != n or np.any(np.sort(p) != ref):
                 raise DimensionMismatch("each perm must be a bijection on {0..N-1}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "perms", perms)

@@ -60,43 +60,25 @@ class EigenbasisEmbedding:
     phases: np.ndarray
 
 
-def _circular_gap(a, b):
-    """Distance between angles on the circle, elementwise on arrays."""
-    return np.abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
-
-
 def _unitary_eigenphases(w: np.ndarray) -> np.ndarray:
     """Eigenphases of a numerically unitary matrix.
 
-    Nonsymmetric QR splits degenerate real eigenvalues into spurious
-    complex pairs with O(sqrt(eps)) phase error, which swamps the 1e-8
-    matching tolerance. Instead diagonalize the commuting hermitian parts:
-    eigh gives the cosines exactly, and the sine operator restricted to
-    each cosine cluster separates the +- pairs. The sine operator is
-    rotated into the cosine eigenbasis once; each cluster is a diagonal
-    block of it, and clusters of one size are diagonalized as one stack.
-    A real w stays real up to the sine operator, which is i times a real
-    antisymmetric matrix.
+    A unitary matrix is normal, so by Bauer-Fike every eigenvalue that a
+    backward-stable eigensolver returns, degenerate ones included, is off
+    by at most its backward error.
     """
-    w = np.asarray(w)
-    if not np.isrealobj(w):
-        w = w.astype(complex)
-    n = w.shape[0]
-    unit_dev = np.abs(w @ w.conj().T - np.eye(n)).max()
+    unit_dev = np.abs(w @ w.conj().T - np.eye(w.shape[0])).max()
     if unit_dev > 1e-9:
         raise SpectrumOutOfRange(f"walk operator is not unitary (dev {unit_dev:.3e})")
-    cos_vals, vecs = np.linalg.eigh(0.5 * (w + w.conj().T))
-    # V^dag hs V with hs = (w - w^dag) / 2i
-    sin_op = (vecs.conj().T @ ((w - w.conj().T) / 2.0) @ vecs) / 1j
-    # a cluster ends where the next cosine is 1e-8 or more above the last
-    starts = np.flatnonzero(np.r_[True, ~(np.diff(cos_vals) < 1e-8)])
-    sizes = np.diff(np.r_[starts, n])
-    phases = np.empty(n)
-    for size in np.unique(sizes):
-        idx = starts[sizes == size][:, None] + np.arange(size)
-        sin_vals = np.linalg.eigvalsh(sin_op[idx[:, :, None], idx[:, None, :]])
-        phases[idx] = np.arctan2(sin_vals, cos_vals[idx].mean(axis=1, keepdims=True))
-    return phases
+    return np.angle(np.linalg.eigvals(w))
+
+
+def _land_unit(lams: np.ndarray) -> np.ndarray:
+    """Eigenvalues clipped to [-1, 1], with those within 1e-12 of +-1 landed
+    on it exactly: they are structural, and arccos would turn eps noise
+    near them into sqrt(eps) phases."""
+    lams = np.clip(lams, -1.0, 1.0)
+    return np.where(np.abs(lams) >= 1.0 - 1e-12, np.sign(lams), lams)
 
 
 def _walk_unitary(walk) -> np.ndarray:
@@ -121,18 +103,19 @@ def walk_spectrum(walk, q: np.ndarray) -> WalkSpectrum:
     blocks; every other walk is diagonalized densely.
 
     Phases for eigenvalues in (-1, 1) come in +- pairs; lambda = +-1
-    contributes a single phase 0 or pi. Everything left after matching must
-    sit on the trivial phases {0, pi} of the complementary subspace.
+    contributes a single phase 0 or pi. The walk phases in (0, pi), and the
+    magnitudes of those in (-pi, 0), pair in sorted order with the
+    ascending arccos(lambda_j). Everything left after matching must sit on
+    the trivial phases {0, pi} of the complementary subspace.
     """
     q = np.asarray(q)
     lams = np.linalg.eigvalsh(q)[::-1]
     if np.abs(lams).max() > 1 + 1e-9:
         raise SpectrumOutOfRange(f"eigenvalue {lams[np.abs(lams).argmax()]} outside [-1, 1]")
-    lams = np.clip(lams, -1.0, 1.0)
-    # +-1 eigenvalues are structural; arccos would turn eps noise into
-    # sqrt(eps) phases
-    lams[lams >= 1.0 - 1e-12] = 1.0
-    lams[lams <= -1.0 + 1e-12] = -1.0
+    lams = _land_unit(lams)
+    one, minus = lams == 1.0, lams == -1.0
+    inner = ~one & ~minus
+    thetas = np.arccos(lams[inner])  # ascending in (0, pi)
 
     if isinstance(walk, EigenbasisEmbedding):
         phases = walk.phases
@@ -140,56 +123,47 @@ def walk_spectrum(walk, q: np.ndarray) -> WalkSpectrum:
         phases = _unitary_eigenphases(_walk_unitary(walk))
     phases = np.where(np.abs(phases) < SNAP, 0.0, phases)
 
-    expected = []  # (lambda index, expected phase)
-    for j, lam in enumerate(lams):
-        theta = math.acos(lam)
-        if lam >= 1.0 - 1e-12:
-            expected.append((j, 0.0))
-        elif lam <= -1.0 + 1e-12:
-            expected.append((j, math.pi))
-        else:
-            expected.append((j, theta))
-            expected.append((j, -theta))
-
-    used = np.zeros(phases.size, dtype=bool)
-    measured = np.full(lams.size, np.nan)
+    # each group sorted, the phases near 0 or pi nearest first: sorted order
+    # is the closest pairing on a line
+    mag = np.abs(phases)
+    near0, near_pi = mag <= PHASE_TOL, mag >= math.pi - PHASE_TOL
+    mid = ~near0 & ~near_pi
+    groups = (
+        (np.zeros(one.sum()), np.sort(mag[near0]), 1.0),
+        (np.full(minus.sum(), math.pi), -np.sort(-mag[near_pi]), 1.0),
+        (thetas, np.sort(mag[mid & (phases > 0)]), 1.0),
+        (thetas, np.sort(mag[mid & (phases < 0)]), -1.0),
+    )
     unmatched = []
-    for j, target in expected:
-        free = np.flatnonzero(~used)
-        dists = _circular_gap(phases[free], target)
-        pick = free[dists.argmin()]
-        if dists.min() > PHASE_TOL:
-            unmatched.append((target, float(dists.min())))
-            continue
-        used[pick] = True
-        if target >= 0.0:
-            measured[j] = abs(phases[pick])
+    for targets, got, sign in groups:
+        off = np.full(targets.size, math.inf)  # past the end of got: no phase
+        off[: got.size] = np.abs(got[: targets.size] - targets[: got.size])
+        unmatched += zip(sign * targets[off > PHASE_TOL], off[off > PHASE_TOL])
     if unmatched:
         raise SpectrumMismatch(
             "expected phases with no walk counterpart: "
             + ", ".join(f"{t:.6f} (off by {d:.2e})" for t, d in unmatched)
         )
 
-    leftovers = phases[~used]
-    bad = leftovers[
-        np.minimum(np.abs(leftovers), _circular_gap(leftovers, math.pi)) > PHASE_TOL
-    ]
+    pos, neg = groups[2][1], groups[3][1]
+    bad = np.r_[pos[thetas.size :], -neg[thetas.size :]]
     if bad.size:
         raise SpectrumMismatch(
             f"{bad.size} complementary-subspace phases off the trivial set: "
             + ", ".join(f"{p:.6f}" for p in bad[:8])
         )
 
-    matched_abs = np.abs(phases[used])
-    nonzero = matched_abs[matched_abs > SNAP]
-    gap = float(nonzero.min()) if nonzero.size else 0.0
-    predicted = np.arccos(lams)
+    measured = np.empty(lams.size)
+    for mask, (targets, got, _) in zip((one, minus, inner), groups):
+        measured[mask] = got[: targets.size]
+    matched = np.r_[measured, neg]
+    nonzero = matched[matched > SNAP]
     return WalkSpectrum(
         eigenphases=np.sort(phases),
-        phase_gap=gap,
-        b_perp_dim=int(leftovers.size),
+        phase_gap=float(nonzero.min()) if nonzero.size else 0.0,
+        b_perp_dim=int(phases.size - lams.size - thetas.size),
         lambdas=lams,
-        predicted=predicted,
+        predicted=np.arccos(lams),
         measured=measured,
     )
 
@@ -232,11 +206,7 @@ def eigenbasis_embedding(q: np.ndarray) -> EigenbasisEmbedding:
         raise SpectrumOutOfRange(
             f"eigenvalue {lam.min()} at the periodic edge -1; embed the lazy chain"
         )
-    lam = np.clip(lam, -1.0, 1.0)
-    # arccos amplifies eps-level noise near 1 to sqrt(eps) phases; unit
-    # eigenvalues are structural (fixed points), so land them exactly
-    lam[lam >= 1.0 - 1e-12] = 1.0
-    thetas = np.arccos(lam)
+    thetas = np.arccos(_land_unit(lam))
 
     chi = np.empty((2 * n, n))
     chi[0::2] = np.cos(thetas / 2.0) * vecs

@@ -20,7 +20,7 @@ from parwalk.markov import (
     stationary_distribution,
 )
 from parwalk.models import build_hypercube
-from parwalk.parchain import decompose_discriminant, metropolis
+from parwalk.parchain import ProposalDecomposition, decompose_discriminant, metropolis
 
 RT = np.sqrt(0.5)
 
@@ -57,6 +57,41 @@ def test_gibbs_model_validation():
         GibbsModel(energies=np.array([0, 1]), levels=2, beta=-1.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StochasticMatrix(np.full((2, 2), NAN)),
+        lambda: StochasticMatrix(np.zeros((0, 0))),
+        lambda: Distribution(np.array([NAN, 1.0])),
+        lambda: GibbsModel(energies=np.array([], dtype=int), levels=2, beta=1.0),
+        lambda: GibbsModel(energies=np.zeros((2, 2), dtype=int), levels=2, beta=1.0),
+        lambda: ProposalDecomposition(np.array([NAN]), (np.arange(2),)),
+        lambda: ProposalDecomposition(np.array([1.0]), (np.arange(4).reshape(2, 2),)),
+        lambda: spectral_gaps(np.zeros((2, 3))),
+        lambda: spectral_gaps(np.zeros((0, 0))),
+    ],
+    ids=[
+        "nan-matrix",
+        "empty-matrix",
+        "nan-distribution",
+        "empty-energies",
+        "2d-energies",
+        "nan-weight",
+        "2d-perm",
+        "nonsquare-gaps",
+        "empty-gaps",
+    ],
+)
+def test_malformed_inputs_raise_parwalk_errors(make):
+    # NaN fails no comparison with a tolerance, and empty or misshaped
+    # arrays reach numpy reductions that raise a bare ValueError
+    with pytest.raises(ParwalkError):
+        make()
+
+
 @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
 def test_gibbs_model_rejects_nonfinite_beta(beta):
     with pytest.raises(ParwalkError, match="finite"):
@@ -81,6 +116,24 @@ def test_stationary_two_state(two_state):
 def test_stationary_rejects_degenerate_fixed_space():
     with pytest.raises(NotErgodic):
         stationary_distribution(StochasticMatrix(np.eye(2)))
+
+
+def test_stationary_of_nearly_decoupled_blocks_is_exact():
+    # two doubly stochastic blocks {0, 1} and {2, 3} joined by eps = 1e-12:
+    # eigenvalue 1 is numerically double, but the chain is irreducible and
+    # state reduction returns the uniform pi exactly
+    eps = 1e-12
+    p = StochasticMatrix(
+        np.array(
+            [
+                [0.5, 0.5, 0.0, 0.0],
+                [0.5, 0.5 - eps, eps, 0.0],
+                [0.0, eps, 0.5 - eps, 0.5],
+                [0.0, 0.0, 0.5, 0.5],
+            ]
+        )
+    )
+    assert np.array_equal(stationary_distribution(p).probs, np.full(4, 0.25))
 
 
 def test_stationary_rejects_transient_state():

@@ -30,11 +30,7 @@ from parwalk.parchain import (  # noqa: E402
     metropolis,
     proposal_from_permutations,
 )
-from parwalk.spectra import (  # noqa: E402
-    PHASE_TOL,
-    _unitary_eigenphases,
-    eigenbasis_embedding,
-)
+from parwalk.spectra import _unitary_eigenphases, eigenbasis_embedding  # noqa: E402
 
 
 def _involution(order, pairs):
@@ -102,9 +98,7 @@ def test_block_phases_match_the_dense_walk(chain):
     phases = np.sort(emb.phases)
     # no phase sits near the cut at pi: the embedded chain is aperiodic
     assert np.abs(phases - np.sort(np.angle(np.linalg.eigvals(u)))).max() <= 1e-12
-    # _unitary_eigenphases gives distinct eigenvalues closer than 1e-8 their
-    # mean cosine, so it agrees to within the matching tolerance only
-    assert np.abs(phases - np.sort(_unitary_eigenphases(u))).max() <= PHASE_TOL
+    assert np.abs(phases - np.sort(_unitary_eigenphases(u))).max() <= 1e-12
 
 
 @st.composite

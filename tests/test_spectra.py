@@ -24,6 +24,7 @@ from parwalk.parchain import (
     decompose_discriminant,
     hypercube_proposal,
     metropolis,
+    proposal_from_permutations,
     transition_matrix,
 )
 from parwalk.models import build_hypercube
@@ -327,6 +328,29 @@ def test_batched_eigenphases_of_a_complex_unitary_with_clusters():
     assert np.abs(np.sort(got) - np.sort(loop_eigenphases(w))).max() < 1e-12
     # pi may come out as -pi
     assert np.abs(np.sort(np.abs(got)) - np.sort(np.abs(phases))).max() < 1e-9
+
+
+def test_dense_eigenphases_resolve_close_distinct_eigenvalues():
+    # q has the distinct eigenvalues -5.6e-9 and -3e-17; clustering their
+    # cosines put the dense phases 2.8e-9 off the block phases
+    model = GibbsModel(
+        energies=np.array([0, 1, 0, 0, 0, 0, 0, 2, 0, 0]), levels=3, beta=19.0
+    )
+    prop = proposal_from_permutations([1.0], [np.array([0, 5, 2, 3, 4, 1, 7, 6, 8, 9])])
+    emb = eigenbasis_embedding(decompose_discriminant(model, prop, metropolis()).q)
+    phases = _unitary_eigenphases(dense_walk(emb))
+    assert np.abs(np.sort(phases) - np.sort(emb.phases)).max() <= 1e-12
+
+
+def test_sorted_pairing_finds_the_pairing_nearest_first_misses():
+    # the first theta's nearest phase belongs to the second: taking it
+    # leaves the second 2.4e-8 off, while the sorted pairing is within 9e-9
+    thetas = np.array([1.0, 1.0 + 1.5e-8])
+    inner = np.array([1.0 + 0.8e-8, 1.0 - 0.9e-8])
+    walk = np.diag(np.exp(1j * np.r_[inner, -inner]))
+    spec = walk_spectrum(walk, np.diag(np.cos(thetas)))
+    assert np.abs(spec.measured - spec.predicted).max() <= 9e-9
+    assert spec.b_perp_dim == 0
 
 
 def test_block_check_catches_a_flipped_sine_half():
