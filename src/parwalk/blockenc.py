@@ -39,7 +39,6 @@ from .errors import (
     WeightMismatch,
 )
 from .linops import (
-    DENSE_CAP,
     Adjoint,
     Compose,
     DenseUnitary,
@@ -60,7 +59,6 @@ from .markov import GibbsModel
 from .parchain import (
     AcceptanceRule,
     ProposalDecomposition,
-    compress,
     ga_matrix,
     rejection_matrix,
 )
@@ -110,9 +108,6 @@ class BlockEncoding:
                 f"logical ancilla count {self.anc_qubits} exceeds the quoted "
                 f"count {self.paper_anc}"
             )
-
-    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        return self.op.dense(cap)
 
 
 def identity_encoding(n: int) -> BlockEncoding:
@@ -198,68 +193,6 @@ def verify_encoding(
         unitary_dev=unitary_dev,
         passed=bool(dev <= tol and unitary_dev <= UNITARY_TOL),
     )
-
-
-class Isometry:
-    """T: C^domain -> C^codomain with T^dag T = I, batched on the last axis."""
-
-    kind: str
-    domain_dim: int
-    codomain_dim: int
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        if self.codomain_dim > cap:
-            raise DimensionMismatch("isometry codomain exceeds the dense cap")
-        return np.ascontiguousarray(self.apply(np.eye(self.domain_dim)).T)
-
-
-class ZeroIsometry(Isometry):
-    """|x> -> |0^c>|x>: pins the ancillas of a block encoding to zero."""
-
-    kind = "zero"
-
-    def __init__(self, sys_dim: int, anc_qubits: int):
-        self.domain_dim = sys_dim
-        self.codomain_dim = (1 << anc_qubits) * sys_dim
-
-    def apply(self, v):
-        out = np.zeros(v.shape[:-1] + (self.codomain_dim,), dtype=v.dtype)
-        out[..., : self.domain_dim] = v
-        return out
-
-    def adjoint_apply(self, v):
-        return v[..., : self.domain_dim]
-
-
-class PlusIsometry(Isometry):
-    """|x> -> rotated |+> on the reflection ancilla, |0^c> on the inherited
-    ancillas: the fixed-point isometry returned by reflectionize."""
-
-    kind = "plus"
-
-    def __init__(self, sys_dim: int, inner_block: int, alpha: float, beta: float):
-        self.domain_dim = sys_dim
-        self.codomain_dim = 2 * inner_block
-        self._block = inner_block
-        self._alpha = alpha
-        self._beta = beta
-
-    def apply(self, v):
-        out = np.zeros(v.shape[:-1] + (self.codomain_dim,), dtype=v.dtype)
-        out[..., : self.domain_dim] = self._alpha * v
-        out[..., self._block : self._block + self.domain_dim] = self._beta * v
-        return out
-
-    def adjoint_apply(self, v):
-        top = v[..., : self.domain_dim]
-        bot = v[..., self._block : self._block + self.domain_dim]
-        return self._alpha * top + self._beta * bot
 
 
 def prepare_unitary(weights: np.ndarray) -> np.ndarray:
@@ -483,12 +416,14 @@ def combine_two(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
     )
 
 
-def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL):
+def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL) -> BlockEncoding:
     """Turn an encoding of a hermitian matrix into a reflection encoding.
 
-    Returns (w, plus_isometry) with w.op an involution, w.gamma = 2 gamma,
-    one extra ancilla qubit, and plus_isometry^dag w plus_isometry equal to
-    the encoded matrix divided by the old gamma.
+    Returns w with w.op an involution, w.gamma = 2 gamma and one extra
+    ancilla qubit. On the new qubit the rotated state G^dag |+> =
+    ((cos + sin)/sqrt2, (cos - sin)/sqrt2), with the old ancillas in |0^c>,
+    is a fixed-point isometry: it contracts w.op to the encoded matrix
+    divided by the old gamma.
 
     The off-diagonal pairing |0><1| (x) U + |1><0| (x) U^dag has a zero
     |0>-ancilla block, so the new qubit is conjugated by a rotation of angle
@@ -514,18 +449,13 @@ def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL):
         w_raw,
         Kron(DenseUnitary(g), Identity(block)),
     )
-    w = BlockEncoding(
+    return BlockEncoding(
         sys_dim=be.sys_dim,
         anc_qubits=be.anc_qubits + 1,
         paper_anc=be.paper_anc + 1,
         gamma=2.0 * be.gamma,
         op=op,
     )
-    # G^dag |+> = ((cos + sin)/sqrt2, (cos - sin)/sqrt2)
-    alpha = (g[0, 0] + g[1, 0]) / math.sqrt(2.0)
-    beta = (g[0, 0] - g[1, 0]) / math.sqrt(2.0)
-    iso = PlusIsometry(be.sys_dim, block, alpha, beta)
-    return w, iso
 
 
 def norm_bound(x: np.ndarray):
@@ -544,10 +474,8 @@ def _generic_reflection(
     """Matrix-free route: separate accept and reject encodings, combined and
     reflectionized. Meets the ancilla bound whenever kappa >= 2."""
     e = model.energies
-    ga_t = compress(ga_matrix(model, rule))
-    ja_t = compress(rejection_matrix(model, rule))
-    be_ga = svd_block_encoding(ga_t)
-    be_ja = svd_block_encoding(ja_t)
+    be_ga = svd_block_encoding(ga_matrix(model, rule))
+    be_ja = svd_block_encoding(rejection_matrix(model, rule))
 
     perm_encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
     s_enc = lcu(prop.weights, perm_encs)
@@ -560,7 +488,7 @@ def _generic_reflection(
     reject_part = lcu(prop.weights, reject_terms)
 
     combined = combine_two(accept_part, reject_part)
-    w, _ = reflectionize(combined)
+    w = reflectionize(combined)
     # Quote the headline bound 2 ceil(log k) + ceil(log B) + 2; a larger
     # logical count is flagged by the anc_qubits <= paper_anc invariant
     # rather than silently normalized.
@@ -618,9 +546,9 @@ def _fused_reflection(
     k_dim = 1 << m
 
     ga_t = np.zeros((bt, bt))
-    ga_t[: model.levels, : model.levels] = compress(ga_matrix(model, rule))
+    ga_t[: model.levels, : model.levels] = ga_matrix(model, rule)
     ja_t = np.zeros((bt, bt))
-    ja_t[: model.levels, : model.levels] = compress(rejection_matrix(model, rule))
+    ja_t[: model.levels, : model.levels] = rejection_matrix(model, rule)
     scale = 4.0 * bt
 
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])

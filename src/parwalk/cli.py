@@ -179,7 +179,7 @@ def _spectrum_quantities(dec, model):
             "eigenvalue 1 is numerically degenerate"
         )
     emb = eigenbasis_embedding(q_used)
-    spec = walk_spectrum(emb, q_used)
+    spec = walk_spectrum(emb.phases, q_used)
     return {
         "delta": float(used.delta),
         "delta_plus": float(used.delta_plus),
@@ -247,7 +247,9 @@ def _run_report(args):
         be = timer.time(
             "encoding", lambda: build_ancilla_efficient_Q(model, prop, rule)
         )
-        enc_rep = verify_encoding(be, dec.q, tol=args.tol)
+        enc_rep = timer.time(
+            "extraction", lambda: verify_encoding(be, dec.q, tol=args.tol)
+        )
         ext_dev = float(enc_rep.max_abs_dev)
         deviations["extraction"] = {"value": ext_dev, "tol": args.tol}
         ancillas["logical"] = be.anc_qubits

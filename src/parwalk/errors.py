@@ -49,10 +49,6 @@ class NegativeDiagonal(ParwalkError):
     pass
 
 
-class NotDiagonal(ParwalkError):
-    pass
-
-
 class DecompositionMismatch(ParwalkError):
     pass
 

@@ -6,7 +6,7 @@ rules, transition assembly, and the decompositions
 where (.) is the entrywise product, S is the symmetric proposal, A the
 acceptance matrix, R the diagonal rejection matrix, and G the Boltzmann
 reweighting g_yx = e^{beta(E_y - E_x)/2}.  Matrices whose entries depend
-only on the endpoint energies compress to tables indexed by energy level.
+only on the endpoint energies are B x B arrays indexed by energy level.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     FunctionalEquationViolated,
     NegativeDiagonal,
-    NotDiagonal,
     NotSymmetricProposal,
     WeightMismatch,
 )
@@ -161,61 +160,38 @@ def custom_rule(f: Callable[[int, float], float]) -> AcceptanceRule:
     return AcceptanceRule("custom", f)
 
 
-@dataclass(frozen=True)
-class EnergyDependentMatrix:
-    """Matrix whose (y, x) entry is a function of (E_y, E_x) only.
-
-    The compressed form is the levels x levels table of that function;
-    the expanded form on N states is table[E_y, E_x].
-    """
-
-    levels: int
-    compressed: np.ndarray
-
-    @classmethod
-    def from_function(cls, fn: Callable[[int, int], float], levels: int):
-        table = np.array(
-            [[fn(e1, e2) for e2 in range(levels)] for e1 in range(levels)],
-            dtype=float,
-        )
-        return cls(levels=levels, compressed=table)
-
-    def expand(self, energies: np.ndarray) -> np.ndarray:
-        e = np.asarray(energies, dtype=np.intp)
-        return self.compressed[np.ix_(e, e)]
+def _level_table(vals: np.ndarray, levels: int) -> np.ndarray:
+    """levels x levels table t[E', E] = vals[E' - E + levels - 1], with the
+    norm bound ||t|| <= sqrt(||t||_1 ||t||_inf) checked, and <= levels
+    additionally when entries lie in [0, 1]."""
+    lv = np.arange(levels)
+    t = vals[np.subtract.outer(lv, lv) + levels - 1]
+    bound = math.sqrt(np.abs(t).sum(axis=0).max() * np.abs(t).sum(axis=1).max())
+    spec = np.linalg.norm(t, 2)
+    if spec > bound + 1e-9:
+        raise BoundViolated(f"spectral norm {spec:.6f} exceeds bound {bound:.6f}")
+    if t.min() >= -1e-12 and t.max() <= 1 + 1e-12 and bound > levels + 1e-9:
+        raise BoundViolated(f"bound {bound:.6f} exceeds level count {levels}")
+    return t
 
 
-def g_matrix(model: GibbsModel) -> EnergyDependentMatrix:
-    """Boltzmann reweighting g(E', E) = e^{beta(E' - E)/2}; g_yx g_xy = 1."""
-    beta = model.beta
-    return EnergyDependentMatrix.from_function(
-        lambda e1, e2: math.exp(0.5 * beta * (e1 - e2)), model.levels
-    )
-
-
-def ga_matrix(model: GibbsModel, rule: AcceptanceRule) -> EnergyDependentMatrix:
-    """Symmetric table e^{beta(E'-E)/2} f(E'-E); entries in [0, 1].
+def ga_matrix(model: GibbsModel, rule: AcceptanceRule) -> np.ndarray:
+    """Symmetric level table e^{beta(E'-E)/2} f(E'-E); entries in [0, 1].
 
     The diagonal carries f(0), not the forced unit acceptance of staying
     put; the discrepancy cancels against rejection_matrix's diagonal.
     """
-    beta = model.beta
-    vals = rule.table(beta, model.levels)
-    off = model.levels - 1
-
-    def fn(e1, e2):
-        return math.exp(0.5 * beta * (e1 - e2)) * vals[e1 - e2 + off]
-
-    return EnergyDependentMatrix.from_function(fn, model.levels)
-
-
-def rejection_matrix(model: GibbsModel, rule: AcceptanceRule) -> EnergyDependentMatrix:
-    """Rejection probability table 1 - f(E' - E); entries in [0, 1)."""
+    # a validated table has 0 < f(d) <= e^{-beta d}, which bounds beta |d|
+    # by ~745, so the reweighting below cannot overflow
     vals = rule.table(model.beta, model.levels)
-    off = model.levels - 1
-    return EnergyDependentMatrix.from_function(
-        lambda e1, e2: 1.0 - vals[e1 - e2 + off], model.levels
-    )
+    deltas = np.arange(-(model.levels - 1), model.levels)
+    return _level_table(np.exp(0.5 * model.beta * deltas) * vals, model.levels)
+
+
+def rejection_matrix(model: GibbsModel, rule: AcceptanceRule) -> np.ndarray:
+    """Rejection probability level table 1 - f(E' - E); entries in [0, 1)."""
+    vals = rule.table(model.beta, model.levels)
+    return _level_table(1.0 - vals, model.levels)
 
 
 def acceptance_matrix(model: GibbsModel, rule: AcceptanceRule) -> np.ndarray:
@@ -252,27 +228,17 @@ def transition_matrix(prop: ProposalDecomposition, a: np.ndarray) -> StochasticM
 
 
 def r_matrix(prop: ProposalDecomposition, a: np.ndarray) -> np.ndarray:
-    """Diagonal rejection matrix R = sum_k w_k Pi_k^T ((J - A) (.) Pi_k).
-
-    Each term is diagonal because Pi_k has one entry per column; the
-    NotDiagonal guard catches corrupted permutation data.
-    """
+    """Diagonal rejection matrix R = sum_k w_k Pi_k^T ((J - A) (.) Pi_k),
+    that is r_x = sum_k w_k (1 - a[p_k x, x])."""
     if a.shape != (prop.n, prop.n):
         raise DimensionMismatch(f"acceptance shape {a.shape} vs proposal dim {prop.n}")
-    n = prop.n
-    cols = np.arange(n)
-    r = np.zeros((n, n))
+    cols = np.arange(prop.n)
+    r = np.zeros(prop.n)
     for w, p in zip(prop.weights, prop.perms):
-        term = np.zeros((n, n))
-        term[p, cols] = 1.0 - a[p, cols]
-        term = term[p, :]  # left-multiply by Pi_k^T (row permutation)
-        offdiag = term - np.diag(np.diag(term))
-        if np.abs(offdiag).max() > 1e-14:
-            raise NotDiagonal("rejection term is not diagonal")
-        r += w * term
-    if np.diag(r).min() < -1e-12 or np.diag(r).max() > 1 + 1e-12:
+        r += w * (1.0 - a[p, cols])
+    if r.min() < -1e-12 or r.max() > 1 + 1e-12:
         raise NegativeDiagonal("rejection probabilities must lie in [0, 1]")
-    return r
+    return np.diag(r)
 
 
 @dataclass(frozen=True)
@@ -307,7 +273,9 @@ def decompose_discriminant(
     if p_dev > 1e-12:
         raise DecompositionMismatch(f"P = A(.)S + R fails by {p_dev:.3e}")
 
-    ga = g_matrix(model).expand(model.energies) * a
+    e = model.energies
+    ga = ga_matrix(model, rule)[np.ix_(e, e)]
+    np.fill_diagonal(ga, 1.0)
     if np.abs(ga - ga.T).max() > 1e-12:
         raise DecompositionMismatch("G(.)A is not symmetric")
     if ga.min() < 0 or ga.max() > 1 + 1e-12:
@@ -321,16 +289,3 @@ def decompose_discriminant(
     return DiscriminantDecomposition(
         a=a, p=p, ga=ga, s=s, r=r, q=q, deviation=deviation
     )
-
-
-def compress(mat: EnergyDependentMatrix) -> np.ndarray:
-    """Compressed table, with the norm bound ||L|| <= sqrt(||L||_1 ||L||_inf)
-    checked, and <= levels additionally when entries lie in [0, 1]."""
-    t = mat.compressed
-    bound = math.sqrt(np.abs(t).sum(axis=0).max() * np.abs(t).sum(axis=1).max())
-    spec = np.linalg.norm(t, 2)
-    if spec > bound + 1e-9:
-        raise BoundViolated(f"spectral norm {spec:.6f} exceeds bound {bound:.6f}")
-    if t.min() >= -1e-12 and t.max() <= 1 + 1e-12 and bound > mat.levels + 1e-9:
-        raise BoundViolated(f"bound {bound:.6f} exceeds level count {mat.levels}")
-    return t.copy()

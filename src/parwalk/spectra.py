@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, Isometry
-from .errors import BoundViolated, SpectrumMismatch, SpectrumOutOfRange
-from .linops import DENSE_CAP
-from .szegedy import SzegedyWalk
+from .errors import (
+    BoundViolated,
+    DimensionMismatch,
+    SpectrumMismatch,
+    SpectrumOutOfRange,
+)
 
 PHASE_TOL = 1e-8
 SNAP = 1e-10
@@ -60,8 +62,8 @@ class EigenbasisEmbedding:
     phases: np.ndarray
 
 
-def _unitary_eigenphases(w: np.ndarray) -> np.ndarray:
-    """Eigenphases of a numerically unitary matrix.
+def walk_phases(w: np.ndarray) -> np.ndarray:
+    """Eigenphases of a numerically unitary walk matrix.
 
     A unitary matrix is normal, so by Bauer-Fike every eigenvalue that a
     backward-stable eigensolver returns, degenerate ones included, is off
@@ -81,26 +83,11 @@ def _land_unit(lams: np.ndarray) -> np.ndarray:
     return np.where(np.abs(lams) >= 1.0 - 1e-12, np.sign(lams), lams)
 
 
-def _walk_unitary(walk) -> np.ndarray:
-    if isinstance(walk, SzegedyWalk):
-        return walk.w
-    if isinstance(walk, tuple) and len(walk) == 2:
-        be, iso = walk
-        if isinstance(be, BlockEncoding) and isinstance(iso, Isometry):
-            w = be.dense(DENSE_CAP)
-            t = iso.dense(DENSE_CAP)
-            proj = t @ t.conj().T
-            return w @ (2.0 * proj - np.eye(w.shape[0]))
-    if isinstance(walk, np.ndarray):
-        return walk
-    raise TypeError(f"cannot interpret {type(walk).__name__} as a walk operator")
+def walk_spectrum(phases: np.ndarray, q: np.ndarray) -> WalkSpectrum:
+    """Match a walk's eigenphases to +-arccos(lambda_j) of q.
 
-
-def walk_spectrum(walk, q: np.ndarray) -> WalkSpectrum:
-    """Diagonalize the walk and match its phases to +-arccos(lambda_j).
-
-    An EigenbasisEmbedding brings its phases, read from its checked 2x2
-    blocks; every other walk is diagonalized densely.
+    The phases come from EigenbasisEmbedding.phases, read from its checked
+    2x2 blocks, or from walk_phases of a dense walk matrix.
 
     Phases for eigenvalues in (-1, 1) come in +- pairs; lambda = +-1
     contributes a single phase 0 or pi. The walk phases in (0, pi), and the
@@ -117,10 +104,9 @@ def walk_spectrum(walk, q: np.ndarray) -> WalkSpectrum:
     inner = ~one & ~minus
     thetas = np.arccos(lams[inner])  # ascending in (0, pi)
 
-    if isinstance(walk, EigenbasisEmbedding):
-        phases = walk.phases
-    else:
-        phases = _unitary_eigenphases(_walk_unitary(walk))
+    phases = np.asarray(phases, dtype=float)
+    if phases.ndim != 1:
+        raise DimensionMismatch(f"walk phases must be a vector, got shape {phases.shape}")
     phases = np.where(np.abs(phases) < SNAP, 0.0, phases)
 
     # each group sorted, the phases near 0 or pi nearest first: sorted order
@@ -197,6 +183,10 @@ def eigenbasis_embedding(q: np.ndarray) -> EigenbasisEmbedding:
     each plane |v_j> (x) C^2 by theta_j (_block_phases).
     """
     q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+        raise DimensionMismatch(f"q must be square and nonempty, got shape {q.shape}")
+    if not np.isfinite(q).all():  # NaN would pass every check below
+        raise SpectrumOutOfRange("q has non-finite entries")
     n = q.shape[0]
     lam, vecs = np.linalg.eigh(q)
     lam, vecs = lam[::-1], vecs[:, ::-1]

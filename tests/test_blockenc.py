@@ -11,7 +11,6 @@ import parwalk.blockenc
 from parwalk.blockenc import (
     CHUNK_ARRAYS,
     BlockEncoding,
-    ZeroIsometry,
     _fused_reflection,
     _generic_reflection,
     build_ancilla_efficient_Q,
@@ -56,7 +55,6 @@ from parwalk.markov import GibbsModel
 from parwalk.models import build_hypercube
 from parwalk.parchain import (
     acceptance_matrix,
-    compress,
     decompose_discriminant,
     ga_matrix,
     glauber,
@@ -117,18 +115,6 @@ def test_verify_encoding_pass_and_fail():
     assert not bad.passed and bad.max_abs_dev == 1.0
     with pytest.raises(DimensionMismatch):
         verify_encoding(be, np.eye(3))
-
-
-# ----------------------------------------------------------------- isometries
-
-
-def test_zero_isometry():
-    iso = ZeroIsometry(3, 2)
-    v = np.array([1.0, 2.0, 3.0])
-    out = iso.apply(v)
-    assert out.shape == (12,)
-    assert np.array_equal(out[:3], v) and np.abs(out[3:]).max() == 0.0
-    assert np.array_equal(iso.adjoint_apply(out), v)
 
 
 # --------------------------------------------------------------- svd encoding
@@ -225,7 +211,7 @@ def test_hadamard_be_requires_power_of_two():
 def test_compressed_hadamard_matches_dense_product():
     model, prop = two_state_chain()
     rule = metropolis()
-    table = compress(ga_matrix(model, rule))
+    table = ga_matrix(model, rule)
     be_tab = svd_block_encoding(table)
     encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
     be_s = lcu(prop.weights, encs)
@@ -281,14 +267,19 @@ def test_combine_two_adds_blocks():
 def test_reflectionize_properties():
     lhat = np.array([[0.5, 0.25], [0.25, 0.75]])
     be = svd_block_encoding(lhat)
-    w, iso = reflectionize(be)
+    w = reflectionize(be)
     assert w.gamma == 2.0 * be.gamma
     assert w.anc_qubits == be.anc_qubits + 1
-    dense = w.dense()
+    dense = w.op.dense()
     assert np.abs(dense @ dense - np.eye(dense.shape[0])).max() < 1e-12
     assert np.abs(extract_block(w) - lhat).max() < 1e-12
-    # fixed-point isometry contracts the reflection back to L / gamma_old
-    t = iso.dense()
+    # fixed-point isometry |x> -> G^dag|+> (x) |0^c, x>, G the pi/12 rotation
+    # of the new qubit, contracts the reflection back to L / gamma_old
+    c, s = math.cos(math.pi / 12.0), math.sin(math.pi / 12.0)
+    block = be.op.dim
+    t = np.zeros((2 * block, 2))
+    t[:2] = (c + s) / RT2 * np.eye(2)
+    t[block : block + 2] = (c - s) / RT2 * np.eye(2)
     assert np.abs(t.conj().T @ t - np.eye(2)).max() < 1e-12
     assert np.abs(t.conj().T @ dense @ t - lhat / be.gamma).max() < 1e-12
 
@@ -307,8 +298,8 @@ def test_norm_bound():
     assert holds and abs(bound - 2.0) < 1e-12
     model, _ = two_state_chain()
     for rule in (metropolis(), glauber()):
-        for table in (compress(ga_matrix(model, rule)),
-                      compress(rejection_matrix(model, rule))):
+        for table in (ga_matrix(model, rule),
+                      rejection_matrix(model, rule)):
             bound, holds = norm_bound(table)
             assert holds and bound <= model.levels + 1e-9
 
@@ -324,7 +315,7 @@ def test_two_state_discriminant_encoding():
     assert be.gamma == 8.0  # 4B with B = 2
     assert be.anc_qubits == 3 and be.paper_anc == 3
     assert np.abs(extract_block(be) - dec.q).max() < 1e-12
-    dense = be.dense()
+    dense = be.op.dense()
     assert np.abs(dense @ dense - np.eye(dense.shape[0])).max() < 1e-12
 
 
@@ -346,7 +337,7 @@ def test_generic_route_matches_fused():
     gen = _generic_reflection(model, prop, rule)
     assert np.abs(extract_block(gen) - dec.q).max() < 1e-9
     assert gen.anc_qubits == 1 + 2 + 3 and gen.paper_anc == 2 * 1 + 2 + 2
-    dense = gen.dense()
+    dense = gen.op.dense()
     assert np.abs(dense @ dense - np.eye(dense.shape[0])).max() < 1e-10
 
 
@@ -376,9 +367,9 @@ def dense_fused_op(model, prop, rule):
     m = (prop.kappa - 1).bit_length()
     k_dim = 1 << m
     ga_t = np.zeros((bt, bt))
-    ga_t[: model.levels, : model.levels] = compress(ga_matrix(model, rule))
+    ga_t[: model.levels, : model.levels] = ga_matrix(model, rule)
     ja_t = np.zeros((bt, bt))
-    ja_t[: model.levels, : model.levels] = compress(rejection_matrix(model, rule))
+    ja_t[: model.levels, : model.levels] = rejection_matrix(model, rule)
     weights = list(prop.weights) + [0.0] * (k_dim - prop.kappa)
     perms = list(prop.perms) + [np.arange(n)] * (k_dim - prop.kappa)
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -418,7 +409,7 @@ def test_fused_route_matches_dense_dilations(n, energy, levels, rule):
     model, prop = build_hypercube(n, energy=energy, levels=levels, seed=5, beta=0.9)
     be = build_ancilla_efficient_Q(model, prop, rule)
     want = dense_fused_op(model, prop, rule).dense()
-    assert np.abs(be.dense() - want).max() < 1e-12
+    assert np.abs(be.op.dense() - want).max() < 1e-12
 
 
 @pytest.mark.parametrize(

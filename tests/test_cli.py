@@ -64,6 +64,19 @@ def test_verify_hypercube_schema_and_pass(capsys):
     assert report["timings_ms"] == {k: 0.0 for k in report["timings_ms"]}
 
 
+def test_timings_cover_extraction(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--json")
+    assert code == 0, err
+    timings = json.loads(out)["timings_ms"]
+    assert set(timings) == {"chain", "encoding", "extraction", "spectrum", "walks"}
+    assert timings["extraction"] > 0.0
+    code, out, err = run(
+        capsys, "verify", "--n", "2", "--construction", "szegedy", "--json"
+    )
+    assert code == 0, err
+    assert "extraction" not in json.loads(out)["timings_ms"]
+
+
 def test_reported_deviations_are_those_of_the_built_objects(capsys):
     code, out, err = run(
         capsys, "verify", "--n", "3", "--energy", "random", "--B", "5",

@@ -17,10 +17,8 @@ from parwalk.markov import GibbsModel, gibbs_distribution, discriminant
 from parwalk.parchain import (
     ProposalDecomposition,
     acceptance_matrix,
-    compress,
     custom_rule,
     decompose_discriminant,
-    g_matrix,
     ga_matrix,
     glauber,
     hypercube_proposal,
@@ -143,42 +141,41 @@ class TestAcceptanceRules:
 
 
 class TestEnergyTables:
-    def test_g_table_two_state(self):
-        table = g_matrix(two_state_model()).compressed
-        assert abs(table[1, 0] - np.sqrt(2.0)) < 1e-15
-        assert abs(table[0, 1] - RT) < 1e-15
-        assert np.allclose(np.diag(table), 1.0)
+    def test_ga_table_reweights_by_g(self):
+        # g(1, 0) = sqrt 2 and g(0, 1) = 1/sqrt 2 times the Glauber values
+        # f(1) = 1/3 and f(-1) = 2/3 both give sqrt(2)/3
+        table = ga_matrix(two_state_model(), glauber())
+        assert np.abs(table[[1, 0], [0, 1]] - np.sqrt(2.0) / 3.0).max() < 1e-15
 
     def test_ga_table_two_state_metropolis(self):
-        table = ga_matrix(two_state_model(), metropolis()).compressed
+        table = ga_matrix(two_state_model(), metropolis())
         assert np.abs(table - np.array([[1.0, RT], [RT, 1.0]])).max() < 1e-15
 
     def test_ga_table_symmetric_for_any_valid_rule(self):
         model = GibbsModel(energies=np.array([0, 3, 1, 2]), levels=4, beta=1.3)
         for rule in (metropolis(), glauber()):
-            table = ga_matrix(model, rule).compressed
+            table = ga_matrix(model, rule)
             assert np.abs(table - table.T).max() < 1e-12
 
     def test_ga_diag_is_f0(self):
-        table = ga_matrix(two_state_model(), glauber()).compressed
+        table = ga_matrix(two_state_model(), glauber())
         assert np.allclose(np.diag(table), 0.5)
 
     def test_reject_table_two_state_metropolis(self):
-        table = rejection_matrix(two_state_model(), metropolis()).compressed
+        table = rejection_matrix(two_state_model(), metropolis())
         assert np.abs(table - np.array([[0.0, 0.0], [0.5, 0.0]])).max() < 1e-15
 
-    def test_expand_matches_function(self):
-        model = GibbsModel(energies=np.array([2, 0, 1, 2]), levels=3, beta=0.9)
-        mat = ga_matrix(model, glauber())
-        dense = mat.expand(model.energies)
-        e = model.energies
-        for y in range(4):
-            for x in range(4):
-                assert abs(dense[y, x] - mat.compressed[e[y], e[x]]) < 1e-15
+    def test_tables_validate_the_rule_before_exponentiating(self):
+        # e^{-2000} underflows to 0, so the rule fails its range check; the
+        # reweighting e^{1000 d} would overflow if it ran first
+        model = GibbsModel(energies=np.array([0, 2]), levels=3, beta=2000.0)
+        for table in (ga_matrix, rejection_matrix):
+            with pytest.raises(FunctionalEquationViolated):
+                table(model, metropolis())
 
     def test_compress_norm_bound(self):
         model = GibbsModel(energies=np.array([0, 1, 2, 3]), levels=4, beta=0.6)
-        table = compress(ga_matrix(model, metropolis()))
+        table = ga_matrix(model, metropolis())
         spec = np.linalg.norm(table, 2)
         l1 = np.abs(table).sum(axis=0).max()
         linf = np.abs(table).sum(axis=1).max()
@@ -206,11 +203,15 @@ class TestChainAssembly:
         assert np.abs(r - np.diag([0.5, 0.0])).max() < 1e-15
 
     def test_r_matrix_is_diagonal_for_cycles(self):
+        # r_x gathers the acceptance out of x, a[p_k x, x], not a[x, p_k x]
         model = GibbsModel(energies=np.array([0, 2, 1]), levels=3, beta=1.1)
         prop = cycle_pair_proposal()
         a = acceptance_matrix(model, glauber())
-        r = r_matrix(prop, a)
-        assert np.abs(r - np.diag(np.diag(r))).max() == 0.0
+        want = [
+            sum(w * (1.0 - a[p[x], x]) for w, p in zip(prop.weights, prop.perms))
+            for x in range(3)
+        ]
+        assert np.abs(r_matrix(prop, a) - np.diag(want)).max() < 1e-15
 
     def test_shape_guards(self):
         a = acceptance_matrix(two_state_model(), metropolis())
@@ -227,6 +228,16 @@ class TestDecomposition:
         assert np.abs(dec.r - np.diag([0.5, 0.0])).max() < 1e-14
         assert np.abs(dec.q - np.array([[0.5, RT], [RT, 0.0]])).max() < 1e-14
         assert dec.deviation < 1e-14
+
+    def test_ga_is_the_level_table_at_the_state_energies(self):
+        model = GibbsModel(energies=np.array([2, 0, 1, 2]), levels=3, beta=0.9)
+        rule = glauber()
+        dec = decompose_discriminant(model, hypercube_proposal(2), rule)
+        e = model.energies
+        off = ~np.eye(4, dtype=bool)
+        # states 0 and 3 share E = 2: their entry is f(0) = 1/2, not 1
+        assert np.array_equal(dec.ga[off], ga_matrix(model, rule)[np.ix_(e, e)][off])
+        assert np.all(np.diag(dec.ga) == 1.0)
 
     def test_glauber_diagonal_cancellation(self):
         # the f(0) diagonal of GA and the rejection diagonal jointly

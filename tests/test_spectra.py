@@ -7,8 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from parwalk.blockenc import ZeroIsometry, build_ancilla_efficient_Q
-from parwalk.errors import BoundViolated, SpectrumMismatch, SpectrumOutOfRange
+from parwalk.blockenc import build_ancilla_efficient_Q
+from parwalk.errors import (
+    BoundViolated,
+    DimensionMismatch,
+    SpectrumMismatch,
+    SpectrumOutOfRange,
+)
 from parwalk.markov import (
     GibbsModel,
     StochasticMatrix,
@@ -31,9 +36,9 @@ from parwalk.models import build_hypercube
 from parwalk.spectra import (
     RESIDUAL_TOL,
     _block_phases,
-    _unitary_eigenphases,
     eigenbasis_embedding,
     phase_gap_check,
+    walk_phases,
     walk_spectrum,
 )
 from parwalk.szegedy import par_walk, quantum_enhanced_walk, standard_walk
@@ -53,7 +58,7 @@ def two_state():
 def test_embedding_identity_spectrum():
     emb = eigenbasis_embedding(np.eye(3))
     assert np.abs(emb.thetas).max() == 0.0
-    spec = walk_spectrum(emb, np.eye(3))
+    spec = walk_spectrum(emb.phases, np.eye(3))
     assert spec.phase_gap == 0.0
     assert np.abs(spec.measured).max() == 0.0
     assert spec.b_perp_dim == 3  # the three partner directions
@@ -62,7 +67,7 @@ def test_embedding_identity_spectrum():
 def test_embedding_single_state_half_turn():
     q = np.zeros((1, 1))
     emb = eigenbasis_embedding(q)
-    spec = walk_spectrum(emb, q)
+    spec = walk_spectrum(emb.phases, q)
     assert abs(spec.phase_gap - math.pi / 2.0) < 1e-12
     assert spec.b_perp_dim == 0
     report = phase_gap_check(spec, 1.0)
@@ -110,10 +115,11 @@ def test_two_state_gap_across_constructions():
         standard_walk(p),
         par_walk(prop, a),
         quantum_enhanced_walk(np.array([[0.0, 1.0], [1.0, 0.0]]), a),
-        eigenbasis_embedding(dec.q),
     ]
-    for walk in walks:
-        spec = walk_spectrum(walk, dec.q)
+    all_phases = [walk_phases(walk.w) for walk in walks]
+    all_phases.append(eigenbasis_embedding(dec.q).phases)
+    for phases in all_phases:
+        spec = walk_spectrum(phases, dec.q)
         assert abs(spec.phase_gap - TWO_THIRDS_PI) < 1e-10
         report = phase_gap_check(spec, 1.5)
         assert report.holds
@@ -126,7 +132,7 @@ def test_standard_walk_complement_is_trivial():
     rule = metropolis()
     p = transition_matrix(prop, acceptance_matrix(model, rule))
     dec = decompose_discriminant(model, prop, rule)
-    spec = walk_spectrum(standard_walk(p), dec.q)
+    spec = walk_spectrum(walk_phases(standard_walk(p).w), dec.q)
     assert spec.b_perp_dim == 1  # 4-dim walk, 3 matched phases
     assert np.abs(spec.measured - spec.predicted).max() < 1e-10
 
@@ -136,8 +142,11 @@ def test_block_encoding_pair_spectrum():
     rule = metropolis()
     be = build_ancilla_efficient_Q(model, prop, rule)
     dec = decompose_discriminant(model, prop, rule)
-    iso = ZeroIsometry(be.sys_dim, be.anc_qubits)
-    spec = walk_spectrum((be, iso), dec.q / be.gamma)
+    # the qubitized walk V (2 Pi_0 - I), Pi_0 the projector on ancillas |0^c>
+    v = be.op.dense()
+    signs = -np.ones(v.shape[0])
+    signs[: be.sys_dim] = 1.0
+    spec = walk_spectrum(walk_phases(v * signs), dec.q / be.gamma)
     lam = np.linalg.eigvalsh(dec.q)[::-1] / be.gamma
     assert abs(spec.phase_gap - math.acos(lam[0])) < 1e-9
     assert np.abs(spec.measured - np.arccos(lam)).max() < 1e-9
@@ -158,7 +167,7 @@ def test_lazy_cube_spectrum_and_bound():
     assert np.abs(lam - np.array([0.0, 0.5, 0.5, 1.0])).max() < 1e-12
 
     emb = eigenbasis_embedding(q_lazy)
-    spec = walk_spectrum(emb, q_lazy)
+    spec = walk_spectrum(emb.phases, q_lazy)
     assert abs(spec.phase_gap - math.pi / 3.0) < 1e-10
     lazy_gaps = spectral_gaps(q_lazy)
     report = phase_gap_check(spec, lazy_gaps.delta_plus)
@@ -184,7 +193,7 @@ def test_cube_phase_mapping_matches_predictions():
     a = acceptance_matrix(model, metropolis())
     p = transition_matrix(prop, a)
     dec = decompose_discriminant(model, prop, metropolis())
-    spec = walk_spectrum(standard_walk(p), dec.q)
+    spec = walk_spectrum(walk_phases(standard_walk(p).w), dec.q)
     assert np.abs(spec.measured - spec.predicted).max() <= 1e-8
     gaps = spectral_gaps(dec.q)
     report = phase_gap_check(spec, gaps.delta_plus)
@@ -200,13 +209,13 @@ def test_mismatched_reference_spectrum_raises():
     walk = standard_walk(p)
     wrong_q = np.full((2, 2), 0.5)  # eigenvalues {1, 0}: phases pi/2 missing
     with pytest.raises(SpectrumMismatch):
-        walk_spectrum(walk, wrong_q)
+        walk_spectrum(walk_phases(walk.w), wrong_q)
 
 
 def test_phase_gap_check_flags_wrong_gap():
     model, prop = two_state()
     dec = decompose_discriminant(model, prop, metropolis())
-    spec = walk_spectrum(eigenbasis_embedding(dec.q), dec.q)
+    spec = walk_spectrum(eigenbasis_embedding(dec.q).phases, dec.q)
     with pytest.raises(BoundViolated):
         phase_gap_check(spec, 0.5)  # arccos(0.5) != the walk's 2pi/3
     with pytest.raises(BoundViolated):
@@ -215,18 +224,30 @@ def test_phase_gap_check_flags_wrong_gap():
 
 def test_walk_spectrum_input_guards():
     with pytest.raises(SpectrumOutOfRange):
-        walk_spectrum(np.eye(2) * 2.0, np.eye(2))  # not unitary
-    with pytest.raises(TypeError):
-        walk_spectrum("walk", np.eye(2))
+        walk_phases(np.eye(2) * 2.0)  # not unitary
+    with pytest.raises(DimensionMismatch):
+        walk_spectrum(np.eye(2), np.eye(2))  # a walk matrix, not its phases
     with pytest.raises(SpectrumOutOfRange):
-        walk_spectrum(np.eye(2), 3.0 * np.eye(2))  # reference out of range
+        walk_spectrum(np.zeros(2), 3.0 * np.eye(2))  # reference out of range
+
+
+@pytest.mark.parametrize(
+    "q, error",
+    [(np.array([[np.nan, 0.0], [0.0, 1.0]]), SpectrumOutOfRange),
+     (np.zeros((2, 3)), DimensionMismatch),
+     (np.zeros((0, 0)), DimensionMismatch)],
+    ids=["nan-entry", "nonsquare", "empty"],
+)
+def test_embedding_rejects_malformed_q(q, error):
+    with pytest.raises(error):
+        eigenbasis_embedding(q)
 
 
 def test_delta_plus_one_keeps_quadratic_bound():
     entries = np.full((2, 2), 0.5)
     p = StochasticMatrix(entries)
     q = discriminant(p, stationary_distribution(p))
-    spec = walk_spectrum(eigenbasis_embedding(q), q)
+    spec = walk_spectrum(eigenbasis_embedding(q).phases, q)
     assert abs(spec.phase_gap - math.pi / 2.0) < 1e-10
     report = phase_gap_check(spec, 1.0)
     assert report.holds
@@ -237,7 +258,7 @@ def test_delta_plus_one_keeps_quadratic_bound():
 
 
 def loop_eigenphases(w):
-    """The former per-cluster loop of _unitary_eigenphases (complex eigh)."""
+    """The former per-cluster loop of walk_phases (complex eigh)."""
     wc = np.asarray(w, dtype=complex)
     hc = 0.5 * (wc + wc.conj().T)
     hs = (wc - wc.conj().T) / 2j
@@ -312,10 +333,10 @@ def test_batched_spectral_checks_match_loop_form():
         emb, chi, vecs = embedding_parts(q)
         u = dense_walk(emb)
         assert loop_relations(u, chi, vecs, emb.thetas) is None
-        phases = _unitary_eigenphases(u)
+        phases = walk_phases(u)
         assert np.abs(np.sort(phases) - np.sort(loop_eigenphases(u))).max() < 1e-12
         assert np.abs(np.sort(emb.phases) - np.sort(phases)).max() < 1e-12
-        spec = walk_spectrum(emb, q)
+        spec = walk_spectrum(emb.phases, q)
         assert np.abs(spec.measured - spec.predicted).max() < 1e-8
 
 
@@ -324,7 +345,7 @@ def test_batched_eigenphases_of_a_complex_unitary_with_clusters():
     v, _ = np.linalg.qr(rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)))
     phases = np.array([0.3, 0.3, -0.3, -0.3, 1.0, math.pi, 0.0, 2.0, 2.0, -2.0])
     w = (v * np.exp(1j * phases)) @ v.conj().T
-    got = _unitary_eigenphases(w)
+    got = walk_phases(w)
     assert np.abs(np.sort(got) - np.sort(loop_eigenphases(w))).max() < 1e-12
     # pi may come out as -pi
     assert np.abs(np.sort(np.abs(got)) - np.sort(np.abs(phases))).max() < 1e-9
@@ -338,7 +359,7 @@ def test_dense_eigenphases_resolve_close_distinct_eigenvalues():
     )
     prop = proposal_from_permutations([1.0], [np.array([0, 5, 2, 3, 4, 1, 7, 6, 8, 9])])
     emb = eigenbasis_embedding(decompose_discriminant(model, prop, metropolis()).q)
-    phases = _unitary_eigenphases(dense_walk(emb))
+    phases = walk_phases(dense_walk(emb))
     assert np.abs(np.sort(phases) - np.sort(emb.phases)).max() <= 1e-12
 
 
@@ -347,8 +368,7 @@ def test_sorted_pairing_finds_the_pairing_nearest_first_misses():
     # leaves the second 2.4e-8 off, while the sorted pairing is within 9e-9
     thetas = np.array([1.0, 1.0 + 1.5e-8])
     inner = np.array([1.0 + 0.8e-8, 1.0 - 0.9e-8])
-    walk = np.diag(np.exp(1j * np.r_[inner, -inner]))
-    spec = walk_spectrum(walk, np.diag(np.cos(thetas)))
+    spec = walk_spectrum(np.r_[inner, -inner], np.diag(np.cos(thetas)))
     assert np.abs(spec.measured - spec.predicted).max() <= 9e-9
     assert spec.b_perp_dim == 0
 
@@ -390,9 +410,9 @@ def test_shifted_block_phase_is_a_spectrum_mismatch():
     model, prop = build_hypercube(3, energy="hamming", beta=0.7)
     q = decompose_discriminant(model, prop, metropolis()).q
     emb = eigenbasis_embedding(q)
-    assert walk_spectrum(emb, q).b_perp_dim == 1
+    assert walk_spectrum(emb.phases, q).b_perp_dim == 1
     for j in (0, 1, 9):
         phases = emb.phases.copy()
         phases[j] += 0.1
         with pytest.raises(SpectrumMismatch):
-            walk_spectrum(dataclasses.replace(emb, phases=phases), q)
+            walk_spectrum(phases, q)
