@@ -23,7 +23,7 @@ separately, combines them and reflectionizes the sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,6 +85,18 @@ def _pow2_pad(b: int) -> int:
     return 1 << _ceil_log2(b)
 
 
+def fused_ancillas(kappa: int, levels: int) -> int:
+    """Ancillas the fused route builds: select ceil(log kappa), dilation 1,
+    direction 1 and level ceil(log B)."""
+    return _ceil_log2(kappa) + _ceil_log2(levels) + 2
+
+
+def paper_ancillas(kappa: int, levels: int) -> int:
+    """The quoted count 2 ceil(log kappa) + ceil(log B) + 2: the fused
+    count plus a second select register."""
+    return fused_ancillas(kappa, levels) + _ceil_log2(kappa)
+
+
 @dataclass(frozen=True)
 class BlockEncoding:
     """Unitary op on 2^anc_qubits * sys_dim whose |0...0> ancilla block is
@@ -108,10 +120,6 @@ class BlockEncoding:
                 f"logical ancilla count {self.anc_qubits} exceeds the quoted "
                 f"count {self.paper_anc}"
             )
-
-
-def identity_encoding(n: int) -> BlockEncoding:
-    return BlockEncoding(sys_dim=n, anc_qubits=0, paper_anc=0, gamma=1.0, op=Identity(n))
 
 
 def unitary_encoding(op: LinOp) -> BlockEncoding:
@@ -195,25 +203,24 @@ def verify_encoding(
     )
 
 
-def prepare_unitary(weights: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix of dimension 2^ceil(log k) whose first column
-    is sqrt(weights), zero-padded."""
+def _checked_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise BadWeights("weights must be a nonempty vector")
-    if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
+    # written so that a NaN weight fails
+    if not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-12):
         raise BadWeights("weights must be nonnegative and sum to 1")
+    return w
+
+
+def prepare_unitary(weights: np.ndarray) -> np.ndarray:
+    """Real orthogonal matrix of dimension 2^ceil(log k) whose first column
+    is sqrt(weights), zero-padded."""
+    w = _checked_weights(weights)
     dim = _pow2_pad(w.size)
     col = np.zeros(dim)
     col[: w.size] = np.sqrt(w)
     return householder_to(col)
-
-
-def _pad_op(be: BlockEncoding, target_c: int) -> LinOp:
-    # extra ancillas prepend in |0>; the block-encoding contract is unchanged
-    if target_c == be.anc_qubits:
-        return be.op
-    return Kron(Identity(1 << (target_c - be.anc_qubits)), be.op)
 
 
 def lcu(weights, encodings: list) -> BlockEncoding:
@@ -227,6 +234,7 @@ def lcu(weights, encodings: list) -> BlockEncoding:
         raise WeightMismatch(f"{w.size} weights for {len(encodings)} encodings")
     if not encodings:
         raise WeightMismatch("need at least one encoding")
+    w = _checked_weights(w)
     sys_dims = {be.sys_dim for be in encodings}
     if len(sys_dims) != 1:
         raise DimensionMismatch("operands must share the system dimension")
@@ -239,15 +247,18 @@ def lcu(weights, encodings: list) -> BlockEncoding:
     m = _ceil_log2(w.size)
     cmax = max(be.anc_qubits for be in encodings)
     block = (1 << cmax) * n
-    ops = [_pad_op(be, cmax) for be in encodings]
+    # extra ancillas prepend in |0>; the block-encoding contract is unchanged
+    ops = [
+        be.op if be.anc_qubits == cmax
+        else Kron(Identity(1 << (cmax - be.anc_qubits)), be.op)
+        for be in encodings
+    ]
     ops.extend(Identity(block) for _ in range((1 << m) - len(ops)))
 
     if m == 0:
         op = ops[0]
     else:
-        padded_w = np.zeros(1 << m)
-        padded_w[: w.size] = w
-        prep = prepare_unitary(padded_w)
+        prep = prepare_unitary(w)
         op = Compose(
             Kron(DenseUnitary(prep.T), Identity(block)),
             Select(ops),
@@ -259,6 +270,31 @@ def lcu(weights, encodings: list) -> BlockEncoding:
     )
 
 
+def _tagged_product(
+    be_l: BlockEncoding, be_m: BlockEncoding, tag: Permutation
+) -> BlockEncoding:
+    """Entrywise product through a tag register: tag acts on (register (x)
+    system) and maps |0, x> to |t_x, x>, so with be_l encoding a table L-hat
+    on the register the result encodes L-hat[t_y, t_x] M[y, x]."""
+    n = be_m.sys_dim
+    reg = be_l.sys_dim
+    bits = reg.bit_length() - 1
+    dims = [1 << be_l.anc_qubits, 1 << be_m.anc_qubits, reg, n]
+    op = Compose(
+        Embedded(Adjoint(tag), dims, [2, 3]),
+        Embedded(be_l.op, dims, [0, 2]),
+        Embedded(be_m.op, dims, [1, 3]),
+        Embedded(tag, dims, [2, 3]),
+    )
+    return BlockEncoding(
+        sys_dim=n,
+        anc_qubits=be_l.anc_qubits + be_m.anc_qubits + bits,
+        paper_anc=be_l.paper_anc + be_m.paper_anc + bits,
+        gamma=be_l.gamma * be_m.gamma,
+        op=op,
+    )
+
+
 def hadamard_be(be_l: BlockEncoding, be_m: BlockEncoding) -> BlockEncoding:
     """Entrywise product L (.) M through the copy isometry |x> -> |x>|x>;
     costs a full log N register, which the compressed variant avoids."""
@@ -267,22 +303,7 @@ def hadamard_be(be_l: BlockEncoding, be_m: BlockEncoding) -> BlockEncoding:
     n = be_l.sys_dim
     if n & (n - 1):
         raise NonPowerOfTwoDim(f"copy register needs a power of two, got {n}")
-    nbits = n.bit_length() - 1
-    copy = xor_shift(n)
-    dims = [1 << be_l.anc_qubits, 1 << be_m.anc_qubits, n, n]
-    op = Compose(
-        Embedded(Adjoint(copy), dims, [2, 3]),
-        Embedded(be_l.op, dims, [0, 2]),
-        Embedded(be_m.op, dims, [1, 3]),
-        Embedded(copy, dims, [2, 3]),
-    )
-    return BlockEncoding(
-        sys_dim=n,
-        anc_qubits=be_l.anc_qubits + be_m.anc_qubits + nbits,
-        paper_anc=be_l.paper_anc + be_m.paper_anc + nbits,
-        gamma=be_l.gamma * be_m.gamma,
-        op=op,
-    )
+    return _tagged_product(be_l, be_m, xor_shift(n))
 
 
 def compressed_hadamard_be(
@@ -304,22 +325,7 @@ def compressed_hadamard_be(
     n = be_m.sys_dim
     if e.size != n:
         raise DimensionMismatch(f"{e.size} energies for system dimension {n}")
-    bbits = bt.bit_length() - 1
-    tag = energy_shift(e, bt)
-    dims = [1 << be_lhat.anc_qubits, 1 << be_m.anc_qubits, bt, n]
-    op = Compose(
-        Embedded(Adjoint(tag), dims, [2, 3]),
-        Embedded(be_lhat.op, dims, [0, 2]),
-        Embedded(be_m.op, dims, [1, 3]),
-        Embedded(tag, dims, [2, 3]),
-    )
-    return BlockEncoding(
-        sys_dim=n,
-        anc_qubits=be_lhat.anc_qubits + be_m.anc_qubits + bbits,
-        paper_anc=be_lhat.paper_anc + be_m.paper_anc + bbits,
-        gamma=be_lhat.gamma * be_m.gamma,
-        op=op,
-    )
+    return _tagged_product(be_lhat, be_m, energy_shift(e, bt))
 
 
 def svd_block_encoding(lhat: np.ndarray) -> BlockEncoding:
@@ -334,10 +340,15 @@ def svd_block_encoding(lhat: np.ndarray) -> BlockEncoding:
         raise DimensionMismatch("table must be square")
     b = lhat.shape[0]
     bt = _pow2_pad(b)
+    # |entry| <= spectral norm <= bt; written so that NaN and inf fail
+    if not np.abs(lhat).max() <= bt:
+        raise NormTooLarge(
+            f"table entries must be finite and at most {bt} in absolute value"
+        )
     padded = np.zeros((bt, bt))
     padded[:b, :b] = lhat
     u_, sig, vh_ = np.linalg.svd(padded / bt)
-    if sig.max() > 1 + 1e-12:
+    if not sig.max() <= 1 + 1e-12:
         raise NormTooLarge(f"singular value {sig.max():.6f} exceeds 1 after scaling")
     sig = np.clip(sig, 0.0, 1.0)
     comp = np.sqrt(1.0 - sig**2)
@@ -356,14 +367,7 @@ def left_multiply_unitary(be: BlockEncoding, u: LinOp) -> BlockEncoding:
     """Encoding of u L with unchanged parameters."""
     if u.dim != be.sys_dim:
         raise DimensionMismatch(f"unitary dim {u.dim} vs system dim {be.sys_dim}")
-    op = Compose(Kron(Identity(1 << be.anc_qubits), u), be.op)
-    return BlockEncoding(
-        sys_dim=be.sys_dim,
-        anc_qubits=be.anc_qubits,
-        paper_anc=be.paper_anc,
-        gamma=be.gamma,
-        op=op,
-    )
+    return replace(be, op=Compose(Kron(Identity(1 << be.anc_qubits), u), be.op))
 
 
 def rescale_encoding(be: BlockEncoding, gamma: float) -> BlockEncoding:
@@ -391,29 +395,13 @@ def rescale_encoding(be: BlockEncoding, gamma: float) -> BlockEncoding:
 
 
 def combine_two(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
-    """Sum L_A + L_B: one extra ancilla qubit, doubled scale."""
+    """Sum L_A + L_B: both operands rescaled to the larger scale gamma, then
+    the equal-weight LCU read at scale 2 gamma (one extra ancilla qubit)."""
     if be_a.sys_dim != be_b.sys_dim:
         raise DimensionMismatch("operands must share the system dimension")
     gamma = max(be_a.gamma, be_b.gamma)
-    be_a = rescale_encoding(be_a, gamma)
-    be_b = rescale_encoding(be_b, gamma)
-    if abs(be_a.gamma - be_b.gamma) > 1e-9 * gamma:
-        raise ScaleMismatch(f"scales {be_a.gamma} and {be_b.gamma} differ after padding")
-    c = max(be_a.anc_qubits, be_b.anc_qubits)
-    block = (1 << c) * be_a.sys_dim
-    h = DenseUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
-    op = Compose(
-        Kron(h, Identity(block)),
-        Select([_pad_op(be_a, c), _pad_op(be_b, c)]),
-        Kron(h, Identity(block)),
-    )
-    return BlockEncoding(
-        sys_dim=be_a.sys_dim,
-        anc_qubits=c + 1,
-        paper_anc=max(be_a.paper_anc, be_b.paper_anc) + 1,
-        gamma=2.0 * gamma,
-        op=op,
-    )
+    pair = [rescale_encoding(be_a, gamma), rescale_encoding(be_b, gamma)]
+    return replace(lcu([0.5, 0.5], pair), gamma=2.0 * gamma)
 
 
 def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL) -> BlockEncoding:
@@ -458,16 +446,6 @@ def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL) -> BlockEncoding:
     )
 
 
-def norm_bound(x: np.ndarray):
-    """Geometric-mean bound sqrt(||X||_1 ||X||_inf) on the spectral norm;
-    returns (bound, holds)."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    bound = math.sqrt(ax.sum(axis=0).max() * ax.sum(axis=1).max())
-    spectral = np.linalg.norm(x, 2)
-    return float(bound), bool(spectral <= bound + 1e-9)
-
-
 def _generic_reflection(
     model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
 ) -> BlockEncoding:
@@ -487,20 +465,10 @@ def _generic_reflection(
         reject_terms.append(left_multiply_unitary(term, Permutation(pinv)))
     reject_part = lcu(prop.weights, reject_terms)
 
-    combined = combine_two(accept_part, reject_part)
-    w = reflectionize(combined)
-    # Quote the headline bound 2 ceil(log k) + ceil(log B) + 2; a larger
-    # logical count is flagged by the anc_qubits <= paper_anc invariant
-    # rather than silently normalized.
-    m = _ceil_log2(prop.kappa)
-    bbits = _pow2_pad(model.levels).bit_length() - 1
-    return BlockEncoding(
-        sys_dim=w.sys_dim,
-        anc_qubits=w.anc_qubits,
-        paper_anc=2 * m + bbits + 2,
-        gamma=w.gamma,
-        op=w.op,
-    )
+    w = reflectionize(combine_two(accept_part, reject_part))
+    # Quote the headline bound; a larger logical count is flagged by the
+    # anc_qubits <= paper_anc invariant rather than silently normalized.
+    return replace(w, paper_anc=paper_ancillas(prop.kappa, model.levels))
 
 
 def _dilation(p: np.ndarray) -> np.ndarray:
@@ -540,10 +508,8 @@ def _fused_reflection(
         raise DimensionMismatch("fused route needs involution permutations")
     n = model.n
     bt = _pow2_pad(model.levels)
-    bbits = bt.bit_length() - 1
     kappa = prop.kappa
-    m = _ceil_log2(kappa)
-    k_dim = 1 << m
+    k_dim = _pow2_pad(kappa)
 
     ga_t = np.zeros((bt, bt))
     ga_t[: model.levels, : model.levels] = ga_matrix(model, rule)
@@ -577,8 +543,8 @@ def _fused_reflection(
     op = Compose(prep, sel, prep)
     return BlockEncoding(
         sys_dim=n,
-        anc_qubits=m + bbits + 2,
-        paper_anc=2 * m + bbits + 2,
+        anc_qubits=fused_ancillas(kappa, model.levels),
+        paper_anc=paper_ancillas(kappa, model.levels),
         gamma=scale,
         op=op,
     )

@@ -21,9 +21,11 @@ import numpy as np
 # It stays bound in this module because perfbench/tracing.py wraps
 # parwalk.cli.extract_block.
 from .blockenc import (  # noqa: F401
+    EXTRACT_TOL,
     build_ancilla_efficient_Q,
     extract_block,
     extraction_chunk_width,
+    fused_ancillas,
     verify_encoding,
 )
 from .cnf import load_dimacs
@@ -43,6 +45,7 @@ from .models import build_cnf, build_hypercube
 # perfbench/tracing.py wraps parwalk.cli.acceptance_matrix and
 # parwalk.cli.transition_matrix.
 from .parchain import (  # noqa: F401
+    DECOMP_TOL,
     acceptance_matrix,
     decompose_discriminant,
     glauber,
@@ -53,8 +56,6 @@ from .spectra import eigenbasis_embedding, phase_gap_check, walk_spectrum
 from .szegedy import ancilla_comparison, comparison_counts, par_walk
 
 DEFAULT_CAP = 6
-EXTRACT_TOL_DEFAULT = 1e-9
-DECOMP_TOL = 1e-10
 WALK_TOL = 1e-10
 BALANCE_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -131,26 +132,29 @@ def _build_bundle(args, need_matrices: bool):
     return echo, model, prop
 
 
+def _size(nbytes: int) -> str:
+    if nbytes < 2**20:
+        return f"~{nbytes / 2**10:.0f} KiB"
+    return f"~{nbytes / 2**20:.0f} MiB"
+
+
 def _check_cap(args, n: int, levels: int):
     cap = DEFAULT_CAP if args.max_n is None else args.max_n
     if args.max_n is not None:
         # the arrays whose size grows fastest with n, for the constructions
         # requested: the flagged walk's T and R T (2 N^2 x N each), and one
         # chunk of basis columns that extraction applies the encoding to
-        # (width x N 2^c, c at most the quoted ancilla count); both bit-flip
-        # families propose with kappa = n
+        # (width x N 2^c, c the count the fused route builds); both bit-flip
+        # families propose with kappa = n through involutions
         states = 1 << n
         parts = []
         if args.construction in ("szegedy", "both"):
             walk_bytes = 2 * (2 * states * states) * states * 8
-            parts.append(f"a walk isometry pair of ~{walk_bytes / 2**20:.0f} MiB")
+            parts.append(f"a walk isometry pair of {_size(walk_bytes)}")
         if args.construction in ("compressed", "both"):
-            anc = comparison_counts(states, n, levels).paper_qubits
-            dim = states << anc
+            dim = states << fused_ancillas(n, levels)
             chunk_bytes = extraction_chunk_width(states, dim) * dim * 8
-            parts.append(
-                f"an extraction chunk of at most ~{chunk_bytes / 2**20:.0f} MiB"
-            )
+            parts.append(f"an extraction chunk of at most {_size(chunk_bytes)}")
         print(
             f"cap raised to n={args.max_n}: n={n} allocates " + " and ".join(parts),
             file=sys.stderr,
@@ -411,7 +415,7 @@ def _parser() -> argparse.ArgumentParser:
             choices=("compressed", "szegedy", "both"),
             default="both",
         )
-        p.add_argument("--tol", type=float, default=EXTRACT_TOL_DEFAULT)
+        p.add_argument("--tol", type=float, default=EXTRACT_TOL)
         p.add_argument("--cnf-file", help="DIMACS CNF path for --model cnf")
         p.add_argument(
             "--max-n", type=int, help="raise the dense-build cap (prints estimate)"

@@ -125,7 +125,8 @@ class AcceptanceRule:
         """
         deltas = np.arange(-(levels - 1), levels)
         vals = np.array([self.f(int(d), beta) for d in deltas], dtype=float)
-        if vals.min() <= 0 or vals.max() > 1 + RATIO_TOL:
+        # both checks are written so that a NaN value fails them
+        if not (vals.min() > 0 and vals.max() <= 1 + RATIO_TOL):
             raise FunctionalEquationViolated(
                 f"{self.kind}: acceptance values must lie in (0, 1]"
             )
@@ -133,7 +134,7 @@ class AcceptanceRule:
         # both sides stay <= 1 for valid rules, so an absolute tolerance is safe
         half = np.exp(0.5 * beta * deltas)
         sym = half * vals
-        if np.abs(sym - sym[::-1]).max() > RATIO_TOL:
+        if not np.abs(sym - sym[::-1]).max() <= RATIO_TOL:
             raise FunctionalEquationViolated(
                 f"{self.kind}: f(d) = e^(-beta d) f(-d) fails at beta={beta}"
             )

@@ -11,12 +11,13 @@ for the spectral checks at small N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from .blockenc import _ceil_log2, _pow2_pad, build_ancilla_efficient_Q, paper_ancillas
 from .errors import (
     DecompositionMismatch,
     DimensionMismatch,
@@ -179,15 +180,12 @@ def comparison_counts(n_states: int, kappa: int, levels: int) -> AncillaComparis
     """Count-only comparison: doubled-space walk needs ceil(log N) + 1
     qubits (second register plus accept flag); the compressed encoding
     needs 2 ceil(log kappa) + ceil(log B) + 2 at scale 4B."""
-    log_n = (n_states - 1).bit_length() if n_states > 1 else 0
-    log_k = (kappa - 1).bit_length() if kappa > 1 else 0
-    log_b = (levels - 1).bit_length() if levels > 1 else 0
     return AncillaComparison(
-        szegedy_qubits=log_n + 1,
-        paper_qubits=2 * log_k + log_b + 2,
+        szegedy_qubits=_ceil_log2(n_states) + 1,
+        paper_qubits=paper_ancillas(kappa, levels),
         logical_qubits=None,
         szegedy_gamma=1.0,
-        paper_gamma=float(4 * (1 << log_b)),
+        paper_gamma=float(4 * _pow2_pad(levels)),
     )
 
 
@@ -195,14 +193,9 @@ def ancilla_comparison(
     model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
 ) -> AncillaComparison:
     """Comparison with the logical count of an actually built encoding."""
-    from .blockenc import build_ancilla_efficient_Q
-
-    counts = comparison_counts(model.n, prop.kappa, model.levels)
     be = build_ancilla_efficient_Q(model, prop, rule)
-    return AncillaComparison(
-        szegedy_qubits=counts.szegedy_qubits,
-        paper_qubits=counts.paper_qubits,
+    return replace(
+        comparison_counts(model.n, prop.kappa, model.levels),
         logical_qubits=be.anc_qubits,
-        szegedy_gamma=1.0,
         paper_gamma=be.gamma,
     )

@@ -18,11 +18,10 @@ from parwalk.blockenc import (
     compressed_hadamard_be,
     extract_block,
     extraction_chunk_width,
+    fused_ancillas,
     hadamard_be,
-    identity_encoding,
     lcu,
     left_multiply_unitary,
-    norm_bound,
     prepare_unitary,
     reflectionize,
     rescale_encoding,
@@ -35,6 +34,7 @@ from parwalk.errors import (
     BoundViolated,
     DimensionMismatch,
     EnergyOutOfRange,
+    FunctionalEquationViolated,
     NonPowerOfTwoDim,
     NormTooLarge,
     NotHermitian,
@@ -45,6 +45,8 @@ from parwalk.linops import (
     Compose,
     DenseUnitary,
     Embedded,
+    Identity,
+    Kron,
     LinOp,
     Permutation,
     Select,
@@ -55,6 +57,7 @@ from parwalk.markov import GibbsModel
 from parwalk.models import build_hypercube
 from parwalk.parchain import (
     acceptance_matrix,
+    custom_rule,
     decompose_discriminant,
     ga_matrix,
     glauber,
@@ -63,6 +66,7 @@ from parwalk.parchain import (
     proposal_from_permutations,
     rejection_matrix,
 )
+from parwalk.szegedy import comparison_counts
 
 RT2 = math.sqrt(2.0)
 
@@ -77,7 +81,7 @@ def two_state_chain(beta=math.log(2.0)):
 
 
 def test_identity_encoding():
-    be = identity_encoding(3)
+    be = unitary_encoding(Identity(3))
     assert be.anc_qubits == 0 and be.gamma == 1.0
     assert np.abs(extract_block(be) - np.eye(3)).max() == 0.0
 
@@ -108,7 +112,7 @@ def test_logical_count_must_meet_quoted_count():
 
 
 def test_verify_encoding_pass_and_fail():
-    be = identity_encoding(2)
+    be = unitary_encoding(Identity(2))
     good = verify_encoding(be, np.eye(2))
     assert good.passed and good.max_abs_dev == 0.0
     bad = verify_encoding(be, np.zeros((2, 2)))
@@ -175,15 +179,45 @@ def test_lcu_four_terms_ancillas():
 
 
 def test_lcu_weight_count_mismatch():
-    enc = identity_encoding(2)
+    enc = unitary_encoding(Identity(2))
     with pytest.raises(WeightMismatch):
         lcu(np.array([0.5]), [enc, enc])
     with pytest.raises(WeightMismatch):
         lcu(np.array([]), [])
 
 
+def _nan_rule():
+    return custom_rule(lambda d, b: float("nan"))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: lcu([0.5], [unitary_encoding(Identity(2))]),
+                     BadWeights, id="lcu-one-weight-half"),
+        pytest.param(lambda: lcu([float("nan")], [unitary_encoding(Identity(2))]),
+                     BadWeights, id="lcu-one-weight-nan"),
+        pytest.param(lambda: lcu([2.0], [unitary_encoding(Identity(2))]),
+                     BadWeights, id="lcu-one-weight-two"),
+        pytest.param(lambda: prepare_unitary([float("nan"), 0.5]),
+                     BadWeights, id="prepare-nan-weight"),
+        pytest.param(lambda: svd_block_encoding([[0.5, np.inf], [0.0, 0.5]]),
+                     NormTooLarge, id="svd-inf-entry"),
+        pytest.param(lambda: svd_block_encoding([[0.5, np.nan], [0.0, 0.5]]),
+                     NormTooLarge, id="svd-nan-entry"),
+        pytest.param(lambda: _nan_rule().table(1.0, 3),
+                     FunctionalEquationViolated, id="rule-nan-table"),
+        pytest.param(lambda: build_ancilla_efficient_Q(*two_state_chain(), _nan_rule()),
+                     FunctionalEquationViolated, id="build-nan-rule"),
+    ],
+)
+def test_malformed_inputs_raise_parwalk_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_lcu_rejects_mixed_scales():
-    a = identity_encoding(2)
+    a = unitary_encoding(Identity(2))
     b = svd_block_encoding(np.eye(2))  # gamma = 2
     with pytest.raises(ScaleMismatch):
         lcu(np.array([0.5, 0.5]), [a, b])
@@ -205,7 +239,7 @@ def test_hadamard_be_ones_mask_is_identity_on_entries():
 
 def test_hadamard_be_requires_power_of_two():
     with pytest.raises(NonPowerOfTwoDim):
-        hadamard_be(identity_encoding(3), identity_encoding(3))
+        hadamard_be(unitary_encoding(Identity(3)), unitary_encoding(Identity(3)))
 
 
 def test_compressed_hadamard_matches_dense_product():
@@ -222,9 +256,26 @@ def test_compressed_hadamard_matches_dense_product():
     assert be.gamma == 2.0  # inherits the table scale
 
 
+def test_compressed_product_with_identity_energies_is_the_copy_product():
+    # the level register replaces the copy register: with B = N levels and
+    # E_x = x, both products encode the same block with the same counts
+    rng = np.random.default_rng(3)
+    lhat = rng.uniform(0.0, 1.0, size=(4, 4))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    be_l = svd_block_encoding(lhat)
+    be_m = unitary_encoding(DenseUnitary(q))
+    copy = hadamard_be(be_l, be_m)
+    level = compressed_hadamard_be(be_l, be_m, np.arange(4))
+    assert (level.anc_qubits, level.paper_anc, level.gamma) == (
+        copy.anc_qubits, copy.paper_anc, copy.gamma
+    )
+    assert np.abs(extract_block(level) - extract_block(copy)).max() < 1e-14
+    assert np.abs(extract_block(copy) - lhat * q).max() < 1e-12
+
+
 def test_compressed_hadamard_validates_energies():
     be_tab = svd_block_encoding(np.eye(2))
-    be_m = identity_encoding(2)
+    be_m = unitary_encoding(Identity(2))
     with pytest.raises(EnergyOutOfRange):
         compressed_hadamard_be(be_tab, be_m, np.array([0, 5]))
     with pytest.raises(DimensionMismatch):
@@ -261,6 +312,53 @@ def test_combine_two_adds_blocks():
     assert np.abs(extract_block(be) - (a + b)).max() < 1e-12
 
 
+def hadamard_sandwich_sum(be_a, be_b):
+    """L_A + L_B as (H (x) I) Select(A, B) (H (x) I) at twice the larger
+    scale, with both operands rescaled to it first: the sum written out
+    without lcu."""
+    gamma = max(be_a.gamma, be_b.gamma)
+    be_a = rescale_encoding(be_a, gamma)
+    be_b = rescale_encoding(be_b, gamma)
+    c = max(be_a.anc_qubits, be_b.anc_qubits)
+    block = (1 << c) * be_a.sys_dim
+
+    def padded(be):
+        if be.anc_qubits == c:
+            return be.op
+        return Kron(Identity(1 << (c - be.anc_qubits)), be.op)
+
+    h = DenseUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / RT2)
+    op = Compose(
+        Kron(h, Identity(block)),
+        Select([padded(be_a), padded(be_b)]),
+        Kron(h, Identity(block)),
+    )
+    return BlockEncoding(
+        sys_dim=be_a.sys_dim,
+        anc_qubits=c + 1,
+        paper_anc=max(be_a.paper_anc, be_b.paper_anc) + 1,
+        gamma=2.0 * gamma,
+        op=op,
+    )
+
+
+@pytest.mark.parametrize("second", ["svd", "unitary"])
+def test_combine_two_is_the_hadamard_sandwich(second):
+    a = np.array([[0.5, 0.25], [0.25, 0.5]])
+    be_a = svd_block_encoding(a)  # gamma 2, one ancilla
+    if second == "svd":
+        be_b = svd_block_encoding(np.diag([0.75, 0.125]))
+    else:
+        # gamma 1 and no ancilla: rescaled to gamma 2 with one more qubit
+        be_b = unitary_encoding(DenseUnitary(np.array([[0.6, 0.8], [0.8, -0.6]])))
+    got = combine_two(be_a, be_b)
+    want = hadamard_sandwich_sum(be_a, be_b)
+    assert (got.anc_qubits, got.paper_anc, got.gamma) == (
+        want.anc_qubits, want.paper_anc, want.gamma
+    )
+    assert np.abs(got.op.dense() - want.op.dense()).max() < 1e-14
+
+
 # ----------------------------------------------------------------- reflection
 
 
@@ -288,20 +386,6 @@ def test_reflectionize_rejects_nonhermitian_block():
     be = unitary_encoding(Permutation(np.array([1, 2, 0])))
     with pytest.raises(NotHermitian):
         reflectionize(be)
-
-
-# ----------------------------------------------------------------- norm bound
-
-
-def test_norm_bound():
-    bound, holds = norm_bound(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    assert holds and abs(bound - 2.0) < 1e-12
-    model, _ = two_state_chain()
-    for rule in (metropolis(), glauber()):
-        for table in (ga_matrix(model, rule),
-                      rejection_matrix(model, rule)):
-            bound, holds = norm_bound(table)
-            assert holds and bound <= model.levels + 1e-9
 
 
 # ------------------------------------------------- discriminant construction
@@ -444,8 +528,24 @@ def test_ancilla_bound_across_small_grid():
         m = (prop.kappa - 1).bit_length() if prop.kappa > 1 else 0
         b = (model.levels - 1).bit_length() if model.levels > 1 else 0
         assert be.anc_qubits <= 2 * m + b + 2
+        assert be.anc_qubits == fused_ancillas(prop.kappa, model.levels)
+        assert be.paper_anc == 2 * m + b + 2
+        counts = comparison_counts(model.n, prop.kappa, model.levels)
+        assert counts.paper_qubits == be.paper_anc
         dec = decompose_discriminant(model, prop, rule)
         assert np.abs(extract_block(be) - dec.q).max() < 1e-10
+    # the generic route quotes the same count: cycles paired with their
+    # inverses on 4 and 8 states, B = 3
+    for n_states in (4, 8):
+        cyc = (np.arange(n_states) + 1) % n_states
+        prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
+        model = GibbsModel(energies=np.arange(n_states) % 3, levels=3, beta=0.6)
+        be = build_ancilla_efficient_Q(model, prop, rule)
+        assert not prop.all_involutions
+        counts = comparison_counts(n_states, prop.kappa, model.levels)
+        assert counts.paper_qubits == be.paper_anc == 2 * 1 + 2 + 2
+        dec = decompose_discriminant(model, prop, rule)
+        assert np.abs(extract_block(be) - dec.q).max() < 1e-9
 
 
 # ------------------------------------------------------ chunked extraction

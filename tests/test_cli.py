@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 import parwalk.cli
-from parwalk.blockenc import build_ancilla_efficient_Q, extract_block
+from parwalk.blockenc import (
+    build_ancilla_efficient_Q,
+    extract_block,
+    extraction_chunk_width,
+)
 from parwalk.cli import main
 from parwalk.models import build_hypercube
 from parwalk.parchain import acceptance_matrix, decompose_discriminant, metropolis
@@ -314,17 +318,30 @@ def test_max_n_raises_cap_and_prints_estimate(capsys):
         "--deterministic",
     )
     assert code == 0
-    assert "cap raised to n=4" in err and "MiB" in err
+    assert "cap raised to n=4" in err
+    # sizes below 1 MiB print in KiB: T and R T of 2 * 4^2 x 4 floats, and
+    # one chunk of all 4 columns of 4 * 2^5 floats
+    assert "a walk isometry pair of ~2 KiB" in err
+    assert "an extraction chunk of at most ~4 KiB" in err
 
 
 def test_max_n_estimate_prices_one_extraction_chunk(capsys):
-    # n = 7, B = 16 quotes 2*3 + 4 + 2 = 12 ancillas, so one column is
-    # 2^7 * 2^12 * 8 bytes = 4 MiB, above the chunk budget: one column per
-    # chunk, where a batch of all 128 columns would be 512 MiB
+    # n = 7, B = 16: the encoding verify builds has 3 + 4 + 2 = 9 ancillas,
+    # so one column is 2^7 * 2^9 * 8 bytes = 512 KiB, above the chunk
+    # budget: one column per chunk
+    model, prop = build_hypercube(7, energy="random", levels=16, seed=0)
+    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    chunk_bytes = extraction_chunk_width(be.sys_dim, be.op.dim) * be.op.dim * 8
+    assert chunk_bytes == 512 * 2**10
     args = parwalk.cli._parser().parse_args(["verify", "--max-n", "7"])
     parwalk.cli._check_cap(args, 7, 16)
     err = capsys.readouterr().err
-    assert "an extraction chunk of at most ~4 MiB" in err
+    assert "an extraction chunk of at most ~512 KiB" in err
+    # n = 10, B = 16: 4 + 4 + 2 = 10 ancillas, one column of 8 MiB
+    args = parwalk.cli._parser().parse_args(["verify", "--max-n", "10"])
+    parwalk.cli._check_cap(args, 10, 16)
+    err = capsys.readouterr().err
+    assert "an extraction chunk of at most ~8 MiB" in err
 
 
 def test_max_n_estimate_follows_the_construction(capsys):
