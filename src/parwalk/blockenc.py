@@ -65,14 +65,16 @@ from .parchain import (
 
 UNITARY_TOL = 1e-10
 EXTRACT_TOL = 1e-9
-# Bytes one extraction chunk keeps alive while it passes through the
-# encoding: half of a 2 MiB per-core L2 cache, so that the operator's own
-# tables (reflection vectors, dilation pairs, permutations) stay cached
-# beside it. A chunk of w columns holds up to CHUNK_ARRAYS arrays of
-# w x op.dim floats at once: the operand of a node, its output and the
-# partial products of the factored select. In a sweep of the chunk's input
-# array over 128 KiB to 2 MiB at n = 5, 6, 7, 256 KiB (this budget) was
-# fastest or within noise of it, and 1-2 MiB were slowest (see the README).
+# Bytes one chunk of vectors keeps alive while it passes through the
+# encoding, in full extraction (generic route, and the oracle of the tests),
+# the probes and the unitarity spot check: half of a 2 MiB per-core L2
+# cache, so that the operator's own tables (reflection vectors, dilation
+# pairs, permutations) stay cached beside it. A chunk of w columns holds up
+# to CHUNK_ARRAYS arrays of w x op.dim floats at once: the operand of a
+# node, its output and the partial products of the factored select. In a
+# sweep of the chunk's input array over 128 KiB to 2 MiB at n = 5, 6, 7,
+# 256 KiB (this budget) was fastest or within noise of it, and 1-2 MiB were
+# slowest (see the README).
 EXTRACT_BUDGET = 2**20
 CHUNK_ARRAYS = 4
 
@@ -164,25 +166,110 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     return block
 
 
+def _fused_parts(be: BlockEncoding):
+    """(prep, sel) when be.op is the fused tree prep . sel . prep: one
+    system-controlled reflection object on both sides of a factored select
+    whose slots and block register match its layout; else None."""
+    op = be.op
+    if not (isinstance(op, Compose) and len(op.ops) == 3):
+        return None
+    prep, sel, last = op.ops
+    if not (
+        prep is last
+        and isinstance(prep, SystemControlledReflection)
+        and isinstance(sel, FactoredSelect)
+    ):
+        return None
+    outer, size, inner, n_sys = prep.layout
+    fits = (sel.slots, sel.block_dim, sel.n_sys, be.sys_dim) == (
+        outer, size * inner, n_sys, n_sys
+    )
+    return (prep, sel) if fits else None
+
+
+def _structured_block(be: BlockEncoding, prep, sel) -> np.ndarray:
+    """gamma * (<0^c| (x) I) V (|0^c> (x) I) of the fused tree V = prep .
+    sel . prep, read from the arrays the nodes apply.
+
+    prep maps |0^c, x> to |r_x>|x> with the passive (dilation) register in
+    |0>, and it is a real symmetric involution, so <0^c, y| prep is r_y^T;
+    sel couples x only to x and to p_k(x). The block is therefore gamma
+    sum_k r_y[k]^T (a00 [y = x] + b00 [p_k(y) = x]) r_x[k], with a00, b00
+    the dilation-0 corners of the select pair: O(N kappa (4B)^2)."""
+    outer, _, inner, n = prep.layout
+    r = prep.prepared_states().reshape(n, outer, inner)
+    return be.gamma * sel.sandwich(r, r)
+
+
+# random system vectors v on which the real operator of a fused encoding is
+# probed, since its block is read from the node arrays and not from apply
+PROBES = 2
+
+
+def _probe_fused(be: BlockEncoding, target: np.ndarray, seed: int):
+    """Apply the operator to |0^c, v> for PROBES random unit vectors v, in
+    extraction-sized chunks, and return two deviations: the reflection
+    deviation, the larger of | ||V|0,v>|| - 1 | and |V V|0,v> - |0,v>|, and
+    the block deviation |gamma <0^c|V|0^c, v> - target v|."""
+    n, dim = be.sys_dim, be.op.dim
+    # a stream of its own, so the spot check's vectors stay those of seed
+    rng = np.random.Generator(np.random.Philox(seed).jumped())
+    width = extraction_chunk_width(n, dim)
+    reflection_dev = block_dev = 0.0
+    for lo in range(0, PROBES, width):
+        v = rng.standard_normal((min(width, PROBES - lo), n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        # the padded input is not kept, so it is freed once the first node
+        # has consumed it
+        w = be.op.apply(np.pad(v, ((0, 0), (0, dim - n))))
+        top_dev = np.abs(be.gamma * w[:, :n] - v @ target.T).max()
+        norm_dev = np.abs(np.linalg.norm(w, axis=1) - 1.0).max()
+        w = be.op.apply(w)
+        w[:, :n] -= v
+        reflection_dev = max(reflection_dev, float(norm_dev), float(np.abs(w).max()))
+        block_dev = max(block_dev, float(top_dev))
+    return reflection_dev, block_dev
+
+
 @dataclass(frozen=True)
 class EncodingReport:
+    """Deviations found by verify_encoding. The probe deviations are None
+    where the block was extracted in full, which applies the operator to
+    every basis column."""
+
     max_abs_dev: float
     tol: float
     unitary_dev: float
     passed: bool
+    probe_reflection_dev: float | None = None
+    probe_block_dev: float | None = None
 
 
 def verify_encoding(
     be: BlockEncoding, target: np.ndarray, tol: float = EXTRACT_TOL, seed: int = 7
 ) -> EncodingReport:
-    """Compare the extracted block to target and spot-check unitarity of op
-    on 8 random vectors, drawn and applied in extraction-sized chunks."""
+    """Compare the encoded block to target and spot-check unitarity of op
+    on 8 random vectors, drawn and applied in extraction-sized chunks.
+
+    The block of a fused encoding (prep . sel . prep, recognised from the
+    operator tree) is read from the node arrays in O(N kappa (4B)^2); the
+    real operator is then probed on PROBES random vectors |0^c, v>, which
+    must give a reflection (norm 1, V V|0,v> = |0,v>, within UNITARY_TOL)
+    whose ancilla-0 part is target v / gamma (within tol). Any other
+    encoding is extracted in full by extract_block."""
     target = np.asarray(target)
     if target.shape != (be.sys_dim, be.sys_dim):
         raise DimensionMismatch(
             f"target shape {target.shape} vs system dim {be.sys_dim}"
         )
-    dev = float(np.abs(extract_block(be) - target).max())
+    parts = _fused_parts(be)
+    if parts is None:
+        dev = float(np.abs(extract_block(be) - target).max())
+        probes = (None, None)
+    else:
+        dev = float(np.abs(_structured_block(be, *parts) - target).max())
+        probes = _probe_fused(be, target, seed)
+    probes_ok = parts is None or (probes[0] <= UNITARY_TOL and probes[1] <= tol)
     rng = np.random.Generator(np.random.Philox(seed))
     width = extraction_chunk_width(be.sys_dim, be.op.dim)
     unitary_dev = 0.0
@@ -199,7 +286,9 @@ def verify_encoding(
         max_abs_dev=dev,
         tol=tol,
         unitary_dev=unitary_dev,
-        passed=bool(dev <= tol and unitary_dev <= UNITARY_TOL),
+        passed=bool(dev <= tol and unitary_dev <= UNITARY_TOL and probes_ok),
+        probe_reflection_dev=probes[0],
+        probe_block_dev=probes[1],
     )
 
 

@@ -17,8 +17,9 @@ import time
 
 import numpy as np
 
-# extract_block is not called here: verify_encoding extracts the block once.
-# It stays bound in this module because perfbench/tracing.py wraps
+# extract_block is not called here: verify_encoding reads the block of a
+# fused encoding from its structure and extracts any other block once. It
+# stays bound in this module because perfbench/tracing.py wraps
 # parwalk.cli.extract_block.
 from .blockenc import (  # noqa: F401
     EXTRACT_TOL,
@@ -263,11 +264,13 @@ def _run_report(args):
                 ("DecompositionMismatch", f"extraction deviates by {ext_dev:.3e}")
             )
         if not enc_rep.passed:
-            failures.append(
-                ("DecompositionMismatch",
-                 f"encoding deviation {enc_rep.max_abs_dev:.3e}, "
-                 f"unitary deviation {enc_rep.unitary_dev:.3e}")
-            )
+            detail = (f"encoding deviation {enc_rep.max_abs_dev:.3e}, "
+                      f"unitary deviation {enc_rep.unitary_dev:.3e}")
+            if enc_rep.probe_block_dev is not None:
+                detail += (f", probe reflection deviation "
+                           f"{enc_rep.probe_reflection_dev:.3e}, probe block "
+                           f"deviation {enc_rep.probe_block_dev:.3e}")
+            failures.append(("DecompositionMismatch", detail))
 
     spectrum, q_used, gaps_used, emb, spec = timer.time(
         "spectrum", lambda: _spectrum_quantities(dec, model)

@@ -48,11 +48,20 @@ class Identity(LinOp):
         return v
 
 
+def _check_bijections(perms: np.ndarray) -> None:
+    """Raise unless every row of perms is a bijection on {0..len-1}."""
+    if np.any(np.sort(perms, axis=-1) != np.arange(perms.shape[-1])):
+        raise DimensionMismatch("each permutation must be a bijection on {0..dim-1}")
+
+
 class Permutation(LinOp):
     """Relabeling unitary |i> -> |targets[i]>."""
 
     def __init__(self, targets: np.ndarray):
         targets = np.asarray(targets, dtype=np.intp)
+        if targets.ndim != 1:
+            raise DimensionMismatch("expected a vector of targets")
+        _check_bijections(targets)
         self.dim = targets.size
         self.targets = targets
 
@@ -204,6 +213,7 @@ class FactoredSelect(LinOp):
         perms = np.asarray(perms, dtype=np.intp)
         if perms.ndim != 2:
             raise DimensionMismatch("expected permutations of shape (slots, n_sys)")
+        _check_bijections(perms)
         self.a, self.b = a, b
         self.perms = perms
         self.inverses = np.argsort(perms, axis=1)
@@ -224,6 +234,27 @@ class FactoredSelect(LinOp):
 
     def adjoint_apply(self, v):
         return self._run(v, self.a.conj().T, self.b.conj().T, self.inverses)
+
+    def sandwich(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The (n_sys, n_sys) matrix M[y, x] = left_y^T (this operator)
+        right_x for states that lie in the first d values of the block
+        register of every slot, given as arrays of shape (n_sys, slots, d):
+
+            M[y, x] = sum_k left_y[k]^T (a00 [y = x] + b00 [perms[k][y] = x]) right_x[k]
+
+        with a00 and b00 the leading d x d corners of a and b. Costs
+        O(n_sys slots d^2), against O(n_sys dim) for one apply."""
+        d = right.shape[-1]
+        a_right = right @ self.a[:d, :d].T
+        b_right = right @ self.b[:d, :d].T
+        out = np.zeros((self.n_sys, self.n_sys), np.result_type(left, right, self.a, self.b))
+        cols = np.arange(self.n_sys)
+        out[cols, cols] = np.einsum("xkd,xkd->x", left, a_right)
+        # slot k links x to y = inverses[k][x]; fixed points and identity
+        # slots land on the diagonal, so the terms are accumulated
+        left_k = left[self.inverses, np.arange(self.slots)[:, None]]
+        np.add.at(out, (self.inverses, cols), np.einsum("kxd,xkd->kx", left_k, b_right))
+        return out
 
 
 class SystemControlledReflection(LinOp):
@@ -253,13 +284,22 @@ class SystemControlledReflection(LinOp):
         # stored as a contiguous u^T, in the operand layout with the passive
         # register of size 1
         self._ut = np.ascontiguousarray(u.T).reshape(outer, 1, inner, self.n_sys)
-        self._layout = (outer, size, inner, self.n_sys)
+        self.layout = (outer, size, inner, self.n_sys)
         self.dim = self.n_sys * self.block_dim * size
         self._coef = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 >= 1e-28)
 
+    def prepared_states(self) -> np.ndarray:
+        """The states r_x = H_x e_0 that the factors prepare from |0>, as an
+        (n_sys, d) array over the leading register (passive register left
+        out): e_0 - (2 u_x[0] / |u_x|^2) u_x."""
+        ut = self._ut.reshape(self.block_dim, self.n_sys)
+        states = -(self._coef * ut[0]) * ut
+        states[0] += 1.0
+        return states.T
+
     def apply(self, v):
         shape = v.shape
-        w = v.reshape(shape[:-1] + self._layout)
+        w = v.reshape(shape[:-1] + self.layout)
         proj = np.einsum("kax,...kpax->...px", self._ut[:, 0], w) * self._coef
         out = self._ut * proj[..., None, :, None, :]
         np.subtract(w, out, out=out)

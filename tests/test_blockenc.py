@@ -10,6 +10,7 @@ import pytest
 import parwalk.blockenc
 from parwalk.blockenc import (
     CHUNK_ARRAYS,
+    UNITARY_TOL,
     BlockEncoding,
     _fused_reflection,
     _generic_reflection,
@@ -45,6 +46,7 @@ from parwalk.linops import (
     Compose,
     DenseUnitary,
     Embedded,
+    FactoredSelect,
     Identity,
     Kron,
     LinOp,
@@ -53,8 +55,9 @@ from parwalk.linops import (
     SystemControlled,
     householder_to,
 )
+from parwalk.cnf import parse_dimacs
 from parwalk.markov import GibbsModel
-from parwalk.models import build_hypercube
+from parwalk.models import build_cnf, build_hypercube
 from parwalk.parchain import (
     acceptance_matrix,
     custom_rule,
@@ -591,7 +594,8 @@ def test_chunked_extraction_matches_one_batch_at_n7_random_b16():
 def test_chunked_extraction_memory_at_n7():
     # one batch of all 128 columns would be 64 MiB per temporary; a chunk's
     # working set is about 2 MiB, and verify_encoding's unitarity spot
-    # check runs in chunks of the same width (measured peak: 2.1 MiB)
+    # check and the probes run in chunks of the same width (measured peak:
+    # 2.13 MiB; the structured block of this fused encoding is ~1 MiB)
     model, prop = build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8)
     be = build_ancilla_efficient_Q(model, prop, metropolis())
     q = decompose_discriminant(model, prop, metropolis()).q
@@ -647,3 +651,136 @@ def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
         assert np.array_equal(seen[n:], v)
         assert report.max_abs_dev == 0.0
         assert report.unitary_dev == want and not report.passed
+
+
+# ---------------------------------------------------- structured extraction
+
+
+def structured_block(be):
+    parts = parwalk.blockenc._fused_parts(be)
+    assert parts is not None
+    return parwalk.blockenc._structured_block(be, *parts)
+
+
+def random_3sat_chain(num_vars, num_clauses, seed, beta):
+    rng = np.random.default_rng(seed)
+    lines = [f"p cnf {num_vars} {num_clauses}"]
+    for _ in range(num_clauses):
+        variables = rng.choice(np.arange(1, num_vars + 1), size=3, replace=False)
+        signs = rng.choice([-1, 1], size=3)
+        lines.append(" ".join(map(str, variables * signs)) + " 0")
+    return build_cnf(parse_dimacs("\n".join(lines) + "\n"), beta=beta)
+
+
+@pytest.mark.parametrize("rule", [metropolis(), glauber()], ids=["metropolis", "glauber"])
+@pytest.mark.parametrize(
+    "chain",
+    [
+        lambda: build_hypercube(3, energy="hamming", beta=0.9),
+        lambda: build_hypercube(8, energy="hamming", beta=0.9),
+        lambda: build_hypercube(5, energy="random", levels=16, seed=3, beta=0.8),
+        lambda: build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8),
+        lambda: random_3sat_chain(6, 15, seed=1, beta=0.7),
+    ],
+    ids=["hamming-n3", "hamming-n8", "random-b16-n5", "random-b16-n7", "cnf-n6"],
+)
+def test_structured_block_matches_full_extraction(chain, rule):
+    model, prop = chain()
+    be = build_ancilla_efficient_Q(model, prop, rule)
+    assert np.abs(structured_block(be) - extract_block(be)).max() <= 1e-15
+
+
+def test_generic_and_hand_built_encodings_are_extracted_in_full():
+    cyc = (np.arange(8) + 1) % 8
+    prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
+    model = GibbsModel(energies=np.array([0, 1, 2, 1, 0, 2, 1, 1]), levels=3, beta=0.6)
+    generic = build_ancilla_efficient_Q(model, prop, metropolis())
+    q = decompose_discriminant(model, prop, metropolis()).q
+    flip = unitary_encoding(Permutation(np.array([1, 0])))
+    for be, target in ((generic, q), (flip, np.array([[0.0, 1.0], [1.0, 0.0]]))):
+        assert parwalk.blockenc._fused_parts(be) is None
+        report = verify_encoding(be, target)
+        assert report.passed
+        assert report.probe_reflection_dev is None and report.probe_block_dev is None
+
+
+def fused_n4():
+    model, prop = build_hypercube(4, energy="random", levels=7, seed=2, beta=0.8)
+    rule = metropolis()
+    be = build_ancilla_efficient_Q(model, prop, rule)
+    return be, decompose_discriminant(model, prop, rule).q
+
+
+def test_fused_encoding_is_probed():
+    be, q = fused_n4()
+    report = verify_encoding(be, q)
+    assert report.passed
+    assert report.max_abs_dev <= 1e-15
+    assert report.probe_reflection_dev <= 1e-14
+    assert report.probe_block_dev <= 1e-14
+
+
+def scale_dilation(sel, v, factors):
+    """v with the dilation register of every select slot scaled by factors."""
+    w = v.reshape(v.shape[:-1] + (sel.slots, 2, -1, sel.n_sys))
+    return (w * np.asarray(factors)[:, None, None]).reshape(v.shape)
+
+
+def test_probes_catch_a_select_with_rotated_slots(monkeypatch):
+    # slot k applies slot k+1's permutation: still a unitary involution whose
+    # node arrays are right, so only the probe of the block catches it
+    def rotated(self, v):
+        return self._run(v, self.a, self.b, np.roll(self.perms, -1, axis=0))
+
+    def rotated_adjoint(self, v):
+        return self._run(v, self.a.T, self.b.T, np.roll(self.inverses, -1, axis=0))
+
+    be, q = fused_n4()
+    monkeypatch.setattr(FactoredSelect, "apply", rotated)
+    monkeypatch.setattr(FactoredSelect, "adjoint_apply", rotated_adjoint)
+    report = verify_encoding(be, q)
+    assert not report.passed
+    assert report.max_abs_dev <= 1e-15
+    assert report.unitary_dev <= UNITARY_TOL
+    assert report.probe_reflection_dev <= UNITARY_TOL
+    assert report.probe_block_dev > 1e-3
+
+
+def test_probes_catch_an_operator_that_is_no_involution(monkeypatch):
+    # sel F with F a sign on the dilation register: unitary, and the same
+    # as sel on every prep |0^c, v>, but V V |0^c, v> != |0^c, v>
+    apply, adjoint = FactoredSelect.apply, FactoredSelect.adjoint_apply
+    monkeypatch.setattr(
+        FactoredSelect, "apply", lambda self, v: apply(self, scale_dilation(self, v, [1, -1]))
+    )
+    monkeypatch.setattr(
+        FactoredSelect, "adjoint_apply",
+        lambda self, v: scale_dilation(self, adjoint(self, v), [1, -1]),
+    )
+    be, q = fused_n4()
+    report = verify_encoding(be, q)
+    assert not report.passed
+    assert report.max_abs_dev <= 1e-15
+    assert report.unitary_dev <= UNITARY_TOL
+    assert report.probe_block_dev <= 1e-14
+    assert report.probe_reflection_dev > 1e-3
+
+
+def test_probes_catch_an_output_of_wrong_norm(monkeypatch):
+    # S sel S^-1 with S = diag(1, 2) on the dilation register: still an
+    # involution with the right block, but V |0^c, v> is longer than 1
+    # (the unitarity spot check fails too)
+    apply = FactoredSelect.apply
+
+    def stretched(self, v):
+        return scale_dilation(self, apply(self, scale_dilation(self, v, [1, 0.5])), [1, 2])
+
+    monkeypatch.setattr(FactoredSelect, "apply", stretched)
+    be, q = fused_n4()
+    v = np.random.default_rng(0).standard_normal((2, be.op.dim))
+    assert np.abs(be.op.apply(be.op.apply(v)) - v).max() <= 1e-13
+    report = verify_encoding(be, q)
+    assert not report.passed
+    assert report.max_abs_dev <= 1e-15
+    assert report.probe_block_dev <= 1e-14
+    assert report.probe_reflection_dev > 1e-3

@@ -15,6 +15,7 @@ from parwalk.blockenc import (
     extraction_chunk_width,
 )
 from parwalk.cli import main
+from parwalk.linops import FactoredSelect
 from parwalk.models import build_hypercube
 from parwalk.parchain import acceptance_matrix, decompose_discriminant, metropolis
 from parwalk.szegedy import par_walk
@@ -173,6 +174,26 @@ def test_inject_fault_fails_verification(capsys, monkeypatch):
     report = json.loads(out)
     assert report["pass"] is False
     assert report["deviations"]["decomposition"]["value"] > 1e-10
+
+
+def test_faulty_select_fails_verification_through_the_probes(capsys, monkeypatch):
+    # each slot applies the next slot's permutation; the fused block is read
+    # from the node arrays, which are right, so only the probes see it
+    def rotated(self, v):
+        return self._run(v, self.a, self.b, np.roll(self.perms, -1, axis=0))
+
+    monkeypatch.setattr(FactoredSelect, "apply", rotated)
+    code, out, err = run(
+        capsys, "verify", "--n", "3", "--energy", "random", "--B", "4", "--json",
+        "--deterministic",
+    )
+    assert code == 1
+    fails = [line for line in err.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and "FAIL DecompositionMismatch" in fails[0]
+    assert "probe block deviation" in fails[0]
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["deviations"]["extraction"]["value"] <= 1e-15
 
 
 def test_build_writes_report_file(capsys, tmp_path):

@@ -121,6 +121,50 @@ def test_factored_select_matches_dense_blocks():
         FactoredSelect(a, b, perms[0])
 
 
+def test_factored_select_sandwich_matches_dense():
+    # states on the first d = 2 of 4 block values; slot 1 is a 3-cycle with a
+    # fixed point, slot 2 the identity, so slots also add to the diagonal
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(2, 4, 4))
+    perms = np.array([[1, 0, 3, 2], [1, 2, 0, 3], [0, 1, 2, 3]])
+    op = FactoredSelect(a, b, perms)
+    left, right = rng.normal(size=(2, 4, 3, 2))
+
+    def columns(states):
+        # column x: states[x] padded to the block register, at system x
+        padded = np.pad(states, ((0, 0), (0, 0), (0, 2)))
+        return np.einsum("xkd,yx->kdyx", padded, np.eye(4)).reshape(-1, 4)
+
+    want = columns(left).T @ op.dense() @ columns(right)
+    assert np.abs(op.sandwich(left, right) - want).max() < 1e-14
+
+
+def test_permutations_must_be_bijections():
+    a = np.eye(2)
+    for bad in ([0, 0, 1], [0, 1, 3], [-1, 0, 1]):
+        with pytest.raises(DimensionMismatch):
+            Permutation(np.array(bad))
+        with pytest.raises(DimensionMismatch):
+            FactoredSelect(a, a, np.array([[0, 1, 2], bad]))
+    with pytest.raises(DimensionMismatch):
+        Permutation(np.array([[0, 1]]))
+
+
+def test_prepared_states_are_the_images_of_e0():
+    rng = np.random.default_rng(13)
+    u = rng.normal(size=(3, 8))
+    u[1] = 0.0  # identity fallback
+    op = SystemControlledReflection(u, passive=(2, 2))
+    e0 = np.zeros((3, op.dim))
+    e0[np.arange(3), np.arange(3)] = 1.0  # |0, x>: leading registers in 0
+    images = op.apply(e0).reshape(3, 2, 2, 4, 3)
+    # passive register in 0, system state x unchanged
+    assert np.abs(images[:, :, 1]).max() == 0.0
+    want = np.stack([images[x, :, 0, :, x].reshape(-1) for x in range(3)])
+    assert np.array_equal(op.prepared_states(), want)
+    assert np.array_equal(op.prepared_states()[1], np.eye(8)[0])
+
+
 def test_system_controlled_reflection_matches_householder():
     rng = np.random.default_rng(10)
     t = rng.normal(size=(3, 4))

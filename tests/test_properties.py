@@ -15,7 +15,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from parwalk.blockenc import build_ancilla_efficient_Q, extract_block  # noqa: E402
+from parwalk.blockenc import (  # noqa: E402
+    _fused_parts,
+    _structured_block,
+    build_ancilla_efficient_Q,
+    extract_block,
+)
 from parwalk.cli import main  # noqa: E402
 from parwalk.markov import (  # noqa: E402
     GibbsModel,
@@ -83,6 +88,18 @@ def test_encoding_properties(chain):
         assert be.anc_qubits == m + b + 2
     probes = np.random.default_rng(0).standard_normal((3, be.op.dim))
     assert np.abs(be.op.apply(be.op.apply(probes)) - probes).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chains())
+def test_structured_block_matches_full_extraction(chain):
+    model, prop, rule = chain
+    be = build_ancilla_efficient_Q(model, prop, rule)
+    parts = _fused_parts(be)
+    # the fused route is the one read from its structure
+    assert (parts is not None) == prop.all_involutions
+    if parts is not None:
+        assert np.abs(_structured_block(be, *parts) - extract_block(be)).max() <= 1e-15
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
