@@ -143,15 +143,17 @@ def _check_cap(args, n: int, levels: int):
     cap = DEFAULT_CAP if args.max_n is None else args.max_n
     if args.max_n is not None:
         # the arrays whose size grows fastest with n, for the constructions
-        # requested: the flagged walk's T and R T (2 N^2 x N each), and one
-        # chunk of basis columns that extraction applies the encoding to
+        # requested: what the flagged walk holds (the 2 N^2 entries of T,
+        # the 2 N^2 index of its reflector and T^dag R T), and one chunk of
+        # basis columns that extraction applies the encoding to
         # (width x N 2^c, c the count the fused route builds); both bit-flip
         # families propose with kappa = n through involutions
         states = 1 << n
         parts = []
         if args.construction in ("szegedy", "both"):
-            walk_bytes = 2 * (2 * states * states) * states * 8
-            parts.append(f"a walk isometry pair of {_size(walk_bytes)}")
+            rows = 2 * states * states
+            walk_bytes = rows * (8 + np.dtype(np.intp).itemsize) + states * states * 8
+            parts.append(f"a walk isometry of {_size(walk_bytes)}")
         if args.construction in ("compressed", "both"):
             dim = states << fused_ancillas(n, levels)
             chunk_bytes = extraction_chunk_width(states, dim) * dim * 8

@@ -1,12 +1,15 @@
 """Reference quantum walks on doubled state space, used as independent
 oracles for the compressed constructions and for ancilla-count comparison.
 
-Every reflector here is a row permutation (the register swap, or the swap
-on the accept flag's 0 branch and the identity on its 1 branch), so a walk
-keeps only the isometry T (2N^2 x N for the flagged walks), the involutive
-index array of its reflector and T^dag R T, all computed in O(N^4). The
-dense reflector and walk step, (2N^2)^2 arrays, are built on first access,
-for the spectral checks at small N.
+Column x of a walk isometry T is nonzero only on its own block of m rows,
+x m ... x m + m - 1 (m = N for the standard walk, 2N for the flagged
+walks), so a walk stores T as the N x m array of those entries. Every
+reflector here is a row permutation (the register swap, or the swap on the
+accept flag's 0 branch and the identity on its 1 branch), kept as its
+involutive index array. Both checks, orthonormal columns and T^dag R T,
+then take O(N m) time and memory. The dense T (N m x N), reflector and walk
+step ((N m)^2 each) are built on first access, for the spectral checks at
+small N.
 """
 
 from __future__ import annotations
@@ -31,18 +34,27 @@ IDENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SzegedyWalk:
-    """Isometry t, reflector R given by the involution perm (R v = v[perm]),
-    and trt = T^dag R T. The dense reflector and one walk step
-    W = R (2 T T^dag - I) are computed on first access."""
+    """Isometry T in block-diagonal form (column x holds vals[x] on rows
+    x m ... x m + m - 1, m = vals.shape[1]), reflector R given by the
+    involution perm (R v = v[perm]), and trt = T^dag R T. The dense T,
+    reflector and one walk step W = R (2 T T^dag - I) are computed on first
+    access."""
 
     variant: str
-    t: np.ndarray
+    vals: np.ndarray
     perm: np.ndarray
     trt: np.ndarray
 
     @property
     def total_dim(self) -> int:
-        return self.t.shape[0]
+        return self.vals.size
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        n, m = self.vals.shape
+        t = np.zeros((n * m, n), dtype=self.vals.dtype)
+        t[np.arange(n * m), np.repeat(np.arange(n), m)] = self.vals.ravel()
+        return t
 
     @cached_property
     def reflector(self) -> np.ndarray:
@@ -64,18 +76,26 @@ def _swap(n: int) -> np.ndarray:
 
 
 def _checked_walk(
-    variant: str, t: np.ndarray, perm: np.ndarray, expected: np.ndarray, what: str
+    variant: str, vals: np.ndarray, perm: np.ndarray, expected: np.ndarray, what: str
 ) -> SzegedyWalk:
-    gram = t.conj().T @ t
-    if np.abs(gram - np.eye(t.shape[1])).max() > IDENT_TOL:
+    n, m = vals.shape
+    # the columns' row blocks are disjoint, so T^dag T is diagonal
+    norms = np.einsum("xk,xk->x", vals.conj(), vals).real
+    if not np.abs(norms - 1.0).max() <= IDENT_TOL:
         raise DecompositionMismatch("isometry columns are not orthonormal")
-    # T^dag R as a row-major array: the same BLAS product as with a dense R,
-    # so T^dag R T matches the dense oracle bit for bit
-    trt = np.ascontiguousarray(t[perm].conj().T) @ t
+    # (T^dag R T)[x', x] sums conj(T[r, x']) T[perm[r], x] over rows r, and
+    # row r belongs to column r // m only
+    flat = vals.ravel()
+    prod = flat.conj() * flat[perm]
+    idx = (n * np.arange(n)[:, None] + (perm // m).reshape(n, m)).ravel()
+    trt = np.bincount(idx, prod.real, n * n)
+    if np.iscomplexobj(prod):
+        trt = trt + 1j * np.bincount(idx, prod.imag, n * n)
+    trt = trt.reshape(n, n)
     dev = np.abs(trt - expected).max()
-    if dev > IDENT_TOL:
+    if not dev <= IDENT_TOL:
         raise DecompositionMismatch(f"{what} by {dev:.3e}")
-    return SzegedyWalk(variant=variant, t=t, perm=perm, trt=trt)
+    return SzegedyWalk(variant=variant, vals=vals, perm=perm, trt=trt)
 
 
 def standard_walk(p: StochasticMatrix) -> SzegedyWalk:
@@ -84,14 +104,11 @@ def standard_walk(p: StochasticMatrix) -> SzegedyWalk:
     Verifies T^dag T = I, T T^dag = projector onto span{psi_x}, and
     T^dag S T = discriminant(P), each within 1e-10.
     """
-    n = p.n
     pi = stationary_distribution(p)
     q = discriminant(p, pi)  # raises NotReversible first if unbalanced
-    t = np.zeros((n * n, n))
-    x = np.arange(n)
-    t[x[:, None] * n + x[None, :], x[:, None]] = np.sqrt(p.entries).T
     return _checked_walk(
-        "standard", t, _swap(n), q, "T^dag S T deviates from the discriminant"
+        "standard", np.sqrt(p.entries.T), _swap(p.n), q,
+        "T^dag S T deviates from the discriminant",
     )
 
 
@@ -111,17 +128,14 @@ def _flagged_walk(
     what: str,
 ) -> SzegedyWalk:
     """Walk on C^N (x) C^N (x) C^2: column x carries accepted[y, x] on
-    |x,y,0> and rejected[y, x] on |x,y,1>, at index 2 (x n + y) + flag.
-    The reflector swaps the state registers on flag 0 only."""
+    |x,y,0> and rejected[y, x] on |x,y,1>, at index 2 (x n + y) + flag,
+    that is at vals[x, 2 y + flag]. The reflector swaps the state registers
+    on flag 0 only."""
     n = accepted.shape[0]
-    t = np.zeros((2 * n * n, n), dtype=np.result_type(accepted, rejected))
-    x = np.arange(n)
-    rows = 2 * (x[:, None] * n + x[None, :])
-    t[rows, x[:, None]] = accepted.T
-    t[rows + 1, x[:, None]] = rejected.T
+    vals = np.stack([accepted.T, rejected.T], axis=-1).reshape(n, 2 * n)
     perm = np.arange(2 * n * n)
     perm[0::2] = 2 * _swap(n)
-    return _checked_walk(variant, t, perm, expected, what)
+    return _checked_walk(variant, vals, perm, expected, what)
 
 
 def par_walk(prop: ProposalDecomposition, a: np.ndarray) -> SzegedyWalk:

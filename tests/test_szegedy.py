@@ -1,6 +1,7 @@
 """Doubled-space walk constructions and the ancilla comparison table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from parwalk.parchain import (
     transition_matrix,
 )
 from parwalk.szegedy import (
+    _checked_walk,
     ancilla_comparison,
     comparison_counts,
     par_walk,
@@ -141,13 +143,50 @@ def test_par_walk_n7_never_forms_dense_operators():
     assert walk.total_dim == 2 * 4**n
     q = decompose_discriminant(model, prop, rule).q
     assert np.abs(walk.trt - q).max() <= 1e-10
-    assert "w" not in walk.__dict__ and "reflector" not in walk.__dict__
+    assert not {"t", "w", "reflector"} & set(walk.__dict__)
+
+
+def test_par_walk_n9_holds_only_its_block_entries():
+    # 2N^2 = 524288: a dense T would take 2 GiB; the walk holds 4 MiB of
+    # entries, the 4 MiB index of its reflector and the 2 MiB of T^dag R T,
+    # and building it takes a few more arrays of N x N or 2N^2 entries
+    n = 9
+    model = GibbsModel(energies=hamming_energies(n), levels=n + 1, beta=0.8)
+    prop = hypercube_proposal(n)
+    rule = metropolis()
+    a = acceptance_matrix(model, rule)
+    tracemalloc.start()
+    try:
+        walk = par_walk(prop, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk.total_dim == 2 * 4**n and walk.vals.shape == (2**n, 2**(n + 1))
+    q = decompose_discriminant(model, prop, rule).q
+    assert np.abs(walk.trt - q).max() <= 1e-10
+    assert not {"t", "w", "reflector"} & set(walk.__dict__)
+    assert peak <= 40 * 2**20
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-6, float("nan")])
+def test_checked_walk_rejects_a_column_off_unit_norm(scale):
+    model = GibbsModel(energies=np.array([0, 2, 1, 3]), levels=4, beta=0.6)
+    prop = hypercube_proposal(2)
+    a = acceptance_matrix(model, metropolis())
+    walk = par_walk(prop, a)
+    vals = walk.vals.copy()
+    vals[2] *= scale
+    with pytest.raises(DecompositionMismatch, match="orthonormal"):
+        _checked_walk("par", vals, walk.perm, walk.trt, "T^dag R T deviates")
 
 
 def _lazy_fields_match_dense_products(walk):
     t, r = walk.t, walk.reflector
     assert np.array_equal(r, r.T) and np.array_equal(r @ r, np.eye(walk.total_dim))
-    assert np.array_equal(walk.trt, t.conj().T @ r @ t)
+    # the same nonzero products as the dense one, summed in another order:
+    # each entry is a sum of at most m terms of magnitude at most 1
+    m = walk.vals.shape[1]
+    assert np.abs(walk.trt - t.conj().T @ r @ t).max() <= m * np.finfo(float).eps
     proj = t @ t.conj().T
     assert np.abs(walk.w - r @ (2.0 * proj - np.eye(walk.total_dim))).max() <= 1e-14
 
@@ -165,6 +204,10 @@ def test_lazy_fields_of_every_constructor_match_dense_products():
     u2 = np.array([[c, s], [s, -c]])
     u = np.kron(np.kron(u2, u2), u2)
     _lazy_fields_match_dense_products(quantum_enhanced_walk(u, a))
+    # a complex symmetric unitary: the 8-point Fourier transform
+    k = np.arange(8)
+    dft = np.exp(-2j * np.pi * np.outer(k, k) / 8) / math.sqrt(8)
+    _lazy_fields_match_dense_products(quantum_enhanced_walk(dft, a))
 
 
 # --------------------------------------------------------- quantum-enhanced
