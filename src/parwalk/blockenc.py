@@ -204,31 +204,72 @@ def _structured_block(be: BlockEncoding, prep, sel) -> np.ndarray:
 # random system vectors v on which the real operator of a fused encoding is
 # probed, since its block is read from the node arrays and not from apply
 PROBES = 2
+# random unit vectors of the unitarity spot check
+SPOT_VECTORS = 8
 
 
-def _probe_fused(be: BlockEncoding, target: np.ndarray, seed: int):
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, with no temporary for a real array."""
+    return np.sqrt(np.einsum("ij,ij->i", rows.conj(), rows).real)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x|, taken in place where x is real; x is overwritten."""
+    return float(np.abs(x, out=x if x.dtype.kind == "f" else None).max())
+
+
+def _probe_fused(be: BlockEncoding, target: np.ndarray, seed: int, work: np.ndarray):
     """Apply the operator to |0^c, v> for PROBES random unit vectors v, in
-    extraction-sized chunks, and return two deviations: the reflection
-    deviation, the larger of | ||V|0,v>|| - 1 | and |V V|0,v> - |0,v>|, and
-    the block deviation |gamma <0^c|V|0^c, v> - target v|."""
-    n, dim = be.sys_dim, be.op.dim
-    # a stream of its own, so the spot check's vectors stay those of seed
+    chunks that run through the workspace arrays work[0..2], and return two
+    deviations: the reflection deviation, the larger of | ||V|0,v>|| - 1 |
+    and |V V|0,v> - |0,v>|, and the block deviation |gamma <0^c|V|0^c, v> -
+    target v|."""
+    n = be.sys_dim
+    # a stream of its own, apart from the spot check's
     rng = np.random.Generator(np.random.Philox(seed).jumped())
-    width = extraction_chunk_width(n, dim)
+    width = work.shape[1]
     reflection_dev = block_dev = 0.0
     for lo in range(0, PROBES, width):
-        v = rng.standard_normal((min(width, PROBES - lo), n))
+        m = min(width, PROBES - lo)
+        basis, image, spare = work[:, :m]
+        v = rng.standard_normal((m, n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        # the padded input is not kept, so it is freed once the first node
-        # has consumed it
-        w = be.op.apply(np.pad(v, ((0, 0), (0, dim - n))))
+        basis.fill(0.0)
+        basis[:, :n] = v
+        w = be.op.apply(basis, out=image, scratch=spare)
         top_dev = np.abs(be.gamma * w[:, :n] - v @ target.T).max()
-        norm_dev = np.abs(np.linalg.norm(w, axis=1) - 1.0).max()
-        w = be.op.apply(w)
+        norm_dev = np.abs(_norms(w) - 1.0).max()
+        w = be.op.apply(w, out=spare, scratch=basis)
         w[:, :n] -= v
-        reflection_dev = max(reflection_dev, float(norm_dev), float(np.abs(w).max()))
+        reflection_dev = max(reflection_dev, float(norm_dev), _max_abs(w))
         block_dev = max(block_dev, float(top_dev))
     return reflection_dev, block_dev
+
+
+def _spot_check(be: BlockEncoding, seed: int, work: np.ndarray, fused: bool) -> float:
+    """The larger of | ||V v|| - 1 | and |V^dag V v - v| over SPOT_VECTORS
+    random unit vectors v, drawn into work[0] and applied in chunks through
+    work[1] and work[2]. Only the nodes of the fused tree write into the
+    workspace; any other operator returns new arrays."""
+    # consecutive draws from one generator give the same vectors as a single
+    # draw of all of them
+    rng = np.random.Generator(np.random.SFC64(seed))
+    width = work.shape[1]
+
+    def run(method, x, out, scratch):
+        return method(x, out=out, scratch=scratch) if fused else method(x)
+
+    unitary_dev = 0.0
+    for lo in range(0, SPOT_VECTORS, width):
+        v, image, spare = work[:, : min(width, SPOT_VECTORS - lo)]
+        rng.standard_normal(out=v)
+        v /= _norms(v)[:, None]
+        w = run(be.op.apply, v, image, spare)
+        norm_dev = np.abs(_norms(w) - 1.0).max()
+        back = run(be.op.adjoint_apply, w, spare, w)
+        back -= v
+        unitary_dev = max(unitary_dev, float(norm_dev), _max_abs(back))
+    return unitary_dev
 
 
 @dataclass(frozen=True)
@@ -249,14 +290,17 @@ def verify_encoding(
     be: BlockEncoding, target: np.ndarray, tol: float = EXTRACT_TOL, seed: int = 7
 ) -> EncodingReport:
     """Compare the encoded block to target and spot-check unitarity of op
-    on 8 random vectors, drawn and applied in extraction-sized chunks.
+    on SPOT_VECTORS random vectors, drawn and applied in extraction-sized
+    chunks.
 
     The block of a fused encoding (prep . sel . prep, recognised from the
     operator tree) is read from the node arrays in O(N kappa (4B)^2); the
     real operator is then probed on PROBES random vectors |0^c, v>, which
     must give a reflection (norm 1, V V|0,v> = |0,v>, within UNITARY_TOL)
     whose ancilla-0 part is target v / gamma (within tol). Any other
-    encoding is extracted in full by extract_block."""
+    encoding is extracted in full by extract_block. The probes and the spot
+    check share three chunk-sized workspace arrays, allocated once per call,
+    so that their vectors allocate no arrays of op.dim floats."""
     target = np.asarray(target)
     if target.shape != (be.sys_dim, be.sys_dim):
         raise DimensionMismatch(
@@ -265,23 +309,16 @@ def verify_encoding(
     parts = _fused_parts(be)
     if parts is None:
         dev = float(np.abs(extract_block(be) - target).max())
-        probes = (None, None)
     else:
         dev = float(np.abs(_structured_block(be, *parts) - target).max())
-        probes = _probe_fused(be, target, seed)
+    # one chunk's operand, result and scratch array, in one block: glibc
+    # keeps a block of that size for the next call, where three separate
+    # arrays were trimmed and faulted in again (~970 minor faults per n = 7,
+    # B = 16 chain), and encode-n7 ran ~15% slower in the benchmark
+    work = np.empty((3, extraction_chunk_width(be.sys_dim, be.op.dim), be.op.dim))
+    probes = (None, None) if parts is None else _probe_fused(be, target, seed, work)
     probes_ok = parts is None or (probes[0] <= UNITARY_TOL and probes[1] <= tol)
-    rng = np.random.Generator(np.random.Philox(seed))
-    width = extraction_chunk_width(be.sys_dim, be.op.dim)
-    unitary_dev = 0.0
-    for lo in range(0, 8, width):
-        # consecutive draws from one generator give the same vectors as a
-        # single draw of all 8
-        v = rng.standard_normal((min(width, 8 - lo), be.op.dim))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        w = be.op.apply(v)
-        norm_dev = np.abs(np.linalg.norm(w, axis=1) - 1.0).max()
-        round_dev = np.abs(be.op.adjoint_apply(w) - v).max()
-        unitary_dev = max(unitary_dev, float(norm_dev), float(round_dev))
+    unitary_dev = _spot_check(be, seed, work, fused=parts is not None)
     return EncodingReport(
         max_abs_dev=dev,
         tol=tol,

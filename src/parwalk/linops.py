@@ -101,15 +101,25 @@ class Compose(LinOp):
         self.ops = ops
         self.dim = ops[0].dim
 
-    def apply(self, v):
-        for op in reversed(self.ops):
-            v = op.apply(v)
+    def _run(self, ops, method, v, out, scratch):
+        if out is None:
+            for op in ops:
+                v = getattr(op, method)(v)
+            return v
+        # the nodes write to out and scratch in turn, the first to out; only
+        # the first reads v, so v itself may serve as scratch
+        for i, op in enumerate(ops):
+            v = getattr(op, method)(v, out=scratch if i % 2 else out)
         return v
 
-    def adjoint_apply(self, v):
-        for op in self.ops:
-            v = op.adjoint_apply(v)
-        return v
+    def apply(self, v, out=None, scratch=None):
+        """With out (and scratch, for more than one node), every node must
+        take out= as well; the result is the array returned, out or
+        scratch."""
+        return self._run(reversed(self.ops), "apply", v, out, scratch)
+
+    def adjoint_apply(self, v, out=None, scratch=None):
+        return self._run(self.ops, "adjoint_apply", v, out, scratch)
 
 
 class Adjoint(LinOp):
@@ -221,19 +231,29 @@ class FactoredSelect(LinOp):
         self.block_dim = a.shape[0]
         self.dim = self.slots * self.block_dim * self.n_sys
 
-    def _run(self, v, a, b, perms):
+    def _run(self, v, a, b, perms, out=None):
         shape = v.shape
         w = v.reshape(shape[:-1] + (self.slots, self.block_dim, self.n_sys))
-        out = np.matmul(a, w)
+        if out is None:
+            out = np.empty(shape, np.result_type(v, a, b))
+        res = np.matmul(a, w, out=out.reshape(w.shape))
+        # one slot of permuted input and one of its product, reused by every slot
+        moved = np.empty(w.shape[:-3] + w.shape[-2:], w.dtype)
+        prod = np.empty(moved.shape, res.dtype)
         for k, p in enumerate(perms):
-            out[..., k, :, :] += np.matmul(b, w[..., k, :, :][..., p])
-        return out.reshape(shape)
+            # p is a checked bijection, so clip never clips; it spares take
+            # the buffered copy that mode="raise" makes for out
+            np.take(w[..., k, :, :], p, axis=-1, out=moved, mode="clip")
+            res[..., k, :, :] += np.matmul(b, moved, out=prod)
+        return res.reshape(shape)
 
-    def apply(self, v):
-        return self._run(v, self.a, self.b, self.perms)
+    def apply(self, v, out=None):
+        """out, when given, is a C-contiguous array of v's shape that must
+        not overlap v; the result is written there and returned."""
+        return self._run(v, self.a, self.b, self.perms, out)
 
-    def adjoint_apply(self, v):
-        return self._run(v, self.a.conj().T, self.b.conj().T, self.inverses)
+    def adjoint_apply(self, v, out=None):
+        return self._run(v, self.a.conj().T, self.b.conj().T, self.inverses, out)
 
     def sandwich(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """The (n_sys, n_sys) matrix M[y, x] = left_y^T (this operator)
@@ -297,16 +317,22 @@ class SystemControlledReflection(LinOp):
         states[0] += 1.0
         return states.T
 
-    def apply(self, v):
+    def apply(self, v, out=None):
+        """out, when given, is a C-contiguous array of v's shape that must
+        not overlap v; the result is written there and returned."""
         shape = v.shape
         w = v.reshape(shape[:-1] + self.layout)
-        proj = np.einsum("kax,...kpax->...px", self._ut[:, 0], w) * self._coef
-        out = self._ut * proj[..., None, :, None, :]
-        np.subtract(w, out, out=out)
-        return out.reshape(shape)
+        proj = np.einsum("kax,...kpax->...px", self._ut[:, 0], w)
+        proj *= self._coef
+        res = np.multiply(
+            self._ut, proj[..., None, :, None, :],
+            out=None if out is None else out.reshape(w.shape),
+        )
+        np.subtract(w, res, out=res)
+        return res.reshape(shape)
 
-    def adjoint_apply(self, v):
-        return self.apply(v)
+    def adjoint_apply(self, v, out=None):
+        return self.apply(v, out)
 
 
 class Embedded(LinOp):

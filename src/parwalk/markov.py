@@ -151,6 +151,60 @@ def stationary_distribution(p: StochasticMatrix) -> Distribution:
     return Distribution(v)
 
 
+def certify_stationary(p: StochasticMatrix, pi: Distribution, perms, tol: float) -> None:
+    """Certify that pi is the unique stationary distribution of p, given the
+    permutations perms along which p proposes its moves.
+
+    Two checks: the residual |P pi - pi| (max norm) is at most tol, and the
+    graph that joins x and perms[k][x] wherever p moves both ways between
+    them (p[perms[k][x], x] > 0 and p[x, perms[k][x]] > 0) is connected. Its
+    edges are positive entries of p in both directions, so connectivity
+    makes p irreducible, and an irreducible chain has exactly one
+    stationary distribution; with detailed balance checked as well, this is
+    what state reduction (stationary_distribution) establishes, in O(N^2)
+    for the one product P pi and O(N kappa) per sweep of label propagation
+    instead of O(N^3). A chain connected only through one-way moves, or
+    through moves that no permutation proposes, is rejected too. Raises
+    NotErgodic when either check fails.
+    """
+    if p.n != pi.n:
+        raise DimensionMismatch(f"matrix dim {p.n} vs distribution dim {pi.n}")
+    entries = p.entries
+    residual = float(np.abs(entries @ pi.probs - pi.probs).max())
+    # written so that NaN fails
+    if not residual <= tol:
+        raise NotErgodic(
+            f"|P pi - pi| = {residual:.3e} exceeds {tol:g}: pi is not stationary"
+        )
+    states = np.arange(p.n)
+    edges = []
+    for q in perms:
+        q = np.asarray(q, dtype=np.intp)
+        both = (entries[q, states] > 0) & (entries[states, q] > 0)
+        edges.append((states[both], q[both]))
+    # every state takes the smallest label among its neighbours, then that
+    # of the state its label names, until nothing changes; labels only
+    # decrease, and at the fixed point each class of connected states
+    # shares the label of its smallest state
+    labels = states.copy()
+    while True:
+        before = labels.copy()
+        for x, y in edges:
+            low = np.minimum(labels[x], labels[y])
+            labels[x] = low
+            labels[y] = np.minimum(labels[y], low)
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+    classes = np.count_nonzero(labels == states)
+    if classes > 1:
+        raise NotErgodic(
+            f"the two-way moves of P split its {p.n} states into {classes} "
+            "classes: the chain is reducible and has no unique stationary "
+            "distribution"
+        )
+
+
 def check_detailed_balance(p: StochasticMatrix, pi: Distribution, tol: float = STRUCT_TOL) -> bool:
     """True when p_xy pi_y = p_yx pi_x entrywise within tol."""
     if p.n != pi.n:

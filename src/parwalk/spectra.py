@@ -83,11 +83,15 @@ def _land_unit(lams: np.ndarray) -> np.ndarray:
     return np.where(np.abs(lams) >= 1.0 - 1e-12, np.sign(lams), lams)
 
 
-def walk_spectrum(phases: np.ndarray, q: np.ndarray) -> WalkSpectrum:
+def walk_spectrum(
+    phases: np.ndarray, q: np.ndarray, eigenvalues: np.ndarray | None = None
+) -> WalkSpectrum:
     """Match a walk's eigenphases to +-arccos(lambda_j) of q.
 
     The phases come from EigenbasisEmbedding.phases, read from its checked
-    2x2 blocks, or from walk_phases of a dense walk matrix.
+    2x2 blocks, or from walk_phases of a dense walk matrix. eigenvalues,
+    when given, are those of q in descending order, as spectral_gaps
+    reports them, and q is not solved again.
 
     Phases for eigenvalues in (-1, 1) come in +- pairs; lambda = +-1
     contributes a single phase 0 or pi. The walk phases in (0, pi), and the
@@ -95,8 +99,9 @@ def walk_spectrum(phases: np.ndarray, q: np.ndarray) -> WalkSpectrum:
     ascending arccos(lambda_j). Everything left after matching must sit on
     the trivial phases {0, pi} of the complementary subspace.
     """
-    q = np.asarray(q)
-    lams = np.linalg.eigvalsh(q)[::-1]
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(np.asarray(q))[::-1]
+    lams = np.asarray(eigenvalues)
     if np.abs(lams).max() > 1 + 1e-9:
         raise SpectrumOutOfRange(f"eigenvalue {lams[np.abs(lams).argmax()]} outside [-1, 1]")
     lams = _land_unit(lams)

@@ -16,6 +16,7 @@ from parwalk.cli import main
 from parwalk.markov import (
     GibbsModel,
     StochasticMatrix,
+    certify_stationary,
     check_detailed_balance,
     discriminant,
     gibbs_distribution,
@@ -252,6 +253,19 @@ def test_criterion_6_balance_and_fixed_point():
         f"ratios e^(-beta dE) cross-multiplied (max dev {worst_ratio:.2e} "
         f"<= 1e-12)",
     )
+
+
+def test_stationary_certificate_agrees_with_state_reduction():
+    # the O(N kappa) certificate the CLI runs passes wherever state reduction
+    # returns the Gibbs state within the same 1e-10
+    count = 0
+    for label, model, prop, rule in grid((1, 2, 3, 4)):
+        p = decompose_discriminant(model, prop, rule).p
+        pi = gibbs_distribution(model)
+        certify_stationary(p, pi, prop.perms, tol=1e-10)
+        assert np.abs(stationary_distribution(p).probs - pi.probs).max() <= 1e-10, label
+        count += 1
+    assert count == 128
 
 
 def test_criterion_7_norm_bound():

@@ -632,13 +632,15 @@ def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
     # the first of the 8 vectors deviates most, so a check that dropped any
     # chunk but the last would read less than the one-batch check
     diag = 1.0 + 0.1 * np.random.default_rng(1).random(dim)
-    # the former one-batch spot check, on all 8 vectors at once
-    v = np.random.Generator(np.random.Philox(7)).standard_normal((8, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    # the former one-batch spot check, on all 8 vectors at once, with the
+    # row norms verify_encoding takes
+    def norms(rows):
+        return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+    v = np.random.Generator(np.random.SFC64(7)).standard_normal((8, dim))
+    v /= norms(v)[:, None]
     w = v * diag
-    want = max(
-        np.abs(np.linalg.norm(w, axis=1) - 1.0).max(), np.abs(w * diag - v).max()
-    )
+    want = max(np.abs(norms(w) - 1.0).max(), np.abs(w * diag - v).max())
     for width in range(1, 9):
         budget = width * CHUNK_ARRAYS * 8 * dim
         monkeypatch.setattr(parwalk.blockenc, "EXTRACT_BUDGET", budget)
@@ -651,6 +653,23 @@ def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
         assert np.array_equal(seen[n:], v)
         assert report.max_abs_dev == 0.0
         assert report.unitary_dev == want and not report.passed
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_spot_check_sees_a_select_entry_the_block_never_reads(n):
+    # a[d-1, d-2] acts on the dilation-1 half of the select block, which the
+    # structured block (dilation-0 corners) never reads; it breaks
+    # unitarity by ~1e-7, and the 8 spot vectors must see that
+    model, prop = build_hypercube(n, energy="hamming")
+    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    q = decompose_discriminant(model, prop, metropolis()).q
+    sel = be.op.ops[1]
+    d = sel.block_dim
+    sel.a[d - 1, d - 2] += 1e-7
+    report = verify_encoding(be, q)
+    assert report.max_abs_dev <= 1e-15
+    assert report.unitary_dev > UNITARY_TOL
+    assert not report.passed
 
 
 # ---------------------------------------------------- structured extraction
@@ -729,11 +748,11 @@ def scale_dilation(sel, v, factors):
 def test_probes_catch_a_select_with_rotated_slots(monkeypatch):
     # slot k applies slot k+1's permutation: still a unitary involution whose
     # node arrays are right, so only the probe of the block catches it
-    def rotated(self, v):
-        return self._run(v, self.a, self.b, np.roll(self.perms, -1, axis=0))
+    def rotated(self, v, out=None):
+        return self._run(v, self.a, self.b, np.roll(self.perms, -1, axis=0), out)
 
-    def rotated_adjoint(self, v):
-        return self._run(v, self.a.T, self.b.T, np.roll(self.inverses, -1, axis=0))
+    def rotated_adjoint(self, v, out=None):
+        return self._run(v, self.a.T, self.b.T, np.roll(self.inverses, -1, axis=0), out)
 
     be, q = fused_n4()
     monkeypatch.setattr(FactoredSelect, "apply", rotated)
@@ -751,11 +770,12 @@ def test_probes_catch_an_operator_that_is_no_involution(monkeypatch):
     # as sel on every prep |0^c, v>, but V V |0^c, v> != |0^c, v>
     apply, adjoint = FactoredSelect.apply, FactoredSelect.adjoint_apply
     monkeypatch.setattr(
-        FactoredSelect, "apply", lambda self, v: apply(self, scale_dilation(self, v, [1, -1]))
+        FactoredSelect, "apply",
+        lambda self, v, out=None: apply(self, scale_dilation(self, v, [1, -1]), out),
     )
     monkeypatch.setattr(
         FactoredSelect, "adjoint_apply",
-        lambda self, v: scale_dilation(self, adjoint(self, v), [1, -1]),
+        lambda self, v, out=None: scale_dilation(self, adjoint(self, v), [1, -1]),
     )
     be, q = fused_n4()
     report = verify_encoding(be, q)
@@ -772,7 +792,7 @@ def test_probes_catch_an_output_of_wrong_norm(monkeypatch):
     # (the unitarity spot check fails too)
     apply = FactoredSelect.apply
 
-    def stretched(self, v):
+    def stretched(self, v, out=None):
         return scale_dilation(self, apply(self, scale_dilation(self, v, [1, 0.5])), [1, 2])
 
     monkeypatch.setattr(FactoredSelect, "apply", stretched)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from parwalk.blockenc import (
 )
 from parwalk.cli import main
 from parwalk.linops import FactoredSelect
+from parwalk.markov import StochasticMatrix
 from parwalk.models import build_hypercube
 from parwalk.parchain import acceptance_matrix, decompose_discriminant, metropolis
 from parwalk.szegedy import par_walk
@@ -180,8 +182,8 @@ def test_inject_fault_fails_verification(capsys, monkeypatch):
 def test_faulty_select_fails_verification_through_the_probes(capsys, monkeypatch):
     # each slot applies the next slot's permutation; the fused block is read
     # from the node arrays, which are right, so only the probes see it
-    def rotated(self, v):
-        return self._run(v, self.a, self.b, np.roll(self.perms, -1, axis=0))
+    def rotated(self, v, out=None):
+        return self._run(v, self.a, self.b, np.roll(self.perms, -1, axis=0), out)
 
     monkeypatch.setattr(FactoredSelect, "apply", rotated)
     code, out, err = run(
@@ -440,6 +442,28 @@ def test_verify_prints_every_failure(capsys, monkeypatch):
         "FAIL DecompositionMismatch: (G(.)A)(.)S + R deviates from Q by 1.000e+00",
         "FAIL NotReversible: detailed balance fails at 1e-12",
     ]
+    assert json.loads(out)["pass"] is False
+
+
+def test_verify_fails_a_chain_whose_gibbs_state_is_not_stationary(capsys, monkeypatch):
+    # move 1e-6 of state 0's mass from staying to its first proposed move:
+    # P stays stochastic, and P pi - pi = 1e-6 pi_0 at two states
+    def faulted(model, prop, rule):
+        dec = decompose_discriminant(model, prop, rule)
+        moved = dec.p.entries.copy()
+        moved[0, 0] -= 1e-6
+        moved[prop.perms[0][0], 0] += 1e-6
+        return dataclasses.replace(dec, p=StochasticMatrix(moved))
+
+    monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted)
+    code, out, err = run(capsys, "verify", "--n", "2", "--json", "--deterministic")
+    assert code == 1
+    fails = [line for line in err.splitlines() if line.startswith("FAIL NotErgodic")]
+    assert len(fails) == 1
+    assert re.fullmatch(
+        r"FAIL NotErgodic: \|P pi - pi\| = 5\.\d{3}e-07 exceeds 1e-10: pi is not stationary",
+        fails[0],
+    )
     assert json.loads(out)["pass"] is False
 
 

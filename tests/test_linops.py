@@ -201,6 +201,40 @@ def test_passive_register_reflection_matches_embedded():
         SystemControlledReflection(np.zeros((2, 6)), passive=(4, 2))
 
 
+def test_destinations_give_the_allocating_results():
+    # the fused tree's nodes write into out, and Compose runs them through
+    # out and scratch in turn; v may serve as scratch, since only the first
+    # node reads it
+    rng = np.random.default_rng(12)
+    k_dim, bt, n = 4, 2, 8
+    u = rng.normal(size=(n, k_dim * 2 * bt))
+    prep = SystemControlledReflection(u, passive=(k_dim, 2))
+    perms = np.array([rng.permutation(n) for _ in range(k_dim)])
+    a, b = rng.normal(size=(2, 4 * bt, 4 * bt))
+    sel = FactoredSelect(a, b, perms)
+    tree = Compose(prep, sel, prep)
+    v = rng.normal(size=(3, tree.dim))
+    for op in (prep, sel):
+        for method in ("apply", "adjoint_apply"):
+            out = np.empty_like(v)
+            got = getattr(op, method)(v, out=out)
+            assert np.shares_memory(got, out)
+            assert np.array_equal(out, getattr(op, method)(v))
+    for method in ("apply", "adjoint_apply"):
+        want = getattr(tree, method)(v)
+        out, scratch = np.empty_like(v), np.empty_like(v)
+        got = getattr(tree, method)(v, out=out, scratch=scratch)
+        assert np.shares_memory(got, out) and np.array_equal(got, want)
+        own = v.copy()
+        got = getattr(tree, method)(own, out=out, scratch=own)
+        assert np.shares_memory(got, out) and np.array_equal(got, want)
+    # two nodes end in scratch; the returned array says where
+    pair = Compose(sel, prep)
+    out, scratch = np.empty_like(v), np.empty_like(v)
+    got = pair.apply(v, out=out, scratch=scratch)
+    assert np.shares_memory(got, scratch) and np.array_equal(got, pair.apply(v))
+
+
 def test_embedded_acts_on_selected_registers():
     rng = np.random.default_rng(5)
     u = random_unitary(rng, 6)

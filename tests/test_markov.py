@@ -11,6 +11,7 @@ from parwalk.markov import (
     Distribution,
     GibbsModel,
     StochasticMatrix,
+    certify_stationary,
     check_detailed_balance,
     discriminant,
     gibbs_distribution,
@@ -20,7 +21,12 @@ from parwalk.markov import (
     stationary_distribution,
 )
 from parwalk.models import build_hypercube
-from parwalk.parchain import ProposalDecomposition, decompose_discriminant, metropolis
+from parwalk.parchain import (
+    ProposalDecomposition,
+    decompose_discriminant,
+    metropolis,
+    proposal_from_permutations,
+)
 
 RT = np.sqrt(0.5)
 
@@ -143,6 +149,110 @@ def test_stationary_rejects_transient_state():
     # and mirrored: state 0 is left for good, state 1 absorbs, pi = (0, 1)
     with pytest.raises(NotErgodic, match="strictly positive"):
         stationary_distribution(StochasticMatrix(np.array([[0.5, 0.0], [0.5, 1.0]])))
+
+
+SWAP = [np.array([1, 0])]
+UNIFORM2 = Distribution(np.full(2, 0.5))
+
+
+def test_certificate_rejects_a_proposal_of_two_cycles():
+    # one involution pairs the states {0, 1}, {2, 3}, {4, 5}: P is block
+    # diagonal and every Gibbs-weighted mix of the blocks is stationary
+    model = GibbsModel(energies=np.array([0, 1, 2, 0, 1, 2]), levels=3, beta=0.7)
+    prop = proposal_from_permutations([1.0], [np.array([1, 0, 3, 2, 5, 4])])
+    p = decompose_discriminant(model, prop, metropolis()).p
+    pi = gibbs_distribution(model)
+    assert np.abs(p.entries @ pi.probs - pi.probs).max() <= 1e-15
+    with pytest.raises(NotErgodic, match="into 3 classes"):
+        certify_stationary(p, pi, prop.perms, tol=1e-10)
+    with pytest.raises(NotErgodic):
+        stationary_distribution(p)
+
+
+def test_certificate_rejects_the_reducible_and_transient_chains():
+    for entries in ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 0.5]], [[0.5, 0.0], [0.5, 1.0]]):
+        p = StochasticMatrix(np.array(entries))
+        with pytest.raises(NotErgodic):
+            stationary_distribution(p)
+        # the Gibbs residual cannot save them: state reduction's pi is
+        # stationary too, and the transient chains move one way only
+        for pi in (UNIFORM2, Distribution(np.array([1.0 - 1e-12, 1e-12]))):
+            with pytest.raises(NotErgodic):
+                certify_stationary(p, pi, SWAP, tol=1.0)
+
+
+def test_certificate_passes_nearly_decoupled_blocks():
+    # the blocks {0, 1} and {2, 3} of the state-reduction test, joined by
+    # eps = 1e-12 both ways: irreducible, with the uniform pi
+    eps = 1e-12
+    p = StochasticMatrix(
+        np.array(
+            [
+                [0.5, 0.5, 0.0, 0.0],
+                [0.5, 0.5 - eps, eps, 0.0],
+                [0.0, eps, 0.5 - eps, 0.5],
+                [0.0, 0.0, 0.5, 0.5],
+            ]
+        )
+    )
+    perms = [np.array([1, 0, 3, 2]), np.array([0, 2, 1, 3])]
+    certify_stationary(p, Distribution(np.full(4, 0.25)), perms, tol=1e-10)
+    # without the permutation that carries the eps moves, it is two blocks
+    with pytest.raises(NotErgodic, match="into 2 classes"):
+        certify_stationary(p, Distribution(np.full(4, 0.25)), perms[:1], tol=1e-10)
+
+
+def test_certificate_flags_a_gibbs_residual_above_tolerance():
+    model, prop = build_hypercube(3, energy="random", levels=4, seed=1, beta=0.8)
+    p = decompose_discriminant(model, prop, metropolis()).p
+    pi = gibbs_distribution(model)
+    certify_stationary(p, pi, prop.perms, tol=1e-10)
+    # move mass delta of column x from staying to its first proposed move:
+    # P pi - pi grows by delta pi_x in two entries, P stays stochastic
+    x = int(np.argmax(pi.probs))
+    y = int(prop.perms[0][x])
+    for scale, flagged in ((0.5, False), (2.0, True)):
+        delta = scale * 1e-10 / pi.probs[x]
+        moved = p.entries.copy()
+        moved[x, x] -= delta
+        moved[y, x] += delta
+        residual = np.abs(moved @ pi.probs - pi.probs).max()
+        assert abs(residual - scale * 1e-10) <= 1e-16
+        if flagged:
+            with pytest.raises(NotErgodic, match="pi is not stationary"):
+                certify_stationary(StochasticMatrix(moved), pi, prop.perms, tol=1e-10)
+        else:
+            certify_stationary(StochasticMatrix(moved), pi, prop.perms, tol=1e-10)
+
+
+def test_certificate_follows_moves_against_the_permutation():
+    # the birth-death chain 0 - 1 - 2 with both moves on one 3-cycle
+    # x -> x + 1 mod 3: its edge 2 -> 0 is absent, so state 2 is reached
+    # only against the permutation's direction
+    p = StochasticMatrix(np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]]))
+    pi = Distribution(np.array([0.25, 0.5, 0.25]))
+    certify_stationary(p, pi, [np.array([1, 2, 0])], tol=1e-15)
+
+
+def test_certificate_connects_long_paths():
+    # a path 0 - 1 - ... - 99 through two involutions: label propagation
+    # must cross 99 edges
+    n = 100
+    states = np.arange(n)
+    even = np.where(states % 2 == 0, np.minimum(states + 1, n - 1), states - 1)
+    odd = np.where(states % 2 == 1, np.minimum(states + 1, n - 1), states - 1)
+    odd[0] = 0
+    prop = proposal_from_permutations([0.5, 0.5], [even, odd])
+    model = GibbsModel(energies=np.zeros(n, dtype=int), levels=1, beta=1.0)
+    p = decompose_discriminant(model, prop, metropolis()).p
+    pi = gibbs_distribution(model)
+    certify_stationary(p, pi, prop.perms, tol=1e-10)
+    cut = p.entries.copy()
+    cut[[n // 2, n // 2 - 1], [n // 2 - 1, n // 2]] = 0.0
+    cut[n // 2 - 1, n // 2 - 1] += p.entries[n // 2, n // 2 - 1]
+    cut[n // 2, n // 2] += p.entries[n // 2 - 1, n // 2]
+    with pytest.raises(NotErgodic, match="into 2 classes"):
+        certify_stationary(StochasticMatrix(cut), pi, prop.perms, tol=1e-10)
 
 
 def test_stationary_accurate_when_pi_spans_orders_of_magnitude():

@@ -222,6 +222,21 @@ def test_phase_gap_check_flags_wrong_gap():
         phase_gap_check(spec, -0.1)
 
 
+def test_walk_spectrum_takes_the_gap_report_eigenvalues():
+    # the CLI passes spectral_gaps' eigenvalues instead of solving q again;
+    # the same LAPACK call on the same matrix gives the same bytes
+    model, prop = build_hypercube(5, energy="random", levels=7, seed=2, beta=0.8)
+    q = decompose_discriminant(model, prop, metropolis()).q
+    phases = eigenbasis_embedding(q).phases
+    want = walk_spectrum(phases, q)
+    got = walk_spectrum(phases, q, spectral_gaps(q).eigenvalues)
+    for field in ("eigenphases", "lambdas", "predicted", "measured"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert (got.phase_gap, got.b_perp_dim) == (want.phase_gap, want.b_perp_dim)
+    with pytest.raises(SpectrumOutOfRange):
+        walk_spectrum(phases, q, 3.0 * spectral_gaps(q).eigenvalues)
+
+
 def test_walk_spectrum_input_guards():
     with pytest.raises(SpectrumOutOfRange):
         walk_phases(np.eye(2) * 2.0)  # not unitary
