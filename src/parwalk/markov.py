@@ -8,7 +8,7 @@ probability of moving from x to y. Energies are integers in {0, ..., B-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,13 +104,18 @@ class GibbsModel:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigenvalues (descending) and the derived gap quantities."""
+    """Eigenvalues (descending), their eigenvector columns and the gaps."""
 
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     delta: float        # 1 - max{lambda_2, |lambda_min|}
     delta_plus: float   # 1 - lambda_2
-    lazy_delta: float   # gap of the half-lazy chain, (1 - lambda_2)/2
-    periodic: bool = field(default=False)
+    periodic: bool
+
+    def lazy(self) -> "SpectralReport":
+        """Report of the half-lazy chain, whose discriminant is (I + Q)/2:
+        eigenvalues (1 + lambda)/2, the same eigenvectors, no new solve."""
+        return _gap_report(0.5 * (1.0 + self.eigenvalues), self.eigenvectors)
 
 
 def gibbs_distribution(model: GibbsModel) -> Distribution:
@@ -232,30 +237,32 @@ def discriminant(p: StochasticMatrix, pi: Distribution) -> np.ndarray:
 
 
 def spectral_gaps(q: np.ndarray) -> SpectralReport:
-    """Eigenvalues and gaps of a symmetric contraction (descending order)."""
+    """Eigenpairs (descending) and gaps of a symmetric contraction, from one eigh."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
         raise DimensionMismatch("spectral_gaps expects a nonempty square matrix")
+    if not np.isfinite(q).all():
+        raise SpectrumOutOfRange("q has non-finite entries")
     if not np.abs(q - q.T).max() <= STRUCT_TOL:
         raise NotReversible("spectral_gaps expects a symmetric matrix")
-    vals = np.linalg.eigvalsh(q)[::-1]
+    vals, vecs = np.linalg.eigh(q)
+    return _gap_report(vals[::-1], vecs[:, ::-1])
+
+
+def _gap_report(vals: np.ndarray, vecs: np.ndarray) -> SpectralReport:
     if np.abs(vals).max() > 1 + EIG_TOL:
         raise SpectrumOutOfRange(f"eigenvalue {vals[np.abs(vals).argmax()]} outside [-1, 1]")
-    lam2 = vals[1] if vals.size > 1 else -1.0
-    lam_min = vals[-1]
-    delta = 1.0 - max(lam2, abs(lam_min)) if vals.size > 1 else 1.0 - abs(lam_min)
-    delta_plus = 1.0 - lam2 if vals.size > 1 else 2.0
-    periodic = bool(lam_min <= -1 + 1e-12)
-    report = SpectralReport(
-        eigenvalues=vals,
-        delta=float(delta),
-        delta_plus=float(delta_plus),
-        lazy_delta=float(delta_plus / 2.0),
-        periodic=periodic,
-    )
-    if report.delta_plus < report.delta - 1e-12:
+    lam2 = vals[1] if vals.size > 1 else -1.0  # one state: delta_plus = 2
+    delta, delta_plus = float(1.0 - max(lam2, abs(vals[-1]))), float(1.0 - lam2)
+    if delta_plus < delta - 1e-12:
         raise SpectrumOutOfRange("delta_plus < delta, spectrum ordering is broken")
-    return report
+    return SpectralReport(
+        eigenvalues=vals,
+        eigenvectors=vecs,
+        delta=delta,
+        delta_plus=delta_plus,
+        periodic=bool(vals[-1] <= -1 + 1e-12),
+    )
 
 
 def lazy(p: StochasticMatrix) -> StochasticMatrix:

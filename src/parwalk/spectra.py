@@ -19,6 +19,7 @@ from .errors import (
     SpectrumMismatch,
     SpectrumOutOfRange,
 )
+from .markov import SpectralReport
 
 PHASE_TOL = 1e-8
 SNAP = 1e-10
@@ -52,14 +53,15 @@ class GapReport:
 
 @dataclass(frozen=True)
 class EigenbasisEmbedding:
-    """Isometry t into C^N (x) C^2, the signs s of the reflection I (x) Z,
-    and the 2N eigenphases of the walk u = s (2 t t^T - I), read from its
-    invariant 2x2 blocks; u itself is never formed."""
+    """Isometry t into C^N (x) C^2, the signs s of the reflection I (x) Z, the
+    2N eigenphases of the walk u = s (2 t t^T - I), read from its invariant
+    2x2 blocks (u is never formed), and the checked max |t^dag s t - q|."""
 
     t: np.ndarray
     s: np.ndarray
     thetas: np.ndarray
     phases: np.ndarray
+    tst_dev: float
 
 
 def walk_phases(w: np.ndarray) -> np.ndarray:
@@ -83,15 +85,12 @@ def _land_unit(lams: np.ndarray) -> np.ndarray:
     return np.where(np.abs(lams) >= 1.0 - 1e-12, np.sign(lams), lams)
 
 
-def walk_spectrum(
-    phases: np.ndarray, q: np.ndarray, eigenvalues: np.ndarray | None = None
-) -> WalkSpectrum:
-    """Match a walk's eigenphases to +-arccos(lambda_j) of q.
+def walk_spectrum(phases: np.ndarray, eigenvalues: np.ndarray) -> WalkSpectrum:
+    """Match a walk's eigenphases to +-arccos(lambda_j), lambda_j those of Q.
 
     The phases come from EigenbasisEmbedding.phases, read from its checked
-    2x2 blocks, or from walk_phases of a dense walk matrix. eigenvalues,
-    when given, are those of q in descending order, as spectral_gaps
-    reports them, and q is not solved again.
+    2x2 blocks, or from walk_phases of a dense walk matrix. The eigenvalues
+    are in descending order, as spectral_gaps reports them.
 
     Phases for eigenvalues in (-1, 1) come in +- pairs; lambda = +-1
     contributes a single phase 0 or pi. The walk phases in (0, pi), and the
@@ -99,19 +98,16 @@ def walk_spectrum(
     ascending arccos(lambda_j). Everything left after matching must sit on
     the trivial phases {0, pi} of the complementary subspace.
     """
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(np.asarray(q))[::-1]
-    lams = np.asarray(eigenvalues)
-    if np.abs(lams).max() > 1 + 1e-9:
+    lams, phases = np.asarray(eigenvalues, dtype=float), np.asarray(phases, dtype=float)
+    if phases.ndim != 1 or lams.ndim != 1 or lams.size == 0:
+        raise DimensionMismatch(f"phases {phases.shape}, eigenvalues {lams.shape}: not vectors")
+    if not np.abs(lams).max() <= 1 + 1e-9:  # written so that NaN fails
         raise SpectrumOutOfRange(f"eigenvalue {lams[np.abs(lams).argmax()]} outside [-1, 1]")
     lams = _land_unit(lams)
     one, minus = lams == 1.0, lams == -1.0
     inner = ~one & ~minus
     thetas = np.arccos(lams[inner])  # ascending in (0, pi)
 
-    phases = np.asarray(phases, dtype=float)
-    if phases.ndim != 1:
-        raise DimensionMismatch(f"walk phases must be a vector, got shape {phases.shape}")
     phases = np.where(np.abs(phases) < SNAP, 0.0, phases)
 
     # each group sorted, the phases near 0 or pi nearest first: sorted order
@@ -162,15 +158,16 @@ def walk_spectrum(
 def phase_gap_check(spec: WalkSpectrum, delta_plus: float) -> GapReport:
     """phase_gap = arccos(1 - Delta+) within 1e-8, and at least
     sqrt(2 Delta+)."""
-    if delta_plus < 0:
+    # every comparison is written so that NaN fails
+    if not delta_plus >= 0:
         raise BoundViolated(f"one-sided gap must be nonnegative, got {delta_plus}")
     predicted = math.acos(max(-1.0, min(1.0, 1.0 - delta_plus)))
-    if abs(spec.phase_gap - predicted) > PHASE_TOL:
+    if not abs(spec.phase_gap - predicted) <= PHASE_TOL:
         raise BoundViolated(
             f"phase gap {spec.phase_gap:.10f} != arccos(1 - Delta+) = {predicted:.10f}"
         )
     lower = math.sqrt(2.0 * delta_plus)
-    if spec.phase_gap < lower - 1e-12:
+    if not spec.phase_gap >= lower - 1e-12:
         raise BoundViolated(
             f"phase gap {spec.phase_gap:.10f} below sqrt(2 Delta+) = {lower:.10f}"
         )
@@ -179,24 +176,20 @@ def phase_gap_check(spec: WalkSpectrum, delta_plus: float) -> GapReport:
     )
 
 
-def eigenbasis_embedding(q: np.ndarray) -> EigenbasisEmbedding:
+def eigenbasis_embedding(q: np.ndarray, gaps: SpectralReport) -> EigenbasisEmbedding:
     """Embed Q into C^N (x) C^2 via |chi_j> = |v_j> (x) (cos(theta_j/2),
-    sin(theta_j/2)) with theta_j = arccos(lambda_j).
+    sin(theta_j/2)) with theta_j = arccos(lambda_j), taking the eigenpairs
+    (lambda_j, v_j) from gaps instead of solving q again.
 
     Verifies t^dag t = I, t^dag s t = q, and that the walk
     u = s (2 t t^T - I) is block diagonal in the basis W = V (x) I, turning
     each plane |v_j> (x) C^2 by theta_j (_block_phases).
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
-        raise DimensionMismatch(f"q must be square and nonempty, got shape {q.shape}")
-    if not np.isfinite(q).all():  # NaN would pass every check below
-        raise SpectrumOutOfRange("q has non-finite entries")
+    lam, vecs = gaps.eigenvalues, gaps.eigenvectors
+    if q.shape != vecs.shape:
+        raise DimensionMismatch(f"q has shape {q.shape}, its eigenvectors {vecs.shape}")
     n = q.shape[0]
-    lam, vecs = np.linalg.eigh(q)
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    if lam.max() > 1 + 1e-9:
-        raise SpectrumOutOfRange(f"eigenvalue {lam.max()} above 1")
     if lam.min() <= -1 + 1e-12:
         raise SpectrumOutOfRange(
             f"eigenvalue {lam.min()} at the periodic edge -1; embed the lazy chain"
@@ -210,12 +203,14 @@ def eigenbasis_embedding(q: np.ndarray) -> EigenbasisEmbedding:
     t = chi @ vecs.T
     signs = np.tile([1.0, -1.0], n)
 
-    if np.abs(t.T @ t - np.eye(n)).max() > RESIDUAL_TOL:
+    # written so that NaN fails: nothing else here reads q's entries
+    if not np.abs(t.T @ t - np.eye(n)).max() <= RESIDUAL_TOL:
         raise SpectrumOutOfRange("embedding isometry lost orthonormality")
-    if np.abs(t.T @ (signs[:, None] * t) - q).max() > RESIDUAL_TOL:
+    tst_dev = float(np.abs(t.T @ (signs[:, None] * t) - q).max())
+    if not tst_dev <= RESIDUAL_TOL:
         raise SpectrumOutOfRange("t^dag s t deviates from q")
     phases = _block_phases(t, vecs, thetas)
-    return EigenbasisEmbedding(t=t, s=signs, thetas=thetas, phases=phases)
+    return EigenbasisEmbedding(t=t, s=signs, thetas=thetas, phases=phases, tst_dev=tst_dev)
 
 
 def _block_phases(t, vecs, thetas) -> np.ndarray:

@@ -20,6 +20,7 @@ from parwalk.markov import (
     check_detailed_balance,
     discriminant,
     gibbs_distribution,
+    lazy,
     qsample,
     spectral_gaps,
     stationary_distribution,
@@ -177,7 +178,7 @@ def test_criterion_4_spectral_stretching():
         p = transition_matrix(prop, a)
         dec = decompose_discriminant(model, prop, rule)
         walk = standard_walk(p)
-        spec = walk_spectrum(walk_phases(walk.w), dec.q)
+        spec = walk_spectrum(walk_phases(walk.w), spectral_gaps(dec.q).eigenvalues)
         worst_phase = max(
             worst_phase, float(np.abs(spec.measured - spec.predicted).max())
         )
@@ -201,8 +202,9 @@ def test_criterion_5_quadratic_amplification():
         a = acceptance_matrix(model, rule)
         p = transition_matrix(prop, a)
         dec = decompose_discriminant(model, prop, rule)
-        spec = walk_spectrum(walk_phases(standard_walk(p).w), dec.q)
-        delta_plus = spectral_gaps(dec.q).delta_plus
+        gaps = spectral_gaps(dec.q)
+        spec = walk_spectrum(walk_phases(standard_walk(p).w), gaps.eigenvalues)
+        delta_plus = gaps.delta_plus
         report = phase_gap_check(spec, delta_plus)  # raises on violation
         worst_gap = max(worst_gap, abs(spec.phase_gap - report.predicted))
         bound_ok &= spec.phase_gap >= math.sqrt(2.0 * delta_plus) - 1e-12
@@ -214,7 +216,7 @@ def test_criterion_5_quadratic_amplification():
     p = transition_matrix(prop, acceptance_matrix(model, metropolis()))
     dec = decompose_discriminant(model, prop, metropolis())
     gaps = spectral_gaps(dec.q)
-    spec = walk_spectrum(walk_phases(standard_walk(p).w), dec.q)
+    spec = walk_spectrum(walk_phases(standard_walk(p).w), gaps.eigenvalues)
     example_ok = (
         abs(gaps.delta_plus - 1.5) < 1e-12
         and abs(spec.phase_gap - 2.0 * math.pi / 3.0) < 1e-8
@@ -266,6 +268,22 @@ def test_stationary_certificate_agrees_with_state_reduction():
         assert np.abs(stationary_distribution(p).probs - pi.probs).max() <= 1e-10, label
         count += 1
     assert count == 128
+
+
+def test_derived_lazy_spectrum_matches_the_lazy_chain():
+    # the CLI embeds a periodic chain's lazy discriminant with eigenvalues
+    # (1 + lambda)/2 from the one solve of Q; on the beta = 0 axes of the
+    # benchmark's gate grid they are those of the separately built lazy chain
+    count = 0
+    for label, model, prop, rule in grid((2, 3, 4, 5)):
+        if model.beta != 0.0:
+            continue
+        dec = decompose_discriminant(model, prop, rule)
+        derived = spectral_gaps(dec.q).lazy().eigenvalues
+        q_lazy = discriminant(lazy(dec.p), gibbs_distribution(model))
+        assert np.abs(derived - np.linalg.eigvalsh(q_lazy)[::-1]).max() <= 1e-12, label
+        count += 1
+    assert count == 32
 
 
 def test_criterion_7_norm_bound():

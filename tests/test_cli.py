@@ -17,7 +17,13 @@ from parwalk.blockenc import (
 )
 from parwalk.cli import main
 from parwalk.linops import FactoredSelect
-from parwalk.markov import StochasticMatrix
+from parwalk.markov import (
+    StochasticMatrix,
+    discriminant,
+    gibbs_distribution,
+    lazy,
+    spectral_gaps,
+)
 from parwalk.models import build_hypercube
 from parwalk.parchain import acceptance_matrix, decompose_discriminant, metropolis
 from parwalk.szegedy import par_walk
@@ -287,6 +293,30 @@ def test_spectrum_reports_lazy_flag_in_reports(capsys):
     assert report["pass"] is True
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("beta", ["0", "1"], ids=["periodic", "aperiodic"])
+def test_the_chain_discriminant_is_solved_once(capsys, monkeypatch, command, beta):
+    model, prop = build_hypercube(4, energy="hamming", beta=float(beta))
+    dec = decompose_discriminant(model, prop, metropolis())
+    assert spectral_gaps(dec.q).periodic == (beta == "0")
+    chain_qs = (dec.q, discriminant(lazy(dec.p), gibbs_distribution(model)))
+    # counted by operand: the eigh of 2 pad(B) that the encoding's
+    # dilations make is 16 x 16 at n = 4, the shape of Q
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            a_arr = np.asarray(a)
+            if any(a_arr.shape == q.shape and np.allclose(a_arr, q, rtol=0.0, atol=1e-12)
+                   for q in chain_qs):
+                solves.append(_name)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    code, _, err = run(capsys, command, "--n", "4", "--beta", beta)
+    assert code == 0, err
+    assert solves == ["eigh"]
+
+
 # ------------------------------------------------------------------ compare
 
 
@@ -414,7 +444,9 @@ def test_gap_below_resolution_is_an_input_error(capsys, command):
         "--seed", "238", "--beta", "157", "--json",
     )
     assert code == 2 and out == ""
-    assert "error: NotErgodic: one-sided gap 0.000e+00 is below 1e-09" in err
+    # the printed gap is the eigensolver's rounding of 1 - lambda_2
+    found = re.search(r"error: NotErgodic: one-sided gap (\S+) is below 1e-09", err)
+    assert found and float(found.group(1)) <= 1e-9
 
 
 def test_missing_cnf_file_flag(capsys):

@@ -6,7 +6,13 @@ Q = [[1/2, 1/sqrt 2], [1/sqrt 2, 0]], eigenvalues (1, -1/2)."""
 import numpy as np
 import pytest
 
-from parwalk.errors import DimensionMismatch, NotErgodic, NotReversible, ParwalkError
+from parwalk.errors import (
+    DimensionMismatch,
+    NotErgodic,
+    NotReversible,
+    ParwalkError,
+    SpectrumOutOfRange,
+)
 from parwalk.markov import (
     Distribution,
     GibbsModel,
@@ -318,7 +324,7 @@ def test_spectral_gaps_two_state(two_state):
     assert np.allclose(rep.eigenvalues, [1.0, -0.5], atol=1e-12)
     assert abs(rep.delta - 0.5) < 1e-12
     assert abs(rep.delta_plus - 1.5) < 1e-12
-    assert abs(rep.lazy_delta - 0.75) < 1e-12
+    assert abs(rep.lazy().delta_plus - 0.75) < 1e-12
     assert not rep.periodic
 
 
@@ -337,6 +343,18 @@ def test_lazy_two_state(two_state):
     rep = spectral_gaps(ql)
     assert np.allclose(rep.eigenvalues, [1.0, 0.25], atol=1e-12)
     assert abs(rep.delta - 0.75) < 1e-12
+    derived = spectral_gaps(discriminant(p, pi)).lazy()
+    assert np.abs(derived.eigenvalues - rep.eigenvalues).max() < 1e-12
+    assert np.abs(np.abs(derived.eigenvectors.T @ rep.eigenvectors) - np.eye(2)).max() < 1e-12
+    assert abs(derived.delta - 0.75) < 1e-12 and not derived.periodic
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_spectral_gaps_rejects_non_finite_q(bad):
+    # inf used to warn in q - q.T, and NaN read as an asymmetric matrix
+    q = np.array([[0.5, 0.1], [0.1, bad]])
+    with pytest.raises(SpectrumOutOfRange, match="non-finite"):
+        spectral_gaps(q)
 
 
 def test_qsample(two_state):

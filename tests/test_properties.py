@@ -107,10 +107,10 @@ def test_structured_block_matches_full_extraction(chain):
 def test_block_phases_match_the_dense_walk(chain):
     model, prop, rule = chain
     dec = decompose_discriminant(model, prop, rule)
-    q = dec.q
-    if spectral_gaps(q).periodic:
-        q = discriminant(lazy(dec.p), gibbs_distribution(model))
-    emb = eigenbasis_embedding(q)
+    q, gaps = dec.q, spectral_gaps(dec.q)
+    if gaps.periodic:
+        q, gaps = discriminant(lazy(dec.p), gibbs_distribution(model)), gaps.lazy()
+    emb = eigenbasis_embedding(q, gaps)
     u = emb.s[:, None] * (2.0 * emb.t @ emb.t.T - np.eye(emb.t.shape[0]))
     phases = np.sort(emb.phases)
     # no phase sits near the cut at pi: the embedded chain is aperiodic

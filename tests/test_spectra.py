@@ -56,9 +56,10 @@ def two_state():
 
 
 def test_embedding_identity_spectrum():
-    emb = eigenbasis_embedding(np.eye(3))
+    gaps = spectral_gaps(np.eye(3))
+    emb = eigenbasis_embedding(np.eye(3), gaps)
     assert np.abs(emb.thetas).max() == 0.0
-    spec = walk_spectrum(emb.phases, np.eye(3))
+    spec = walk_spectrum(emb.phases, gaps.eigenvalues)
     assert spec.phase_gap == 0.0
     assert np.abs(spec.measured).max() == 0.0
     assert spec.b_perp_dim == 3  # the three partner directions
@@ -66,8 +67,8 @@ def test_embedding_identity_spectrum():
 
 def test_embedding_single_state_half_turn():
     q = np.zeros((1, 1))
-    emb = eigenbasis_embedding(q)
-    spec = walk_spectrum(emb.phases, q)
+    gaps = spectral_gaps(q)
+    spec = walk_spectrum(eigenbasis_embedding(q, gaps).phases, gaps.eigenvalues)
     assert abs(spec.phase_gap - math.pi / 2.0) < 1e-12
     assert spec.b_perp_dim == 0
     report = phase_gap_check(spec, 1.0)
@@ -83,11 +84,12 @@ def dense_walk(emb):
 def test_embedding_verifies_its_own_relations():
     model, prop = two_state()
     dec = decompose_discriminant(model, prop, metropolis())
-    emb = eigenbasis_embedding(dec.q)
+    emb = eigenbasis_embedding(dec.q, spectral_gaps(dec.q))
     n = 2
     assert np.array_equal(emb.s, [1.0, -1.0, 1.0, -1.0])
     assert np.abs(emb.t.T @ emb.t - np.eye(n)).max() < 1e-12
     assert np.abs(emb.t.T @ (emb.s[:, None] * emb.t) - dec.q).max() < 1e-12
+    assert emb.tst_dev == np.abs(emb.t.T @ (emb.s[:, None] * emb.t) - dec.q).max()
     u = dense_walk(emb)
     assert np.abs(u @ u.T - np.eye(2 * n)).max() < 1e-12
     # the walk turns plane j by theta_j: phases +-theta_j
@@ -96,10 +98,11 @@ def test_embedding_verifies_its_own_relations():
 
 def test_embedding_rejects_out_of_range_spectra():
     with pytest.raises(SpectrumOutOfRange):
-        eigenbasis_embedding(2.0 * np.eye(2))
+        eigenbasis_embedding(2.0 * np.eye(2), spectral_gaps(2.0 * np.eye(2)))
     # periodic edge: beta = 0 two-state chain has Q with eigenvalue -1
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SpectrumOutOfRange, match="lazy"):
-        eigenbasis_embedding(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        eigenbasis_embedding(flip, spectral_gaps(flip))
 
 
 # ------------------------------------------------------- phase mapping, gap
@@ -117,9 +120,10 @@ def test_two_state_gap_across_constructions():
         quantum_enhanced_walk(np.array([[0.0, 1.0], [1.0, 0.0]]), a),
     ]
     all_phases = [walk_phases(walk.w) for walk in walks]
-    all_phases.append(eigenbasis_embedding(dec.q).phases)
+    gaps = spectral_gaps(dec.q)
+    all_phases.append(eigenbasis_embedding(dec.q, gaps).phases)
     for phases in all_phases:
-        spec = walk_spectrum(phases, dec.q)
+        spec = walk_spectrum(phases, gaps.eigenvalues)
         assert abs(spec.phase_gap - TWO_THIRDS_PI) < 1e-10
         report = phase_gap_check(spec, 1.5)
         assert report.holds
@@ -132,7 +136,7 @@ def test_standard_walk_complement_is_trivial():
     rule = metropolis()
     p = transition_matrix(prop, acceptance_matrix(model, rule))
     dec = decompose_discriminant(model, prop, rule)
-    spec = walk_spectrum(walk_phases(standard_walk(p).w), dec.q)
+    spec = walk_spectrum(walk_phases(standard_walk(p).w), spectral_gaps(dec.q).eigenvalues)
     assert spec.b_perp_dim == 1  # 4-dim walk, 3 matched phases
     assert np.abs(spec.measured - spec.predicted).max() < 1e-10
 
@@ -146,7 +150,7 @@ def test_block_encoding_pair_spectrum():
     v = be.op.dense()
     signs = -np.ones(v.shape[0])
     signs[: be.sys_dim] = 1.0
-    spec = walk_spectrum(walk_phases(v * signs), dec.q / be.gamma)
+    spec = walk_spectrum(walk_phases(v * signs), spectral_gaps(dec.q / be.gamma).eigenvalues)
     lam = np.linalg.eigvalsh(dec.q)[::-1] / be.gamma
     assert abs(spec.phase_gap - math.acos(lam[0])) < 1e-9
     assert np.abs(spec.measured - np.arccos(lam)).max() < 1e-9
@@ -166,10 +170,11 @@ def test_lazy_cube_spectrum_and_bound():
     lam = np.sort(np.linalg.eigvalsh(q_lazy))
     assert np.abs(lam - np.array([0.0, 0.5, 0.5, 1.0])).max() < 1e-12
 
-    emb = eigenbasis_embedding(q_lazy)
-    spec = walk_spectrum(emb.phases, q_lazy)
+    # the lazy spectrum derived from the one solve of Q embeds q_lazy
+    lazy_gaps = gaps.lazy()
+    emb = eigenbasis_embedding(q_lazy, lazy_gaps)
+    spec = walk_spectrum(emb.phases, lazy_gaps.eigenvalues)
     assert abs(spec.phase_gap - math.pi / 3.0) < 1e-10
-    lazy_gaps = spectral_gaps(q_lazy)
     report = phase_gap_check(spec, lazy_gaps.delta_plus)
     assert report.holds
     assert spec.phase_gap >= math.sqrt(2.0 * lazy_gaps.delta_plus) - 1e-12
@@ -193,9 +198,9 @@ def test_cube_phase_mapping_matches_predictions():
     a = acceptance_matrix(model, metropolis())
     p = transition_matrix(prop, a)
     dec = decompose_discriminant(model, prop, metropolis())
-    spec = walk_spectrum(walk_phases(standard_walk(p).w), dec.q)
-    assert np.abs(spec.measured - spec.predicted).max() <= 1e-8
     gaps = spectral_gaps(dec.q)
+    spec = walk_spectrum(walk_phases(standard_walk(p).w), gaps.eigenvalues)
+    assert np.abs(spec.measured - spec.predicted).max() <= 1e-8
     report = phase_gap_check(spec, gaps.delta_plus)
     assert report.holds
 
@@ -207,43 +212,54 @@ def test_mismatched_reference_spectrum_raises():
     model, prop = two_state()
     p = transition_matrix(prop, acceptance_matrix(model, metropolis()))
     walk = standard_walk(p)
-    wrong_q = np.full((2, 2), 0.5)  # eigenvalues {1, 0}: phases pi/2 missing
+    wrong = np.array([1.0, 0.0])  # eigenvalues of Q are {1, -1/2}: pi/2 has no phase
     with pytest.raises(SpectrumMismatch):
-        walk_spectrum(walk_phases(walk.w), wrong_q)
+        walk_spectrum(walk_phases(walk.w), wrong)
 
 
 def test_phase_gap_check_flags_wrong_gap():
     model, prop = two_state()
     dec = decompose_discriminant(model, prop, metropolis())
-    spec = walk_spectrum(eigenbasis_embedding(dec.q).phases, dec.q)
+    gaps = spectral_gaps(dec.q)
+    spec = walk_spectrum(eigenbasis_embedding(dec.q, gaps).phases, gaps.eigenvalues)
     with pytest.raises(BoundViolated):
         phase_gap_check(spec, 0.5)  # arccos(0.5) != the walk's 2pi/3
     with pytest.raises(BoundViolated):
         phase_gap_check(spec, -0.1)
 
 
-def test_walk_spectrum_takes_the_gap_report_eigenvalues():
-    # the CLI passes spectral_gaps' eigenvalues instead of solving q again;
-    # the same LAPACK call on the same matrix gives the same bytes
-    model, prop = build_hypercube(5, energy="random", levels=7, seed=2, beta=0.8)
-    q = decompose_discriminant(model, prop, metropolis()).q
-    phases = eigenbasis_embedding(q).phases
-    want = walk_spectrum(phases, q)
-    got = walk_spectrum(phases, q, spectral_gaps(q).eigenvalues)
-    for field in ("eigenphases", "lambdas", "predicted", "measured"):
-        assert np.array_equal(getattr(got, field), getattr(want, field))
-    assert (got.phase_gap, got.b_perp_dim) == (want.phase_gap, want.b_perp_dim)
-    with pytest.raises(SpectrumOutOfRange):
-        walk_spectrum(phases, q, 3.0 * spectral_gaps(q).eigenvalues)
+def test_phase_gap_check_fails_nan():
+    model, prop = two_state()
+    dec = decompose_discriminant(model, prop, metropolis())
+    gaps = spectral_gaps(dec.q)
+    spec = walk_spectrum(eigenbasis_embedding(dec.q, gaps).phases, gaps.eigenvalues)
+    assert phase_gap_check(spec, gaps.delta_plus).holds
+    # a NaN gap would read as arccos(1) = 0, matching a phase gap of 0
+    with pytest.raises(BoundViolated, match="nonnegative"):
+        phase_gap_check(dataclasses.replace(spec, phase_gap=0.0), math.nan)
+    with pytest.raises(BoundViolated, match="arccos"):
+        phase_gap_check(dataclasses.replace(spec, phase_gap=math.nan), gaps.delta_plus)
 
 
 def test_walk_spectrum_input_guards():
     with pytest.raises(SpectrumOutOfRange):
         walk_phases(np.eye(2) * 2.0)  # not unitary
     with pytest.raises(DimensionMismatch):
-        walk_spectrum(np.eye(2), np.eye(2))  # a walk matrix, not its phases
+        walk_spectrum(np.eye(2), np.ones(2))  # a walk matrix, not its phases
+    with pytest.raises(DimensionMismatch):
+        walk_spectrum(np.zeros(2), np.eye(2))  # a matrix, not its eigenvalues
     with pytest.raises(SpectrumOutOfRange):
-        walk_spectrum(np.zeros(2), 3.0 * np.eye(2))  # reference out of range
+        walk_spectrum(np.zeros(2), np.array([3.0, 3.0]))  # eigenvalues out of range
+    # the gap report's eigenvalues scaled out of [-1, 1]
+    model, prop = build_hypercube(5, energy="random", levels=7, seed=2, beta=0.8)
+    q = decompose_discriminant(model, prop, metropolis()).q
+    gaps = spectral_gaps(q)
+    phases = eigenbasis_embedding(q, gaps).phases
+    with pytest.raises(SpectrumOutOfRange):
+        walk_spectrum(phases, 3.0 * gaps.eigenvalues)
+    # NaN fails the range check: otherwise [1, nan] matches phases [0, 1, -1]
+    with pytest.raises(SpectrumOutOfRange, match="nan"):
+        walk_spectrum(np.array([0.0, 1.0, -1.0]), np.array([1.0, np.nan]))
 
 
 @pytest.mark.parametrize(
@@ -254,15 +270,17 @@ def test_walk_spectrum_input_guards():
     ids=["nan-entry", "nonsquare", "empty"],
 )
 def test_embedding_rejects_malformed_q(q, error):
+    # the eigenpairs of a valid Q: q itself is never solved here
     with pytest.raises(error):
-        eigenbasis_embedding(q)
+        eigenbasis_embedding(q, spectral_gaps(np.diag([1.0, 0.5])))
 
 
 def test_delta_plus_one_keeps_quadratic_bound():
     entries = np.full((2, 2), 0.5)
     p = StochasticMatrix(entries)
     q = discriminant(p, stationary_distribution(p))
-    spec = walk_spectrum(eigenbasis_embedding(q).phases, q)
+    gaps = spectral_gaps(q)
+    spec = walk_spectrum(eigenbasis_embedding(q, gaps).phases, gaps.eigenvalues)
     assert abs(spec.phase_gap - math.pi / 2.0) < 1e-10
     report = phase_gap_check(spec, 1.0)
     assert report.holds
@@ -317,8 +335,9 @@ def loop_relations(u, chi, vecs, thetas):
 
 def embedding_parts(q):
     """The embedding of q with the chi columns and eigenvectors it checks."""
-    emb = eigenbasis_embedding(q)
-    vecs = np.linalg.eigh(q)[1][:, ::-1]
+    gaps = spectral_gaps(q)
+    emb = eigenbasis_embedding(q, gaps)
+    vecs = gaps.eigenvectors
     chi = np.empty((2 * q.shape[0], q.shape[0]))
     chi[0::2] = np.cos(emb.thetas / 2.0) * vecs
     chi[1::2] = np.sin(emb.thetas / 2.0) * vecs
@@ -351,7 +370,7 @@ def test_batched_spectral_checks_match_loop_form():
         phases = walk_phases(u)
         assert np.abs(np.sort(phases) - np.sort(loop_eigenphases(u))).max() < 1e-12
         assert np.abs(np.sort(emb.phases) - np.sort(phases)).max() < 1e-12
-        spec = walk_spectrum(emb.phases, q)
+        spec = walk_spectrum(emb.phases, spectral_gaps(q).eigenvalues)
         assert np.abs(spec.measured - spec.predicted).max() < 1e-8
 
 
@@ -373,7 +392,8 @@ def test_dense_eigenphases_resolve_close_distinct_eigenvalues():
         energies=np.array([0, 1, 0, 0, 0, 0, 0, 2, 0, 0]), levels=3, beta=19.0
     )
     prop = proposal_from_permutations([1.0], [np.array([0, 5, 2, 3, 4, 1, 7, 6, 8, 9])])
-    emb = eigenbasis_embedding(decompose_discriminant(model, prop, metropolis()).q)
+    q = decompose_discriminant(model, prop, metropolis()).q
+    emb = eigenbasis_embedding(q, spectral_gaps(q))
     phases = walk_phases(dense_walk(emb))
     assert np.abs(np.sort(phases) - np.sort(emb.phases)).max() <= 1e-12
 
@@ -383,7 +403,7 @@ def test_sorted_pairing_finds_the_pairing_nearest_first_misses():
     # leaves the second 2.4e-8 off, while the sorted pairing is within 9e-9
     thetas = np.array([1.0, 1.0 + 1.5e-8])
     inner = np.array([1.0 + 0.8e-8, 1.0 - 0.9e-8])
-    spec = walk_spectrum(np.r_[inner, -inner], np.diag(np.cos(thetas)))
+    spec = walk_spectrum(np.r_[inner, -inner], np.cos(thetas))
     assert np.abs(spec.measured - spec.predicted).max() <= 9e-9
     assert spec.b_perp_dim == 0
 
@@ -424,10 +444,11 @@ def test_block_check_catches_one_plane_turned_too_far():
 def test_shifted_block_phase_is_a_spectrum_mismatch():
     model, prop = build_hypercube(3, energy="hamming", beta=0.7)
     q = decompose_discriminant(model, prop, metropolis()).q
-    emb = eigenbasis_embedding(q)
-    assert walk_spectrum(emb.phases, q).b_perp_dim == 1
+    gaps = spectral_gaps(q)
+    emb = eigenbasis_embedding(q, gaps)
+    assert walk_spectrum(emb.phases, gaps.eigenvalues).b_perp_dim == 1
     for j in (0, 1, 9):
         phases = emb.phases.copy()
         phases[j] += 0.1
         with pytest.raises(SpectrumMismatch):
-            walk_spectrum(phases, q)
+            walk_spectrum(phases, gaps.eigenvalues)
