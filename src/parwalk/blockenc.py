@@ -44,12 +44,11 @@ from .linops import (
     DenseUnitary,
     Embedded,
     FactoredSelect,
+    FusedReflection,
     Identity,
-    Kron,
     LinOp,
     Permutation,
     Select,
-    SystemControlled,
     SystemControlledReflection,
     energy_shift,
     householder_to,
@@ -166,41 +165,6 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     return block
 
 
-def _fused_parts(be: BlockEncoding):
-    """(prep, sel) when be.op is the fused tree prep . sel . prep: one
-    system-controlled reflection object on both sides of a factored select
-    whose slots and block register match its layout; else None."""
-    op = be.op
-    if not (isinstance(op, Compose) and len(op.ops) == 3):
-        return None
-    prep, sel, last = op.ops
-    if not (
-        prep is last
-        and isinstance(prep, SystemControlledReflection)
-        and isinstance(sel, FactoredSelect)
-    ):
-        return None
-    outer, size, inner, n_sys = prep.layout
-    fits = (sel.slots, sel.block_dim, sel.n_sys, be.sys_dim) == (
-        outer, size * inner, n_sys, n_sys
-    )
-    return (prep, sel) if fits else None
-
-
-def _structured_block(be: BlockEncoding, prep, sel) -> np.ndarray:
-    """gamma * (<0^c| (x) I) V (|0^c> (x) I) of the fused tree V = prep .
-    sel . prep, read from the arrays the nodes apply.
-
-    prep maps |0^c, x> to |r_x>|x> with the passive (dilation) register in
-    |0>, and it is a real symmetric involution, so <0^c, y| prep is r_y^T;
-    sel couples x only to x and to p_k(x). The block is therefore gamma
-    sum_k r_y[k]^T (a00 [y = x] + b00 [p_k(y) = x]) r_x[k], with a00, b00
-    the dilation-0 corners of the select pair: O(N kappa (4B)^2)."""
-    outer, _, inner, n = prep.layout
-    r = prep.prepared_states().reshape(n, outer, inner)
-    return be.gamma * sel.sandwich(r, r)
-
-
 # random system vectors v on which the real operator of a fused encoding is
 # probed, since its block is read from the node arrays and not from apply
 PROBES = 2
@@ -246,15 +210,16 @@ def _probe_fused(be: BlockEncoding, target: np.ndarray, seed: int, work: np.ndar
     return reflection_dev, block_dev
 
 
-def _spot_check(be: BlockEncoding, seed: int, work: np.ndarray, fused: bool) -> float:
+def _spot_check(be: BlockEncoding, seed: int, work: np.ndarray) -> float:
     """The larger of | ||V v|| - 1 | and |V^dag V v - v| over SPOT_VECTORS
     random unit vectors v, drawn into work[0] and applied in chunks through
-    work[1] and work[2]. Only the nodes of the fused tree write into the
-    workspace; any other operator returns new arrays."""
+    work[1] and work[2]. Only a FusedReflection writes into the workspace;
+    any other operator returns new arrays."""
     # consecutive draws from one generator give the same vectors as a single
     # draw of all of them
     rng = np.random.Generator(np.random.SFC64(seed))
     width = work.shape[1]
+    fused = isinstance(be.op, FusedReflection)
 
     def run(method, x, out, scratch):
         return method(x, out=out, scratch=scratch) if fused else method(x)
@@ -293,8 +258,8 @@ def verify_encoding(
     on SPOT_VECTORS random vectors, drawn and applied in extraction-sized
     chunks.
 
-    The block of a fused encoding (prep . sel . prep, recognised from the
-    operator tree) is read from the node arrays in O(N kappa (4B)^2); the
+    The block of a fused encoding (a FusedReflection on the system) is read
+    from the node arrays by FusedReflection.block in O(N kappa (4B)^2); the
     real operator is then probed on PROBES random vectors |0^c, v>, which
     must give a reflection (norm 1, V V|0,v> = |0,v>, within UNITARY_TOL)
     whose ancilla-0 part is target v / gamma (within tol). Any other
@@ -306,19 +271,17 @@ def verify_encoding(
         raise DimensionMismatch(
             f"target shape {target.shape} vs system dim {be.sys_dim}"
         )
-    parts = _fused_parts(be)
-    if parts is None:
-        dev = float(np.abs(extract_block(be) - target).max())
-    else:
-        dev = float(np.abs(_structured_block(be, *parts) - target).max())
+    fused = isinstance(be.op, FusedReflection) and be.op.n_sys == be.sys_dim
+    block = be.gamma * be.op.block() if fused else extract_block(be)
+    dev = float(np.abs(block - target).max())
     # one chunk's operand, result and scratch array, in one block: glibc
     # keeps a block of that size for the next call, where three separate
     # arrays were trimmed and faulted in again (~970 minor faults per n = 7,
     # B = 16 chain), and encode-n7 ran ~15% slower in the benchmark
     work = np.empty((3, extraction_chunk_width(be.sys_dim, be.op.dim), be.op.dim))
-    probes = (None, None) if parts is None else _probe_fused(be, target, seed, work)
-    probes_ok = parts is None or (probes[0] <= UNITARY_TOL and probes[1] <= tol)
-    unitary_dev = _spot_check(be, seed, work, fused=parts is not None)
+    probes = _probe_fused(be, target, seed, work) if fused else (None, None)
+    probes_ok = not fused or (probes[0] <= UNITARY_TOL and probes[1] <= tol)
+    unitary_dev = _spot_check(be, seed, work)
     return EncodingReport(
         max_abs_dev=dev,
         tol=tol,
@@ -376,7 +339,7 @@ def lcu(weights, encodings: list) -> BlockEncoding:
     # extra ancillas prepend in |0>; the block-encoding contract is unchanged
     ops = [
         be.op if be.anc_qubits == cmax
-        else Kron(Identity(1 << (cmax - be.anc_qubits)), be.op)
+        else Embedded(be.op, [1 << (cmax - be.anc_qubits), be.op.dim], [1])
         for be in encodings
     ]
     ops.extend(Identity(block) for _ in range((1 << m) - len(ops)))
@@ -386,9 +349,9 @@ def lcu(weights, encodings: list) -> BlockEncoding:
     else:
         prep = prepare_unitary(w)
         op = Compose(
-            Kron(DenseUnitary(prep.T), Identity(block)),
+            Embedded(DenseUnitary(prep.T), [1 << m, block], [0]),
             Select(ops),
-            Kron(DenseUnitary(prep), Identity(block)),
+            Embedded(DenseUnitary(prep), [1 << m, block], [0]),
         )
     paper = max(2 * m - 1, 0) + max(be.paper_anc for be in encodings)
     return BlockEncoding(
@@ -477,14 +440,13 @@ def svd_block_encoding(lhat: np.ndarray) -> BlockEncoding:
     if not sig.max() <= 1 + 1e-12:
         raise NormTooLarge(f"singular value {sig.max():.6f} exceeds 1 after scaling")
     sig = np.clip(sig, 0.0, 1.0)
-    comp = np.sqrt(1.0 - sig**2)
-    rots = np.stack(
-        [np.array([[s, c], [c, -s]]) for s, c in zip(sig, comp)], axis=0
-    )
+    # the rotation [[s, c], [c, -s]], c = sqrt(1 - s^2), of level x's
+    # ancilla is the reflection about (c, -(1 + s)), of squared norm >= 2
+    u = np.stack([np.sqrt(1.0 - sig**2), -(1.0 + sig)], axis=1)
     op = Compose(
-        Kron(Identity(2), DenseUnitary(u_)),
-        SystemControlled(rots),
-        Kron(Identity(2), DenseUnitary(vh_)),
+        Embedded(DenseUnitary(u_), [2, bt], [1]),
+        SystemControlledReflection(u),
+        Embedded(DenseUnitary(vh_), [2, bt], [1]),
     )
     return BlockEncoding(sys_dim=bt, anc_qubits=1, paper_anc=1, gamma=float(bt), op=op)
 
@@ -493,7 +455,7 @@ def left_multiply_unitary(be: BlockEncoding, u: LinOp) -> BlockEncoding:
     """Encoding of u L with unchanged parameters."""
     if u.dim != be.sys_dim:
         raise DimensionMismatch(f"unitary dim {u.dim} vs system dim {be.sys_dim}")
-    return replace(be, op=Compose(Kron(Identity(1 << be.anc_qubits), u), be.op))
+    return replace(be, op=Compose(Embedded(u, [1 << be.anc_qubits, u.dim], [1]), be.op))
 
 
 def rescale_encoding(be: BlockEncoding, gamma: float) -> BlockEncoding:
@@ -507,9 +469,9 @@ def rescale_encoding(be: BlockEncoding, gamma: float) -> BlockEncoding:
     rot = np.array(
         [[sig, math.sqrt(1 - sig**2)], [math.sqrt(1 - sig**2), -sig]]
     )
-    block = be.op.dim
+    dims = [2, be.op.dim]
     op = Compose(
-        Kron(DenseUnitary(rot), Identity(block)), Kron(Identity(2), be.op)
+        Embedded(DenseUnitary(rot), dims, [0]), Embedded(be.op, dims, [1])
     )
     return BlockEncoding(
         sys_dim=be.sys_dim,
@@ -548,7 +510,7 @@ def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL) -> BlockEncoding:
     herm_dev = np.abs(l - l.conj().T).max()
     if herm_dev > tol * max(1.0, np.abs(l).max()):
         raise NotHermitian(f"encoded block deviates from hermitian by {herm_dev:.3e}")
-    block = be.op.dim
+    dims = [2, be.op.dim]
     theta = math.pi / 12.0
     g = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
@@ -556,12 +518,12 @@ def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL) -> BlockEncoding:
     flip = DenseUnitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
     w_raw = Compose(
         Select([be.op, Adjoint(be.op)]),
-        Kron(flip, Identity(block)),
+        Embedded(flip, dims, [0]),
     )
     op = Compose(
-        Kron(DenseUnitary(g.T), Identity(block)),
+        Embedded(DenseUnitary(g.T), dims, [0]),
         w_raw,
-        Kron(DenseUnitary(g), Identity(block)),
+        Embedded(DenseUnitary(g), dims, [0]),
     )
     return BlockEncoding(
         sys_dim=be.sys_dim,
@@ -597,15 +559,6 @@ def _generic_reflection(
     return replace(w, paper_anc=paper_ancillas(prop.kappa, model.levels))
 
 
-def _dilation(p: np.ndarray) -> np.ndarray:
-    """Real symmetric involution [[p, c], [c, -p]] with c = sqrt(I - p^2),
-    for a real symmetric p of spectral norm at most 1."""
-    lam, vec = np.linalg.eigh(p)
-    lam = np.clip(lam, -1.0, 1.0)
-    c = (vec * np.sqrt(1.0 - lam**2)) @ vec.T
-    return np.block([[p, c], [c, -p]])
-
-
 def _fused_reflection(
     model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
 ) -> BlockEncoding:
@@ -622,7 +575,11 @@ def _fused_reflection(
     Pi_k^2 = I, so on the +-1 eigenspaces of Pi_k the dilation is D_+ or
     D_-, the dilation of (+-I_2 (x) G-hat + L^T (x) J-hat^T + L (x) J-hat) / 4B,
     and the slot-k block is A (x) I + B (x) Pi_k with A, B = (D_+ +- D_-) / 2:
-    one 4B x 4B pair for every k and every system size. A paired-energy
+    one 4B x 4B pair for every k and every system size. The direction sign
+    negates the accept term and keeps the hopping terms, so D_- = -K D_+ K
+    with K = (-1)^(dilation xor direction); A and B are then the entries of
+    D_+ across which that parity flips and keeps, with exact zeros
+    elsewhere, and one dilation serves both. A paired-energy
     state preparation, one Householder vector per system state, contracts
     the select, direction, and level registers against it.
 
@@ -646,10 +603,17 @@ def _fused_reflection(
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
     hop = np.kron(lower.T, ja_t.T) + np.kron(lower, ja_t)
     acc = np.kron(np.eye(2), ga_t)
-    d_plus = _dilation((acc + hop) / scale)
-    d_minus = _dilation((hop - acc) / scale)
+    # D_+ = [[top, c], [c, -top]] with c = sqrt(I - top^2), a real symmetric
+    # involution, since top is real symmetric of spectral norm at most 1
+    top = (acc + hop) / scale
+    lam, vec = np.linalg.eigh(top)
+    c = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
+    d_plus = np.block([[top, c], [c, -top]])
+    # K D_+ K = -D_-, K = (-1)^(dilation xor direction) on the block register
+    sign = np.repeat([1.0, -1.0, -1.0, 1.0], bt)
+    mirrored = sign[:, None] * d_plus * sign
     perms = list(prop.perms) + [np.arange(n)] * (k_dim - kappa)
-    sel = FactoredSelect((d_plus + d_minus) / 2, (d_plus - d_minus) / 2, perms)
+    sel = FactoredSelect((d_plus - mirrored) / 2, (d_plus + mirrored) / 2, perms)
 
     # paired-energy state t_x on (select, direction, level), prepared by the
     # reflection about e_0 - t_x
@@ -665,14 +629,12 @@ def _fused_reflection(
     # preparation leaves the dilation register alone
     prep = SystemControlledReflection(u, passive=(k_dim, 2))
 
-    # the preparation is a real symmetric involution, so it is its own adjoint
-    op = Compose(prep, sel, prep)
     return BlockEncoding(
         sys_dim=n,
         anc_qubits=fused_ancillas(kappa, model.levels),
         paper_anc=paper_ancillas(kappa, model.levels),
         gamma=scale,
-        op=op,
+        op=FusedReflection(prep, sel),
     )
 
 

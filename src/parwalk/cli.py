@@ -440,6 +440,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        size = f"n={args.n}" if args.model == "hypercube" else f"the chain of {args.cnf_file}"
+        print(f"error: MemoryError: not enough memory for {size}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

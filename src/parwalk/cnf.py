@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ParseError, TooManyVariables
 from .markov import GibbsModel
 
-VAR_CAP = 24  # 2^24 states is already past any dense build
+VAR_CAP = 24  # 2^24 states is past any dense build; hypercubes share the cap
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,14 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 
 def load_dimacs(path) -> CnfFormula:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dimacs(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {lineno}: byte {exc.start} is not UTF-8") from None
+    return parse_dimacs(text)
 
 
 def violated_counts(formula: CnfFormula) -> np.ndarray:

@@ -101,25 +101,15 @@ class Compose(LinOp):
         self.ops = ops
         self.dim = ops[0].dim
 
-    def _run(self, ops, method, v, out, scratch):
-        if out is None:
-            for op in ops:
-                v = getattr(op, method)(v)
-            return v
-        # the nodes write to out and scratch in turn, the first to out; only
-        # the first reads v, so v itself may serve as scratch
-        for i, op in enumerate(ops):
-            v = getattr(op, method)(v, out=scratch if i % 2 else out)
+    def apply(self, v):
+        for op in reversed(self.ops):
+            v = op.apply(v)
         return v
 
-    def apply(self, v, out=None, scratch=None):
-        """With out (and scratch, for more than one node), every node must
-        take out= as well; the result is the array returned, out or
-        scratch."""
-        return self._run(reversed(self.ops), "apply", v, out, scratch)
-
-    def adjoint_apply(self, v, out=None, scratch=None):
-        return self._run(self.ops, "adjoint_apply", v, out, scratch)
+    def adjoint_apply(self, v):
+        for op in self.ops:
+            v = op.adjoint_apply(v)
+        return v
 
 
 class Adjoint(LinOp):
@@ -134,27 +124,6 @@ class Adjoint(LinOp):
 
     def adjoint_apply(self, v):
         return self.op.apply(v)
-
-
-class Kron(LinOp):
-    """Tensor product A (x) B with A on the leading index block."""
-
-    def __init__(self, a: LinOp, b: LinOp):
-        self.a, self.b = a, b
-        self.dim = a.dim * b.dim
-
-    def _run(self, v, fa, fb):
-        shape = v.shape
-        w = v.reshape(shape[:-1] + (self.a.dim, self.b.dim))
-        w = fb(w)
-        w = np.moveaxis(fa(np.moveaxis(w, -2, -1)), -1, -2)
-        return w.reshape(shape)
-
-    def apply(self, v):
-        return self._run(v, self.a.apply, self.b.apply)
-
-    def adjoint_apply(self, v):
-        return self._run(v, self.a.adjoint_apply, self.b.adjoint_apply)
 
 
 class Select(LinOp):
@@ -180,32 +149,6 @@ class Select(LinOp):
 
     def adjoint_apply(self, v):
         return self._run(v, "adjoint_apply")
-
-
-class SystemControlled(LinOp):
-    """sum_x A_x (x) |x><x|: a distinct small unitary on the leading register
-    for every system basis state (system is the trailing index)."""
-
-    def __init__(self, mats: np.ndarray):
-        mats = np.asarray(mats)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise DimensionMismatch("expected array of shape (n_sys, d, d)")
-        self.mats = mats
-        self.n_sys = mats.shape[0]
-        self.block_dim = mats.shape[1]
-        self.dim = self.n_sys * self.block_dim
-
-    def _run(self, v, mats):
-        shape = v.shape
-        w = v.reshape(shape[:-1] + (self.block_dim, self.n_sys))
-        out = np.einsum("xab,...bx->...ax", mats, w)
-        return out.reshape(shape)
-
-    def apply(self, v):
-        return self._run(v, self.mats)
-
-    def adjoint_apply(self, v):
-        return self._run(v, np.conj(np.swapaxes(self.mats, 1, 2)))
 
 
 class FactoredSelect(LinOp):
@@ -333,6 +276,48 @@ class SystemControlledReflection(LinOp):
 
     def adjoint_apply(self, v, out=None):
         return self.apply(v, out)
+
+
+class FusedReflection(LinOp):
+    """prep . sel . prep for a system-controlled reflection prep whose
+    leading register, passive register included, holds the slot and block
+    registers of the factored select sel."""
+
+    def __init__(self, prep: SystemControlledReflection, sel: FactoredSelect):
+        outer, size, inner, n_sys = prep.layout
+        if (sel.slots, sel.block_dim, sel.n_sys) != (outer, size * inner, n_sys):
+            raise DimensionMismatch(
+                f"select of shape {(sel.slots, sel.block_dim, sel.n_sys)} does "
+                f"not fit the reflection layout {prep.layout}"
+            )
+        self.prep, self.sel = prep, sel
+        self.n_sys = n_sys
+        self.dim = prep.dim
+
+    def _run(self, v, sel_method, out, scratch):
+        # the nodes write to out, scratch and out in turn; only the first
+        # reads v, so v itself may serve as scratch
+        v = sel_method(self.prep.apply(v, out=out), out=scratch)
+        return self.prep.apply(v, out=out)
+
+    def apply(self, v, out=None, scratch=None):
+        """out and scratch, when given, are non-overlapping C-contiguous
+        arrays of v's shape; the result is written to out and returned."""
+        return self._run(v, self.sel.apply, out, scratch)
+
+    def adjoint_apply(self, v, out=None, scratch=None):
+        return self._run(v, self.sel.adjoint_apply, out, scratch)
+
+    def block(self) -> np.ndarray:
+        """The (n_sys, n_sys) |0>-block, read from the node arrays without
+        running apply. prep maps |0, x> to |r_x>|x> with the passive register
+        in |0>, and it is a real symmetric involution, so the block is
+        sum_k r_y[k]^T (a00 [y = x] + b00 [p_k(y) = x]) r_x[k], with a00, b00
+        the corners of the select pair on the passive register's 0 value:
+        O(n_sys slots d^2)."""
+        outer, _, inner, n = self.prep.layout
+        r = self.prep.prepared_states().reshape(n, outer, inner)
+        return self.sel.sandwich(r, r)
 
 
 class Embedded(LinOp):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import CnfFormula, gibbs_from_cnf
-from .errors import EnergyOutOfRange, ParwalkError
+from .cnf import VAR_CAP, CnfFormula, gibbs_from_cnf
+from .errors import EnergyOutOfRange, ParwalkError, TooManyVariables
 from .markov import GibbsModel
 from .parchain import ProposalDecomposition, hypercube_proposal
 
@@ -37,6 +37,8 @@ def build_hypercube(
 ):
     """Single-bit-flip chain on n-bit strings, Hamming or seeded random
     energies. Returns (GibbsModel, ProposalDecomposition)."""
+    if n > VAR_CAP:
+        raise TooManyVariables(f"{n} bits exceeds the enumeration cap {VAR_CAP}")
     if energy == "hamming":
         energies = hamming_energies(n)
         levels = n + 1

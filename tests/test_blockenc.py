@@ -3,6 +3,7 @@ ancilla-efficient discriminant construction."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,12 +48,11 @@ from parwalk.linops import (
     DenseUnitary,
     Embedded,
     FactoredSelect,
+    FusedReflection,
     Identity,
-    Kron,
     LinOp,
     Permutation,
     Select,
-    SystemControlled,
     householder_to,
 )
 from parwalk.cnf import parse_dimacs
@@ -150,6 +150,26 @@ def test_svd_encoding_rejects_oversized_norm():
         svd_block_encoding(2.0 * np.ones((3, 3)))  # spectral norm 6 > 4
     with pytest.raises(DimensionMismatch):
         svd_block_encoding(np.ones((2, 3)))
+
+
+def test_svd_encoding_reflections_are_the_level_rotations():
+    # the middle node reflects the ancilla of level x about (c, -(1 + s));
+    # the operator it replaced rotated it by [[s, c], [c, -s]]
+    rng = np.random.default_rng(15)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    lhat = 4.0 * (u * [1.0, 0.3, 0.0, 0.0]) @ v.T
+    be = svd_block_encoding(lhat)
+    u_, sig, vh_ = np.linalg.svd(lhat / 4.0)
+    sig = np.clip(sig, 0.0, 1.0)
+    assert np.abs(sig - [1.0, 0.3, 0.0, 0.0]).max() < 1e-14
+    rots = np.zeros((8, 8))
+    for x, s in enumerate(sig):
+        c = math.sqrt(1.0 - s**2)
+        rots[x::4, x::4] = [[s, c], [c, -s]]
+    want = np.kron(np.eye(2), u_) @ rots @ np.kron(np.eye(2), vh_)
+    assert np.abs(be.op.ops[1].dense() - rots).max() < 1e-15
+    assert np.abs(be.op.dense() - want).max() < 1e-15
 
 
 # ------------------------------------------------------- linear combinations
@@ -328,14 +348,10 @@ def hadamard_sandwich_sum(be_a, be_b):
     def padded(be):
         if be.anc_qubits == c:
             return be.op
-        return Kron(Identity(1 << (c - be.anc_qubits)), be.op)
+        return Embedded(be.op, [1 << (c - be.anc_qubits), be.op.dim], [1])
 
-    h = DenseUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / RT2)
-    op = Compose(
-        Kron(h, Identity(block)),
-        Select([padded(be_a), padded(be_b)]),
-        Kron(h, Identity(block)),
-    )
+    h = Embedded(DenseUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / RT2), [2, block], [0])
+    op = Compose(h, Select([padded(be_a), padded(be_b)]), h)
     return BlockEncoding(
         sys_dim=be_a.sys_dim,
         anc_qubits=c + 1,
@@ -472,19 +488,23 @@ def dense_fused_op(model, prop, rule):
         lam, vec = np.linalg.eigh(p_k)
         c_k = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
         dils.append(DenseUnitary(np.block([[p_k, c_k], [c_k, -p_k]])))
-    d = k_dim * 2 * bt
     e = model.energies
-    amats = np.empty((n, d, d))
+    # registers (select, dilation, direction, level, system); the
+    # preparation is the identity on the dilation register
+    dims = (k_dim, 2, 2, bt, n)
+    prep = np.zeros(dims + dims)
     for x in range(n):
-        t = np.zeros(d)
+        t = np.zeros((k_dim, 2, bt))
         for k, (w, p) in enumerate(zip(weights, perms)):
             if w > 0.0:
-                t[(2 * k) * bt + e[x]] += math.sqrt(0.5 * w)
-                t[(2 * k + 1) * bt + e[p[x]]] += math.sqrt(0.5 * w)
-        amats[x] = householder_to(t)
-    emb = Embedded(SystemControlled(amats), [k_dim, 2, 2, bt, n], [0, 2, 3, 4])
+                t[k, 0, e[x]] += math.sqrt(0.5 * w)
+                t[k, 1, e[p[x]]] += math.sqrt(0.5 * w)
+        h = householder_to(t.reshape(-1)).reshape(2 * t.shape)
+        for dil in range(2):
+            prep[:, dil, :, :, x, :, dil, :, :, x] = h
+    prep = prep.reshape(math.prod(dims), -1)
     sel = Select(dils) if len(dils) > 1 else dils[0]
-    return Compose(emb, sel, emb)
+    return prep @ sel.dense() @ prep
 
 
 @pytest.mark.parametrize(
@@ -495,8 +515,20 @@ def dense_fused_op(model, prop, rule):
 def test_fused_route_matches_dense_dilations(n, energy, levels, rule):
     model, prop = build_hypercube(n, energy=energy, levels=levels, seed=5, beta=0.9)
     be = build_ancilla_efficient_Q(model, prop, rule)
-    want = dense_fused_op(model, prop, rule).dense()
+    want = dense_fused_op(model, prop, rule)
     assert np.abs(be.op.dense() - want).max() < 1e-12
+
+
+def test_fused_select_pair_splits_one_dilation_by_parity():
+    # a and b are the entries of D_+ across which the parity of (dilation,
+    # direction) flips and keeps; D_+- = a +- b are both involutions
+    model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
+    sel = build_ancilla_efficient_Q(model, prop, glauber()).op.sel
+    parity = np.repeat([0, 1, 1, 0], 8)
+    flips = parity[:, None] != parity[None, :]
+    assert np.all(sel.a[~flips] == 0.0) and np.all(sel.b[flips] == 0.0)
+    for d in (sel.a + sel.b, sel.a - sel.b):
+        assert np.abs(d @ d - np.eye(32)).max() < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -663,7 +695,7 @@ def test_spot_check_sees_a_select_entry_the_block_never_reads(n):
     model, prop = build_hypercube(n, energy="hamming")
     be = build_ancilla_efficient_Q(model, prop, metropolis())
     q = decompose_discriminant(model, prop, metropolis()).q
-    sel = be.op.ops[1]
+    sel = be.op.sel
     d = sel.block_dim
     sel.a[d - 1, d - 2] += 1e-7
     report = verify_encoding(be, q)
@@ -676,9 +708,8 @@ def test_spot_check_sees_a_select_entry_the_block_never_reads(n):
 
 
 def structured_block(be):
-    parts = parwalk.blockenc._fused_parts(be)
-    assert parts is not None
-    return parwalk.blockenc._structured_block(be, *parts)
+    assert isinstance(be.op, FusedReflection)
+    return be.gamma * be.op.block()
 
 
 def random_3sat_chain(num_vars, num_clauses, seed, beta):
@@ -716,8 +747,19 @@ def test_generic_and_hand_built_encodings_are_extracted_in_full():
     generic = build_ancilla_efficient_Q(model, prop, metropolis())
     q = decompose_discriminant(model, prop, metropolis()).q
     flip = unitary_encoding(Permutation(np.array([1, 0])))
-    for be, target in ((generic, q), (flip, np.array([[0.0, 1.0], [1.0, 0.0]]))):
-        assert parwalk.blockenc._fused_parts(be) is None
+    # the fused route's nodes composed by hand are no FusedReflection
+    model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
+    fused = build_ancilla_efficient_Q(model, prop, glauber())
+    prep, sel = fused.op.prep, fused.op.sel
+    by_hand = replace(fused, op=Compose(prep, sel, prep))
+    q_fused = decompose_discriminant(model, prop, glauber()).q
+    assert np.abs(extract_block(by_hand) - structured_block(fused)).max() <= 1e-15
+    for be, target in (
+        (generic, q),
+        (flip, np.array([[0.0, 1.0], [1.0, 0.0]])),
+        (by_hand, q_fused),
+    ):
+        assert not isinstance(be.op, FusedReflection)
         report = verify_encoding(be, target)
         assert report.passed
         assert report.probe_reflection_dev is None and report.probe_block_dev is None

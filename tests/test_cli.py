@@ -508,6 +508,40 @@ def test_malformed_cnf_is_an_input_error(capsys, tmp_path):
     assert code == 2 and "ParseError" in err
 
 
+def test_non_utf8_cnf_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "binary.cnf"
+    path.write_bytes(b"p cnf 2 1\n\xff\xfe\x00 0\n")
+    code, out, err = run(
+        capsys, "verify", "--model", "cnf", "--cnf-file", str(path), "--json"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: ParseError: line 2: byte 10 is not UTF-8\n"
+
+
+def test_oversized_hypercube_is_an_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--n", "62", "--max-n", "62", "--json")
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: TooManyVariables: 62 bits exceeds the enumeration cap 24"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["hypercube", "cnf"])
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch, tmp_path, model):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(parwalk.cli, "build_hypercube", exhausted)
+    monkeypatch.setattr(parwalk.cli, "build_cnf", exhausted)
+    path = tmp_path / "toy.cnf"
+    write_random_3sat(path, 4, 6)
+    argv = ["--n", "5"] if model == "hypercube" else ["--model", "cnf", "--cnf-file", str(path)]
+    code, out, err = run(capsys, "verify", *argv, "--json")
+    assert code == 2 and out == ""
+    size = "n=5" if model == "hypercube" else f"the chain of {path}"
+    assert err == f"error: MemoryError: not enough memory for {size}\n"
+
+
 def test_random_energy_requires_level_count(capsys):
     code, _, err = run(capsys, "build", "--n", "2", "--energy", "random")
     assert code == 2 and "--B" in err

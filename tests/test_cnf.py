@@ -97,6 +97,13 @@ def test_gibbs_model_levels_and_energies():
     assert model.beta == 0.5
 
 
+def test_load_dimacs_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"c caf\xe9\np cnf 1 1\n1 0\n")
+    with pytest.raises(ParseError, match="line 1: byte 5 is not UTF-8"):
+        load_dimacs(path)
+
+
 def test_load_dimacs_round_trip(tmp_path):
     path = tmp_path / "toy.cnf"
     path.write_text("c file\np cnf 2 1\n-1 2 0\n", encoding="utf-8")

@@ -10,11 +10,10 @@ from parwalk.linops import (
     DenseUnitary,
     Embedded,
     FactoredSelect,
+    FusedReflection,
     Identity,
-    Kron,
     Permutation,
     Select,
-    SystemControlled,
     SystemControlledReflection,
     energy_shift,
     householder_to,
@@ -66,11 +65,16 @@ def test_compose_dimension_guard():
         Compose(Identity(2), Identity(3))
 
 
-def test_kron_leading_factor():
+def test_embedded_matches_kron_forms():
+    # an operator on the leading or the trailing one of two registers is
+    # op (x) I or I (x) op
     rng = np.random.default_rng(2)
     a, b = random_unitary(rng, 2), random_unitary(rng, 3)
-    op = Kron(DenseUnitary(a), DenseUnitary(b))
-    assert np.abs(op.dense() - np.kron(a, b)).max() < 1e-14
+    lead = Embedded(DenseUnitary(a), [2, 3], [0])
+    trail = Embedded(DenseUnitary(b), [2, 3], [1])
+    assert np.abs(lead.dense() - np.kron(a, np.eye(3))).max() < 1e-14
+    assert np.abs(trail.dense() - np.kron(np.eye(2), b)).max() < 1e-14
+    assert np.abs(Compose(lead, trail).dense() - np.kron(a, b)).max() < 1e-14
 
 
 def test_select_block_diagonal():
@@ -80,19 +84,6 @@ def test_select_block_diagonal():
     want = np.zeros((12, 12))
     for k, u in enumerate(blocks):
         want[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = u
-    assert np.abs(op.dense() - want).max() < 1e-14
-
-
-def test_system_controlled():
-    # sum_x A_x (x) |x><x| with the system register trailing
-    rng = np.random.default_rng(4)
-    mats = np.stack([random_unitary(rng, 2) for _ in range(3)])
-    op = SystemControlled(mats)
-    want = np.zeros((6, 6))
-    for x in range(3):
-        for a in range(2):
-            for b in range(2):
-                want[a * 3 + x, b * 3 + x] = mats[x, a, b]
     assert np.abs(op.dense() - want).max() < 1e-14
 
 
@@ -173,7 +164,10 @@ def test_system_controlled_reflection_matches_householder():
     u = -t
     u[:, 0] += 1.0
     op = SystemControlledReflection(u)
-    want = SystemControlled(np.stack([householder_to(tx) for tx in t])).dense()
+    # sum_x H_x (x) |x><x| with the system register trailing
+    want = np.zeros((12, 12))
+    for x, tx in enumerate(t):
+        want[x::3, x::3] = householder_to(tx)
     d = op.dense()
     assert np.abs(d - want).max() < 1e-14
     assert np.abs(d @ d - np.eye(12)).max() < 1e-13
@@ -201,18 +195,24 @@ def test_passive_register_reflection_matches_embedded():
         SystemControlledReflection(np.zeros((2, 6)), passive=(4, 2))
 
 
-def test_destinations_give_the_allocating_results():
-    # the fused tree's nodes write into out, and Compose runs them through
-    # out and scratch in turn; v may serve as scratch, since only the first
-    # node reads it
-    rng = np.random.default_rng(12)
-    k_dim, bt, n = 4, 2, 8
+def fused_nodes(rng, k_dim, bt, n):
+    """A reflection on (select, dilation, direction x level, system) with
+    the dilation register passive, and a factored select that fits it."""
     u = rng.normal(size=(n, k_dim * 2 * bt))
     prep = SystemControlledReflection(u, passive=(k_dim, 2))
     perms = np.array([rng.permutation(n) for _ in range(k_dim)])
     a, b = rng.normal(size=(2, 4 * bt, 4 * bt))
-    sel = FactoredSelect(a, b, perms)
-    tree = Compose(prep, sel, prep)
+    return prep, FactoredSelect(a, b, perms)
+
+
+def test_destinations_give_the_allocating_results():
+    # the fused reflection's nodes write into out, and it runs them through
+    # out, scratch and out in turn; v may serve as scratch, since only the
+    # first node reads it
+    rng = np.random.default_rng(12)
+    prep, sel = fused_nodes(rng, 4, 2, 8)
+    tree = FusedReflection(prep, sel)
+    plain = Compose(prep, sel, prep)
     v = rng.normal(size=(3, tree.dim))
     for op in (prep, sel):
         for method in ("apply", "adjoint_apply"):
@@ -221,18 +221,41 @@ def test_destinations_give_the_allocating_results():
             assert np.shares_memory(got, out)
             assert np.array_equal(out, getattr(op, method)(v))
     for method in ("apply", "adjoint_apply"):
-        want = getattr(tree, method)(v)
+        want = getattr(plain, method)(v)
+        assert np.array_equal(getattr(tree, method)(v), want)
         out, scratch = np.empty_like(v), np.empty_like(v)
         got = getattr(tree, method)(v, out=out, scratch=scratch)
         assert np.shares_memory(got, out) and np.array_equal(got, want)
         own = v.copy()
         got = getattr(tree, method)(own, out=out, scratch=own)
         assert np.shares_memory(got, out) and np.array_equal(got, want)
-    # two nodes end in scratch; the returned array says where
-    pair = Compose(sel, prep)
-    out, scratch = np.empty_like(v), np.empty_like(v)
-    got = pair.apply(v, out=out, scratch=scratch)
-    assert np.shares_memory(got, scratch) and np.array_equal(got, pair.apply(v))
+
+
+def test_fused_reflection_block_is_its_zero_block():
+    rng = np.random.default_rng(13)
+    for k_dim, bt, n in ((4, 2, 8), (1, 1, 2), (2, 4, 4)):
+        prep, sel = fused_nodes(rng, k_dim, bt, n)
+        tree = FusedReflection(prep, sel)
+        assert tree.n_sys == n
+        assert np.abs(tree.block() - tree.dense()[:n, :n]).max() < 1e-13
+
+
+def test_fused_reflection_rejects_a_select_off_its_layout():
+    rng = np.random.default_rng(14)
+    prep, sel = fused_nodes(rng, 4, 2, 8)
+    a, b = sel.a, sel.b
+    big = rng.normal(size=(2, 16, 16))
+    misfits = [
+        # slots, block size, system size, one at a time
+        FactoredSelect(a, b, sel.perms[:2]),
+        FactoredSelect(a[:4, :4], b[:4, :4], sel.perms),
+        FactoredSelect(a, b, np.tile(np.arange(16), (4, 1))),
+        # slots and block size traded at the reflection's dimension
+        FactoredSelect(*big, sel.perms[:2]),
+    ]
+    for bad in misfits:
+        with pytest.raises(DimensionMismatch, match="does not fit"):
+            FusedReflection(prep, bad)
 
 
 def test_embedded_acts_on_selected_registers():
@@ -260,7 +283,7 @@ def test_adjoint_wrapper():
 def test_batched_apply():
     rng = np.random.default_rng(7)
     u = random_unitary(rng, 4)
-    op = Kron(DenseUnitary(u), Identity(2))
+    op = Embedded(DenseUnitary(u), [4, 2], [0])
     batch = rng.normal(size=(5, 8))
     out = op.apply(batch)
     for i in range(5):

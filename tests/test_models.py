@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from parwalk.cnf import parse_dimacs
-from parwalk.errors import ParwalkError
+from parwalk.cnf import VAR_CAP, parse_dimacs
+from parwalk.errors import ParwalkError, TooManyVariables
 from parwalk.models import (
     build_cnf,
     build_hypercube,
@@ -52,6 +52,13 @@ def test_build_hypercube_rejects_levels_below_one(levels):
         build_hypercube(3, energy="random", levels=levels)
     model, _ = build_hypercube(2, energy="random", levels=7, seed=3)
     assert model.levels == 7
+
+
+def test_build_hypercube_shares_the_cnf_enumeration_cap():
+    # 2^62 states would fail in numpy with a ValueError of its own
+    for n in (VAR_CAP + 1, 62):
+        with pytest.raises(TooManyVariables, match=f"{n} bits exceeds the enumeration cap 24"):
+            build_hypercube(n)
 
 
 def test_build_hypercube_rejects_unknown_energy():

@@ -15,13 +15,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from parwalk.blockenc import (  # noqa: E402
-    _fused_parts,
-    _structured_block,
-    build_ancilla_efficient_Q,
-    extract_block,
-)
+from parwalk.blockenc import build_ancilla_efficient_Q, extract_block  # noqa: E402
 from parwalk.cli import main  # noqa: E402
+from parwalk.linops import FusedReflection  # noqa: E402
 from parwalk.markov import (  # noqa: E402
     GibbsModel,
     discriminant,
@@ -95,11 +91,11 @@ def test_encoding_properties(chain):
 def test_structured_block_matches_full_extraction(chain):
     model, prop, rule = chain
     be = build_ancilla_efficient_Q(model, prop, rule)
-    parts = _fused_parts(be)
+    fused = isinstance(be.op, FusedReflection)
     # the fused route is the one read from its structure
-    assert (parts is not None) == prop.all_involutions
-    if parts is not None:
-        assert np.abs(_structured_block(be, *parts) - extract_block(be)).max() <= 1e-15
+    assert fused == prop.all_involutions
+    if fused:
+        assert np.abs(be.gamma * be.op.block() - extract_block(be)).max() <= 1e-15
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -140,6 +136,7 @@ def cli_calls(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(["verify", "--n", "3", "--energy", "random", "--B", "4", "--seed", "-1"])
 @example(["verify", "--n", "4", "--beta", "15"])
+@example(["verify", "--n", "62", "--max-n", "62"])
 @example(["verify", "--n", "4", "--beta", "40"])
 @example(
     ["verify", "--n", "3", "--energy", "random", "--B", "3", "--seed", "238", "--beta", "157"]
