@@ -55,27 +55,19 @@ from .linops import (
     xor_shift,
 )
 from .markov import GibbsModel
-from .parchain import (
-    AcceptanceRule,
-    ProposalDecomposition,
-    ga_matrix,
-    rejection_matrix,
-)
+from .parchain import LevelTables, ProposalDecomposition
 
 UNITARY_TOL = 1e-10
 EXTRACT_TOL = 1e-9
-# Bytes one chunk of vectors keeps alive while it passes through the
-# encoding, in full extraction (generic route, and the oracle of the tests),
-# the probes and the unitarity spot check: half of a 2 MiB per-core L2
-# cache, so that the operator's own tables (reflection vectors, dilation
-# pairs, permutations) stay cached beside it. A chunk of w columns holds up
-# to CHUNK_ARRAYS arrays of w x op.dim floats at once: the operand of a
-# node, its output and the partial products of the factored select. In a
-# sweep of the chunk's input array over 128 KiB to 2 MiB at n = 5, 6, 7,
-# 256 KiB (this budget) was fastest or within noise of it, and 1-2 MiB were
-# slowest (see the README).
-EXTRACT_BUDGET = 2**20
-CHUNK_ARRAYS = 4
+# Bytes of a chunk's input array, the w x op.dim floats that full
+# extraction (generic route, and the oracle of the tests), the probes and
+# the unitarity spot check pass through the encoding at once. A chunk holds
+# up to four arrays of that size (the operand of a node, its output and the
+# partial products of the factored select), half of a 2 MiB per-core L2
+# cache, so that the operator's own tables stay cached beside them. In a
+# sweep of this bound over 128 KiB to 2 MiB at n = 5, 6, 7, 256 KiB was
+# fastest or within noise of it, and 1-2 MiB were slowest (see the README).
+CHUNK_BYTES = 2**18
 
 
 def _ceil_log2(k: int) -> int:
@@ -130,9 +122,8 @@ def unitary_encoding(op: LinOp) -> BlockEncoding:
 
 def extraction_chunk_width(sys_dim: int, op_dim: int) -> int:
     """Columns per extraction chunk: as many float64 vectors of length
-    op_dim as keep CHUNK_ARRAYS arrays of them within EXTRACT_BUDGET, at
-    least one and at most sys_dim."""
-    return max(1, min(sys_dim, EXTRACT_BUDGET // (CHUNK_ARRAYS * 8 * op_dim)))
+    op_dim as fit CHUNK_BYTES, at least one and at most sys_dim."""
+    return max(1, min(sys_dim, CHUNK_BYTES // (8 * op_dim)))
 
 
 def _basis_columns(lo: int, hi: int, dim: int) -> np.ndarray:
@@ -145,9 +136,9 @@ def _basis_columns(lo: int, hi: int, dim: int) -> np.ndarray:
 def extract_block(be: BlockEncoding) -> np.ndarray:
     """gamma * (<0^c| (x) I) V (|0^c> (x) I), without materializing V.
 
-    V is applied to the basis columns |0^c, x> in consecutive chunks whose
-    working set fits EXTRACT_BUDGET, so every pass over a chunk stays in
-    cache and the working set does not grow with the number of columns.
+    V is applied to the basis columns |0^c, x> in consecutive chunks of at
+    most CHUNK_BYTES, so every pass over a chunk stays in cache and the
+    working set does not grow with the number of columns.
     """
     n = be.sys_dim
     dim = be.op.dim
@@ -535,13 +526,13 @@ def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL) -> BlockEncoding:
 
 
 def _generic_reflection(
-    model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
+    model: GibbsModel, prop: ProposalDecomposition, tables: LevelTables
 ) -> BlockEncoding:
     """Matrix-free route: separate accept and reject encodings, combined and
     reflectionized. Meets the ancilla bound whenever kappa >= 2."""
     e = model.energies
-    be_ga = svd_block_encoding(ga_matrix(model, rule))
-    be_ja = svd_block_encoding(rejection_matrix(model, rule))
+    be_ga = svd_block_encoding(tables.ga)
+    be_ja = svd_block_encoding(tables.rejection)
 
     perm_encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
     s_enc = lcu(prop.weights, perm_encs)
@@ -560,7 +551,7 @@ def _generic_reflection(
 
 
 def _fused_reflection(
-    model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
+    model: GibbsModel, prop: ProposalDecomposition, tables: LevelTables
 ) -> BlockEncoding:
     """Involution route: accept and reject terms share one select register.
 
@@ -595,9 +586,9 @@ def _fused_reflection(
     k_dim = _pow2_pad(kappa)
 
     ga_t = np.zeros((bt, bt))
-    ga_t[: model.levels, : model.levels] = ga_matrix(model, rule)
+    ga_t[: model.levels, : model.levels] = tables.ga
     ja_t = np.zeros((bt, bt))
-    ja_t[: model.levels, : model.levels] = rejection_matrix(model, rule)
+    ja_t[: model.levels, : model.levels] = tables.rejection
     scale = 4.0 * bt
 
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -639,17 +630,19 @@ def _fused_reflection(
 
 
 def build_ancilla_efficient_Q(
-    model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
+    model: GibbsModel, prop: ProposalDecomposition, tables: LevelTables
 ) -> BlockEncoding:
     """Reflection encoding of the discriminant matrix with gamma = 4B and
     at most 2 ceil(log kappa) + ceil(log B) + 2 ancilla qubits (B padded to
-    a power of two).
+    a power of two), from the chain's level tables.
 
     Proposals made of involutions take the fused route (ceil(log kappa) +
     ceil(log B) + 2 qubits); any other proposal takes the generic route.
     """
     if model.n != prop.n:
         raise DimensionMismatch(f"model dim {model.n} vs proposal dim {prop.n}")
+    if tables.ga.shape != (model.levels, model.levels):
+        raise DimensionMismatch(f"tables {tables.ga.shape} vs {model.levels} levels")
     if prop.all_involutions:
-        return _fused_reflection(model, prop, rule)
-    return _generic_reflection(model, prop, rule)
+        return _fused_reflection(model, prop, tables)
+    return _generic_reflection(model, prop, tables)

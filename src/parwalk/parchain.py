@@ -176,42 +176,43 @@ def _level_table(vals: np.ndarray, levels: int) -> np.ndarray:
     return t
 
 
-def ga_matrix(model: GibbsModel, rule: AcceptanceRule) -> np.ndarray:
-    """Symmetric level table e^{beta(E'-E)/2} f(E'-E); entries in [0, 1].
+@dataclass(frozen=True)
+class LevelTables:
+    """The validated acceptance values of one chain, values[d + B - 1] =
+    f(d) for |d| < B, and the B x B level tables gathered from them:
+    ga[E', E] = e^{beta(E'-E)/2} f(E'-E), symmetric with entries in [0, 1],
+    and rejection[E', E] = 1 - f(E'-E). The diagonal of ga carries f(0), not
+    the unit acceptance of staying put; rejection's diagonal cancels it."""
 
-    The diagonal carries f(0), not the forced unit acceptance of staying
-    put; the discrepancy cancels against rejection_matrix's diagonal.
-    """
+    values: np.ndarray
+    ga: np.ndarray
+    rejection: np.ndarray
+
+
+def level_tables(model: GibbsModel, rule: AcceptanceRule) -> LevelTables:
+    """Evaluate the rule once (rule.table checks the functional equation)
+    and build the G(.)A and rejection tables from those values."""
+    vals = rule.table(model.beta, model.levels)
     # a validated table has 0 < f(d) <= e^{-beta d}, which bounds beta |d|
     # by ~745, so the reweighting below cannot overflow
-    vals = rule.table(model.beta, model.levels)
     deltas = np.arange(-(model.levels - 1), model.levels)
-    return _level_table(np.exp(0.5 * model.beta * deltas) * vals, model.levels)
+    ga = _level_table(np.exp(0.5 * model.beta * deltas) * vals, model.levels)
+    return LevelTables(vals, ga, _level_table(1.0 - vals, model.levels))
 
 
-def rejection_matrix(model: GibbsModel, rule: AcceptanceRule) -> np.ndarray:
-    """Rejection probability level table 1 - f(E' - E); entries in [0, 1)."""
-    vals = rule.table(model.beta, model.levels)
-    return _level_table(1.0 - vals, model.levels)
+def _gather_acceptance(model: GibbsModel, vals: np.ndarray) -> np.ndarray:
+    e = model.energies
+    a = vals[np.subtract.outer(e, e) + model.levels - 1]
+    np.fill_diagonal(a, 1.0)
+    return a
 
 
 def acceptance_matrix(model: GibbsModel, rule: AcceptanceRule) -> np.ndarray:
-    """Dense A with a_yx = f(E_y - E_x) off the diagonal and a_xx = 1."""
-    vals = rule.table(model.beta, model.levels)
-    e = model.energies
-    deltas = np.subtract.outer(e, e)
-    a = vals[deltas + model.levels - 1]
-    np.fill_diagonal(a, 1.0)
-    # detailed-balance ratio a_yx / a_xy = e^{-beta delta}, in product form
-    half = np.exp(0.5 * model.beta * deltas)
-    sym = half * a
-    dev = np.abs(sym - sym.T)
-    np.fill_diagonal(dev, 0.0)
-    if dev.max() > RATIO_TOL:
-        raise FunctionalEquationViolated(
-            f"acceptance ratio check fails by {dev.max():.3e}"
-        )
-    return a
+    """Dense A with a_yx = f(E_y - E_x) off the diagonal and a_xx = 1.
+
+    Its detailed-balance ratio a_yx / a_xy = e^{-beta delta} is the
+    functional equation that rule.table checks on the same values."""
+    return _gather_acceptance(model, rule.table(model.beta, model.levels))
 
 
 def transition_matrix(prop: ProposalDecomposition, a: np.ndarray) -> StochasticMatrix:
@@ -245,8 +246,10 @@ def r_matrix(prop: ProposalDecomposition, a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DiscriminantDecomposition:
     """Factors of Q = ga (.) s + r together with the verified deviation,
-    the acceptance matrix a and the transition matrix p they came from."""
+    the acceptance matrix a and the transition matrix p they came from, and
+    the level tables that a and ga were gathered from."""
 
+    tables: LevelTables
     a: np.ndarray
     p: StochasticMatrix
     ga: np.ndarray
@@ -262,7 +265,8 @@ def decompose_discriminant(
     """Build the chain and verify Q = (G(.)A)(.)S + R within 1e-10."""
     if model.n != prop.n:
         raise DimensionMismatch(f"model dim {model.n} vs proposal dim {prop.n}")
-    a = acceptance_matrix(model, rule)
+    tables = level_tables(model, rule)
+    a = _gather_acceptance(model, tables.values)
     s = prop.assemble()
     p = transition_matrix(prop, a)
     r = r_matrix(prop, a)
@@ -275,10 +279,9 @@ def decompose_discriminant(
         raise DecompositionMismatch(f"P = A(.)S + R fails by {p_dev:.3e}")
 
     e = model.energies
-    ga = ga_matrix(model, rule)[np.ix_(e, e)]
+    # symmetric, since rule.table checked the functional equation
+    ga = tables.ga[np.ix_(e, e)]
     np.fill_diagonal(ga, 1.0)
-    if np.abs(ga - ga.T).max() > 1e-12:
-        raise DecompositionMismatch("G(.)A is not symmetric")
     if ga.min() < 0 or ga.max() > 1 + 1e-12:
         raise DecompositionMismatch("G(.)A entries leave [0, 1]")
 
@@ -288,5 +291,5 @@ def decompose_discriminant(
             f"(G(.)A)(.)S + R deviates from Q by {deviation:.3e}"
         )
     return DiscriminantDecomposition(
-        a=a, p=p, ga=ga, s=s, r=r, q=q, deviation=deviation
+        tables=tables, a=a, p=p, ga=ga, s=s, r=r, q=q, deviation=deviation
     )

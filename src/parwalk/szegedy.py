@@ -27,7 +27,7 @@ from .errors import (
     NotSymmetricUnitary,
 )
 from .markov import GibbsModel, StochasticMatrix, discriminant, stationary_distribution
-from .parchain import AcceptanceRule, ProposalDecomposition
+from .parchain import AcceptanceRule, ProposalDecomposition, level_tables
 
 IDENT_TOL = 1e-10
 
@@ -206,8 +206,9 @@ def comparison_counts(n_states: int, kappa: int, levels: int) -> AncillaComparis
 def ancilla_comparison(
     model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
 ) -> AncillaComparison:
-    """Comparison with the logical count of an actually built encoding."""
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    """Comparison with the logical count of an actually built encoding; only
+    the level tables of the chain are built, not the dense chain."""
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     return replace(
         comparison_counts(model.n, prop.kappa, model.levels),
         logical_qubits=be.anc_qubits,

@@ -29,11 +29,10 @@ from parwalk.models import hamming_energies, random_energies
 from parwalk.parchain import (
     acceptance_matrix,
     decompose_discriminant,
-    ga_matrix,
     glauber,
     hypercube_proposal,
+    level_tables,
     metropolis,
-    rejection_matrix,
     transition_matrix,
 )
 from parwalk.spectra import phase_gap_check, walk_phases, walk_spectrum
@@ -91,7 +90,7 @@ def test_criterion_2_ancilla_efficient_extraction():
     gamma_ok, anc_ok = True, True
     for label, model, prop, rule in grid((1, 2, 3)):
         dec = decompose_discriminant(model, prop, rule)
-        be = build_ancilla_efficient_Q(model, prop, rule)
+        be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
         worst_ext = max(worst_ext, float(np.abs(extract_block(be) - dec.q).max()))
         gamma_ok &= be.gamma == 4.0 * _pow2_pad(model.levels)
         m = (prop.kappa - 1).bit_length() if prop.kappa > 1 else 0
@@ -290,7 +289,8 @@ def test_criterion_7_norm_bound():
     worst_excess, count = 0.0, 0
     bound_ok = True
     for label, model, prop, rule in grid((1, 2, 3, 4)):
-        for table in (ga_matrix(model, rule), rejection_matrix(model, rule)):
+        tables = level_tables(model, rule)
+        for table in (tables.ga, tables.rejection):
             one = np.abs(table).sum(axis=0).max()
             inf = np.abs(table).sum(axis=1).max()
             mean_bound = math.sqrt(one * inf)

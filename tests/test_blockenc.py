@@ -10,7 +10,6 @@ import pytest
 
 import parwalk.blockenc
 from parwalk.blockenc import (
-    CHUNK_ARRAYS,
     UNITARY_TOL,
     BlockEncoding,
     _fused_reflection,
@@ -59,15 +58,13 @@ from parwalk.cnf import parse_dimacs
 from parwalk.markov import GibbsModel
 from parwalk.models import build_cnf, build_hypercube
 from parwalk.parchain import (
-    acceptance_matrix,
     custom_rule,
     decompose_discriminant,
-    ga_matrix,
     glauber,
     hypercube_proposal,
+    level_tables,
     metropolis,
     proposal_from_permutations,
-    rejection_matrix,
 )
 from parwalk.szegedy import comparison_counts
 
@@ -230,8 +227,13 @@ def _nan_rule():
                      NormTooLarge, id="svd-nan-entry"),
         pytest.param(lambda: _nan_rule().table(1.0, 3),
                      FunctionalEquationViolated, id="rule-nan-table"),
-        pytest.param(lambda: build_ancilla_efficient_Q(*two_state_chain(), _nan_rule()),
+        # the builder takes the tables, which validate the rule
+        pytest.param(lambda: level_tables(two_state_chain()[0], _nan_rule()),
                      FunctionalEquationViolated, id="build-nan-rule"),
+        pytest.param(lambda: build_ancilla_efficient_Q(
+                         *two_state_chain(),
+                         level_tables(GibbsModel(np.array([0, 2]), 3, 1.0), metropolis())),
+                     DimensionMismatch, id="build-tables-of-other-levels"),
     ],
 )
 def test_malformed_inputs_raise_parwalk_errors(call, error):
@@ -268,7 +270,7 @@ def test_hadamard_be_requires_power_of_two():
 def test_compressed_hadamard_matches_dense_product():
     model, prop = two_state_chain()
     rule = metropolis()
-    table = ga_matrix(model, rule)
+    table = level_tables(model, rule).ga
     be_tab = svd_block_encoding(table)
     encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
     be_s = lcu(prop.weights, encs)
@@ -413,7 +415,7 @@ def test_reflectionize_rejects_nonhermitian_block():
 def test_two_state_discriminant_encoding():
     model, prop = two_state_chain()
     rule = metropolis()
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     dec = decompose_discriminant(model, prop, rule)
     assert be.gamma == 8.0  # 4B with B = 2
     assert be.anc_qubits == 3 and be.paper_anc == 3
@@ -425,7 +427,7 @@ def test_two_state_discriminant_encoding():
 def test_padded_levels_enter_the_scale():
     model = GibbsModel(energies=np.array([0, 2, 1, 2]), levels=3, beta=0.7)
     prop = hypercube_proposal(2)
-    be = build_ancilla_efficient_Q(model, prop, rule=glauber())
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, glauber()))
     assert be.gamma == 16.0  # 4 * pow2pad(3)
     assert be.paper_anc == 2 * 1 + 2 + 2
     dec = decompose_discriminant(model, prop, glauber())
@@ -437,7 +439,7 @@ def test_generic_route_matches_fused():
     prop = hypercube_proposal(2)
     rule = metropolis()
     dec = decompose_discriminant(model, prop, rule)
-    gen = _generic_reflection(model, prop, rule)
+    gen = _generic_reflection(model, prop, dec.tables)
     assert np.abs(extract_block(gen) - dec.q).max() < 1e-9
     assert gen.anc_qubits == 1 + 2 + 3 and gen.paper_anc == 2 * 1 + 2 + 2
     dense = gen.op.dense()
@@ -447,7 +449,7 @@ def test_generic_route_matches_fused():
 def test_generic_route_needs_two_terms():
     model, prop = two_state_chain()
     with pytest.raises(BoundViolated):
-        _generic_reflection(model, prop, metropolis())
+        _generic_reflection(model, prop, level_tables(model, metropolis()))
 
 
 def test_fused_route_needs_involutions():
@@ -455,9 +457,9 @@ def test_fused_route_needs_involutions():
     prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
     model = GibbsModel(energies=np.array([0, 1, 1]), levels=2, beta=0.3)
     with pytest.raises(DimensionMismatch):
-        _fused_reflection(model, prop, metropolis())
+        _fused_reflection(model, prop, level_tables(model, metropolis()))
     # non-involutive proposals take the generic route and still encode Q
-    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     dec = decompose_discriminant(model, prop, metropolis())
     assert np.abs(extract_block(be) - dec.q).max() < 1e-9
 
@@ -469,10 +471,11 @@ def dense_fused_op(model, prop, rule):
     bt = 1 << (model.levels - 1).bit_length()
     m = (prop.kappa - 1).bit_length()
     k_dim = 1 << m
+    tables = level_tables(model, rule)
     ga_t = np.zeros((bt, bt))
-    ga_t[: model.levels, : model.levels] = ga_matrix(model, rule)
+    ga_t[: model.levels, : model.levels] = tables.ga
     ja_t = np.zeros((bt, bt))
-    ja_t[: model.levels, : model.levels] = rejection_matrix(model, rule)
+    ja_t[: model.levels, : model.levels] = tables.rejection
     weights = list(prop.weights) + [0.0] * (k_dim - prop.kappa)
     perms = list(prop.perms) + [np.arange(n)] * (k_dim - prop.kappa)
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -514,7 +517,7 @@ def dense_fused_op(model, prop, rule):
 )
 def test_fused_route_matches_dense_dilations(n, energy, levels, rule):
     model, prop = build_hypercube(n, energy=energy, levels=levels, seed=5, beta=0.9)
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     want = dense_fused_op(model, prop, rule)
     assert np.abs(be.op.dense() - want).max() < 1e-12
 
@@ -523,7 +526,7 @@ def test_fused_select_pair_splits_one_dilation_by_parity():
     # a and b are the entries of D_+ across which the parity of (dilation,
     # direction) flips and keeps; D_+- = a +- b are both involutions
     model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
-    sel = build_ancilla_efficient_Q(model, prop, glauber()).op.sel
+    sel = build_ancilla_efficient_Q(model, prop, level_tables(model, glauber())).op.sel
     parity = np.repeat([0, 1, 1, 0], 8)
     flips = parity[:, None] != parity[None, :]
     assert np.all(sel.a[~flips] == 0.0) and np.all(sel.b[flips] == 0.0)
@@ -542,7 +545,7 @@ def test_fused_route_above_the_old_block_cap(monkeypatch, n, energy, levels):
     monkeypatch.setattr(parwalk.blockenc, "_generic_reflection", no_generic)
     model, prop = build_hypercube(n, energy=energy, levels=levels, seed=2, beta=0.8)
     rule = glauber()
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     dec = decompose_discriminant(model, prop, rule)
     m = (prop.kappa - 1).bit_length()
     b = (model.levels - 1).bit_length()
@@ -559,7 +562,7 @@ def test_ancilla_bound_across_small_grid():
             beta=1.0,
         )
         prop = hypercube_proposal(n)
-        be = build_ancilla_efficient_Q(model, prop, rule)
+        be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
         m = (prop.kappa - 1).bit_length() if prop.kappa > 1 else 0
         b = (model.levels - 1).bit_length() if model.levels > 1 else 0
         assert be.anc_qubits <= 2 * m + b + 2
@@ -575,7 +578,7 @@ def test_ancilla_bound_across_small_grid():
         cyc = (np.arange(n_states) + 1) % n_states
         prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
         model = GibbsModel(energies=np.arange(n_states) % 3, levels=3, beta=0.6)
-        be = build_ancilla_efficient_Q(model, prop, rule)
+        be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
         assert not prop.all_involutions
         counts = comparison_counts(n_states, prop.kappa, model.levels)
         assert counts.paper_qubits == be.paper_anc == 2 * 1 + 2 + 2
@@ -598,18 +601,17 @@ def test_chunked_extraction_matches_one_batch_on_generic_route(monkeypatch):
     cyc = (np.arange(8) + 1) % 8
     prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
     model = GibbsModel(energies=np.array([0, 1, 2, 1, 0, 2, 1, 1]), levels=3, beta=0.6)
-    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     assert not prop.all_involutions
     # three columns per chunk: 8 = 3 + 3 + 2
-    budget = 3 * CHUNK_ARRAYS * 8 * be.op.dim
-    monkeypatch.setattr(parwalk.blockenc, "EXTRACT_BUDGET", budget)
+    monkeypatch.setattr(parwalk.blockenc, "CHUNK_BYTES", 3 * 8 * be.op.dim)
     assert extraction_chunk_width(be.sys_dim, be.op.dim) == 3
     assert np.array_equal(extract_block(be), one_batch_block(be))
 
 
 def test_chunked_extraction_matches_one_batch_at_n7():
     model, prop = build_hypercube(7, energy="hamming", beta=0.9)
-    be = build_ancilla_efficient_Q(model, prop, glauber())
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, glauber()))
     assert prop.all_involutions
     assert extraction_chunk_width(be.sys_dim, be.op.dim) < be.sys_dim
     assert np.array_equal(extract_block(be), one_batch_block(be))
@@ -618,7 +620,7 @@ def test_chunked_extraction_matches_one_batch_at_n7():
 def test_chunked_extraction_matches_one_batch_at_n7_random_b16():
     # 4B = 64 wide dilation, one 512 KiB column per chunk
     model, prop = build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8)
-    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     assert extraction_chunk_width(be.sys_dim, be.op.dim) == 1
     assert np.array_equal(extract_block(be), one_batch_block(be))
 
@@ -629,7 +631,7 @@ def test_chunked_extraction_memory_at_n7():
     # check and the probes run in chunks of the same width (measured peak:
     # 2.13 MiB; the structured block of this fused encoding is ~1 MiB)
     model, prop = build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8)
-    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     q = decompose_discriminant(model, prop, metropolis()).q
     assert be.sys_dim * be.op.dim * 8 == 64 * 2**20
     tracemalloc.start()
@@ -674,8 +676,7 @@ def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
     w = v * diag
     want = max(np.abs(norms(w) - 1.0).max(), np.abs(w * diag - v).max())
     for width in range(1, 9):
-        budget = width * CHUNK_ARRAYS * 8 * dim
-        monkeypatch.setattr(parwalk.blockenc, "EXTRACT_BUDGET", budget)
+        monkeypatch.setattr(parwalk.blockenc, "CHUNK_BYTES", width * 8 * dim)
         op = RecordingScale(diag)
         be = BlockEncoding(sys_dim=n, anc_qubits=4, paper_anc=4, gamma=1.0, op=op)
         report = verify_encoding(be, np.diag(diag[:n]))
@@ -693,7 +694,7 @@ def test_spot_check_sees_a_select_entry_the_block_never_reads(n):
     # structured block (dilation-0 corners) never reads; it breaks
     # unitarity by ~1e-7, and the 8 spot vectors must see that
     model, prop = build_hypercube(n, energy="hamming")
-    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     q = decompose_discriminant(model, prop, metropolis()).q
     sel = be.op.sel
     d = sel.block_dim
@@ -736,7 +737,7 @@ def random_3sat_chain(num_vars, num_clauses, seed, beta):
 )
 def test_structured_block_matches_full_extraction(chain, rule):
     model, prop = chain()
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     assert np.abs(structured_block(be) - extract_block(be)).max() <= 1e-15
 
 
@@ -744,12 +745,12 @@ def test_generic_and_hand_built_encodings_are_extracted_in_full():
     cyc = (np.arange(8) + 1) % 8
     prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
     model = GibbsModel(energies=np.array([0, 1, 2, 1, 0, 2, 1, 1]), levels=3, beta=0.6)
-    generic = build_ancilla_efficient_Q(model, prop, metropolis())
+    generic = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     q = decompose_discriminant(model, prop, metropolis()).q
     flip = unitary_encoding(Permutation(np.array([1, 0])))
     # the fused route's nodes composed by hand are no FusedReflection
     model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
-    fused = build_ancilla_efficient_Q(model, prop, glauber())
+    fused = build_ancilla_efficient_Q(model, prop, level_tables(model, glauber()))
     prep, sel = fused.op.prep, fused.op.sel
     by_hand = replace(fused, op=Compose(prep, sel, prep))
     q_fused = decompose_discriminant(model, prop, glauber()).q
@@ -768,7 +769,7 @@ def test_generic_and_hand_built_encodings_are_extracted_in_full():
 def fused_n4():
     model, prop = build_hypercube(4, energy="random", levels=7, seed=2, beta=0.8)
     rule = metropolis()
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     return be, decompose_discriminant(model, prop, rule).q
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import parwalk.cli
+import parwalk.parchain
 from parwalk.blockenc import (
     build_ancilla_efficient_Q,
     extract_block,
@@ -25,7 +26,13 @@ from parwalk.markov import (
     spectral_gaps,
 )
 from parwalk.models import build_hypercube
-from parwalk.parchain import acceptance_matrix, decompose_discriminant, metropolis
+from parwalk.parchain import (
+    acceptance_matrix,
+    custom_rule,
+    decompose_discriminant,
+    level_tables,
+    metropolis,
+)
 from parwalk.szegedy import par_walk
 
 LN2 = math.log(2.0)
@@ -100,7 +107,7 @@ def test_reported_deviations_are_those_of_the_built_objects(capsys):
     model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
     rule = metropolis()
     q = decompose_discriminant(model, prop, rule).q
-    block = extract_block(build_ancilla_efficient_Q(model, prop, rule))
+    block = extract_block(build_ancilla_efficient_Q(model, prop, level_tables(model, rule)))
     # the CLI reads the block from the fused structure, a different sum
     assert abs(dev["extraction"]["value"] - float(np.abs(block - q).max())) <= 1e-15
     walk = par_walk(prop, acceptance_matrix(model, rule))
@@ -385,7 +392,7 @@ def test_max_n_estimate_prices_one_extraction_chunk(capsys):
     # so one column is 2^7 * 2^9 * 8 bytes = 512 KiB, above the chunk
     # budget: one column per chunk
     model, prop = build_hypercube(7, energy="random", levels=16, seed=0)
-    be = build_ancilla_efficient_Q(model, prop, metropolis())
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     chunk_bytes = extraction_chunk_width(be.sys_dim, be.op.dim) * be.op.dim * 8
     assert chunk_bytes == 512 * 2**10
     args = parwalk.cli._parser().parse_args(["verify", "--max-n", "7"])
@@ -477,6 +484,51 @@ def test_verify_prints_every_failure(capsys, monkeypatch):
     assert json.loads(out)["pass"] is False
 
 
+def test_block_deviation_prints_one_fail_line(capsys, monkeypatch):
+    # the detailed line already names the extraction deviation
+    verify = parwalk.cli.verify_encoding
+
+    def faulted(be, target, tol):
+        return dataclasses.replace(verify(be, target, tol=tol), max_abs_dev=1.0, passed=False)
+
+    monkeypatch.setattr(parwalk.cli, "verify_encoding", faulted)
+    code, out, err = run(
+        capsys, "verify", "--n", "3", "--energy", "random", "--B", "4",
+        "--construction", "compressed", "--json", "--deterministic",
+    )
+    assert code == 1 and json.loads(out)["pass"] is False
+    fails = [line for line in err.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith(
+        "FAIL DecompositionMismatch: encoding deviation 1.000e+00, unitary deviation "
+    )
+
+
+def test_one_verify_evaluates_the_rule_once(capsys, monkeypatch):
+    # the decomposition's level tables build the encoding: 2B - 1 rule
+    # values and two level tables per chain (4 (2B - 1) and three before)
+    calls = {"f": 0, "level_table": 0}
+    rule = metropolis()
+    level_table = parwalk.parchain._level_table
+
+    def f(d, beta):
+        calls["f"] += 1
+        return rule.f(d, beta)
+
+    def counted(*args):
+        calls["level_table"] += 1
+        return level_table(*args)
+
+    monkeypatch.setattr(parwalk.cli, "_rule", lambda _name: custom_rule(f))
+    monkeypatch.setattr(parwalk.parchain, "_level_table", counted)
+    code, _, _ = run(
+        capsys, "verify", "--n", "4", "--energy", "random", "--B", "7",
+        "--json", "--deterministic",
+    )
+    assert code == 0
+    assert calls == {"f": 2 * 7 - 1, "level_table": 2}
+
+
 def test_verify_fails_a_chain_whose_gibbs_state_is_not_stationary(capsys, monkeypatch):
     # move 1e-6 of state 0's mass from staying to its first proposed move:
     # P stays stochastic, and P pi - pi = 1e-6 pi_0 at two states
@@ -524,6 +576,20 @@ def test_oversized_hypercube_is_an_input_error(capsys):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: TooManyVariables: 62 bits exceeds the enumeration cap 24"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "max_n, error",
+    [
+        ("62", "TooManyVariables: 62 bits exceeds the enumeration cap 24"),
+        ("30", "ParwalkError: n=62 exceeds the dense-build cap 30; raise it with --max-n"),
+    ],
+)
+def test_hypercube_past_the_enumeration_cap_is_not_priced(capsys, max_n, error):
+    # the size estimate of --max-n would price arrays that are never built
+    code, out, err = run(capsys, "verify", "--n", "62", "--max-n", max_n, "--json")
+    assert code == 2 and out == ""
+    assert err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("model", ["hypercube", "cnf"])

@@ -19,13 +19,12 @@ from parwalk.parchain import (
     acceptance_matrix,
     custom_rule,
     decompose_discriminant,
-    ga_matrix,
     glauber,
     hypercube_proposal,
+    level_tables,
     metropolis,
     proposal_from_permutations,
     r_matrix,
-    rejection_matrix,
     transition_matrix,
 )
 
@@ -139,43 +138,57 @@ class TestAcceptanceRules:
         with pytest.raises(ParwalkError):
             rule.table(1.0, 2)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            acceptance_matrix,
+            level_tables,
+            lambda model, rule: decompose_discriminant(model, swap_proposal(), rule),
+        ],
+        ids=["acceptance_matrix", "level_tables", "decompose_discriminant"],
+    )
+    def test_functional_equation_violation_reaches_every_builder(self, build):
+        # no N x N check repeats the table's: each builder validates the
+        # rule's values through rule.table before gathering from them
+        with pytest.raises(FunctionalEquationViolated):
+            build(two_state_model(), custom_rule(lambda d, b: 0.7))
+
 
 class TestEnergyTables:
     def test_ga_table_reweights_by_g(self):
         # g(1, 0) = sqrt 2 and g(0, 1) = 1/sqrt 2 times the Glauber values
         # f(1) = 1/3 and f(-1) = 2/3 both give sqrt(2)/3
-        table = ga_matrix(two_state_model(), glauber())
+        table = level_tables(two_state_model(), glauber()).ga
         assert np.abs(table[[1, 0], [0, 1]] - np.sqrt(2.0) / 3.0).max() < 1e-15
 
     def test_ga_table_two_state_metropolis(self):
-        table = ga_matrix(two_state_model(), metropolis())
+        table = level_tables(two_state_model(), metropolis()).ga
         assert np.abs(table - np.array([[1.0, RT], [RT, 1.0]])).max() < 1e-15
 
     def test_ga_table_symmetric_for_any_valid_rule(self):
         model = GibbsModel(energies=np.array([0, 3, 1, 2]), levels=4, beta=1.3)
         for rule in (metropolis(), glauber()):
-            table = ga_matrix(model, rule)
+            table = level_tables(model, rule).ga
             assert np.abs(table - table.T).max() < 1e-12
 
     def test_ga_diag_is_f0(self):
-        table = ga_matrix(two_state_model(), glauber())
+        table = level_tables(two_state_model(), glauber()).ga
         assert np.allclose(np.diag(table), 0.5)
 
     def test_reject_table_two_state_metropolis(self):
-        table = rejection_matrix(two_state_model(), metropolis())
+        table = level_tables(two_state_model(), metropolis()).rejection
         assert np.abs(table - np.array([[0.0, 0.0], [0.5, 0.0]])).max() < 1e-15
 
     def test_tables_validate_the_rule_before_exponentiating(self):
         # e^{-2000} underflows to 0, so the rule fails its range check; the
         # reweighting e^{1000 d} would overflow if it ran first
         model = GibbsModel(energies=np.array([0, 2]), levels=3, beta=2000.0)
-        for table in (ga_matrix, rejection_matrix):
-            with pytest.raises(FunctionalEquationViolated):
-                table(model, metropolis())
+        with pytest.raises(FunctionalEquationViolated):
+            level_tables(model, metropolis())
 
     def test_compress_norm_bound(self):
         model = GibbsModel(energies=np.array([0, 1, 2, 3]), levels=4, beta=0.6)
-        table = ga_matrix(model, metropolis())
+        table = level_tables(model, metropolis()).ga
         spec = np.linalg.norm(table, 2)
         l1 = np.abs(table).sum(axis=0).max()
         linf = np.abs(table).sum(axis=1).max()
@@ -236,7 +249,7 @@ class TestDecomposition:
         e = model.energies
         off = ~np.eye(4, dtype=bool)
         # states 0 and 3 share E = 2: their entry is f(0) = 1/2, not 1
-        assert np.array_equal(dec.ga[off], ga_matrix(model, rule)[np.ix_(e, e)][off])
+        assert np.array_equal(dec.ga[off], level_tables(model, rule).ga[np.ix_(e, e)][off])
         assert np.all(np.diag(dec.ga) == 1.0)
 
     def test_glauber_diagonal_cancellation(self):

@@ -28,6 +28,7 @@ from parwalk.markov import (  # noqa: E402
 from parwalk.parchain import (  # noqa: E402
     decompose_discriminant,
     glauber,
+    level_tables,
     metropolis,
     proposal_from_permutations,
 )
@@ -72,7 +73,7 @@ def chains(draw):
 @given(chains())
 def test_encoding_properties(chain):
     model, prop, rule = chain
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     dec = decompose_discriminant(model, prop, rule)
     assert np.abs(extract_block(be) - dec.q).max() <= 1e-9
     pad = 1 << (model.levels - 1).bit_length()
@@ -90,7 +91,7 @@ def test_encoding_properties(chain):
 @given(chains())
 def test_structured_block_matches_full_extraction(chain):
     model, prop, rule = chain
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     fused = isinstance(be.op, FusedReflection)
     # the fused route is the one read from its structure
     assert fused == prop.all_involutions

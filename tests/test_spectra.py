@@ -28,6 +28,7 @@ from parwalk.parchain import (
     acceptance_matrix,
     decompose_discriminant,
     hypercube_proposal,
+    level_tables,
     metropolis,
     proposal_from_permutations,
     transition_matrix,
@@ -144,7 +145,7 @@ def test_standard_walk_complement_is_trivial():
 def test_block_encoding_pair_spectrum():
     model, prop = two_state()
     rule = metropolis()
-    be = build_ancilla_efficient_Q(model, prop, rule)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     dec = decompose_discriminant(model, prop, rule)
     # the qubitized walk V (2 Pi_0 - I), Pi_0 the projector on ancillas |0^c>
     v = be.op.dense()

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import parwalk.cli
+import parwalk.parchain
 from parwalk.errors import (
     DecompositionMismatch,
     DimensionMismatch,
@@ -272,6 +274,20 @@ def test_comparison_counts_examples():
     assert (c.szegedy_qubits, c.paper_qubits) == (9, 12)
     c = comparison_counts(1 << 20, 20, 91)
     assert (c.szegedy_qubits, c.paper_qubits) == (21, 19)
+
+
+def test_ancilla_comparison_builds_no_dense_chain(monkeypatch, capsys):
+    def dense(*_args):
+        raise AssertionError("the comparison built the dense chain")
+
+    for module in (parwalk.parchain, parwalk.cli):
+        monkeypatch.setattr(module, "decompose_discriminant", dense)
+        monkeypatch.setattr(module, "acceptance_matrix", dense)
+    model = GibbsModel(energies=hamming_energies(3), levels=4, beta=1.0)
+    rep = ancilla_comparison(model, hypercube_proposal(3), metropolis())
+    assert (rep.logical_qubits, rep.paper_qubits, rep.paper_gamma) == (6, 8, 16.0)
+    assert parwalk.cli.main(["compare", "--n", "3", "--json"]) == 0
+    assert '"logical": 6' in capsys.readouterr().out
 
 
 def test_ancilla_comparison_builds_logical_count():
