@@ -10,20 +10,21 @@ count never exceeds the quoted one.
 The headline constructor build_ancilla_efficient_Q encodes the discriminant
 matrix of a propose-accept/reject chain with gamma = 4B and at most
 2 ceil(log kappa) + ceil(log B) + 2 ancilla qubits, where B counts energy
-levels (padded to a power of two) and kappa proposal permutations. The route
-follows from the proposal. When every permutation is an involution, the
-fused route shares one select register between the accept and reject terms
-(ceil(log kappa) + ceil(log B) + 2 qubits); it is built in factored form,
-from one pair of 4B x 4B matrices and one Householder vector per system
-state, so its cost grows linearly with the system size. Any other proposal
-takes the generic route, which encodes the accept and reject parts
-separately, combines them and reflectionizes the sum.
+levels (padded to a power of two) and kappa proposal permutations. One fused
+route serves every symmetric proposal: the accept and reject terms share
+one select register over the proposal's inverse-paired slots (at most
+2 kappa of them), so it needs ceil(log slots) + ceil(log B) + 2 qubits. It
+is built in factored form, from one pair of 4B x 4B matrices and one
+Householder vector per system state, so its cost grows linearly with the
+system size. verify_encoding reads its block from that structure;
+extract_block, which applies any encoding to every basis column, is the
+oracle the tests compare it to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .errors import (
     EnergyOutOfRange,
     NonPowerOfTwoDim,
     NormTooLarge,
-    NotHermitian,
     ScaleMismatch,
     WeightMismatch,
 )
@@ -47,7 +47,6 @@ from .linops import (
     FusedReflection,
     Identity,
     LinOp,
-    Permutation,
     Select,
     SystemControlledReflection,
     energy_shift,
@@ -60,8 +59,8 @@ from .parchain import LevelTables, ProposalDecomposition
 UNITARY_TOL = 1e-10
 EXTRACT_TOL = 1e-9
 # Bytes of a chunk's input array, the w x op.dim floats that full
-# extraction (generic route, and the oracle of the tests), the probes and
-# the unitarity spot check pass through the encoding at once. A chunk holds
+# extraction (the oracle of the tests), the probes and the unitarity spot
+# check pass through the encoding at once. A chunk holds
 # up to four arrays of that size (the operand of a node, its output and the
 # partial products of the factored select), half of a 2 MiB per-core L2
 # cache, so that the operator's own tables stay cached beside them. In a
@@ -78,10 +77,11 @@ def _pow2_pad(b: int) -> int:
     return 1 << _ceil_log2(b)
 
 
-def fused_ancillas(kappa: int, levels: int) -> int:
-    """Ancillas the fused route builds: select ceil(log kappa), dilation 1,
-    direction 1 and level ceil(log B)."""
-    return _ceil_log2(kappa) + _ceil_log2(levels) + 2
+def fused_ancillas(slots: int, levels: int) -> int:
+    """Ancillas the fused route builds over its select slots (kappa for an
+    involutive proposal): select ceil(log slots), dilation 1, direction 1
+    and level ceil(log B)."""
+    return _ceil_log2(slots) + _ceil_log2(levels) + 2
 
 
 def paper_ancillas(kappa: int, levels: int) -> int:
@@ -173,7 +173,7 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.abs(x, out=x if x.dtype.kind == "f" else None).max())
 
 
-def _probe_fused(be: BlockEncoding, target: np.ndarray, seed: int, work: np.ndarray):
+def _probe(be: BlockEncoding, target: np.ndarray, seed: int, work: np.ndarray):
     """Apply the operator to |0^c, v> for PROBES random unit vectors v, in
     chunks that run through the workspace arrays work[0..2], and return two
     deviations: the reflection deviation, the larger of | ||V|0,v>|| - 1 |
@@ -204,25 +204,19 @@ def _probe_fused(be: BlockEncoding, target: np.ndarray, seed: int, work: np.ndar
 def _spot_check(be: BlockEncoding, seed: int, work: np.ndarray) -> float:
     """The larger of | ||V v|| - 1 | and |V^dag V v - v| over SPOT_VECTORS
     random unit vectors v, drawn into work[0] and applied in chunks through
-    work[1] and work[2]. Only a FusedReflection writes into the workspace;
-    any other operator returns new arrays."""
+    work[1] and work[2]."""
     # consecutive draws from one generator give the same vectors as a single
     # draw of all of them
     rng = np.random.Generator(np.random.SFC64(seed))
     width = work.shape[1]
-    fused = isinstance(be.op, FusedReflection)
-
-    def run(method, x, out, scratch):
-        return method(x, out=out, scratch=scratch) if fused else method(x)
-
     unitary_dev = 0.0
     for lo in range(0, SPOT_VECTORS, width):
         v, image, spare = work[:, : min(width, SPOT_VECTORS - lo)]
         rng.standard_normal(out=v)
         v /= _norms(v)[:, None]
-        w = run(be.op.apply, v, image, spare)
+        w = be.op.apply(v, out=image, scratch=spare)
         norm_dev = np.abs(_norms(w) - 1.0).max()
-        back = run(be.op.adjoint_apply, w, spare, w)
+        back = be.op.adjoint_apply(w, out=spare, scratch=w)
         back -= v
         unitary_dev = max(unitary_dev, float(norm_dev), _max_abs(back))
     return unitary_dev
@@ -230,56 +224,59 @@ def _spot_check(be: BlockEncoding, seed: int, work: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EncodingReport:
-    """Deviations found by verify_encoding. The probe deviations are None
-    where the block was extracted in full, which applies the operator to
-    every basis column."""
+    """Deviations found by verify_encoding."""
 
     max_abs_dev: float
     tol: float
     unitary_dev: float
     passed: bool
-    probe_reflection_dev: float | None = None
-    probe_block_dev: float | None = None
+    probe_reflection_dev: float
+    probe_block_dev: float
 
 
 def verify_encoding(
     be: BlockEncoding, target: np.ndarray, tol: float = EXTRACT_TOL, seed: int = 7
 ) -> EncodingReport:
-    """Compare the encoded block to target and spot-check unitarity of op
-    on SPOT_VECTORS random vectors, drawn and applied in extraction-sized
+    """Compare the block of a fused encoding (a FusedReflection on the
+    system) to target and spot-check unitarity of its operator on
+    SPOT_VECTORS random vectors, drawn and applied in extraction-sized
     chunks.
 
-    The block of a fused encoding (a FusedReflection on the system) is read
-    from the node arrays by FusedReflection.block in O(N kappa (4B)^2); the
-    real operator is then probed on PROBES random vectors |0^c, v>, which
-    must give a reflection (norm 1, V V|0,v> = |0,v>, within UNITARY_TOL)
-    whose ancilla-0 part is target v / gamma (within tol). Any other
-    encoding is extracted in full by extract_block. The probes and the spot
-    check share three chunk-sized workspace arrays, allocated once per call,
-    so that their vectors allocate no arrays of op.dim floats."""
+    The block is read from the node arrays by FusedReflection.block in
+    O(N slots (4B)^2); the real operator is then probed on PROBES random
+    vectors |0^c, v>, which must give a reflection (norm 1, V V|0,v> =
+    |0,v>, within UNITARY_TOL) whose ancilla-0 part is target v / gamma
+    (within tol). The probes and the spot check share three chunk-sized
+    workspace arrays, allocated once per call, so that their vectors
+    allocate no arrays of op.dim floats."""
     target = np.asarray(target)
     if target.shape != (be.sys_dim, be.sys_dim):
         raise DimensionMismatch(
             f"target shape {target.shape} vs system dim {be.sys_dim}"
         )
-    fused = isinstance(be.op, FusedReflection) and be.op.n_sys == be.sys_dim
-    block = be.gamma * be.op.block() if fused else extract_block(be)
-    dev = float(np.abs(block - target).max())
+    if not (isinstance(be.op, FusedReflection) and be.op.n_sys == be.sys_dim):
+        raise DimensionMismatch(
+            f"verify_encoding reads the block of a FusedReflection on the "
+            f"system, not of a {type(be.op).__name__}"
+        )
+    dev = float(np.abs(be.gamma * be.op.block() - target).max())
     # one chunk's operand, result and scratch array, in one block: glibc
     # keeps a block of that size for the next call, where three separate
     # arrays were trimmed and faulted in again (~970 minor faults per n = 7,
     # B = 16 chain), and encode-n7 ran ~15% slower in the benchmark
     work = np.empty((3, extraction_chunk_width(be.sys_dim, be.op.dim), be.op.dim))
-    probes = _probe_fused(be, target, seed, work) if fused else (None, None)
-    probes_ok = not fused or (probes[0] <= UNITARY_TOL and probes[1] <= tol)
+    reflection_dev, block_dev = _probe(be, target, seed, work)
     unitary_dev = _spot_check(be, seed, work)
     return EncodingReport(
         max_abs_dev=dev,
         tol=tol,
         unitary_dev=unitary_dev,
-        passed=bool(dev <= tol and unitary_dev <= UNITARY_TOL and probes_ok),
-        probe_reflection_dev=probes[0],
-        probe_block_dev=probes[1],
+        passed=bool(
+            dev <= tol and block_dev <= tol
+            and unitary_dev <= UNITARY_TOL and reflection_dev <= UNITARY_TOL
+        ),
+        probe_reflection_dev=reflection_dev,
+        probe_block_dev=block_dev,
     )
 
 
@@ -442,148 +439,51 @@ def svd_block_encoding(lhat: np.ndarray) -> BlockEncoding:
     return BlockEncoding(sys_dim=bt, anc_qubits=1, paper_anc=1, gamma=float(bt), op=op)
 
 
-def left_multiply_unitary(be: BlockEncoding, u: LinOp) -> BlockEncoding:
-    """Encoding of u L with unchanged parameters."""
-    if u.dim != be.sys_dim:
-        raise DimensionMismatch(f"unitary dim {u.dim} vs system dim {be.sys_dim}")
-    return replace(be, op=Compose(Embedded(u, [1 << be.anc_qubits, u.dim], [1]), be.op))
-
-
-def rescale_encoding(be: BlockEncoding, gamma: float) -> BlockEncoding:
-    """Re-express the encoding at a larger scale by damping the block with
-    a one-qubit rotation; the scale can only grow."""
-    if gamma < be.gamma * (1 - 1e-12):
-        raise ScaleMismatch(f"cannot shrink scale {be.gamma} to {gamma}")
-    if abs(gamma - be.gamma) <= 1e-12 * gamma:
-        return be
-    sig = be.gamma / gamma
-    rot = np.array(
-        [[sig, math.sqrt(1 - sig**2)], [math.sqrt(1 - sig**2), -sig]]
-    )
-    dims = [2, be.op.dim]
-    op = Compose(
-        Embedded(DenseUnitary(rot), dims, [0]), Embedded(be.op, dims, [1])
-    )
-    return BlockEncoding(
-        sys_dim=be.sys_dim,
-        anc_qubits=be.anc_qubits + 1,
-        paper_anc=be.paper_anc + 1,
-        gamma=gamma,
-        op=op,
-    )
-
-
-def combine_two(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
-    """Sum L_A + L_B: both operands rescaled to the larger scale gamma, then
-    the equal-weight LCU read at scale 2 gamma (one extra ancilla qubit)."""
-    if be_a.sys_dim != be_b.sys_dim:
-        raise DimensionMismatch("operands must share the system dimension")
-    gamma = max(be_a.gamma, be_b.gamma)
-    pair = [rescale_encoding(be_a, gamma), rescale_encoding(be_b, gamma)]
-    return replace(lcu([0.5, 0.5], pair), gamma=2.0 * gamma)
-
-
-def reflectionize(be: BlockEncoding, tol: float = EXTRACT_TOL) -> BlockEncoding:
-    """Turn an encoding of a hermitian matrix into a reflection encoding.
-
-    Returns w with w.op an involution, w.gamma = 2 gamma and one extra
-    ancilla qubit. On the new qubit the rotated state G^dag |+> =
-    ((cos + sin)/sqrt2, (cos - sin)/sqrt2), with the old ancillas in |0^c>,
-    is a fixed-point isometry: it contracts w.op to the encoded matrix
-    divided by the old gamma.
-
-    The off-diagonal pairing |0><1| (x) U + |1><0| (x) U^dag has a zero
-    |0>-ancilla block, so the new qubit is conjugated by a rotation of angle
-    pi/12: the |0> block becomes cos(pi/12) sin(pi/12) (U + U^dag), and
-    2 cos sin = 1/2 supplies exactly the doubled scale.
-    """
-    l = extract_block(be)
-    herm_dev = np.abs(l - l.conj().T).max()
-    if herm_dev > tol * max(1.0, np.abs(l).max()):
-        raise NotHermitian(f"encoded block deviates from hermitian by {herm_dev:.3e}")
-    dims = [2, be.op.dim]
-    theta = math.pi / 12.0
-    g = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    )
-    flip = DenseUnitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    w_raw = Compose(
-        Select([be.op, Adjoint(be.op)]),
-        Embedded(flip, dims, [0]),
-    )
-    op = Compose(
-        Embedded(DenseUnitary(g.T), dims, [0]),
-        w_raw,
-        Embedded(DenseUnitary(g), dims, [0]),
-    )
-    return BlockEncoding(
-        sys_dim=be.sys_dim,
-        anc_qubits=be.anc_qubits + 1,
-        paper_anc=be.paper_anc + 1,
-        gamma=2.0 * be.gamma,
-        op=op,
-    )
-
-
-def _generic_reflection(
+def build_ancilla_efficient_Q(
     model: GibbsModel, prop: ProposalDecomposition, tables: LevelTables
 ) -> BlockEncoding:
-    """Matrix-free route: separate accept and reject encodings, combined and
-    reflectionized. Meets the ancilla bound whenever kappa >= 2."""
-    e = model.energies
-    be_ga = svd_block_encoding(tables.ga)
-    be_ja = svd_block_encoding(tables.rejection)
+    """Reflection encoding of the discriminant matrix with gamma = 4B (B
+    padded to a power of two), from the chain's level tables.
 
-    perm_encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
-    s_enc = lcu(prop.weights, perm_encs)
-    accept_part = compressed_hadamard_be(be_ga, s_enc, e)
+    Accept and reject terms share one select register over the proposal's
+    inverse-paired slots (prop.paired_slots()), where slot k' = partner[k]
+    holds Pi_k^-1 at the weight of slot k. The select is
 
-    reject_terms = []
-    for p, pinv in zip(prop.perms, prop.inverses):
-        term = compressed_hadamard_be(be_ja, unitary_encoding(Permutation(p)), e)
-        reject_terms.append(left_multiply_unitary(term, Permutation(pinv)))
-    reject_part = lcu(prop.weights, reject_terms)
+        sum_k |k><k| (x) A (x) I + |k'><k| (x) B (x) Pi_k
 
-    w = reflectionize(combine_two(accept_part, reject_part))
-    # Quote the headline bound; a larger logical count is flagged by the
-    # anc_qubits <= paper_anc invariant rather than silently normalized.
-    return replace(w, paper_anc=paper_ancillas(prop.kappa, model.levels))
+    on (select, dilation, direction, level, system). The slot swap
+    sum_k |k'><k| (x) Pi_k is a symmetric involution, and on its +-1
+    eigenspaces the select is D_+- = A +- B, the dilation of
 
+        (+-I_2 (x) G-hat + L^T (x) J-hat^T + L (x) J-hat) / 4B
 
-def _fused_reflection(
-    model: GibbsModel, prop: ProposalDecomposition, tables: LevelTables
-) -> BlockEncoding:
-    """Involution route: accept and reject terms share one select register.
-
-    For each permutation slot k the hermitian matrix
-
-        M_k = I_2 (x) G-hat (x) Pi_k + L^T (x) J-hat^T (x) I + L (x) J-hat (x) I
-
-    on (direction, level, system) combines the accept table (with the
-    permutation on the system) and the reject table (on a direction qubit
-    marking whether the level register holds E_x or E_{pi_k x}); M_k / 4B
-    is dilated into an involution. Every term commutes with I (x) Pi_k and
-    Pi_k^2 = I, so on the +-1 eigenspaces of Pi_k the dilation is D_+ or
-    D_-, the dilation of (+-I_2 (x) G-hat + L^T (x) J-hat^T + L (x) J-hat) / 4B,
-    and the slot-k block is A (x) I + B (x) Pi_k with A, B = (D_+ +- D_-) / 2:
-    one 4B x 4B pair for every k and every system size. The direction sign
-    negates the accept term and keeps the hopping terms, so D_- = -K D_+ K
-    with K = (-1)^(dilation xor direction); A and B are then the entries of
-    D_+ across which that parity flips and keeps, with exact zeros
-    elsewhere, and one dilation serves both. A paired-energy
+    on (direction, level): the accept table, and the reject table on a
+    direction qubit marking whether the level register holds E_x or
+    E_{p_k x}. So one 4B x 4B pair serves every slot and every system size.
+    The direction sign negates the accept term and keeps the hopping terms,
+    so D_- = -K D_+ K with K = (-1)^(dilation xor direction); A and B are
+    then the entries of D_+ across which that parity flips and keeps, with
+    exact zeros elsewhere, and one dilation serves both. A paired-energy
     state preparation, one Householder vector per system state, contracts
-    the select, direction, and level registers against it.
+    the select, direction, and level registers against it; for y = p_k x,
+    slot k' of t_y holds the energies (E_y, E_x) that slot k of t_x holds
+    in the other order, and G-hat is symmetric.
 
-    Saves the ceil(log kappa) qubits the generic route spends on a second
-    select register, and is the only route meeting the ancilla bound at
-    kappa = 1.
+    The encoding uses ceil(log slots) + ceil(log B) + 2 ancilla qubits, at
+    most the quoted 2 ceil(log kappa) + ceil(log B) + 2: an involutive
+    proposal keeps its kappa slots, any other has at most 2 kappa slots
+    with kappa >= 2 (a symmetric single permutation is an involution), and
+    ceil(log 2 kappa) <= 2 ceil(log kappa) for kappa >= 2.
     """
-    if not prop.all_involutions:
-        raise DimensionMismatch("fused route needs involution permutations")
+    if model.n != prop.n:
+        raise DimensionMismatch(f"model dim {model.n} vs proposal dim {prop.n}")
+    if tables.ga.shape != (model.levels, model.levels):
+        raise DimensionMismatch(f"tables {tables.ga.shape} vs {model.levels} levels")
     n = model.n
     bt = _pow2_pad(model.levels)
-    kappa = prop.kappa
-    k_dim = _pow2_pad(kappa)
+    weights, perms, partner = prop.paired_slots()
+    slots = len(perms)
+    k_dim = _pow2_pad(slots)
 
     ga_t = np.zeros((bt, bt))
     ga_t[: model.levels, : model.levels] = tables.ga
@@ -603,8 +503,13 @@ def _fused_reflection(
     # K D_+ K = -D_-, K = (-1)^(dilation xor direction) on the block register
     sign = np.repeat([1.0, -1.0, -1.0, 1.0], bt)
     mirrored = sign[:, None] * d_plus * sign
-    perms = list(prop.perms) + [np.arange(n)] * (k_dim - kappa)
-    sel = FactoredSelect((d_plus - mirrored) / 2, (d_plus + mirrored) / 2, perms)
+    # padding slots hold the identity, each its own partner
+    sel = FactoredSelect(
+        (d_plus - mirrored) / 2,
+        (d_plus + mirrored) / 2,
+        list(perms) + [np.arange(n)] * (k_dim - slots),
+        np.concatenate([partner, np.arange(slots, k_dim)]),
+    )
 
     # paired-energy state t_x on (select, direction, level), prepared by the
     # reflection about e_0 - t_x
@@ -612,7 +517,7 @@ def _fused_reflection(
     rows = np.arange(n)
     u = np.zeros((n, k_dim * 2 * bt))
     u[:, 0] = 1.0
-    for k, (w, p) in enumerate(zip(prop.weights, prop.perms)):
+    for k, (w, p) in enumerate(zip(weights, perms)):
         amp = math.sqrt(0.5 * w)
         u[rows, (2 * k) * bt + e] -= amp
         u[rows, (2 * k + 1) * bt + e[p]] -= amp
@@ -622,27 +527,8 @@ def _fused_reflection(
 
     return BlockEncoding(
         sys_dim=n,
-        anc_qubits=fused_ancillas(kappa, model.levels),
-        paper_anc=paper_ancillas(kappa, model.levels),
+        anc_qubits=fused_ancillas(slots, model.levels),
+        paper_anc=paper_ancillas(prop.kappa, model.levels),
         gamma=scale,
         op=FusedReflection(prep, sel),
     )
-
-
-def build_ancilla_efficient_Q(
-    model: GibbsModel, prop: ProposalDecomposition, tables: LevelTables
-) -> BlockEncoding:
-    """Reflection encoding of the discriminant matrix with gamma = 4B and
-    at most 2 ceil(log kappa) + ceil(log B) + 2 ancilla qubits (B padded to
-    a power of two), from the chain's level tables.
-
-    Proposals made of involutions take the fused route (ceil(log kappa) +
-    ceil(log B) + 2 qubits); any other proposal takes the generic route.
-    """
-    if model.n != prop.n:
-        raise DimensionMismatch(f"model dim {model.n} vs proposal dim {prop.n}")
-    if tables.ga.shape != (model.levels, model.levels):
-        raise DimensionMismatch(f"tables {tables.ga.shape} vs {model.levels} levels")
-    if prop.all_involutions:
-        return _fused_reflection(model, prop, tables)
-    return _generic_reflection(model, prop, tables)

@@ -17,10 +17,9 @@ import time
 
 import numpy as np
 
-# extract_block is not called here: verify_encoding reads the block of a
-# fused encoding from its structure and extracts any other block once. It
-# stays bound in this module because perfbench/tracing.py wraps
-# parwalk.cli.extract_block.
+# extract_block is not called here: verify_encoding reads the block from
+# the encoding's structure. It stays bound in this module because
+# perfbench/tracing.py wraps parwalk.cli.extract_block.
 from .blockenc import (  # noqa: F401
     EXTRACT_TOL,
     build_ancilla_efficient_Q,
@@ -268,13 +267,13 @@ def _run_report(args):
         gamma = float(be.gamma)
         # one line names every deviation, the extraction's among them
         if not enc_rep.passed:
-            detail = (f"encoding deviation {enc_rep.max_abs_dev:.3e}, "
-                      f"unitary deviation {enc_rep.unitary_dev:.3e}")
-            if enc_rep.probe_block_dev is not None:
-                detail += (f", probe reflection deviation "
-                           f"{enc_rep.probe_reflection_dev:.3e}, probe block "
-                           f"deviation {enc_rep.probe_block_dev:.3e}")
-            failures.append(("DecompositionMismatch", detail))
+            failures.append((
+                "DecompositionMismatch",
+                f"encoding deviation {enc_rep.max_abs_dev:.3e}, unitary "
+                f"deviation {enc_rep.unitary_dev:.3e}, probe reflection "
+                f"deviation {enc_rep.probe_reflection_dev:.3e}, probe block "
+                f"deviation {enc_rep.probe_block_dev:.3e}",
+            ))
 
     spectrum, emb, spec = timer.time("spectrum", lambda: _spectrum_quantities(dec, model))
     deviations["tst"] = {"value": emb.tst_dev, "tol": args.tol}

@@ -69,10 +69,6 @@ class ScaleMismatch(ParwalkError):
     pass
 
 
-class NotHermitian(ParwalkError):
-    pass
-
-
 class SpectrumMismatch(ParwalkError):
     pass
 

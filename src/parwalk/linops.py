@@ -152,14 +152,18 @@ class Select(LinOp):
 
 
 class FactoredSelect(LinOp):
-    """sum_k |k><k| (x) (a (x) I + b (x) P_k), with (P_k v)[x] = v[perms[k][x]]
-    on the trailing system register.
+    """sum_k |k><k| (x) a (x) I + |partner[k]><k| (x) b (x) Pi_k, with
+    Pi_k |x> = |perms[k][x]> on the trailing system register, so that
+    (Pi_k v)[perms[k][x]] = v[x].
 
     One (a, b) pair shared by every select slot stands in for a dense
-    per-slot block that commutes with the slot's system permutation.
+    per-slot block. partner, an involution on the slots (the identity by
+    default), sends the b-term of slot k to slot partner[k]; when slot
+    partner[k] holds the inverse of perms[k], the slot swap
+    sum_k |partner[k]><k| (x) Pi_k is a symmetric involution.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, perms):
+    def __init__(self, a: np.ndarray, b: np.ndarray, perms, partner=None):
         a, b = np.asarray(a), np.asarray(b)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
             raise DimensionMismatch("a and b must be square and of one shape")
@@ -167,14 +171,26 @@ class FactoredSelect(LinOp):
         if perms.ndim != 2:
             raise DimensionMismatch("expected permutations of shape (slots, n_sys)")
         _check_bijections(perms)
-        self.a, self.b = a, b
-        self.perms = perms
-        self.inverses = np.argsort(perms, axis=1)
         self.slots, self.n_sys = perms.shape
+        slots = np.arange(self.slots)
+        partner = slots if partner is None else np.asarray(partner, dtype=np.intp)
+        if partner.shape != slots.shape or not (
+            np.all((partner >= 0) & (partner < self.slots))
+            and np.array_equal(partner[partner], slots)
+        ):
+            raise DimensionMismatch("partner must be an involution on the slots")
+        self.a, self.b = a, b
+        self.perms, self.partner = perms, partner
+        # apply gathers slot k with perms[k]^-1 into slot partner[k]; the
+        # adjoint runs the same loop with perms[partner[k]], which is that
+        # same inverse when the slots are paired
+        self.inverses = np.argsort(perms, axis=1)
+        self._adjoint_gathers = perms[partner]
+        self._targets = partner.tolist()
         self.block_dim = a.shape[0]
         self.dim = self.slots * self.block_dim * self.n_sys
 
-    def _run(self, v, a, b, perms, out=None):
+    def _run(self, v, a, b, gathers, out=None):
         shape = v.shape
         w = v.reshape(shape[:-1] + (self.slots, self.block_dim, self.n_sys))
         if out is None:
@@ -183,27 +199,28 @@ class FactoredSelect(LinOp):
         # one slot of permuted input and one of its product, reused by every slot
         moved = np.empty(w.shape[:-3] + w.shape[-2:], w.dtype)
         prod = np.empty(moved.shape, res.dtype)
-        for k, p in enumerate(perms):
-            # p is a checked bijection, so clip never clips; it spares take
+        for k, (g, target) in enumerate(zip(gathers, self._targets)):
+            # g is a checked bijection, so clip never clips; it spares take
             # the buffered copy that mode="raise" makes for out
-            np.take(w[..., k, :, :], p, axis=-1, out=moved, mode="clip")
-            res[..., k, :, :] += np.matmul(b, moved, out=prod)
+            np.take(w[..., k, :, :], g, axis=-1, out=moved, mode="clip")
+            res[..., target, :, :] += np.matmul(b, moved, out=prod)
         return res.reshape(shape)
 
     def apply(self, v, out=None):
         """out, when given, is a C-contiguous array of v's shape that must
         not overlap v; the result is written there and returned."""
-        return self._run(v, self.a, self.b, self.perms, out)
+        return self._run(v, self.a, self.b, self.inverses, out)
 
     def adjoint_apply(self, v, out=None):
-        return self._run(v, self.a.conj().T, self.b.conj().T, self.inverses, out)
+        return self._run(v, self.a.conj().T, self.b.conj().T, self._adjoint_gathers, out)
 
     def sandwich(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """The (n_sys, n_sys) matrix M[y, x] = left_y^T (this operator)
         right_x for states that lie in the first d values of the block
         register of every slot, given as arrays of shape (n_sys, slots, d):
 
-            M[y, x] = sum_k left_y[k]^T (a00 [y = x] + b00 [perms[k][y] = x]) right_x[k]
+            M[y, x] = sum_k left_y[k]^T a00 right_x[k] [y = x]
+                      + left_y[partner[k]]^T b00 right_x[k] [y = perms[k][x]]
 
         with a00 and b00 the leading d x d corners of a and b. Costs
         O(n_sys slots d^2), against O(n_sys dim) for one apply."""
@@ -213,10 +230,10 @@ class FactoredSelect(LinOp):
         out = np.zeros((self.n_sys, self.n_sys), np.result_type(left, right, self.a, self.b))
         cols = np.arange(self.n_sys)
         out[cols, cols] = np.einsum("xkd,xkd->x", left, a_right)
-        # slot k links x to y = inverses[k][x]; fixed points and identity
+        # slot k links x to y = perms[k][x]; fixed points and identity
         # slots land on the diagonal, so the terms are accumulated
-        left_k = left[self.inverses, np.arange(self.slots)[:, None]]
-        np.add.at(out, (self.inverses, cols), np.einsum("kxd,xkd->kx", left_k, b_right))
+        left_k = left[self.perms, self.partner[:, None]]
+        np.add.at(out, (self.perms, cols), np.einsum("kxd,xkd->kx", left_k, b_right))
         return out
 
 
@@ -312,9 +329,9 @@ class FusedReflection(LinOp):
         """The (n_sys, n_sys) |0>-block, read from the node arrays without
         running apply. prep maps |0, x> to |r_x>|x> with the passive register
         in |0>, and it is a real symmetric involution, so the block is
-        sum_k r_y[k]^T (a00 [y = x] + b00 [p_k(y) = x]) r_x[k], with a00, b00
-        the corners of the select pair on the passive register's 0 value:
-        O(n_sys slots d^2)."""
+        sum_k r_y[k]^T a00 r_x[k] [y = x] + r_y[partner[k]]^T b00 r_x[k]
+        [y = p_k(x)], with a00, b00 the corners of the select pair on the
+        passive register's 0 value: O(n_sys slots d^2)."""
         outer, _, inner, n = self.prep.layout
         r = self.prep.prepared_states().reshape(n, outer, inner)
         return self.sel.sandwich(r, r)

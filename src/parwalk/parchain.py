@@ -81,6 +81,34 @@ class ProposalDecomposition:
     def all_involutions(self) -> bool:
         return all(np.array_equal(p[p], np.arange(self.n)) for p in self.perms)
 
+    def paired_slots(self) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """The same S over slots closed under inversion, as (weights, perms,
+        partner): perms[partner[k]] is the inverse of perms[k] at the same
+        weight, and an involution is its own partner. A permutation left
+        without a partner, (p, w), becomes (p, w/2) in its own slot plus
+        (p^-1, w/2) in a slot appended after the given ones, so there are at
+        most 2 kappa slots. R and Q are unchanged: S is symmetric, so
+        sum_k w_k a[p_k^-1 x, x] = sum_k w_k a[p_k x, x]."""
+        inverses = self.inverses
+        partner = np.full(self.kappa, -1)
+        for k in range(self.kappa):
+            if partner[k] >= 0:
+                continue
+            for j in range(k, self.kappa):
+                if (partner[j] < 0 and self.weights[j] == self.weights[k]
+                        and np.array_equal(self.perms[j], inverses[k])):
+                    partner[k], partner[j] = j, k
+                    break
+        lone = np.flatnonzero(partner < 0)
+        weights = self.weights.copy()
+        weights[lone] /= 2
+        partner[lone] = self.kappa + np.arange(lone.size)
+        return (
+            np.concatenate([weights, weights[lone]]),
+            self.perms + tuple(inverses[k] for k in lone),
+            np.concatenate([partner, lone]),
+        )
+
     def assemble(self) -> np.ndarray:
         """Dense S = sum_k w_k Pi_k."""
         s = np.zeros((self.n, self.n))
@@ -127,6 +155,12 @@ class AcceptanceRule:
         vals = np.array([self.f(int(d), beta) for d in deltas], dtype=float)
         # both checks are written so that a NaN value fails them
         if not (vals.min() > 0 and vals.max() <= 1 + RATIO_TOL):
+            zero = np.flatnonzero(vals == 0)
+            if zero.size and math.isfinite(beta):
+                raise FunctionalEquationViolated(
+                    f"{self.kind}: f({deltas[zero[0]]}) underflows to 0 in "
+                    f"float64 at beta={beta}"
+                )
             raise FunctionalEquationViolated(
                 f"{self.kind}: acceptance values must lie in (0, 1]"
             )

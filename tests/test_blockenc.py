@@ -1,4 +1,4 @@
-"""Block-encoding layer: primitives, products, sums, reflections, and the
+"""Block-encoding layer: primitives, products, sums, and the
 ancilla-efficient discriminant construction."""
 
 import math
@@ -10,22 +10,18 @@ import pytest
 
 import parwalk.blockenc
 from parwalk.blockenc import (
+    PROBES,
     UNITARY_TOL,
     BlockEncoding,
-    _fused_reflection,
-    _generic_reflection,
     build_ancilla_efficient_Q,
-    combine_two,
     compressed_hadamard_be,
     extract_block,
     extraction_chunk_width,
     fused_ancillas,
     hadamard_be,
     lcu,
-    left_multiply_unitary,
+    paper_ancillas,
     prepare_unitary,
-    reflectionize,
-    rescale_encoding,
     svd_block_encoding,
     unitary_encoding,
     verify_encoding,
@@ -38,20 +34,16 @@ from parwalk.errors import (
     FunctionalEquationViolated,
     NonPowerOfTwoDim,
     NormTooLarge,
-    NotHermitian,
     ScaleMismatch,
     WeightMismatch,
 )
 from parwalk.linops import (
     Compose,
     DenseUnitary,
-    Embedded,
     FactoredSelect,
     FusedReflection,
     Identity,
-    LinOp,
     Permutation,
-    Select,
     householder_to,
 )
 from parwalk.cnf import parse_dimacs
@@ -112,11 +104,16 @@ def test_logical_count_must_meet_quoted_count():
 
 
 def test_verify_encoding_pass_and_fail():
-    be = unitary_encoding(Identity(2))
-    good = verify_encoding(be, np.eye(2))
-    assert good.passed and good.max_abs_dev == 0.0
+    model, prop = two_state_chain()
+    rule = metropolis()
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    q = decompose_discriminant(model, prop, rule).q
+    good = verify_encoding(be, q)
+    assert good.passed and good.max_abs_dev <= 1e-15
     bad = verify_encoding(be, np.zeros((2, 2)))
-    assert not bad.passed and bad.max_abs_dev == 1.0
+    assert not bad.passed
+    assert abs(bad.max_abs_dev - np.abs(q).max()) <= 1e-15
+    assert bad.probe_block_dev > 0.1
     with pytest.raises(DimensionMismatch):
         verify_encoding(be, np.eye(3))
 
@@ -129,8 +126,8 @@ def test_svd_encoding_of_small_table():
     be = svd_block_encoding(lhat)
     assert be.gamma == 2.0 and be.anc_qubits == 1
     assert np.abs(extract_block(be) - lhat).max() < 1e-12
-    rep = verify_encoding(be, lhat)
-    assert rep.passed
+    dense = be.op.dense()
+    assert np.abs(dense.T @ dense - np.eye(dense.shape[0])).max() < 1e-12
 
 
 def test_svd_encoding_pads_to_power_of_two():
@@ -307,108 +304,6 @@ def test_compressed_hadamard_validates_energies():
         compressed_hadamard_be(be_tab, be_m, np.array([0, 1, 0]))
 
 
-# --------------------------------------------------------- sums and rescaling
-
-
-def test_left_multiply_unitary():
-    be = svd_block_encoding(np.diag([0.5, 0.25]))
-    flip = Permutation(np.array([1, 0]))
-    out = left_multiply_unitary(be, flip)
-    assert out.gamma == be.gamma and out.anc_qubits == be.anc_qubits
-    want = flip.dense() @ np.diag([0.5, 0.25])
-    assert np.abs(extract_block(out) - want).max() < 1e-12
-
-
-def test_rescale_encoding_grows_scale():
-    be = svd_block_encoding(np.diag([0.5, 0.25]))
-    out = rescale_encoding(be, 8.0)
-    assert out.gamma == 8.0 and out.anc_qubits == be.anc_qubits + 1
-    assert np.abs(extract_block(out) - np.diag([0.5, 0.25])).max() < 1e-12
-    assert rescale_encoding(be, be.gamma) is be
-    with pytest.raises(ScaleMismatch):
-        rescale_encoding(be, 1.0)
-
-
-def test_combine_two_adds_blocks():
-    a = np.array([[0.5, 0.25], [0.25, 0.5]])
-    b = np.diag([0.75, 0.125])
-    be = combine_two(svd_block_encoding(a), svd_block_encoding(b))
-    assert be.gamma == 4.0
-    assert np.abs(extract_block(be) - (a + b)).max() < 1e-12
-
-
-def hadamard_sandwich_sum(be_a, be_b):
-    """L_A + L_B as (H (x) I) Select(A, B) (H (x) I) at twice the larger
-    scale, with both operands rescaled to it first: the sum written out
-    without lcu."""
-    gamma = max(be_a.gamma, be_b.gamma)
-    be_a = rescale_encoding(be_a, gamma)
-    be_b = rescale_encoding(be_b, gamma)
-    c = max(be_a.anc_qubits, be_b.anc_qubits)
-    block = (1 << c) * be_a.sys_dim
-
-    def padded(be):
-        if be.anc_qubits == c:
-            return be.op
-        return Embedded(be.op, [1 << (c - be.anc_qubits), be.op.dim], [1])
-
-    h = Embedded(DenseUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / RT2), [2, block], [0])
-    op = Compose(h, Select([padded(be_a), padded(be_b)]), h)
-    return BlockEncoding(
-        sys_dim=be_a.sys_dim,
-        anc_qubits=c + 1,
-        paper_anc=max(be_a.paper_anc, be_b.paper_anc) + 1,
-        gamma=2.0 * gamma,
-        op=op,
-    )
-
-
-@pytest.mark.parametrize("second", ["svd", "unitary"])
-def test_combine_two_is_the_hadamard_sandwich(second):
-    a = np.array([[0.5, 0.25], [0.25, 0.5]])
-    be_a = svd_block_encoding(a)  # gamma 2, one ancilla
-    if second == "svd":
-        be_b = svd_block_encoding(np.diag([0.75, 0.125]))
-    else:
-        # gamma 1 and no ancilla: rescaled to gamma 2 with one more qubit
-        be_b = unitary_encoding(DenseUnitary(np.array([[0.6, 0.8], [0.8, -0.6]])))
-    got = combine_two(be_a, be_b)
-    want = hadamard_sandwich_sum(be_a, be_b)
-    assert (got.anc_qubits, got.paper_anc, got.gamma) == (
-        want.anc_qubits, want.paper_anc, want.gamma
-    )
-    assert np.abs(got.op.dense() - want.op.dense()).max() < 1e-14
-
-
-# ----------------------------------------------------------------- reflection
-
-
-def test_reflectionize_properties():
-    lhat = np.array([[0.5, 0.25], [0.25, 0.75]])
-    be = svd_block_encoding(lhat)
-    w = reflectionize(be)
-    assert w.gamma == 2.0 * be.gamma
-    assert w.anc_qubits == be.anc_qubits + 1
-    dense = w.op.dense()
-    assert np.abs(dense @ dense - np.eye(dense.shape[0])).max() < 1e-12
-    assert np.abs(extract_block(w) - lhat).max() < 1e-12
-    # fixed-point isometry |x> -> G^dag|+> (x) |0^c, x>, G the pi/12 rotation
-    # of the new qubit, contracts the reflection back to L / gamma_old
-    c, s = math.cos(math.pi / 12.0), math.sin(math.pi / 12.0)
-    block = be.op.dim
-    t = np.zeros((2 * block, 2))
-    t[:2] = (c + s) / RT2 * np.eye(2)
-    t[block : block + 2] = (c - s) / RT2 * np.eye(2)
-    assert np.abs(t.conj().T @ t - np.eye(2)).max() < 1e-12
-    assert np.abs(t.conj().T @ dense @ t - lhat / be.gamma).max() < 1e-12
-
-
-def test_reflectionize_rejects_nonhermitian_block():
-    be = unitary_encoding(Permutation(np.array([1, 2, 0])))
-    with pytest.raises(NotHermitian):
-        reflectionize(be)
-
-
 # ------------------------------------------------- discriminant construction
 
 
@@ -434,63 +329,69 @@ def test_padded_levels_enter_the_scale():
     assert np.abs(extract_block(be) - dec.q).max() < 1e-10
 
 
-def test_generic_route_matches_fused():
-    model = GibbsModel(energies=np.array([0, 2, 1, 2]), levels=3, beta=0.7)
-    prop = hypercube_proposal(2)
-    rule = metropolis()
-    dec = decompose_discriminant(model, prop, rule)
-    gen = _generic_reflection(model, prop, dec.tables)
-    assert np.abs(extract_block(gen) - dec.q).max() < 1e-9
-    assert gen.anc_qubits == 1 + 2 + 3 and gen.paper_anc == 2 * 1 + 2 + 2
-    dense = gen.op.dense()
-    assert np.abs(dense @ dense - np.eye(dense.shape[0])).max() < 1e-10
-
-
-def test_generic_route_needs_two_terms():
-    model, prop = two_state_chain()
-    with pytest.raises(BoundViolated):
-        _generic_reflection(model, prop, level_tables(model, metropolis()))
-
-
-def test_fused_route_needs_involutions():
-    cyc = np.array([1, 2, 0])
-    prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
-    model = GibbsModel(energies=np.array([0, 1, 1]), levels=2, beta=0.3)
-    with pytest.raises(DimensionMismatch):
-        _fused_reflection(model, prop, level_tables(model, metropolis()))
-    # non-involutive proposals take the generic route and still encode Q
-    be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
-    dec = decompose_discriminant(model, prop, metropolis())
-    assert np.abs(extract_block(be) - dec.q).max() < 1e-9
+def cycle_chain(kind, n_states, levels, seed=0, beta=0.8):
+    """A symmetric proposal that is no sum of involutions, with random
+    energies on the given number of levels. "pair": the cycle C: x -> x + 1
+    mod N, its inverse and the reversal x -> N - 1 - x at weights 0.3, 0.3
+    and 0.4. "split": [C, C, C^-1] at [0.25, 0.25, 0.5], whose slots find
+    no partner at their own weight, so each splits in two (6 slots).
+    "mixed": (0 1)(2 3 4) and (2 4 3) at 0.5 each, neither an involution
+    nor the other's inverse (4 slots)."""
+    states = np.arange(n_states)
+    cyc = (states + 1) % n_states
+    if kind == "pair":
+        weights, perms = [0.3, 0.3, 0.4], [cyc, np.argsort(cyc), states[::-1]]
+    elif kind == "split":
+        weights, perms = [0.25, 0.25, 0.5], [cyc, cyc, np.argsort(cyc)]
+    else:
+        swap_turn, turn_back = states.copy(), states.copy()
+        swap_turn[:5] = [1, 0, 3, 4, 2]
+        turn_back[2:5] = [4, 2, 3]
+        weights, perms = [0.5, 0.5], [swap_turn, turn_back]
+    prop = proposal_from_permutations(weights, perms)
+    energies = np.random.default_rng(seed).integers(0, levels, size=n_states)
+    return GibbsModel(energies=energies, levels=levels, beta=beta), prop
 
 
 def dense_fused_op(model, prop, rule):
-    """The fused route built densely: one eigh of the full M_k / 4B per
-    permutation slot and an (N, d, d) stack of Householder matrices."""
+    """The fused route built densely: one eigh of the whole select matrix
+
+        H = sum_k |k><k| (x) (L^T (x) J-hat^T + L (x) J-hat) (x) I
+              + |k'><k| (x) I_2 (x) G-hat (x) Pi_k
+
+    over the paired slots (k' = partner[k]) on (select, direction, level,
+    system), divided by 4B and dilated, and an (N, d, d) stack of
+    Householder matrices."""
     n = model.n
     bt = 1 << (model.levels - 1).bit_length()
-    m = (prop.kappa - 1).bit_length()
-    k_dim = 1 << m
+    weights, perms, partner = prop.paired_slots()
+    k_dim = 1 << (len(perms) - 1).bit_length()
+    pad = k_dim - len(perms)
+    weights = list(weights) + [0.0] * pad
+    perms = list(perms) + [np.arange(n)] * pad
+    partner = list(partner) + list(range(len(partner), k_dim))
     tables = level_tables(model, rule)
     ga_t = np.zeros((bt, bt))
     ga_t[: model.levels, : model.levels] = tables.ga
     ja_t = np.zeros((bt, bt))
     ja_t[: model.levels, : model.levels] = tables.rejection
-    weights = list(prop.weights) + [0.0] * (k_dim - prop.kappa)
-    perms = list(prop.perms) + [np.arange(n)] * (k_dim - prop.kappa)
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
-    dils = []
-    for p in perms:
+    hop = np.kron(lower.T, np.kron(ja_t.T, np.eye(n))) + np.kron(
+        lower, np.kron(ja_t, np.eye(n))
+    )
+    r = 2 * bt * n
+    h = np.zeros((k_dim, r, k_dim, r))
+    for k, (p, k_bar) in enumerate(zip(perms, partner)):
         pim = np.zeros((n, n))
         pim[p, np.arange(n)] = 1.0
-        p_k = (
-            np.kron(np.eye(2), np.kron(ga_t, pim))
-            + np.kron(lower.T, np.kron(ja_t.T, np.eye(n)))
-            + np.kron(lower, np.kron(ja_t, np.eye(n)))
-        ) / (4.0 * bt)
-        lam, vec = np.linalg.eigh(p_k)
-        c_k = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
-        dils.append(DenseUnitary(np.block([[p_k, c_k], [c_k, -p_k]])))
+        h[k, :, k] += hop
+        h[k_bar, :, k] += np.kron(np.eye(2), np.kron(ga_t, pim))
+    h = h.reshape(k_dim * r, -1) / (4.0 * bt)
+    lam, vec = np.linalg.eigh(h)
+    c = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
+    # np.block puts the dilation register first; move it behind the select
+    sel = np.block([[h, c], [c, -h]]).reshape(2, k_dim, r, 2, k_dim, r)
+    sel = sel.transpose(1, 0, 2, 4, 3, 5).reshape(2 * k_dim * r, -1)
     e = model.energies
     # registers (select, dilation, direction, level, system); the
     # preparation is the identity on the dilation register
@@ -506,8 +407,7 @@ def dense_fused_op(model, prop, rule):
         for dil in range(2):
             prep[:, dil, :, :, x, :, dil, :, :, x] = h
     prep = prep.reshape(math.prod(dims), -1)
-    sel = Select(dils) if len(dils) > 1 else dils[0]
-    return prep @ sel.dense() @ prep
+    return prep @ sel @ prep
 
 
 @pytest.mark.parametrize(
@@ -520,6 +420,65 @@ def test_fused_route_matches_dense_dilations(n, energy, levels, rule):
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     want = dense_fused_op(model, prop, rule)
     assert np.abs(be.op.dense() - want).max() < 1e-12
+
+
+RULES = pytest.mark.parametrize(
+    "rule", [metropolis(), glauber()], ids=["metropolis", "glauber"]
+)
+CYCLE_CHAINS = pytest.mark.parametrize(
+    "kind, n_states, levels",
+    [("pair", 5, 3), ("pair", 8, 2), ("pair", 18, 2), ("split", 6, 2),
+     ("split", 12, 3), ("mixed", 5, 4), ("mixed", 7, 5)],
+)
+
+
+@RULES
+@CYCLE_CHAINS
+def test_fused_route_takes_every_symmetric_proposal(kind, n_states, levels, rule):
+    model, prop = cycle_chain(kind, n_states, levels)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    q = decompose_discriminant(model, prop, rule).q
+    perms = prop.paired_slots()[1]
+    assert not prop.all_involutions
+    assert len(perms) == {"pair": 3, "split": 6, "mixed": 4}[kind]
+    assert isinstance(be.op, FusedReflection)
+    assert be.gamma == 4 * (1 << (levels - 1).bit_length())
+    assert be.anc_qubits == fused_ancillas(len(perms), levels) <= be.paper_anc
+    assert be.paper_anc == paper_ancillas(prop.kappa, levels)
+    block = extract_block(be)
+    assert np.abs(block - q).max() < 1e-12
+    assert np.abs(structured_block(be) - block).max() <= 1e-15
+    dense = be.op.dense()
+    assert np.abs(dense - dense.T).max() < 1e-12
+    assert np.abs(dense @ dense - np.eye(be.op.dim)).max() < 1e-12
+    assert verify_encoding(be, q).passed
+
+
+@RULES
+@pytest.mark.parametrize(
+    "kind, n_states, levels", [("pair", 5, 3), ("split", 6, 2), ("mixed", 5, 4)]
+)
+def test_paired_slots_match_the_dense_dilation(kind, n_states, levels, rule):
+    model, prop = cycle_chain(kind, n_states, levels)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    want = dense_fused_op(model, prop, rule)
+    assert np.abs(be.op.dense() - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["pair", "split", "mixed"])
+def test_paired_select_gathers_with_the_inverse(monkeypatch, kind):
+    # slot k's b-term moves x to p_k x, Pi_k |x> = |p_k x>: the gather takes
+    # p_k^-1. Gathering with p_k instead gives a unitary whose block misses Q
+    model, prop = cycle_chain(kind, 8, 3)
+    rule = metropolis()
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    q = decompose_discriminant(model, prop, rule).q
+    assert np.abs(extract_block(be) - q).max() < 1e-12
+    monkeypatch.setattr(
+        FactoredSelect, "apply",
+        lambda self, v, out=None: self._run(v, self.a, self.b, self.perms, out),
+    )
+    assert np.abs(extract_block(be) - q).max() > 1e-2
 
 
 def test_fused_select_pair_splits_one_dilation_by_parity():
@@ -537,18 +496,15 @@ def test_fused_select_pair_splits_one_dilation_by_parity():
 @pytest.mark.parametrize(
     "n, energy, levels", [(6, "hamming", 7), (7, "random", 16)]
 )
-def test_fused_route_above_the_old_block_cap(monkeypatch, n, energy, levels):
+def test_fused_route_above_the_old_block_cap(n, energy, levels):
     # 4 pad(B) N = 2048 and 8192: past the dense dilations' 1024 cap
-    def no_generic(*_args):
-        raise AssertionError("generic route reached")
-
-    monkeypatch.setattr(parwalk.blockenc, "_generic_reflection", no_generic)
     model, prop = build_hypercube(n, energy=energy, levels=levels, seed=2, beta=0.8)
     rule = glauber()
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     dec = decompose_discriminant(model, prop, rule)
     m = (prop.kappa - 1).bit_length()
     b = (model.levels - 1).bit_length()
+    assert isinstance(be.op, FusedReflection)
     assert be.anc_qubits == m + b + 2
     assert np.abs(extract_block(be) - dec.q).max() <= 1e-9
 
@@ -572,18 +528,20 @@ def test_ancilla_bound_across_small_grid():
         assert counts.paper_qubits == be.paper_anc
         dec = decompose_discriminant(model, prop, rule)
         assert np.abs(extract_block(be) - dec.q).max() < 1e-10
-    # the generic route quotes the same count: cycles paired with their
-    # inverses on 4 and 8 states, B = 3
+    # cycles paired with their inverses on 4 and 8 states, B = 3, take the
+    # fused route with one slot each and quote the same count
     for n_states in (4, 8):
         cyc = (np.arange(n_states) + 1) % n_states
         prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
         model = GibbsModel(energies=np.arange(n_states) % 3, levels=3, beta=0.6)
         be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
         assert not prop.all_involutions
+        assert isinstance(be.op, FusedReflection)
+        assert be.anc_qubits == fused_ancillas(2, 3) == 1 + 2 + 2
         counts = comparison_counts(n_states, prop.kappa, model.levels)
         assert counts.paper_qubits == be.paper_anc == 2 * 1 + 2 + 2
         dec = decompose_discriminant(model, prop, rule)
-        assert np.abs(extract_block(be) - dec.q).max() < 1e-9
+        assert np.abs(extract_block(be) - dec.q).max() < 1e-12
 
 
 # ------------------------------------------------------ chunked extraction
@@ -598,11 +556,13 @@ def one_batch_block(be):
 
 
 def test_chunked_extraction_matches_one_batch_on_generic_route(monkeypatch):
+    # a generic proposal, a cycle and its inverse, on paired select slots
     cyc = (np.arange(8) + 1) % 8
     prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
     model = GibbsModel(energies=np.array([0, 1, 2, 1, 0, 2, 1, 1]), levels=3, beta=0.6)
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     assert not prop.all_involutions
+    assert isinstance(be.op, FusedReflection)
     # three columns per chunk: 8 = 3 + 3 + 2
     monkeypatch.setattr(parwalk.blockenc, "CHUNK_BYTES", 3 * 8 * be.op.dim)
     assert extraction_chunk_width(be.sys_dim, be.op.dim) == 3
@@ -644,28 +604,25 @@ def test_chunked_extraction_memory_at_n7():
     assert peak <= 4 * 2**20
 
 
-class RecordingScale(LinOp):
-    """A non-unitary diagonal operator that records every batch it is
-    applied to."""
-
-    def __init__(self, diag):
-        self.diag = diag
-        self.dim = diag.size
-        self.seen = []
-
-    def apply(self, v):
-        self.seen.append(v.copy())
-        return v * self.diag
-
-    def adjoint_apply(self, v):
-        return v * self.diag
-
-
 def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
-    n, dim = 4, 64
-    # the first of the 8 vectors deviates most, so a check that dropped any
-    # chunk but the last would read less than the one-batch check
+    # a fused encoding whose apply records every batch it is given and
+    # scales its result by a diagonal, so that it is no longer unitary
+    model, prop = build_hypercube(2, energy="hamming")
+    rule = metropolis()
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    q = decompose_discriminant(model, prop, rule).q
+    dim = be.op.dim
     diag = 1.0 + 0.1 * np.random.default_rng(1).random(dim)
+    apply, seen = FusedReflection.apply, []
+
+    def scaled(self, v, out=None, scratch=None):
+        seen.append(v.copy())
+        w = apply(self, v, out, scratch)
+        w *= diag
+        return w
+
+    monkeypatch.setattr(FusedReflection, "apply", scaled)
+
     # the former one-batch spot check, on all 8 vectors at once, with the
     # row norms verify_encoding takes
     def norms(rows):
@@ -673,18 +630,17 @@ def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
 
     v = np.random.Generator(np.random.SFC64(7)).standard_normal((8, dim))
     v /= norms(v)[:, None]
-    w = v * diag
-    want = max(np.abs(norms(w) - 1.0).max(), np.abs(w * diag - v).max())
+    w = be.op.apply(v)
+    want = max(np.abs(norms(w) - 1.0).max(), np.abs(be.op.adjoint_apply(w) - v).max())
     for width in range(1, 9):
         monkeypatch.setattr(parwalk.blockenc, "CHUNK_BYTES", width * 8 * dim)
-        op = RecordingScale(diag)
-        be = BlockEncoding(sys_dim=n, anc_qubits=4, paper_anc=4, gamma=1.0, op=op)
-        report = verify_encoding(be, np.diag(diag[:n]))
-        # n basis columns for the extraction, then the 8 spot-check vectors
-        seen = np.concatenate(op.seen)
-        assert seen.shape[0] == n + 8
-        assert np.array_equal(seen[n:], v)
-        assert report.max_abs_dev == 0.0
+        seen.clear()
+        report = verify_encoding(be, q)
+        # two applies per probe vector, then the 8 spot-check vectors
+        batches = np.concatenate(seen)
+        assert batches.shape[0] == 2 * PROBES + 8
+        assert np.array_equal(batches[-8:], v)
+        assert report.max_abs_dev <= 1e-15
         assert report.unitary_dev == want and not report.passed
 
 
@@ -742,28 +698,22 @@ def test_structured_block_matches_full_extraction(chain, rule):
 
 
 def test_generic_and_hand_built_encodings_are_extracted_in_full():
-    cyc = (np.arange(8) + 1) % 8
-    prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
-    model = GibbsModel(energies=np.array([0, 1, 2, 1, 0, 2, 1, 1]), levels=3, beta=0.6)
-    generic = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
-    q = decompose_discriminant(model, prop, metropolis()).q
+    # extract_block, the tests' oracle, applies any encoding to every basis
+    # column; verify_encoding reads the block of a FusedReflection only, and
+    # refuses the same nodes composed by hand as well as any other operator
+    model, prop = cycle_chain("pair", 8, 3)
+    rule = metropolis()
+    generic = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    q = decompose_discriminant(model, prop, rule).q
+    assert np.abs(extract_block(generic) - q).max() < 1e-12
+    assert verify_encoding(generic, q).passed
+    prep, sel = generic.op.prep, generic.op.sel
+    by_hand = replace(generic, op=Compose(prep, sel, prep))
+    assert np.abs(extract_block(by_hand) - structured_block(generic)).max() <= 1e-15
     flip = unitary_encoding(Permutation(np.array([1, 0])))
-    # the fused route's nodes composed by hand are no FusedReflection
-    model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
-    fused = build_ancilla_efficient_Q(model, prop, level_tables(model, glauber()))
-    prep, sel = fused.op.prep, fused.op.sel
-    by_hand = replace(fused, op=Compose(prep, sel, prep))
-    q_fused = decompose_discriminant(model, prop, glauber()).q
-    assert np.abs(extract_block(by_hand) - structured_block(fused)).max() <= 1e-15
-    for be, target in (
-        (generic, q),
-        (flip, np.array([[0.0, 1.0], [1.0, 0.0]])),
-        (by_hand, q_fused),
-    ):
-        assert not isinstance(be.op, FusedReflection)
-        report = verify_encoding(be, target)
-        assert report.passed
-        assert report.probe_reflection_dev is None and report.probe_block_dev is None
+    for be, target in ((by_hand, q), (flip, np.array([[0.0, 1.0], [1.0, 0.0]]))):
+        with pytest.raises(DimensionMismatch, match="FusedReflection"):
+            verify_encoding(be, target)
 
 
 def fused_n4():

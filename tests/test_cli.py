@@ -643,3 +643,18 @@ def test_huge_beta_underflows_to_an_input_error(capsys, rule):
     )
     assert code == 2 and out == ""
     assert "FunctionalEquationViolated" in err and rule in err
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "glauber"])
+def test_acceptance_underflow_is_named_on_one_line(capsys, rule):
+    # at beta = 100 the values f(d), d >= 8, of a 16-level table are below
+    # the smallest float64; the error names the first of them
+    code, out, err = run(
+        capsys, "verify", "--n", "4", "--energy", "random", "--B", "16",
+        "--beta", "100", "--acceptance", rule,
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: FunctionalEquationViolated: {rule}: f(8) underflows to 0 in "
+        "float64 at beta=100.0"
+    ]

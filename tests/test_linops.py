@@ -130,6 +130,39 @@ def test_factored_select_sandwich_matches_dense():
     assert np.abs(op.sandwich(left, right) - want).max() < 1e-14
 
 
+def test_factored_select_sends_the_b_term_to_the_partner_slot():
+    # slots 0 and 1 hold a 3-cycle and its inverse, slot 2 an involution:
+    # sum_k |k><k| (x) a (x) I + |partner[k]><k| (x) b (x) Pi_k, with
+    # Pi_k |x> = |p_k x>, so slot k's system is gathered with p_k^-1
+    rng = np.random.default_rng(16)
+    a, b = rng.normal(size=(2, 3, 3))
+    cyc = np.array([1, 2, 0, 3])
+    perms = np.array([cyc, np.argsort(cyc), [3, 2, 1, 0]])
+    partner = np.array([1, 0, 2])
+    op = FactoredSelect(a, b, perms, partner)
+    want = np.zeros((3, 12, 3, 12))
+    for k, (p, j) in enumerate(zip(perms, partner)):
+        pim = np.zeros((4, 4))
+        pim[p, np.arange(4)] = 1.0
+        want[k, :, k] += np.kron(a, np.eye(4))
+        want[j, :, k] += np.kron(b, pim)
+    want = want.reshape(36, 36)
+    assert np.abs(op.dense() - want).max() < 1e-14
+    assert np.abs(Adjoint(op).dense() - want.T).max() < 1e-14
+    # with symmetric a and b the slot swap makes the operator symmetric
+    sym = FactoredSelect(a + a.T, b + b.T, perms, partner).dense()
+    assert np.abs(sym - sym.T).max() < 1e-14
+    # the sandwich reads left at the partner slot
+    left, right = rng.normal(size=(2, 4, 3, 2))
+    cols = [np.einsum("xkd,yx->kdyx", np.pad(t, ((0, 0), (0, 0), (0, 1))), np.eye(4))
+            for t in (left, right)]
+    dense = cols[0].reshape(-1, 4).T @ want @ cols[1].reshape(-1, 4)
+    assert np.abs(op.sandwich(left, right) - dense).max() < 1e-14
+    for bad in ([1, 2, 0], [1, 1, 2], [0, 1], [1, 0, 3], [-2, 0, 2]):
+        with pytest.raises(DimensionMismatch, match="involution"):
+            FactoredSelect(a, b, perms, np.array(bad))
+
+
 def test_permutations_must_be_bijections():
     a = np.eye(2)
     for bad in ([0, 0, 1], [0, 1, 3], [-1, 0, 1]):

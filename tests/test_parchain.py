@@ -102,6 +102,50 @@ class TestProposalDecomposition:
         for p, pinv in zip(prop.perms, prop.inverses):
             assert np.array_equal(p[pinv], np.arange(3))
 
+    def test_paired_slots_of_involutions_are_the_given_slots(self):
+        prop = hypercube_proposal(3)
+        weights, perms, partner = prop.paired_slots()
+        assert np.array_equal(weights, prop.weights)
+        assert all(p is q for p, q in zip(perms, prop.perms))
+        assert np.array_equal(partner, np.arange(3))
+
+    def test_paired_slots_pair_a_cycle_with_its_inverse(self):
+        weights, perms, partner = cycle_pair_proposal().paired_slots()
+        assert np.array_equal(weights, [0.5, 0.5]) and len(perms) == 2
+        assert np.array_equal(partner, [1, 0])
+
+    @pytest.mark.parametrize(
+        "weights, perms, slots",
+        [
+            # [C, C, C^-1] at [1/4, 1/4, 1/2]: no slot meets its inverse at
+            # its own weight, so all three split
+            ([0.25, 0.25, 0.5], [[1, 2, 3, 0], [1, 2, 3, 0], [3, 0, 1, 2]], 6),
+            # (0 1)(2 3 4) and (2 4 3): neither an involution nor the
+            # other's inverse
+            ([0.5, 0.5], [[1, 0, 3, 4, 2], [0, 1, 4, 2, 3]], 4),
+            # a pair, an involution, and three more 3-cycles, none of them
+            # with an unpaired inverse at its own weight
+            ([0.2, 0.2, 0.2, 0.1, 0.1, 0.2],
+             [[1, 2, 0, 3], [2, 0, 1, 3], [3, 2, 1, 0], [1, 2, 0, 3], [1, 2, 0, 3],
+              [2, 0, 1, 3]], 9),
+        ],
+        ids=["split", "mixed", "partial"],
+    )
+    def test_paired_slots_split_lone_permutations(self, weights, perms, slots):
+        prop = proposal_from_permutations(weights, [np.array(p) for p in perms])
+        w, p, partner = prop.paired_slots()
+        assert len(p) == len(w) == slots <= 2 * prop.kappa
+        assert np.array_equal(partner[partner], np.arange(slots))
+        for k, j in enumerate(partner):
+            assert np.array_equal(p[j], np.argsort(p[k])) and w[j] == w[k]
+        # the same S, and the same rejection R under any acceptance matrix
+        paired = proposal_from_permutations(w, p)
+        assert np.abs(paired.assemble() - prop.assemble()).max() < 1e-15
+        a = np.random.default_rng(0).uniform(0.1, 1.0, size=(prop.n, prop.n))
+        np.fill_diagonal(a, 1.0)
+        a = np.minimum(a, a.T)
+        assert np.abs(r_matrix(paired, a) - r_matrix(prop, a)).max() < 1e-15
+
 
 class TestAcceptanceRules:
     def test_metropolis_values(self):
@@ -132,6 +176,16 @@ class TestAcceptanceRules:
         rule = custom_rule(lambda d, b: 0.7)
         with pytest.raises(FunctionalEquationViolated):
             rule.table(1.0, 3)
+
+    @pytest.mark.parametrize("rule", [metropolis(), glauber()], ids=["metropolis", "glauber"])
+    def test_underflow_is_named(self, rule):
+        # f(d) = e^{-100 d} is below the smallest float64 from d = 8 on
+        with pytest.raises(
+            FunctionalEquationViolated, match=r"f\(8\) underflows to 0 in float64 at beta=100.0"
+        ):
+            rule.table(100.0, 16)
+        with pytest.raises(FunctionalEquationViolated, match="must lie in"):
+            custom_rule(lambda d, b: float("nan")).table(1.0, 3)
 
     def test_range_violation(self):
         rule = custom_rule(lambda d, b: 2.0 * np.exp(-0.5 * b * d))

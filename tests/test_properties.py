@@ -1,7 +1,8 @@
 """Property tests of the discriminant encoding over random small chains:
-random involutions with fixed points (fused route), optionally joined by a
-cycle and its inverse (generic route), random energies on B levels, beta
-from 0 to 40 and both acceptance rules. The embedding walk's block phases
+random involutions with fixed points, optionally joined by a cycle and its
+inverse at one weight or by [C, C, C^-1] at weights (w, w, 2w), whose
+slots split in two, random energies on B levels, beta from 0 to 40 and
+both acceptance rules. The embedding walk's block phases
 are checked against its dense diagonalization on the same chains, and the
 command line's exit-code contract over its flag ranges."""
 
@@ -15,7 +16,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from parwalk.blockenc import build_ancilla_efficient_Q, extract_block  # noqa: E402
+from parwalk.blockenc import (  # noqa: E402
+    build_ancilla_efficient_Q,
+    extract_block,
+    fused_ancillas,
+)
 from parwalk.cli import main  # noqa: E402
 from parwalk.linops import FusedReflection  # noqa: E402
 from parwalk.markov import (  # noqa: E402
@@ -57,8 +62,12 @@ def chains(draw):
         cyc = np.arange(n)
         cyc[order[:length]] = np.roll(order[:length], 1)
         w = draw(st.integers(1, 5))
-        perms += [cyc, np.argsort(cyc)]
-        weights += [w, w]
+        if draw(st.booleans()):
+            perms += [cyc, cyc, np.argsort(cyc)]
+            weights += [w, w, 2 * w]
+        else:
+            perms += [cyc, np.argsort(cyc)]
+            weights += [w, w]
     weights = np.array(weights, dtype=float)
     prop = proposal_from_permutations(weights / weights.sum(), perms)
     levels = draw(st.integers(1, 9))
@@ -80,9 +89,8 @@ def test_encoding_properties(chain):
     assert be.gamma == 4 * pad
     m = (prop.kappa - 1).bit_length()
     b = pad.bit_length() - 1
-    assert be.anc_qubits <= 2 * m + b + 2
-    if prop.all_involutions:
-        assert be.anc_qubits == m + b + 2
+    assert be.anc_qubits == fused_ancillas(len(prop.paired_slots()[1]), model.levels)
+    assert be.anc_qubits <= be.paper_anc == 2 * m + b + 2
     probes = np.random.default_rng(0).standard_normal((3, be.op.dim))
     assert np.abs(be.op.apply(be.op.apply(probes)) - probes).max() <= 1e-10
 
@@ -92,11 +100,9 @@ def test_encoding_properties(chain):
 def test_structured_block_matches_full_extraction(chain):
     model, prop, rule = chain
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
-    fused = isinstance(be.op, FusedReflection)
-    # the fused route is the one read from its structure
-    assert fused == prop.all_involutions
-    if fused:
-        assert np.abs(be.gamma * be.op.block() - extract_block(be)).max() <= 1e-15
+    # every proposal takes the fused route, which is read from its structure
+    assert isinstance(be.op, FusedReflection)
+    assert np.abs(be.gamma * be.op.block() - extract_block(be)).max() <= 1e-15
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
