@@ -22,6 +22,7 @@ import numpy as np
 # perfbench/tracing.py wraps parwalk.cli.extract_block.
 from .blockenc import (  # noqa: F401
     EXTRACT_TOL,
+    UNITARY_TOL,
     build_ancilla_efficient_Q,
     extract_block,
     extraction_chunk_width,
@@ -76,10 +77,12 @@ class _Timer:
 
     def time(self, label: str, fn):
         t0 = time.perf_counter()
-        out = fn()
-        ms = 1000.0 * (time.perf_counter() - t0)
-        self.timings[label] = 0.0 if self.deterministic else round(ms, 3)
-        return out
+        try:
+            return fn()
+        finally:
+            # a stage whose failure is reported, not raised, is timed too
+            ms = 1000.0 * (time.perf_counter() - t0)
+            self.timings[label] = 0.0 if self.deterministic else round(ms, 3)
 
 
 def _build_bundle(args, need_matrices: bool):
@@ -243,6 +246,7 @@ def _run_report(args):
     deviations = {
         "decomposition": {"value": decomp_dev, "tol": DECOMP_TOL},
         "extraction": None,
+        "unitarity": None,
         "tst": None,
         "par_tst": None,
     }
@@ -263,6 +267,7 @@ def _run_report(args):
         )
         ext_dev = float(enc_rep.max_abs_dev)
         deviations["extraction"] = {"value": ext_dev, "tol": args.tol}
+        deviations["unitarity"] = {"value": float(enc_rep.unitary_dev), "tol": UNITARY_TOL}
         ancillas["logical"] = be.anc_qubits
         gamma = float(be.gamma)
         # one line names every deviation, the extraction's among them
@@ -294,7 +299,10 @@ def _run_report(args):
             )
 
     try:
-        certify_stationary(dec.p, pi, prop.perms, tol=STATIONARY_TOL)
+        timer.time(
+            "stationary",
+            lambda: certify_stationary(dec.p, pi, prop.perms, tol=STATIONARY_TOL),
+        )
     except NotErgodic as exc:
         failures.append(("NotErgodic", str(exc)))
 

@@ -8,6 +8,8 @@ unitary unless dense() is called explicitly, and that is guarded by a size cap.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -46,6 +48,14 @@ class Identity(LinOp):
 
     def adjoint_apply(self, v):
         return v
+
+
+def _hermitian_norm(m: np.ndarray) -> float:
+    """Spectral norm of a hermitian matrix: its largest |eigenvalue|; inf
+    when m has a non-finite entry."""
+    if not np.all(np.isfinite(m)):
+        return math.inf
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
 
 
 def _check_bijections(perms: np.ndarray) -> None:
@@ -214,6 +224,20 @@ class FactoredSelect(LinOp):
     def adjoint_apply(self, v, out=None):
         return self._run(v, self.a.conj().T, self.b.conj().T, self._adjoint_gathers, out)
 
+    def unitarity_residual(self) -> float:
+        """||S^dag S - I||_2 of this operator, from its arrays: inf unless
+        slot partner[k] holds the inverse of perms[k], an exact check in
+        O(slots n_sys). With that pairing the slot swap is a symmetric
+        involution, on whose +-1 eigenspaces the operator is a +- b, so the
+        norm is the larger of ||(a +- b)^H (a +- b) - I||_2, two products
+        of block_dim x block_dim matrices."""
+        if not np.array_equal(self.perms[self.partner], self.inverses):
+            return math.inf
+        eye = np.eye(self.block_dim)
+        return max(
+            _hermitian_norm(m.conj().T @ m - eye) for m in (self.a + self.b, self.a - self.b)
+        )
+
     def sandwich(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """The (n_sys, n_sys) matrix M[y, x] = left_y^T (this operator)
         right_x for states that lie in the first d values of the block
@@ -267,6 +291,16 @@ class SystemControlledReflection(LinOp):
         self.layout = (outer, size, inner, self.n_sys)
         self.dim = self.n_sys * self.block_dim * size
         self._coef = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 >= 1e-28)
+
+    def unitarity_residual(self) -> float:
+        """||H^T H - I||_2, from the stored vectors and coefficients: for
+        H_x = I - c_x u_x u_x^T, H_x^T H_x - I = c_x (c_x |u_x|^2 - 2) u_x
+        u_x^T has rank 1 and norm |c_x |u_x|^2| |c_x |u_x|^2 - 2|, and the
+        factors act on disjoint system states. O(n_sys d)."""
+        ut = self._ut.reshape(self.block_dim, self.n_sys)
+        scaled = self._coef * np.einsum("ax,ax->x", ut, ut)
+        res = np.abs(scaled * (scaled - 2.0))
+        return float(res.max()) if np.isfinite(res).all() else math.inf
 
     def prepared_states(self) -> np.ndarray:
         """The states r_x = H_x e_0 that the factors prepare from |0>, as an
@@ -324,6 +358,15 @@ class FusedReflection(LinOp):
 
     def adjoint_apply(self, v, out=None, scratch=None):
         return self._run(v, self.sel.adjoint_apply, out, scratch)
+
+    def unitarity_residual(self) -> float:
+        """An upper bound on ||V^dag V - I||_2 from the residuals e_P of
+        prep and e_S of sel: with prep^dag prep = I + E_P and sel^dag sel =
+        I + E_S, V^dag V - I = E_P + prep^dag (E_S + sel^dag E_P sel) prep,
+        of norm at most (1 + e_P)^2 (1 + e_S) - 1. O(n_sys d + block_dim^3)
+        against O(dim) for one apply."""
+        e_p, e_s = self.prep.unitarity_residual(), self.sel.unitarity_residual()
+        return (1.0 + e_p) ** 2 * (1.0 + e_s) - 1.0
 
     def block(self) -> np.ndarray:
         """The (n_sys, n_sys) |0>-block, read from the node arrays without

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from parwalk.blockenc import build_ancilla_efficient_Q, extract_block
+from parwalk.blockenc import UNITARY_TOL, build_ancilla_efficient_Q, extract_block
 from parwalk.cli import main
 from parwalk.markov import (
     GibbsModel,
@@ -110,6 +110,21 @@ def test_criterion_2_ancilla_efficient_extraction():
         f"{worst_ext:.2e} <= 1e-9), gamma = 4B exactly, logical ancillas <= "
         f"2ceil(log k)+ceil(log B)+2, W^2 = I on 16 random vectors (max dev "
         f"{worst_invol:.2e} <= 1e-10, {elapsed:.2f}s < 60s)",
+    )
+
+
+def test_node_certificate_on_every_gate_chain():
+    # the bound on ||V^dag V - I|| that verify_encoding reads from the node
+    # arrays holds within UNITARY_TOL on all 128 chains of the gate
+    worst, count = 0.0, 0
+    for label, model, prop, rule in grid((1, 2, 3, 4)):
+        be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+        worst = max(worst, be.op.unitarity_residual())
+        count += 1
+    check(
+        count == 128 and worst <= UNITARY_TOL,
+        f"node certificate: ||V^dag V - I|| <= {worst:.2e} <= {UNITARY_TOL:.0e} "
+        f"on all {count} encodings",
     )
 
 

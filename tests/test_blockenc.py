@@ -11,6 +11,7 @@ import pytest
 import parwalk.blockenc
 from parwalk.blockenc import (
     PROBES,
+    SPOT_VECTORS,
     UNITARY_TOL,
     BlockEncoding,
     build_ancilla_efficient_Q,
@@ -604,9 +605,10 @@ def test_chunked_extraction_memory_at_n7():
     assert peak <= 4 * 2**20
 
 
-def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
+def test_chunked_spot_check_applies_each_vector_once(monkeypatch):
     # a fused encoding whose apply records every batch it is given and
     # scales its result by a diagonal, so that it is no longer unitary
+    # although its node arrays are
     model, prop = build_hypercube(2, energy="hamming")
     rule = metropolis()
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
@@ -623,23 +625,24 @@ def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
 
     monkeypatch.setattr(FusedReflection, "apply", scaled)
 
-    # the former one-batch spot check, on all 8 vectors at once, with the
-    # row norms verify_encoding takes
+    # the one-batch spot check, on all SPOT_VECTORS vectors at once, with
+    # the row norms verify_encoding takes
     def norms(rows):
         return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
-    v = np.random.Generator(np.random.SFC64(7)).standard_normal((8, dim))
+    v = np.random.Generator(np.random.SFC64(7)).standard_normal((SPOT_VECTORS, dim))
     v /= norms(v)[:, None]
     w = be.op.apply(v)
     want = max(np.abs(norms(w) - 1.0).max(), np.abs(be.op.adjoint_apply(w) - v).max())
+    assert be.op.unitarity_residual() < want
     for width in range(1, 9):
         monkeypatch.setattr(parwalk.blockenc, "CHUNK_BYTES", width * 8 * dim)
         seen.clear()
         report = verify_encoding(be, q)
-        # two applies per probe vector, then the 8 spot-check vectors
+        # two applies per probe vector, then the spot-check vectors
         batches = np.concatenate(seen)
-        assert batches.shape[0] == 2 * PROBES + 8
-        assert np.array_equal(batches[-8:], v)
+        assert batches.shape[0] == 2 * PROBES + SPOT_VECTORS
+        assert np.array_equal(batches[-SPOT_VECTORS:], v)
         assert report.max_abs_dev <= 1e-15
         assert report.unitary_dev == want and not report.passed
 
@@ -648,7 +651,7 @@ def test_chunked_spot_check_applies_the_eight_vectors_once(monkeypatch):
 def test_spot_check_sees_a_select_entry_the_block_never_reads(n):
     # a[d-1, d-2] acts on the dilation-1 half of the select block, which the
     # structured block (dilation-0 corners) never reads; it breaks
-    # unitarity by ~1e-7, and the 8 spot vectors must see that
+    # unitarity by ~1e-7, and the node certificate must see that
     model, prop = build_hypercube(n, energy="hamming")
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     q = decompose_discriminant(model, prop, metropolis()).q
@@ -658,6 +661,62 @@ def test_spot_check_sees_a_select_entry_the_block_never_reads(n):
     report = verify_encoding(be, q)
     assert report.max_abs_dev <= 1e-15
     assert report.unitary_dev > UNITARY_TOL
+    assert not report.passed
+
+
+# ------------------------------------------------------- node certificates
+
+
+def random_b16(n):
+    model, prop = build_hypercube(n, energy="random", levels=16, seed=3, beta=0.8)
+    rule = metropolis()
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    return be, decompose_discriminant(model, prop, rule).q
+
+
+def test_certificate_sees_a_select_fault_where_spot_vectors_fade():
+    # at n = 9, B = 16 (op.dim = 2^19) eight spot vectors see this 1e-8
+    # fault as ~7e-11, under UNITARY_TOL; the certificate reads the
+    # select's own defect, ~1e-8 at every n
+    be, q = random_b16(9)
+    assert be.op.unitarity_residual() <= 1e-14
+    sel = be.op.sel
+    d = sel.block_dim
+    sel.a[d - 1, d - 2] += 1e-8
+    assert 0.5e-8 <= be.op.unitarity_residual() <= 4e-8
+    report = verify_encoding(be, q)
+    assert report.max_abs_dev <= 1e-15
+    assert report.unitary_dev > UNITARY_TOL
+    assert not report.passed
+
+
+def test_certificate_rejects_a_partner_map_that_pairs_no_inverses():
+    # slots 0 and 1 are partners, but both hold the cycle: the slot swap
+    # is then no involution, and no array check can bound the select
+    model, prop = cycle_chain("pair", 8, 3)
+    rule = metropolis()
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    q = decompose_discriminant(model, prop, rule).q
+    sel = be.op.sel
+    assert sel.partner[0] == 1 and sel.unitarity_residual() <= 1e-14
+    perms = sel.perms.copy()
+    perms[1] = perms[0]
+    unpaired = FactoredSelect(sel.a, sel.b, perms, sel.partner)
+    assert unpaired.unitarity_residual() == math.inf
+    broken = replace(be, op=FusedReflection(be.op.prep, unpaired))
+    assert broken.op.unitarity_residual() == math.inf
+    report = verify_encoding(broken, q)
+    assert report.unitary_dev == math.inf and not report.passed
+
+
+def test_certificate_sees_a_householder_coefficient_off_by_1e8():
+    be, q = random_b16(5)
+    prep = be.op.prep
+    assert prep.unitarity_residual() <= 1e-14
+    prep._coef[3] += 1e-8
+    assert prep.unitarity_residual() > UNITARY_TOL
+    report = verify_encoding(be, q)
+    assert report.unitary_dev >= be.op.unitarity_residual() > UNITARY_TOL
     assert not report.passed
 
 
@@ -777,6 +836,23 @@ def test_probes_catch_an_operator_that_is_no_involution(monkeypatch):
     assert report.unitary_dev <= UNITARY_TOL
     assert report.probe_block_dev <= 1e-14
     assert report.probe_reflection_dev > 1e-3
+
+
+def test_an_apply_that_outputs_nan_fails(monkeypatch):
+    # the node arrays stay finite, so only the probes and the spot vector
+    # can see it, and their deviations must carry the NaN to the report
+    apply = FusedReflection.apply
+
+    def with_nan(self, v, out=None, scratch=None):
+        w = apply(self, v, out, scratch)
+        w[..., -1] = np.nan
+        return w
+
+    monkeypatch.setattr(FusedReflection, "apply", with_nan)
+    be, q = fused_n4()
+    report = verify_encoding(be, q)
+    assert math.isnan(report.unitary_dev) and math.isnan(report.probe_reflection_dev)
+    assert not report.passed
 
 
 def test_probes_catch_an_output_of_wrong_norm(monkeypatch):

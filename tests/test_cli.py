@@ -12,9 +12,11 @@ import pytest
 import parwalk.cli
 import parwalk.parchain
 from parwalk.blockenc import (
+    UNITARY_TOL,
     build_ancilla_efficient_Q,
     extract_block,
     extraction_chunk_width,
+    verify_encoding,
 )
 from parwalk.cli import main
 from parwalk.linops import FactoredSelect
@@ -69,7 +71,7 @@ def test_verify_hypercube_schema_and_pass(capsys):
     }
     assert report["pass"] is True
     assert set(report["ancillas"]) == {"szegedy", "paper", "logical"}
-    assert {"decomposition", "extraction", "tst", "par_tst"} <= set(
+    assert {"decomposition", "extraction", "unitarity", "tst", "par_tst"} <= set(
         report["deviations"]
     )
     assert {"delta", "delta_plus", "phase_gap"} <= set(report["spectrum"])
@@ -80,6 +82,9 @@ def test_verify_hypercube_schema_and_pass(capsys):
     assert report["ancillas"]["szegedy"] == 3
     assert report["deviations"]["decomposition"]["value"] <= 1e-10
     assert report["deviations"]["extraction"]["value"] <= 1e-9
+    unitarity = report["deviations"]["unitarity"]
+    assert set(unitarity) == {"value", "tol"} and unitarity["tol"] == UNITARY_TOL
+    assert unitarity["value"] <= UNITARY_TOL
     assert report["deviations"]["par_tst"]["value"] <= 1e-10
     assert report["timings_ms"] == {k: 0.0 for k in report["timings_ms"]}
 
@@ -88,8 +93,10 @@ def test_timings_cover_extraction(capsys):
     code, out, err = run(capsys, "verify", "--n", "2", "--json")
     assert code == 0, err
     timings = json.loads(out)["timings_ms"]
-    assert set(timings) == {"chain", "encoding", "extraction", "spectrum", "walks"}
-    assert timings["extraction"] > 0.0
+    assert set(timings) == {
+        "chain", "encoding", "extraction", "spectrum", "walks", "stationary",
+    }
+    assert timings["extraction"] > 0.0 and timings["stationary"] > 0.0
     code, out, err = run(
         capsys, "verify", "--n", "2", "--construction", "szegedy", "--json"
     )
@@ -107,9 +114,11 @@ def test_reported_deviations_are_those_of_the_built_objects(capsys):
     model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
     rule = metropolis()
     q = decompose_discriminant(model, prop, rule).q
-    block = extract_block(build_ancilla_efficient_Q(model, prop, level_tables(model, rule)))
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    block = extract_block(be)
     # the CLI reads the block from the fused structure, a different sum
     assert abs(dev["extraction"]["value"] - float(np.abs(block - q).max())) <= 1e-15
+    assert dev["unitarity"]["value"] == verify_encoding(be, q).unitary_dev
     walk = par_walk(prop, acceptance_matrix(model, rule))
     assert dev["par_tst"]["value"] == float(np.abs(walk.trt - q).max())
 
@@ -134,6 +143,7 @@ def test_build_szegedy_only_leaves_encoding_fields_null(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["deviations"]["extraction"] is None
+    assert report["deviations"]["unitarity"] is None
     assert report["gamma"] is None
     assert report["ancillas"]["logical"] is None
     assert report["deviations"]["par_tst"]["value"] <= 1e-10
@@ -548,7 +558,10 @@ def test_verify_fails_a_chain_whose_gibbs_state_is_not_stationary(capsys, monkey
         r"FAIL NotErgodic: \|P pi - pi\| = 5\.\d{3}e-07 exceeds 1e-10: pi is not stationary",
         fails[0],
     )
-    assert json.loads(out)["pass"] is False
+    report = json.loads(out)
+    assert report["pass"] is False
+    # the failed certificate is timed like any other stage
+    assert report["timings_ms"]["stationary"] == 0.0
 
 
 def test_malformed_cnf_is_an_input_error(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Matrix-free operator layer, checked against dense numpy oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,76 @@ def test_factored_select_sends_the_b_term_to_the_partner_slot():
     for bad in ([1, 2, 0], [1, 1, 2], [0, 1], [1, 0, 3], [-2, 0, 2]):
         with pytest.raises(DimensionMismatch, match="involution"):
             FactoredSelect(a, b, perms, np.array(bad))
+
+
+def orthogonal_select(rng, perms, partner=None, block=4):
+    """A factored select that is unitary when its slots are paired: a +- b
+    are orthogonal."""
+    plus, minus = random_unitary(rng, block), random_unitary(rng, block)
+    return FactoredSelect((plus + minus) / 2, (plus - minus) / 2, perms, partner)
+
+
+def unitarity_defect(op):
+    d = op.dense()
+    return np.linalg.norm(d.T @ d - np.eye(op.dim), 2)
+
+
+def test_factored_select_residual_is_its_unitarity_defect():
+    rng = np.random.default_rng(17)
+    cyc = np.array([1, 2, 0, 3])
+    perms = np.array([cyc, np.argsort(cyc), [3, 2, 1, 0]])
+    op = orthogonal_select(rng, perms, np.array([1, 0, 2]))
+    assert op.unitarity_residual() <= 1e-14
+    assert unitarity_defect(op) <= 1e-14
+    # a fault in either array, of either sign of the slot swap, is read at
+    # its size: the residual is the norm, not only a bound on it
+    for array, (i, j) in ((op.a, (3, 2)), (op.b, (0, 1))):
+        array[i, j] += 1e-6
+        assert abs(op.unitarity_residual() - unitarity_defect(op)) <= 1e-14
+        assert op.unitarity_residual() > 1e-7
+        array[i, j] -= 1e-6
+    # partners that are not each other's inverses, or a non-involution
+    # that is its own partner, leave the slot swap no involution
+    unpaired = FactoredSelect(op.a, op.b, np.array([cyc, cyc, perms[2]]), op.partner)
+    assert unpaired.unitarity_residual() == math.inf
+    assert FactoredSelect(op.a, op.b, perms).unitarity_residual() == math.inf
+    op.a[0, 0] = np.nan
+    assert op.unitarity_residual() == math.inf
+
+
+def test_system_controlled_reflection_residual_is_its_unitarity_defect():
+    rng = np.random.default_rng(18)
+    u = rng.normal(size=(3, 8))
+    u[1] = 0.0  # identity fallback
+    op = SystemControlledReflection(u, passive=(2, 2))
+    assert op.unitarity_residual() <= 1e-14
+    assert unitarity_defect(op) <= 1e-14
+    op._coef[2] *= 1.0 + 1e-6
+    assert abs(op.unitarity_residual() - unitarity_defect(op)) <= 1e-14
+    assert op.unitarity_residual() > 1e-7
+    op._coef[0] = np.nan
+    assert op.unitarity_residual() == math.inf
+
+
+def test_fused_reflection_residual_bounds_its_unitarity_defect():
+    rng = np.random.default_rng(19)
+    k_dim, bt, n = 2, 2, 4
+    u = rng.normal(size=(n, k_dim * 2 * bt))
+    prep = SystemControlledReflection(u, passive=(k_dim, 2))
+    # involutions x -> x xor k, each its own partner
+    sel = orthogonal_select(rng, np.arange(n) ^ np.arange(k_dim)[:, None], block=4 * bt)
+    tree = FusedReflection(prep, sel)
+    assert tree.unitarity_residual() <= 1e-14
+    # a fault in prep, in sel, and in both
+    faults = [[(prep._coef, 1)], [(sel.b, 5)], [(prep._coef, 0), (sel.a, 7)]]
+    for eps in (1e-6, 1e-3):
+        for fault in faults:
+            for array, i in fault:
+                array.flat[i] += eps
+            bound, defect = tree.unitarity_residual(), unitarity_defect(tree)
+            assert defect - 1e-14 <= bound <= 5 * defect
+            for array, i in fault:
+                array.flat[i] -= eps
 
 
 def test_permutations_must_be_bijections():
