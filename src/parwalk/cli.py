@@ -201,8 +201,18 @@ def _spectrum_quantities(dec, model):
     }, emb, spec
 
 
+def _strict(value):
+    """value with each non-finite float written as the string that names
+    it: strict JSON has no number for it."""
+    if isinstance(value, dict):
+        return {key: _strict(val) for key, val in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    return value
+
+
 def _emit(args, report: dict) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -3,7 +3,8 @@
 A symmetric contraction Q with eigenvalues lambda_j embeds into a product
 of two reflections whose eigenphases are +-arccos(lambda_j); the smallest
 nonzero phase, arccos(1 - Delta+), grows like the square root of the
-classical one-sided gap.
+classical one-sided gap. The embedding is certified from the eigenpairs of
+Q with two N x N products; its walk is never formed.
 """
 
 from __future__ import annotations
@@ -53,12 +54,10 @@ class GapReport:
 
 @dataclass(frozen=True)
 class EigenbasisEmbedding:
-    """Isometry t into C^N (x) C^2, the signs s of the reflection I (x) Z, the
-    2N eigenphases of the walk u = s (2 t t^T - I), read from its invariant
-    2x2 blocks (u is never formed), and the checked max |t^dag s t - q|."""
+    """The angles theta_j = arccos(lambda_j), the 2N eigenphases +-theta_j of
+    the embedding walk u = s (2 t t^T - I), s the signs of the reflection
+    I (x) Z, and the checked max |t^dag s t - q|."""
 
-    t: np.ndarray
-    s: np.ndarray
     thetas: np.ndarray
     phases: np.ndarray
     tst_dev: float
@@ -88,8 +87,8 @@ def _land_unit(lams: np.ndarray) -> np.ndarray:
 def walk_spectrum(phases: np.ndarray, eigenvalues: np.ndarray) -> WalkSpectrum:
     """Match a walk's eigenphases to +-arccos(lambda_j), lambda_j those of Q.
 
-    The phases come from EigenbasisEmbedding.phases, read from its checked
-    2x2 blocks, or from walk_phases of a dense walk matrix. The eigenvalues
+    The phases come from EigenbasisEmbedding.phases, fixed by its checked
+    eigenpairs, or from walk_phases of a dense walk matrix. The eigenvalues
     are in descending order, as spectral_gaps reports them.
 
     Phases for eigenvalues in (-1, 1) come in +- pairs; lambda = +-1
@@ -177,55 +176,32 @@ def phase_gap_check(spec: WalkSpectrum, delta_plus: float) -> GapReport:
 
 
 def eigenbasis_embedding(q: np.ndarray, gaps: SpectralReport) -> EigenbasisEmbedding:
-    """Embed Q into C^N (x) C^2 via |chi_j> = |v_j> (x) (cos(theta_j/2),
-    sin(theta_j/2)) with theta_j = arccos(lambda_j), taking the eigenpairs
-    (lambda_j, v_j) from gaps instead of solving q again.
+    """Certify the embedding of Q into C^N (x) C^2 via |chi_j> = |v_j> (x)
+    (cos(theta_j/2), sin(theta_j/2)) with theta_j = arccos(lambda_j), taking
+    the eigenpairs (lambda_j, v_j) from gaps instead of solving q again.
 
-    Verifies t^dag t = I, t^dag s t = q, and that the walk
-    u = s (2 t t^T - I) is block diagonal in the basis W = V (x) I, turning
-    each plane |v_j> (x) C^2 by theta_j (_block_phases).
+    Neither the isometry t = chi V^T nor the walk is formed. With C, S the
+    diagonals cos(theta/2), sin(theta/2): t^T t = V (C^2 + S^2) V^T and
+    t^T s t = V diag(cos theta) V^T, and the 2x2 blocks of the walk in the
+    basis V (x) I are C^2, CS, S^2, each up to V^T V - I. So the checks are
+    V^T V = I and V diag(lambda) V^T = q, and Szegedy's theorem then fixes
+    the phases of u = s (2 t t^T - I) at +-theta_j.
     """
     q = np.asarray(q, dtype=float)
     lam, vecs = gaps.eigenvalues, gaps.eigenvectors
     if q.shape != vecs.shape:
         raise DimensionMismatch(f"q has shape {q.shape}, its eigenvectors {vecs.shape}")
-    n = q.shape[0]
     if lam.min() <= -1 + 1e-12:
         raise SpectrumOutOfRange(
             f"eigenvalue {lam.min()} at the periodic edge -1; embed the lazy chain"
         )
-    thetas = np.arccos(_land_unit(lam))
-
-    chi = np.empty((2 * n, n))
-    chi[0::2] = np.cos(thetas / 2.0) * vecs
-    chi[1::2] = np.sin(thetas / 2.0) * vecs
-    # t sends the original basis through the eigenbasis: t = sum_j chi_j v_j^T
-    t = chi @ vecs.T
-    signs = np.tile([1.0, -1.0], n)
+    lam = _land_unit(lam)
 
     # written so that NaN fails: nothing else here reads q's entries
-    if not np.abs(t.T @ t - np.eye(n)).max() <= RESIDUAL_TOL:
+    if not np.abs(vecs.T @ vecs - np.eye(q.shape[0])).max() <= RESIDUAL_TOL:
         raise SpectrumOutOfRange("embedding isometry lost orthonormality")
-    tst_dev = float(np.abs(t.T @ (signs[:, None] * t) - q).max())
+    tst_dev = float(np.abs((vecs * lam) @ vecs.T - q).max())
     if not tst_dev <= RESIDUAL_TOL:
         raise SpectrumOutOfRange("t^dag s t deviates from q")
-    phases = _block_phases(t, vecs, thetas)
-    return EigenbasisEmbedding(t=t, s=signs, thetas=thetas, phases=phases, tst_dev=tst_dev)
-
-
-def _block_phases(t, vecs, thetas) -> np.ndarray:
-    """Eigenphases of u = s (2 t t^T - I) from its 2x2 blocks in W = V (x) I.
-
-    The (a, b) block of W^T t t^T W is g_ab = h_a h_b^T with h_a = V^T t[a::2].
-    g_ab = diag(c_a c_b), c = (cos(theta/2), sin(theta/2)), makes W^T u W
-    block diagonal, turning the plane |v_j> (x) C^2 by theta_j.
-    """
-    h0, h1 = (vecs.T @ t[a::2] for a in (0, 1))
-    c0, c1 = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-    g00, g01, g11 = h0 @ h0.T, h0 @ h1.T, h1 @ h1.T
-    pairs = ((g00, c0 * c0), (g01, c0 * c1), (g11, c1 * c1))
-    dev = max(np.abs(g - np.diag(c)).max() for g, c in pairs)
-    if dev > RESIDUAL_TOL:
-        raise SpectrumOutOfRange(f"walk leaves its 2x2 blocks (residual {dev:.3e})")
-    half = np.arctan2(2.0 * np.diag(g01), 2.0 * np.diag(g00) - 1.0)
-    return np.concatenate([half, -half])
+    thetas = np.arccos(lam)
+    return EigenbasisEmbedding(thetas=thetas, phases=np.r_[thetas, -thetas], tst_dev=tst_dev)

@@ -1,14 +1,17 @@
 """Command-line harness: subcommands, exit codes, report schema, CSV."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parwalk.blockenc
 import parwalk.cli
 import parwalk.parchain
 from parwalk.blockenc import (
@@ -562,6 +565,78 @@ def test_verify_fails_a_chain_whose_gibbs_state_is_not_stationary(capsys, monkey
     assert report["pass"] is False
     # the failed certificate is timed like any other stage
     assert report["timings_ms"]["stationary"] == 0.0
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("value, written", [(math.inf, "Infinity"), (math.nan, "NaN")])
+def test_non_finite_deviations_are_written_as_strict_json(capsys, monkeypatch, tmp_path,
+                                                          value, written):
+    # an unpaired select certifies its unitarity as inf
+    monkeypatch.setattr(FactoredSelect, "unitarity_residual", lambda self: value)
+    path = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--n", "3", "--json", "--deterministic", "--out", str(path),
+    )
+    assert code == 1 and "FAIL DecompositionMismatch" in err
+    for text in (out, path.read_text(encoding="utf-8")):
+        report = strict_json(text)
+        assert report["deviations"]["unitarity"]["value"] == written
+        assert report["pass"] is False
+
+
+def test_eigenpairs_that_miss_q_are_an_input_error(capsys, monkeypatch):
+    # the embedding checks the eigenpairs it is given against q
+    def shifted(q):
+        gaps = spectral_gaps(q)
+        lams = gaps.eigenvalues.copy()
+        lams[1] += 1e-6
+        return dataclasses.replace(gaps, eigenvalues=lams)
+
+    monkeypatch.setattr(parwalk.cli, "spectral_gaps", shifted)
+    code, out, err = run(capsys, "verify", "--n", "3", "--json")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: SpectrumOutOfRange: t^dag s t deviates from q"]
+
+
+def test_the_traced_benchmark_finds_every_function_it_wraps(capsys):
+    # perfbench/tracing.py replaces module attributes by name for a traced
+    # run; a name that parwalk stops binding ends that run with
+    # AttributeError, while untraced runs still pass
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {
+        "parwalk.cli": parwalk.cli,
+        "parwalk.blockenc": parwalk.blockenc,
+        "parwalk.parchain": parwalk.parchain,
+    }
+    sites = [(modules[mod], attr) for group in tracing.WRAPPED.values() for mod, attr in group]
+    # raises before anything is replaced when a wrapped name is missing
+    originals = [getattr(module, attr) for module, attr in sites]
+    tracer = tracing.Tracer()
+    saved = tracer.install(modules)
+    try:
+        code = tracer.run_chain(
+            "n2", main, ["verify", "--n", "2", "--construction", "both", "--json"]
+        )
+        metrics = tracing.layer_metrics(tracer.spans, [])
+    finally:
+        tracing.Tracer.restore(saved)
+    capsys.readouterr()
+    assert code == 0
+    assert {"spectra.embed", "szegedy.walk", "blockenc.build"} <= {
+        span["name"] for span in tracer.spans
+    }
+    assert metrics["szegedy.walk_dim"][0] > 0 and metrics["blockenc.anc_qubits"][0] > 0
+    assert all(getattr(module, attr) is fn for (module, attr), fn in zip(sites, originals))
 
 
 def test_malformed_cnf_is_an_input_error(capsys, tmp_path):

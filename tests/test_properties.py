@@ -2,9 +2,9 @@
 random involutions with fixed points, optionally joined by a cycle and its
 inverse at one weight or by [C, C, C^-1] at weights (w, w, 2w), whose
 slots split in two, random energies on B levels, beta from 0 to 40 and
-both acceptance rules. The embedding walk's block phases
-are checked against its dense diagonalization on the same chains, and the
-command line's exit-code contract over its flag ranges."""
+both acceptance rules. The embedding's phases are checked against the
+dense diagonalization of its walk on the same chains, and the command
+line's exit-code contract over its flag ranges."""
 
 import contextlib
 import io
@@ -38,6 +38,7 @@ from parwalk.parchain import (  # noqa: E402
     proposal_from_permutations,
 )
 from parwalk.spectra import eigenbasis_embedding, walk_phases  # noqa: E402
+from test_spectra import dense_walk  # noqa: E402
 
 
 def _involution(order, pairs):
@@ -114,7 +115,7 @@ def test_block_phases_match_the_dense_walk(chain):
     if gaps.periodic:
         q, gaps = discriminant(lazy(dec.p), gibbs_distribution(model)), gaps.lazy()
     emb = eigenbasis_embedding(q, gaps)
-    u = emb.s[:, None] * (2.0 * emb.t @ emb.t.T - np.eye(emb.t.shape[0]))
+    u = dense_walk(gaps.eigenvectors, emb.thetas)
     phases = np.sort(emb.phases)
     # no phase sits near the cut at pi: the embedded chain is aperiodic
     assert np.abs(phases - np.sort(np.angle(np.linalg.eigvals(u)))).max() <= 1e-12

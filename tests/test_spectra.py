@@ -36,7 +36,6 @@ from parwalk.parchain import (
 from parwalk.models import build_hypercube
 from parwalk.spectra import (
     RESIDUAL_TOL,
-    _block_phases,
     eigenbasis_embedding,
     phase_gap_check,
     walk_phases,
@@ -76,23 +75,38 @@ def test_embedding_single_state_half_turn():
     assert report.holds and abs(report.lower_bound - math.sqrt(2.0)) < 1e-12
 
 
-def dense_walk(emb):
-    """The embedding walk u = s (2 t t^T - I), formed densely."""
-    n2 = emb.t.shape[0]
-    return emb.s[:, None] * (2.0 * emb.t @ emb.t.T - np.eye(n2))
+def embedding_isometry(vecs, thetas):
+    """The columns chi_j = v_j (x) (cos(theta_j/2), sin(theta_j/2)), the
+    isometry t = chi V^T into C^N (x) C^2 and the signs s of I (x) Z, formed
+    densely."""
+    n = vecs.shape[0]
+    chi = np.empty((2 * n, n))
+    chi[0::2] = np.cos(thetas / 2.0) * vecs
+    chi[1::2] = np.sin(thetas / 2.0) * vecs
+    return chi, chi @ vecs.T, np.tile([1.0, -1.0], n)
+
+
+def dense_walk(vecs, thetas):
+    """The embedding walk u = s (2 t t^T - I), formed densely: the oracle
+    for the phases eigenbasis_embedding returns without forming it."""
+    _, t, s = embedding_isometry(vecs, thetas)
+    return s[:, None] * (2.0 * t @ t.T - np.eye(t.shape[0]))
 
 
 def test_embedding_verifies_its_own_relations():
     model, prop = two_state()
     dec = decompose_discriminant(model, prop, metropolis())
-    emb = eigenbasis_embedding(dec.q, spectral_gaps(dec.q))
+    gaps = spectral_gaps(dec.q)
+    emb = eigenbasis_embedding(dec.q, gaps)
     n = 2
-    assert np.array_equal(emb.s, [1.0, -1.0, 1.0, -1.0])
-    assert np.abs(emb.t.T @ emb.t - np.eye(n)).max() < 1e-12
-    assert np.abs(emb.t.T @ (emb.s[:, None] * emb.t) - dec.q).max() < 1e-12
-    assert emb.tst_dev == np.abs(emb.t.T @ (emb.s[:, None] * emb.t) - dec.q).max()
-    u = dense_walk(emb)
+    _, t, s = embedding_isometry(gaps.eigenvectors, emb.thetas)
+    assert np.array_equal(s, [1.0, -1.0, 1.0, -1.0])
+    assert np.abs(t.T @ t - np.eye(n)).max() < 1e-12
+    tst_dev = np.abs(t.T @ (s[:, None] * t) - dec.q).max()
+    assert tst_dev < 1e-12 and abs(emb.tst_dev - tst_dev) <= 1e-15
+    u = dense_walk(gaps.eigenvectors, emb.thetas)
     assert np.abs(u @ u.T - np.eye(2 * n)).max() < 1e-12
+    assert np.abs(np.sort(walk_phases(u)) - np.sort(emb.phases)).max() < 1e-12
     # the walk turns plane j by theta_j: phases +-theta_j
     assert np.abs(emb.phases - np.r_[emb.thetas, -emb.thetas]).max() < 1e-12
 
@@ -339,10 +353,7 @@ def embedding_parts(q):
     gaps = spectral_gaps(q)
     emb = eigenbasis_embedding(q, gaps)
     vecs = gaps.eigenvectors
-    chi = np.empty((2 * q.shape[0], q.shape[0]))
-    chi[0::2] = np.cos(emb.thetas / 2.0) * vecs
-    chi[1::2] = np.sin(emb.thetas / 2.0) * vecs
-    return emb, chi, vecs
+    return emb, embedding_isometry(vecs, emb.thetas)[0], vecs
 
 
 def check_chains():
@@ -362,11 +373,11 @@ def check_chains():
 
 
 def test_batched_spectral_checks_match_loop_form():
-    # the block phases against the dense walk, whose eigenvector relations
-    # and eigenphases the former loops check
+    # the returned phases against the dense walk, whose eigenvector
+    # relations and eigenphases the former loops check
     for q in check_chains():
         emb, chi, vecs = embedding_parts(q)
-        u = dense_walk(emb)
+        u = dense_walk(vecs, emb.thetas)
         assert loop_relations(u, chi, vecs, emb.thetas) is None
         phases = walk_phases(u)
         assert np.abs(np.sort(phases) - np.sort(loop_eigenphases(u))).max() < 1e-12
@@ -388,14 +399,15 @@ def test_batched_eigenphases_of_a_complex_unitary_with_clusters():
 
 def test_dense_eigenphases_resolve_close_distinct_eigenvalues():
     # q has the distinct eigenvalues -5.6e-9 and -3e-17; clustering their
-    # cosines put the dense phases 2.8e-9 off the block phases
+    # cosines put the dense phases 2.8e-9 off the returned phases
     model = GibbsModel(
         energies=np.array([0, 1, 0, 0, 0, 0, 0, 2, 0, 0]), levels=3, beta=19.0
     )
     prop = proposal_from_permutations([1.0], [np.array([0, 5, 2, 3, 4, 1, 7, 6, 8, 9])])
     q = decompose_discriminant(model, prop, metropolis()).q
-    emb = eigenbasis_embedding(q, spectral_gaps(q))
-    phases = walk_phases(dense_walk(emb))
+    gaps = spectral_gaps(q)
+    emb = eigenbasis_embedding(q, gaps)
+    phases = walk_phases(dense_walk(gaps.eigenvectors, emb.thetas))
     assert np.abs(np.sort(phases) - np.sort(emb.phases)).max() <= 1e-12
 
 
@@ -409,39 +421,6 @@ def test_sorted_pairing_finds_the_pairing_nearest_first_misses():
     assert spec.b_perp_dim == 0
 
 
-def test_block_check_catches_a_flipped_sine_half():
-    model, prop = build_hypercube(3, energy="hamming", beta=0.7)
-    q = decompose_discriminant(model, prop, metropolis()).q
-    emb, chi, vecs = embedding_parts(q)
-    flipped = emb.t.copy()
-    flipped[1::2] *= -1.0
-    # t^T t and t^T s t cannot see the sign of the sine half ...
-    assert np.abs(flipped.T @ flipped - np.eye(8)).max() <= RESIDUAL_TOL
-    assert np.abs(flipped.T @ (emb.s[:, None] * flipped) - q).max() <= RESIDUAL_TOL
-    # ... but its walk breaks the relations of chi, and the block residual
-    # sees that
-    u = dense_walk(dataclasses.replace(emb, t=flipped))
-    assert loop_relations(u, chi, vecs, emb.thetas).startswith("two-reflection")
-    with pytest.raises(SpectrumOutOfRange, match="2x2 blocks"):
-        _block_phases(flipped, vecs, emb.thetas)
-    assert np.array_equal(_block_phases(emb.t, vecs, emb.thetas), emb.phases)
-
-
-def test_block_check_catches_one_plane_turned_too_far():
-    model, prop = build_hypercube(3, energy="hamming", beta=0.7)
-    q = decompose_discriminant(model, prop, metropolis()).q
-    emb, chi, vecs = embedding_parts(q)
-    # plane 0 holds the unit eigenvalue: its walk must fix chi_0 and its
-    # partner |v_0> (x) |1>
-    assert emb.thetas[0] == 0.0 < emb.thetas[1]
-    for j in (0, 1):
-        turned = chi.copy()
-        turned[0::2, j] = math.cos(emb.thetas[j] / 2.0 + 0.05) * vecs[:, j]
-        turned[1::2, j] = math.sin(emb.thetas[j] / 2.0 + 0.05) * vecs[:, j]
-        with pytest.raises(SpectrumOutOfRange, match="2x2 blocks"):
-            _block_phases(turned @ vecs.T, vecs, emb.thetas)
-
-
 def test_shifted_block_phase_is_a_spectrum_mismatch():
     model, prop = build_hypercube(3, energy="hamming", beta=0.7)
     q = decompose_discriminant(model, prop, metropolis()).q
@@ -453,3 +432,29 @@ def test_shifted_block_phase_is_a_spectrum_mismatch():
         phases[j] += 0.1
         with pytest.raises(SpectrumMismatch):
             walk_spectrum(phases, gaps.eigenvalues)
+
+
+def faulted_eigenpairs(gaps, fault):
+    """gaps with one eigenvector column scaled by 1 + 1e-6, or with its
+    second eigenvalue shifted by 1e-6."""
+    if fault == "scale-column":
+        vecs = gaps.eigenvectors.copy()
+        vecs[:, 1] *= 1.0 + 1e-6
+        return dataclasses.replace(gaps, eigenvectors=vecs)
+    lams = gaps.eigenvalues.copy()
+    lams[1] += 1e-6
+    return dataclasses.replace(gaps, eigenvalues=lams)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("scale-column", "lost orthonormality"), ("shift-eigenvalue", "deviates from q")],
+)
+def test_embedding_residual_checks_catch_a_faulted_eigenpair(fault, message):
+    model, prop = build_hypercube(3, energy="hamming", beta=0.7)
+    q = decompose_discriminant(model, prop, metropolis()).q
+    gaps = spectral_gaps(q)
+    assert eigenbasis_embedding(q, gaps).tst_dev <= 1e-14
+    with pytest.raises(SpectrumOutOfRange, match=message):
+        eigenbasis_embedding(q, faulted_eigenpairs(gaps, fault))
+
