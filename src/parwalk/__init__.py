@@ -48,13 +48,7 @@ from .spectra import (
     walk_phases,
     walk_spectrum,
 )
-from .szegedy import (
-    ancilla_comparison,
-    comparison_counts,
-    par_walk,
-    quantum_enhanced_walk,
-    standard_walk,
-)
+from .szegedy import par_walk, quantum_enhanced_walk, standard_walk
 
 __version__ = "0.1.0"
 
@@ -68,13 +62,11 @@ __all__ = [
     "ProposalDecomposition",
     "StochasticMatrix",
     "acceptance_matrix",
-    "ancilla_comparison",
     "build_ancilla_efficient_Q",
     "build_cnf",
     "build_hypercube",
     "certify_stationary",
     "check_detailed_balance",
-    "comparison_counts",
     "compressed_hadamard_be",
     "custom_rule",
     "decompose_discriminant",

@@ -47,6 +47,7 @@ from .linops import (
     FusedReflection,
     Identity,
     LinOp,
+    Permutation,
     Select,
     SystemControlledReflection,
     energy_shift,

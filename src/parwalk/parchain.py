@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,8 +62,7 @@ class ProposalDecomposition:
                 raise DimensionMismatch("each perm must be a bijection on {0..N-1}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "perms", perms)
-        s = self.assemble()
-        if np.abs(s - s.T).max() > 1e-12:
+        if np.abs(self.s - self.s.T).max() > 1e-12:
             raise NotSymmetricProposal("assembled proposal matrix is not symmetric")
 
     @property
@@ -73,7 +73,17 @@ class ProposalDecomposition:
     def kappa(self) -> int:
         return len(self.perms)
 
-    @property
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Dense S = sum_k w_k Pi_k, assembled once and read-only."""
+        s = np.zeros((self.n, self.n))
+        cols = np.arange(self.n)
+        for w, p in zip(self.weights, self.perms):
+            s[p, cols] += w
+        s.flags.writeable = False
+        return s
+
+    @cached_property
     def inverses(self) -> tuple:
         return tuple(np.argsort(p) for p in self.perms)
 
@@ -108,14 +118,6 @@ class ProposalDecomposition:
             self.perms + tuple(inverses[k] for k in lone),
             np.concatenate([partner, lone]),
         )
-
-    def assemble(self) -> np.ndarray:
-        """Dense S = sum_k w_k Pi_k."""
-        s = np.zeros((self.n, self.n))
-        cols = np.arange(self.n)
-        for w, p in zip(self.weights, self.perms):
-            s[p, cols] += w
-        return s
 
 
 def proposal_from_permutations(weights, perms) -> ProposalDecomposition:
@@ -253,8 +255,7 @@ def transition_matrix(prop: ProposalDecomposition, a: np.ndarray) -> StochasticM
     """P with p_yx = a_yx s_yx off the diagonal, columns topped up to 1."""
     if a.shape != (prop.n, prop.n):
         raise DimensionMismatch(f"acceptance shape {a.shape} vs proposal dim {prop.n}")
-    s = prop.assemble()
-    p = a * s
+    p = a * prop.s
     off_sum = p.sum(axis=0) - np.diag(p)
     stay = 1.0 - off_sum
     if stay.min() < -1e-12:
@@ -281,7 +282,8 @@ def r_matrix(prop: ProposalDecomposition, a: np.ndarray) -> np.ndarray:
 class DiscriminantDecomposition:
     """Factors of Q = ga (.) s + r together with the verified deviation,
     the acceptance matrix a and the transition matrix p they came from, and
-    the level tables that a and ga were gathered from."""
+    the level tables that a and ga were gathered from; s is the proposal's
+    own read-only S."""
 
     tables: LevelTables
     a: np.ndarray
@@ -301,7 +303,7 @@ def decompose_discriminant(
         raise DimensionMismatch(f"model dim {model.n} vs proposal dim {prop.n}")
     tables = level_tables(model, rule)
     a = _gather_acceptance(model, tables.values)
-    s = prop.assemble()
+    s = prop.s
     p = transition_matrix(prop, a)
     r = r_matrix(prop, a)
     pi = gibbs_distribution(model)
@@ -309,7 +311,7 @@ def decompose_discriminant(
 
     # P = A(.)S + R holds verbatim because a_xx is forced to 1
     p_dev = np.abs(a * s + r - p.entries).max()
-    if p_dev > 1e-12:
+    if not p_dev <= 1e-12:
         raise DecompositionMismatch(f"P = A(.)S + R fails by {p_dev:.3e}")
 
     e = model.energies
@@ -320,7 +322,7 @@ def decompose_discriminant(
         raise DecompositionMismatch("G(.)A entries leave [0, 1]")
 
     deviation = float(np.abs(ga * s + r - q).max())
-    if deviation > DECOMP_TOL:
+    if not deviation <= DECOMP_TOL:
         raise DecompositionMismatch(
             f"(G(.)A)(.)S + R deviates from Q by {deviation:.3e}"
         )

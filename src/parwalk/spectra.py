@@ -54,11 +54,11 @@ class GapReport:
 
 @dataclass(frozen=True)
 class EigenbasisEmbedding:
-    """The angles theta_j = arccos(lambda_j), the 2N eigenphases +-theta_j of
-    the embedding walk u = s (2 t t^T - I), s the signs of the reflection
-    I (x) Z, and the checked max |t^dag s t - q|."""
+    """The 2N eigenphases +-theta_j, theta_j = arccos(lambda_j), of the
+    embedding walk u = s (2 t t^T - I), s the signs of the reflection
+    I (x) Z, with the N angles theta_j first, and the checked
+    max |t^dag s t - q|."""
 
-    thetas: np.ndarray
     phases: np.ndarray
     tst_dev: float
 
@@ -204,4 +204,4 @@ def eigenbasis_embedding(q: np.ndarray, gaps: SpectralReport) -> EigenbasisEmbed
     if not tst_dev <= RESIDUAL_TOL:
         raise SpectrumOutOfRange("t^dag s t deviates from q")
     thetas = np.arccos(lam)
-    return EigenbasisEmbedding(thetas=thetas, phases=np.r_[thetas, -thetas], tst_dev=tst_dev)
+    return EigenbasisEmbedding(phases=np.r_[thetas, -thetas], tst_dev=tst_dev)

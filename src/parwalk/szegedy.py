@@ -1,5 +1,6 @@
 """Reference quantum walks on doubled state space, used as independent
-oracles for the compressed constructions and for ancilla-count comparison.
+oracles for the compressed constructions, and the ancilla count of the PAR
+walk that the compressed encoding is measured against.
 
 Column x of a walk isometry T is nonzero only on its own block of m rows,
 x m ... x m + m - 1 (m = N for the standard walk, 2N for the flagged
@@ -14,20 +15,18 @@ small N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from .blockenc import _ceil_log2, _pow2_pad, build_ancilla_efficient_Q, paper_ancillas
 from .errors import (
     DecompositionMismatch,
     DimensionMismatch,
     NotSymmetricUnitary,
 )
-from .markov import GibbsModel, StochasticMatrix, discriminant, stationary_distribution
-from .parchain import AcceptanceRule, ProposalDecomposition, level_tables
+from .markov import StochasticMatrix, discriminant, stationary_distribution
+from .parchain import DiscriminantDecomposition
 
 IDENT_TOL = 1e-10
 
@@ -138,22 +137,26 @@ def _flagged_walk(
     return _checked_walk(variant, vals, perm, expected, what)
 
 
-def par_walk(prop: ProposalDecomposition, a: np.ndarray) -> SzegedyWalk:
+def par_walk(dec: DiscriminantDecomposition) -> SzegedyWalk:
     """Walk on C^N (x) C^N (x) C^2 whose extra flag records acceptance.
 
     |psi_x> carries amplitude sqrt(s_yx a_yx) on |x,y,0> and
-    sqrt(s_yx (1 - a_yx)) on |x,y,1>; the reflector swaps the state
-    registers only on the accepted branch. T^dag R T reproduces the chain's
-    discriminant without ever forming the transition matrix.
+    sqrt(s_yx (1 - a_yx)) on |x,y,1>, read from the decomposition's S and
+    A; the reflector swaps the state registers only on the accepted branch.
+    T^dag R T is checked against the decomposition's Q within 1e-10, so the
+    walk reproduces the chain's discriminant without ever forming P.
     """
-    n = prop.n
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"acceptance shape {a.shape} vs proposal dim {n}")
-    s = prop.assemble()
+    s, a = dec.s, dec.a
     return _flagged_walk(
-        "par", np.sqrt(s * a), np.sqrt(s * (1.0 - a)), _par_q(s, a),
+        "par", np.sqrt(s * a), np.sqrt(s * (1.0 - a)), dec.q,
         "T^dag R T deviates from Q",
     )
+
+
+def par_ancillas(n_states: int) -> int:
+    """Qubits the PAR walk adds to the system register: the second state
+    register, ceil(log N), plus the accept flag."""
+    return (n_states - 1).bit_length() + 1
 
 
 def quantum_enhanced_walk(u_prop: np.ndarray, a: np.ndarray) -> SzegedyWalk:
@@ -176,41 +179,4 @@ def quantum_enhanced_walk(u_prop: np.ndarray, a: np.ndarray) -> SzegedyWalk:
     return _flagged_walk(
         "quantum_enhanced", u * np.sqrt(a), u * np.sqrt(1.0 - a),
         _par_q(np.abs(u) ** 2, a), "T^dag R T deviates from the induced Q",
-    )
-
-
-@dataclass(frozen=True)
-class AncillaComparison:
-    """Ancilla registers beyond the system register, and the scales."""
-
-    szegedy_qubits: int
-    paper_qubits: int
-    logical_qubits: Optional[int]
-    szegedy_gamma: float
-    paper_gamma: float
-
-
-def comparison_counts(n_states: int, kappa: int, levels: int) -> AncillaComparison:
-    """Count-only comparison: doubled-space walk needs ceil(log N) + 1
-    qubits (second register plus accept flag); the compressed encoding
-    needs 2 ceil(log kappa) + ceil(log B) + 2 at scale 4B."""
-    return AncillaComparison(
-        szegedy_qubits=_ceil_log2(n_states) + 1,
-        paper_qubits=paper_ancillas(kappa, levels),
-        logical_qubits=None,
-        szegedy_gamma=1.0,
-        paper_gamma=float(4 * _pow2_pad(levels)),
-    )
-
-
-def ancilla_comparison(
-    model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
-) -> AncillaComparison:
-    """Comparison with the logical count of an actually built encoding; only
-    the level tables of the chain are built, not the dense chain."""
-    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
-    return replace(
-        comparison_counts(model.n, prop.kappa, model.levels),
-        logical_qubits=be.anc_qubits,
-        paper_gamma=be.gamma,
     )

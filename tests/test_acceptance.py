@@ -135,7 +135,7 @@ def test_criterion_3_doubled_space_oracles():
         a = acceptance_matrix(model, rule)
         p = transition_matrix(prop, a)
         dec = decompose_discriminant(model, prop, rule)
-        for walk in (standard_walk(p), par_walk(prop, a)):
+        for walk in (standard_walk(p), par_walk(dec)):
             t, r = walk.t, walk.reflector
             worst_tst = max(
                 worst_tst, float(np.abs(t.conj().T @ r @ t - dec.q).max())

@@ -59,7 +59,6 @@ from parwalk.parchain import (
     metropolis,
     proposal_from_permutations,
 )
-from parwalk.szegedy import comparison_counts
 
 RT2 = math.sqrt(2.0)
 
@@ -185,7 +184,7 @@ def test_lcu_recovers_proposal_matrix():
     encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
     be = lcu(prop.weights, encs)
     assert be.anc_qubits == 1 and be.paper_anc == 1 and be.gamma == 1.0
-    assert np.abs(extract_block(be) - prop.assemble()).max() < 1e-12
+    assert np.abs(extract_block(be) - prop.s).max() < 1e-12
 
 
 def test_lcu_four_terms_ancillas():
@@ -193,7 +192,7 @@ def test_lcu_four_terms_ancillas():
     encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
     be = lcu(prop.weights, encs)
     assert be.anc_qubits == 2 and be.paper_anc == 3
-    assert np.abs(extract_block(be) - prop.assemble()).max() < 1e-12
+    assert np.abs(extract_block(be) - prop.s).max() < 1e-12
 
 
 def test_lcu_weight_count_mismatch():
@@ -525,8 +524,7 @@ def test_ancilla_bound_across_small_grid():
         assert be.anc_qubits <= 2 * m + b + 2
         assert be.anc_qubits == fused_ancillas(prop.kappa, model.levels)
         assert be.paper_anc == 2 * m + b + 2
-        counts = comparison_counts(model.n, prop.kappa, model.levels)
-        assert counts.paper_qubits == be.paper_anc
+        assert paper_ancillas(prop.kappa, model.levels) == be.paper_anc
         dec = decompose_discriminant(model, prop, rule)
         assert np.abs(extract_block(be) - dec.q).max() < 1e-10
     # cycles paired with their inverses on 4 and 8 states, B = 3, take the
@@ -539,8 +537,7 @@ def test_ancilla_bound_across_small_grid():
         assert not prop.all_involutions
         assert isinstance(be.op, FusedReflection)
         assert be.anc_qubits == fused_ancillas(2, 3) == 1 + 2 + 2
-        counts = comparison_counts(n_states, prop.kappa, model.levels)
-        assert counts.paper_qubits == be.paper_anc == 2 * 1 + 2 + 2
+        assert paper_ancillas(prop.kappa, model.levels) == be.paper_anc == 2 * 1 + 2 + 2
         dec = decompose_discriminant(model, prop, rule)
         assert np.abs(extract_block(be) - dec.q).max() < 1e-12
 

@@ -32,7 +32,6 @@ from parwalk.markov import (
 )
 from parwalk.models import build_hypercube
 from parwalk.parchain import (
-    acceptance_matrix,
     custom_rule,
     decompose_discriminant,
     level_tables,
@@ -122,7 +121,7 @@ def test_reported_deviations_are_those_of_the_built_objects(capsys):
     # the CLI reads the block from the fused structure, a different sum
     assert abs(dev["extraction"]["value"] - float(np.abs(block - q).max())) <= 1e-15
     assert dev["unitarity"]["value"] == verify_encoding(be, q).unitary_dev
-    walk = par_walk(prop, acceptance_matrix(model, rule))
+    walk = par_walk(decompose_discriminant(model, prop, rule))
     assert dev["par_tst"]["value"] == float(np.abs(walk.trt - q).max())
 
 
@@ -394,29 +393,42 @@ def test_max_n_raises_cap_and_prints_estimate(capsys):
     assert code == 0
     assert "cap raised to n=4" in err
     # sizes below 1 MiB print in KiB: the walk's 2 * 4^2 entries of T, as
-    # many index entries and T^dag R T of 4 x 4 floats (640 B), and one
-    # chunk of all 4 columns of 4 * 2^5 floats
+    # many index entries and T^dag R T of 4 x 4 floats (640 B), and the
+    # probe workspace of three chunks of all 4 columns of 4 * 2^5 floats
     assert "a walk isometry of ~1 KiB" in err
-    assert "an extraction chunk of at most ~4 KiB" in err
+    assert "a probe workspace of ~12 KiB" in err
 
 
-def test_max_n_estimate_prices_one_extraction_chunk(capsys):
+def test_max_n_estimate_prices_one_extraction_chunk(capsys, monkeypatch):
     # n = 7, B = 16: the encoding verify builds has 3 + 4 + 2 = 9 ancillas,
     # so one column is 2^7 * 2^9 * 8 bytes = 512 KiB, above the chunk
-    # budget: one column per chunk
+    # budget: one column per chunk, and verify_encoding's workspace holds
+    # three such chunks, 1.5 MiB, printed to the nearest MiB
     model, prop = build_hypercube(7, energy="random", levels=16, seed=0)
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     chunk_bytes = extraction_chunk_width(be.sys_dim, be.op.dim) * be.op.dim * 8
     assert chunk_bytes == 512 * 2**10
+    workspaces = []
+    empty = np.empty
+
+    def recorded(shape, *args, **kwargs):
+        arr = empty(shape, *args, **kwargs)
+        workspaces.append(arr.nbytes)
+        return arr
+
+    monkeypatch.setattr(parwalk.blockenc.np, "empty", recorded)
+    verify_encoding(be, extract_block(be))
+    monkeypatch.undo()
+    assert max(workspaces) == 3 * chunk_bytes
     args = parwalk.cli._parser().parse_args(["verify", "--max-n", "7"])
     parwalk.cli._check_cap(args, 7, 16)
     err = capsys.readouterr().err
-    assert "an extraction chunk of at most ~512 KiB" in err
+    assert "a probe workspace of ~2 MiB" in err
     # n = 10, B = 16: 4 + 4 + 2 = 10 ancillas, one column of 8 MiB
     args = parwalk.cli._parser().parse_args(["verify", "--max-n", "10"])
     parwalk.cli._check_cap(args, 10, 16)
     err = capsys.readouterr().err
-    assert "an extraction chunk of at most ~8 MiB" in err
+    assert "a probe workspace of ~24 MiB" in err
 
 
 def test_max_n_estimate_follows_the_construction(capsys):
@@ -425,7 +437,7 @@ def test_max_n_estimate_follows_the_construction(capsys):
         "compressed", "--json",
     )
     assert code == 0
-    assert "an extraction chunk" in err and "walk isometry" not in err
+    assert "probe workspace" in err and "walk isometry" not in err
     code, _, err = run(
         capsys, "verify", "--n", "2", "--max-n", "7", "--construction",
         "szegedy", "--json",
@@ -483,18 +495,27 @@ def test_nonexistent_cnf_path(capsys, tmp_path):
 
 
 def test_verify_prints_every_failure(capsys, monkeypatch):
-    def faulted(model, prop, rule):
-        return dataclasses.replace(decompose_discriminant(model, prop, rule), deviation=1.0)
-
-    monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted)
+    embed = parwalk.cli.eigenbasis_embedding
     monkeypatch.setattr(parwalk.cli, "check_detailed_balance", lambda *a, **k: False)
-    code, out, err = run(capsys, "verify", "--n", "2", "--json", "--deterministic")
-    assert code == 1
-    assert err.splitlines() == [
-        "FAIL DecompositionMismatch: (G(.)A)(.)S + R deviates from Q by 1.000e+00",
-        "FAIL NotReversible: detailed balance fails at 1e-12",
-    ]
-    assert json.loads(out)["pass"] is False
+    # a NaN deviation fails the thresholds like a large one
+    for dev, text in ((1.0, "1.000e+00"), (math.nan, "nan")):
+        def faulted(model, prop, rule, dev=dev):
+            dec = decompose_discriminant(model, prop, rule)
+            return dataclasses.replace(dec, deviation=dev)
+
+        def faulted_embedding(q, gaps, dev=dev):
+            return dataclasses.replace(embed(q, gaps), tst_dev=dev)
+
+        monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted)
+        monkeypatch.setattr(parwalk.cli, "eigenbasis_embedding", faulted_embedding)
+        code, out, err = run(capsys, "verify", "--n", "2", "--json", "--deterministic")
+        assert code == 1
+        assert err.splitlines() == [
+            f"FAIL DecompositionMismatch: (G(.)A)(.)S + R deviates from Q by {text}",
+            "FAIL NotReversible: detailed balance fails at 1e-12",
+            f"FAIL DecompositionMismatch: tst deviates by {text}",
+        ]
+        assert json.loads(out)["pass"] is False
 
 
 def test_block_deviation_prints_one_fail_line(capsys, monkeypatch):

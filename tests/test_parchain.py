@@ -78,11 +78,11 @@ class TestProposalDecomposition:
     def test_cycle_pair_is_symmetric_but_not_involutive(self):
         prop = cycle_pair_proposal()
         assert not prop.all_involutions
-        s = prop.assemble()
+        s = prop.s
         assert np.abs(s - s.T).max() < 1e-15
 
     def test_assemble_doubly_stochastic(self):
-        s = hypercube_proposal(3).assemble()
+        s = hypercube_proposal(3).s
         assert np.abs(s.sum(axis=0) - 1.0).max() < 1e-15
         assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-15
 
@@ -90,7 +90,7 @@ class TestProposalDecomposition:
         prop = hypercube_proposal(3)
         assert prop.kappa == 3
         assert prop.all_involutions
-        s = prop.assemble()
+        s = prop.s
         # single-bit-flip adjacency: eigenvalues (1 - 2k/3) with binomial
         # multiplicity
         eigs = np.sort(np.linalg.eigvalsh(s))
@@ -140,7 +140,7 @@ class TestProposalDecomposition:
             assert np.array_equal(p[j], np.argsort(p[k])) and w[j] == w[k]
         # the same S, and the same rejection R under any acceptance matrix
         paired = proposal_from_permutations(w, p)
-        assert np.abs(paired.assemble() - prop.assemble()).max() < 1e-15
+        assert np.abs(paired.s - prop.s).max() < 1e-15
         a = np.random.default_rng(0).uniform(0.1, 1.0, size=(prop.n, prop.n))
         np.fill_diagonal(a, 1.0)
         a = np.minimum(a, a.T)

@@ -115,7 +115,7 @@ def test_block_phases_match_the_dense_walk(chain):
     if gaps.periodic:
         q, gaps = discriminant(lazy(dec.p), gibbs_distribution(model)), gaps.lazy()
     emb = eigenbasis_embedding(q, gaps)
-    u = dense_walk(gaps.eigenvectors, emb.thetas)
+    u = dense_walk(gaps.eigenvectors, emb.phases)
     phases = np.sort(emb.phases)
     # no phase sits near the cut at pi: the embedded chain is aperiodic
     assert np.abs(phases - np.sort(np.angle(np.linalg.eigvals(u)))).max() <= 1e-12

@@ -58,7 +58,7 @@ def two_state():
 def test_embedding_identity_spectrum():
     gaps = spectral_gaps(np.eye(3))
     emb = eigenbasis_embedding(np.eye(3), gaps)
-    assert np.abs(emb.thetas).max() == 0.0
+    assert np.abs(emb.phases).max() == 0.0
     spec = walk_spectrum(emb.phases, gaps.eigenvalues)
     assert spec.phase_gap == 0.0
     assert np.abs(spec.measured).max() == 0.0
@@ -75,21 +75,22 @@ def test_embedding_single_state_half_turn():
     assert report.holds and abs(report.lower_bound - math.sqrt(2.0)) < 1e-12
 
 
-def embedding_isometry(vecs, thetas):
+def embedding_isometry(vecs, phases):
     """The columns chi_j = v_j (x) (cos(theta_j/2), sin(theta_j/2)), the
     isometry t = chi V^T into C^N (x) C^2 and the signs s of I (x) Z, formed
-    densely."""
+    densely; the angles theta_j are the first N of the embedding's phases."""
     n = vecs.shape[0]
+    thetas = phases[:n]
     chi = np.empty((2 * n, n))
     chi[0::2] = np.cos(thetas / 2.0) * vecs
     chi[1::2] = np.sin(thetas / 2.0) * vecs
     return chi, chi @ vecs.T, np.tile([1.0, -1.0], n)
 
 
-def dense_walk(vecs, thetas):
+def dense_walk(vecs, phases):
     """The embedding walk u = s (2 t t^T - I), formed densely: the oracle
     for the phases eigenbasis_embedding returns without forming it."""
-    _, t, s = embedding_isometry(vecs, thetas)
+    _, t, s = embedding_isometry(vecs, phases)
     return s[:, None] * (2.0 * t @ t.T - np.eye(t.shape[0]))
 
 
@@ -99,16 +100,16 @@ def test_embedding_verifies_its_own_relations():
     gaps = spectral_gaps(dec.q)
     emb = eigenbasis_embedding(dec.q, gaps)
     n = 2
-    _, t, s = embedding_isometry(gaps.eigenvectors, emb.thetas)
+    _, t, s = embedding_isometry(gaps.eigenvectors, emb.phases)
     assert np.array_equal(s, [1.0, -1.0, 1.0, -1.0])
     assert np.abs(t.T @ t - np.eye(n)).max() < 1e-12
     tst_dev = np.abs(t.T @ (s[:, None] * t) - dec.q).max()
     assert tst_dev < 1e-12 and abs(emb.tst_dev - tst_dev) <= 1e-15
-    u = dense_walk(gaps.eigenvectors, emb.thetas)
+    u = dense_walk(gaps.eigenvectors, emb.phases)
     assert np.abs(u @ u.T - np.eye(2 * n)).max() < 1e-12
     assert np.abs(np.sort(walk_phases(u)) - np.sort(emb.phases)).max() < 1e-12
     # the walk turns plane j by theta_j: phases +-theta_j
-    assert np.abs(emb.phases - np.r_[emb.thetas, -emb.thetas]).max() < 1e-12
+    assert np.abs(emb.phases - np.r_[emb.phases[:n], -emb.phases[:n]]).max() < 1e-12
 
 
 def test_embedding_rejects_out_of_range_spectra():
@@ -131,7 +132,7 @@ def test_two_state_gap_across_constructions():
     p = transition_matrix(prop, a)
     walks = [
         standard_walk(p),
-        par_walk(prop, a),
+        par_walk(dec),
         quantum_enhanced_walk(np.array([[0.0, 1.0], [1.0, 0.0]]), a),
     ]
     all_phases = [walk_phases(walk.w) for walk in walks]
@@ -353,7 +354,7 @@ def embedding_parts(q):
     gaps = spectral_gaps(q)
     emb = eigenbasis_embedding(q, gaps)
     vecs = gaps.eigenvectors
-    return emb, embedding_isometry(vecs, emb.thetas)[0], vecs
+    return emb, embedding_isometry(vecs, emb.phases)[0], vecs
 
 
 def check_chains():
@@ -377,8 +378,8 @@ def test_batched_spectral_checks_match_loop_form():
     # relations and eigenphases the former loops check
     for q in check_chains():
         emb, chi, vecs = embedding_parts(q)
-        u = dense_walk(vecs, emb.thetas)
-        assert loop_relations(u, chi, vecs, emb.thetas) is None
+        u = dense_walk(vecs, emb.phases)
+        assert loop_relations(u, chi, vecs, emb.phases) is None
         phases = walk_phases(u)
         assert np.abs(np.sort(phases) - np.sort(loop_eigenphases(u))).max() < 1e-12
         assert np.abs(np.sort(emb.phases) - np.sort(phases)).max() < 1e-12
@@ -407,7 +408,7 @@ def test_dense_eigenphases_resolve_close_distinct_eigenvalues():
     q = decompose_discriminant(model, prop, metropolis()).q
     gaps = spectral_gaps(q)
     emb = eigenbasis_embedding(q, gaps)
-    phases = walk_phases(dense_walk(gaps.eigenvectors, emb.thetas))
+    phases = walk_phases(dense_walk(gaps.eigenvectors, emb.phases))
     assert np.abs(np.sort(phases) - np.sort(emb.phases)).max() <= 1e-12
 
 

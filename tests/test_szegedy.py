@@ -1,5 +1,7 @@
-"""Doubled-space walk constructions and the ancilla comparison table."""
+"""Doubled-space walk constructions and their ancilla count."""
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -8,12 +10,7 @@ import pytest
 
 import parwalk.cli
 import parwalk.parchain
-from parwalk.errors import (
-    DecompositionMismatch,
-    DimensionMismatch,
-    NotReversible,
-    NotSymmetricUnitary,
-)
+from parwalk.errors import DecompositionMismatch, NotReversible, NotSymmetricUnitary
 from parwalk.markov import GibbsModel, StochasticMatrix, qsample, stationary_distribution
 from parwalk.models import hamming_energies
 from parwalk.parchain import (
@@ -26,8 +23,7 @@ from parwalk.parchain import (
 )
 from parwalk.szegedy import (
     _checked_walk,
-    ancilla_comparison,
-    comparison_counts,
+    par_ancillas,
     par_walk,
     quantum_enhanced_walk,
     standard_walk,
@@ -89,16 +85,18 @@ def test_standard_walk_rejects_unbalanced_chain():
 
 
 def test_par_walk_all_accept_reduces_to_proposal():
+    # beta = 0 on a flat landscape: every proposal is accepted and Q = S
+    model = GibbsModel(energies=np.zeros(4, dtype=int), levels=1, beta=0.0)
     prop = hypercube_proposal(2)
-    a = np.ones((4, 4))
-    walk = par_walk(prop, a)
-    walk_identities(walk, prop.assemble())
+    dec = decompose_discriminant(model, prop, metropolis())
+    assert np.array_equal(dec.a, np.ones((4, 4)))
+    walk = par_walk(dec)
+    walk_identities(walk, prop.s)
 
 
 def test_par_walk_two_state():
     model, prop = two_state()
-    a = acceptance_matrix(model, metropolis())
-    walk = par_walk(prop, a)
+    walk = par_walk(decompose_discriminant(model, prop, metropolis()))
     assert walk.total_dim == 8
     q = walk.t.T @ walk.reflector @ walk.t
     assert abs(q[0, 1] - 1.0 / RT2) < 1e-12
@@ -112,24 +110,29 @@ def test_par_walk_matches_decomposition_on_cube():
                        beta=0.6)
     prop = hypercube_proposal(3)
     for rule in (metropolis(), glauber()):
-        a = acceptance_matrix(model, rule)
-        walk = par_walk(prop, a)
         dec = decompose_discriminant(model, prop, rule)
+        # the walk reads the one S the proposal assembled
+        assert dec.s is prop.s and not dec.s.flags.writeable
+        walk = par_walk(dec)
         walk_identities(walk, dec.q)
 
 
-def test_par_walk_shape_guard():
-    prop = hypercube_proposal(1)
-    with pytest.raises(DimensionMismatch):
-        par_walk(prop, np.ones((3, 3)))
+@pytest.mark.parametrize("shift", [1e-9, float("nan")])
+def test_par_walk_checks_its_block_against_the_decomposition_q(shift):
+    model = GibbsModel(energies=np.array([0, 2, 1, 3]), levels=4, beta=0.6)
+    dec = decompose_discriminant(model, hypercube_proposal(2), metropolis())
+    q = dec.q.copy()
+    q[1, 0] += shift
+    with pytest.raises(DecompositionMismatch, match="T\\^dag R T deviates from Q"):
+        par_walk(dataclasses.replace(dec, q=q))
 
 
 def test_par_walk_isospectral_with_transition_matrix():
     model, prop = two_state()
-    a = acceptance_matrix(model, glauber())
-    walk = par_walk(prop, a)
+    rule = glauber()
+    walk = par_walk(decompose_discriminant(model, prop, rule))
     q = walk.t.T @ walk.reflector @ walk.t
-    p = transition_matrix(prop, a)
+    p = transition_matrix(prop, acceptance_matrix(model, rule))
     lam_q = np.sort(np.linalg.eigvalsh(q))
     lam_p = np.sort(np.linalg.eigvals(p.entries).real)
     assert np.abs(lam_q - lam_p).max() < 1e-9
@@ -140,42 +143,37 @@ def test_par_walk_n7_never_forms_dense_operators():
     n = 7
     model = GibbsModel(energies=hamming_energies(n), levels=n + 1, beta=0.8)
     prop = hypercube_proposal(n)
-    rule = metropolis()
-    walk = par_walk(prop, acceptance_matrix(model, rule))
+    dec = decompose_discriminant(model, prop, metropolis())
+    walk = par_walk(dec)
     assert walk.total_dim == 2 * 4**n
-    q = decompose_discriminant(model, prop, rule).q
-    assert np.abs(walk.trt - q).max() <= 1e-10
+    assert np.abs(walk.trt - dec.q).max() <= 1e-10
     assert not {"t", "w", "reflector"} & set(walk.__dict__)
 
 
 def test_par_walk_n9_holds_only_its_block_entries():
     # 2N^2 = 524288: a dense T would take 2 GiB; the walk holds 4 MiB of
     # entries, the 4 MiB index of its reflector and the 2 MiB of T^dag R T,
-    # and building it takes a few more arrays of N x N or 2N^2 entries
+    # and building it from the decomposition's S, A and Q takes a few more
+    # arrays of N x N or 2N^2 entries
     n = 9
     model = GibbsModel(energies=hamming_energies(n), levels=n + 1, beta=0.8)
-    prop = hypercube_proposal(n)
-    rule = metropolis()
-    a = acceptance_matrix(model, rule)
+    dec = decompose_discriminant(model, hypercube_proposal(n), metropolis())
     tracemalloc.start()
     try:
-        walk = par_walk(prop, a)
+        walk = par_walk(dec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert walk.total_dim == 2 * 4**n and walk.vals.shape == (2**n, 2**(n + 1))
-    q = decompose_discriminant(model, prop, rule).q
-    assert np.abs(walk.trt - q).max() <= 1e-10
+    assert np.abs(walk.trt - dec.q).max() <= 1e-10
     assert not {"t", "w", "reflector"} & set(walk.__dict__)
-    assert peak <= 40 * 2**20
+    assert peak <= 28 * 2**20
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-6, float("nan")])
 def test_checked_walk_rejects_a_column_off_unit_norm(scale):
     model = GibbsModel(energies=np.array([0, 2, 1, 3]), levels=4, beta=0.6)
-    prop = hypercube_proposal(2)
-    a = acceptance_matrix(model, metropolis())
-    walk = par_walk(prop, a)
+    walk = par_walk(decompose_discriminant(model, hypercube_proposal(2), metropolis()))
     vals = walk.vals.copy()
     vals[2] *= scale
     with pytest.raises(DecompositionMismatch, match="orthonormal"):
@@ -198,7 +196,8 @@ def test_lazy_fields_of_every_constructor_match_dense_products():
                        beta=0.6)
     prop = hypercube_proposal(3)
     a = acceptance_matrix(model, glauber())
-    _lazy_fields_match_dense_products(par_walk(prop, a))
+    dec = decompose_discriminant(model, prop, glauber())
+    _lazy_fields_match_dense_products(par_walk(dec))
     _lazy_fields_match_dense_products(
         standard_walk(transition_matrix(prop, a))
     )
@@ -220,7 +219,7 @@ def test_quantum_enhanced_reduces_to_par_for_permutation_proposal():
     a = acceptance_matrix(model, metropolis())
     u = np.array([[0.0, 1.0], [1.0, 0.0]])  # |u|^2 is the bit-flip proposal
     qe = quantum_enhanced_walk(u, a)
-    par = par_walk(prop, a)
+    par = par_walk(decompose_discriminant(model, prop, metropolis()))
     q_qe = qe.t.conj().T @ qe.reflector @ qe.t
     q_par = par.t.T @ par.reflector @ par.t
     assert np.abs(q_qe - q_par).max() < 1e-12
@@ -266,14 +265,9 @@ def test_quantum_enhanced_rejects_asymmetric_unitary():
 # ------------------------------------------------------------------- counts
 
 
-def test_comparison_counts_examples():
-    c = comparison_counts(2, 1, 2)
-    assert (c.szegedy_qubits, c.paper_qubits) == (2, 3)
-    assert c.szegedy_gamma == 1.0 and c.paper_gamma == 8.0
-    c = comparison_counts(256, 8, 9)
-    assert (c.szegedy_qubits, c.paper_qubits) == (9, 12)
-    c = comparison_counts(1 << 20, 20, 91)
-    assert (c.szegedy_qubits, c.paper_qubits) == (21, 19)
+def test_par_ancillas_examples():
+    # the second state register plus the accept flag
+    assert [par_ancillas(n) for n in (2, 3, 4, 256, 257, 1 << 20)] == [2, 3, 3, 9, 10, 21]
 
 
 def test_ancilla_comparison_builds_no_dense_chain(monkeypatch, capsys):
@@ -283,17 +277,7 @@ def test_ancilla_comparison_builds_no_dense_chain(monkeypatch, capsys):
     for module in (parwalk.parchain, parwalk.cli):
         monkeypatch.setattr(module, "decompose_discriminant", dense)
         monkeypatch.setattr(module, "acceptance_matrix", dense)
-    model = GibbsModel(energies=hamming_energies(3), levels=4, beta=1.0)
-    rep = ancilla_comparison(model, hypercube_proposal(3), metropolis())
-    assert (rep.logical_qubits, rep.paper_qubits, rep.paper_gamma) == (6, 8, 16.0)
     assert parwalk.cli.main(["compare", "--n", "3", "--json"]) == 0
-    assert '"logical": 6' in capsys.readouterr().out
-
-
-def test_ancilla_comparison_builds_logical_count():
-    model, prop = two_state()
-    rep = ancilla_comparison(model, prop, metropolis())
-    assert rep.szegedy_qubits == 2
-    assert rep.paper_qubits == 3
-    assert rep.logical_qubits == 3
-    assert rep.paper_gamma == 8.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ancillas"] == {"logical": 6, "paper": 8, "szegedy": 4}
+    assert report["gamma"] == {"paper": 16.0, "szegedy": 1.0}
