@@ -14,11 +14,11 @@ levels (padded to a power of two) and kappa proposal permutations. One fused
 route serves every symmetric proposal: the accept and reject terms share
 one select register over the proposal's inverse-paired slots (at most
 2 kappa of them), so it needs ceil(log slots) + ceil(log B) + 2 qubits. It
-is built in factored form, from one pair of 4B x 4B matrices and one
-Householder vector per system state, so its cost grows linearly with the
-system size. verify_encoding reads its block from that structure;
-extract_block, which applies any encoding to every basis column, is the
-oracle the tests compare it to.
+is built in factored form, from one 4B x 4B matrix and one Householder
+vector per system state, so its cost grows linearly with the system size.
+verify_encoding reads its block from that structure; extract_block, which
+applies any encoding to every basis column, is the oracle the tests
+compare it to.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ UNITARY_TOL = 1e-10
 EXTRACT_TOL = 1e-9
 # Bytes of a chunk's input array, the w x op.dim floats that full
 # extraction (the oracle of the tests), the probes and the unitarity spot
-# check pass through the encoding at once. A chunk holds
-# up to four arrays of that size (the operand of a node, its output and the
-# partial products of the factored select), half of a 2 MiB per-core L2
-# cache, so that the operator's own tables stay cached beside them. In a
+# check pass through the encoding at once. A chunk holds up to four arrays
+# of that size (the input, the output, and the gathered operand and the
+# result of the factored select), half of a 2 MiB per-core L2 cache, so
+# that the operator's own tables stay cached beside them. In a
 # sweep of this bound over 128 KiB to 2 MiB at n = 5, 6, 7, 256 KiB was
 # fastest or within noise of it, and 1-2 MiB were slowest (see the README).
 CHUNK_BYTES = 2**18
@@ -181,53 +181,63 @@ def _worst(*devs: float) -> float:
     return float(np.max(devs))
 
 
-def _probe(be: BlockEncoding, target: np.ndarray, seed: int, work: np.ndarray):
+def _probe(be: BlockEncoding, target: np.ndarray, rng, work: np.ndarray):
     """Apply the operator to |0^c, v> for PROBES random unit vectors v, in
     chunks that run through the workspace arrays work[0..2], and return two
     deviations: the reflection deviation, the larger of | ||V|0,v>|| - 1 |
     and |V V|0,v> - |0,v>|, and the block deviation |gamma <0^c|V|0^c, v> -
     target v|."""
     n = be.sys_dim
-    # a stream of its own, apart from the spot check's
-    rng = np.random.Generator(np.random.Philox(seed).jumped())
     width = work.shape[1]
     reflection_dev = block_dev = 0.0
     for lo in range(0, PROBES, width):
         m = min(width, PROBES - lo)
-        basis, image, spare = work[:, :m]
+        basis, image, spare = work[:3, :m]
         v = rng.standard_normal((m, n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         basis.fill(0.0)
         basis[:, :n] = v
-        w = be.op.apply(basis, out=image, scratch=spare)
+        w = be.op.apply(basis, out=image, scratch=(basis, spare))
         top_dev = np.abs(be.gamma * w[:, :n] - v @ target.T).max()
         norm_dev = np.abs(_norms(w) - 1.0).max()
-        w = be.op.apply(w, out=spare, scratch=basis)
+        w = be.op.apply(w, out=spare, scratch=(w, basis))
         w[:, :n] -= v
         reflection_dev = _worst(reflection_dev, norm_dev, _max_abs(w))
         block_dev = _worst(block_dev, top_dev)
     return reflection_dev, block_dev
 
 
-def _spot_check(be: BlockEncoding, seed: int, work: np.ndarray) -> float:
+def _spot_check(be: BlockEncoding, rng, work: np.ndarray) -> float:
     """The larger of | ||V v|| - 1 | and |V^dag V v - v| over SPOT_VECTORS
     random unit vectors v, drawn into work[0] and applied in chunks through
-    work[1] and work[2]."""
-    # consecutive draws from one generator give the same vectors as a single
-    # draw of all of them
-    rng = np.random.Generator(np.random.SFC64(seed))
+    work[1..3]."""
     width = work.shape[1]
     unitary_dev = 0.0
     for lo in range(0, SPOT_VECTORS, width):
-        v, image, spare = work[:, : min(width, SPOT_VECTORS - lo)]
-        rng.standard_normal(out=v)
+        v, image, spare, gathered = work[:, : min(width, SPOT_VECTORS - lo)]
+        # uniform on [-1/2, 1/2): once normalised, the same vectors as a
+        # draw on [-1, 1), at a quarter of the cost of a Gaussian draw
+        rng.random(out=v)
+        v -= 0.5
         v /= _norms(v)[:, None]
-        w = be.op.apply(v, out=image, scratch=spare)
+        w = be.op.apply(v, out=image, scratch=(spare, gathered))
         norm_dev = np.abs(_norms(w) - 1.0).max()
-        back = be.op.adjoint_apply(w, out=spare, scratch=w)
+        back = be.op.adjoint_apply(w, out=spare, scratch=(w, gathered))
         back -= v
         unitary_dev = _worst(unitary_dev, norm_dev, _max_abs(back))
     return unitary_dev
+
+
+def verify_workspace(sys_dim: int, op_dim: int) -> tuple[int, int, int]:
+    """Shape of the one workspace block verify_encoding allocates: four
+    arrays of a chunk of vectors of op_dim floats, which hold the vectors,
+    their image, and the gathered operand and the result of the select.
+    The probes use three, since only the first node of V reads its input;
+    the spot vectors are read again after their round trip. A chunk is
+    extraction_chunk_width vectors, but never more than the probes or the
+    spot check apply at once, so no row of the block goes unused."""
+    width = min(extraction_chunk_width(sys_dim, op_dim), max(PROBES, SPOT_VECTORS))
+    return (4, width, op_dim)
 
 
 @dataclass(frozen=True)
@@ -250,16 +260,18 @@ def verify_encoding(
 
     The block is read from the node arrays by FusedReflection.block in
     O(N slots (4B)^2); the real operator is then probed on PROBES random
-    vectors |0^c, v>, which must give a reflection (norm 1, V V|0,v> =
-    |0,v>, within UNITARY_TOL) whose ancilla-0 part is target v / gamma
-    (within tol). unitary_dev is the larger of the node certificate
+    Gaussian vectors |0^c, v>, which must give a reflection (norm 1, V
+    V|0,v> = |0,v>, within UNITARY_TOL) whose ancilla-0 part is target v /
+    gamma (within tol). unitary_dev is the larger of the node certificate
     FusedReflection.unitarity_residual, a bound on ||V^dag V - I||_2 in
     O(N d + (4B)^3), and a spot check of apply and adjoint_apply on
-    SPOT_VECTORS random vectors; it must be within UNITARY_TOL. The bound
-    is at least the spot statistic of every unit vector, so the spot check
-    only sees what apply does beyond the arrays. The probes and the spot
-    check share three chunk-sized workspace arrays, allocated once per
-    call, so that their vectors allocate no arrays of op.dim floats."""
+    SPOT_VECTORS random vectors, uniform in each entry; it must be within
+    UNITARY_TOL. The bound is at least the spot statistic of every unit
+    vector, so the spot check only sees what apply does beyond the arrays.
+    The probes and then the spot vectors are drawn from one SFC64(seed)
+    generator. They share the workspace block verify_workspace, allocated
+    once per call, so that their vectors allocate no arrays of op.dim
+    floats."""
     target = np.asarray(target)
     if target.shape != (be.sys_dim, be.sys_dim):
         raise DimensionMismatch(
@@ -271,13 +283,18 @@ def verify_encoding(
             f"system, not of a {type(be.op).__name__}"
         )
     dev = float(np.abs(be.gamma * be.op.block() - target).max())
-    # one chunk's operand, result and scratch array, in one block: glibc
-    # keeps a block of that size for the next call, where three separate
-    # arrays were trimmed and faulted in again (~970 minor faults per n = 7,
-    # B = 16 chain), and encode-n7 ran ~15% slower in the benchmark
-    work = np.empty((3, extraction_chunk_width(be.sys_dim, be.op.dim), be.op.dim))
-    reflection_dev, block_dev = _probe(be, target, seed, work)
-    unitary_dev = _worst(be.op.unitarity_residual(), _spot_check(be, seed, work))
+    # one chunk's arrays in one block: glibc keeps a block of that size for
+    # the next call, where separate arrays were trimmed and faulted in
+    # again (~970 minor faults per n = 7, B = 16 chain), and encode-n7 ran
+    # ~15% slower in the benchmark. With four arrays no page of the encode-n7
+    # chains faults in again; with three, the spot vector drawn a second
+    # time after its round trip, ~350 did per chain, and encode-n7 ran
+    # ~20% slower
+    work = np.empty(verify_workspace(be.sys_dim, be.op.dim))
+    # the probes and then the spot vectors, from one generator
+    rng = np.random.Generator(np.random.SFC64(seed))
+    reflection_dev, block_dev = _probe(be, target, rng, work)
+    unitary_dev = _worst(be.op.unitarity_residual(), _spot_check(be, rng, work))
     return EncodingReport(
         max_abs_dev=dev,
         tol=tol,
@@ -460,9 +477,9 @@ def build_ancilla_efficient_Q(
     inverse-paired slots (prop.paired_slots()), where slot k' = partner[k]
     holds Pi_k^-1 at the weight of slot k. The select is
 
-        sum_k |k><k| (x) A (x) I + |k'><k| (x) B (x) Pi_k
+        A (x) I (x) I + B (x) sum_k |k'><k| (x) Pi_k
 
-    on (select, dilation, direction, level, system). The slot swap
+    on (dilation, direction, level, select, system). The slot swap
     sum_k |k'><k| (x) Pi_k is a symmetric involution, and on its +-1
     eigenspaces the select is D_+- = A +- B, the dilation of
 
@@ -474,9 +491,10 @@ def build_ancilla_efficient_Q(
     The direction sign negates the accept term and keeps the hopping terms,
     so D_- = -K D_+ K with K = (-1)^(dilation xor direction); A and B are
     then the entries of D_+ across which that parity flips and keeps, with
-    exact zeros elsewhere, and one dilation serves both. A paired-energy
-    state preparation, one Householder vector per system state, contracts
-    the select, direction, and level registers against it; for y = p_k x,
+    exact zeros elsewhere, and the FactoredSelect stores D_+ alone. A
+    paired-energy state preparation, one Householder vector per system
+    state, contracts the direction, level and select registers against it,
+    and leaves the leading dilation register alone; for y = p_k x,
     slot k' of t_y holds the energies (E_y, E_x) that slot k of t_x holds
     in the other order, and G-hat is symmetric.
 
@@ -511,30 +529,26 @@ def build_ancilla_efficient_Q(
     lam, vec = np.linalg.eigh(top)
     c = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
     d_plus = np.block([[top, c], [c, -top]])
-    # K D_+ K = -D_-, K = (-1)^(dilation xor direction) on the block register
-    sign = np.repeat([1.0, -1.0, -1.0, 1.0], bt)
-    mirrored = sign[:, None] * d_plus * sign
     # padding slots hold the identity, each its own partner
     sel = FactoredSelect(
-        (d_plus - mirrored) / 2,
-        (d_plus + mirrored) / 2,
+        d_plus,
         list(perms) + [np.arange(n)] * (k_dim - slots),
         np.concatenate([partner, np.arange(slots, k_dim)]),
     )
 
-    # paired-energy state t_x on (select, direction, level), prepared by the
+    # paired-energy state t_x on (direction, level, select), prepared by the
     # reflection about e_0 - t_x
     e = model.energies
     rows = np.arange(n)
-    u = np.zeros((n, k_dim * 2 * bt))
+    u = np.zeros((n, 2 * bt * k_dim))
     u[:, 0] = 1.0
     for k, (w, p) in enumerate(zip(weights, perms)):
         amp = math.sqrt(0.5 * w)
-        u[rows, (2 * k) * bt + e] -= amp
-        u[rows, (2 * k + 1) * bt + e[p]] -= amp
-    # registers: select, dilation, direction, level, system; the
-    # preparation leaves the dilation register alone
-    prep = SystemControlledReflection(u, passive=(k_dim, 2))
+        u[rows, e * k_dim + k] -= amp
+        u[rows, (bt + e[p]) * k_dim + k] -= amp
+    # registers: dilation, direction, level, select, system; the
+    # preparation leaves the leading dilation register alone
+    prep = SystemControlledReflection(u, passive=2)
 
     return BlockEncoding(
         sys_dim=n,

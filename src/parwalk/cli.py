@@ -26,10 +26,10 @@ from .blockenc import (  # noqa: F401
     _pow2_pad,
     build_ancilla_efficient_Q,
     extract_block,
-    extraction_chunk_width,
     fused_ancillas,
     paper_ancillas,
     verify_encoding,
+    verify_workspace,
 )
 from .cnf import VAR_CAP, load_dimacs
 from .errors import BoundViolated, NotErgodic, ParwalkError
@@ -143,8 +143,8 @@ def _build_bundle(args, need_matrices: bool):
 
 def _size(nbytes: int) -> str:
     if nbytes < 2**20:
-        return f"~{nbytes / 2**10:.0f} KiB"
-    return f"~{nbytes / 2**20:.0f} MiB"
+        return f"~{nbytes / 2**10:.1f} KiB"
+    return f"~{nbytes / 2**20:.1f} MiB"
 
 
 def _check_cap(args, n: int, levels: int):
@@ -156,8 +156,9 @@ def _check_cap(args, n: int, levels: int):
         # requested: what the flagged walk holds (the 2 N^2 entries of T,
         # the 2 N^2 index of its reflector and T^dag R T), and the workspace
         # that verify_encoding runs its probes and spot vector through
-        # (3 x width x N 2^c, c the count the fused route builds); both
-        # bit-flip families propose with kappa = n through involutions
+        # (verify_workspace of N 2^c floats, c the count the fused route
+        # builds); both bit-flip families propose with kappa = n through
+        # involutions
         states = 1 << n
         parts = []
         if args.construction in ("szegedy", "both"):
@@ -166,7 +167,7 @@ def _check_cap(args, n: int, levels: int):
             parts.append(f"a walk isometry of {_size(walk_bytes)}")
         if args.construction in ("compressed", "both"):
             dim = states << fused_ancillas(n, levels)
-            work_bytes = 3 * extraction_chunk_width(states, dim) * dim * 8
+            work_bytes = math.prod(verify_workspace(states, dim)) * 8
             parts.append(f"a probe workspace of {_size(work_bytes)}")
         print(
             f"cap raised to n={args.max_n}: n={n} allocates " + " and ".join(parts),
@@ -304,8 +305,7 @@ def _run_report(args):
     if args.construction in ("szegedy", "both"):
         # par_walk raises past IDENT_TOL, so a deviation here exits 2
         walk = timer.time("walks", lambda: par_walk(dec))
-        par_dev = float(np.abs(walk.trt - dec.q).max())
-        deviations["par_tst"] = {"value": par_dev, "tol": IDENT_TOL}
+        deviations["par_tst"] = {"value": walk.trt_dev, "tol": IDENT_TOL}
 
     try:
         timer.time(

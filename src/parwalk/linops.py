@@ -162,21 +162,32 @@ class Select(LinOp):
 
 
 class FactoredSelect(LinOp):
-    """sum_k |k><k| (x) a (x) I + |partner[k]><k| (x) b (x) Pi_k, with
-    Pi_k |x> = |perms[k][x]> on the trailing system register, so that
-    (Pi_k v)[perms[k][x]] = v[x].
+    """a (x) I + b (x) P on (block, slot, system), with the slot swap
+    P = sum_k |partner[k]><k| (x) Pi_k, Pi_k |x> = |perms[k][x]> on the
+    trailing system register, so that (Pi_k v)[perms[k][x]] = v[x].
 
-    One (a, b) pair shared by every select slot stands in for a dense
-    per-slot block. partner, an involution on the slots (the identity by
-    default), sends the b-term of slot k to slot partner[k]; when slot
-    partner[k] holds the inverse of perms[k], the slot swap
-    sum_k |partner[k]><k| (x) Pi_k is a symmetric involution.
+    One square matrix d_plus, shared by every select slot, stands in for a
+    dense per-slot block: a and b are its entries across which the parity
+    K = (-1)^(dilation xor direction) of the block register (dilation,
+    direction, level) flips and keeps, a = (d_plus - K d_plus K) / 2 and
+    b = (d_plus + K d_plus K) / 2. partner, an involution on the slots (the
+    identity by default), sends the b-term of slot k to slot partner[k];
+    when slot partner[k] holds the inverse of perms[k], P is a symmetric
+    involution, on whose +-1 eigenspaces the operator is a + b = d_plus and
+    a - b = -K d_plus K.
+
+    With m = P v gathered over (slot, system) in one np.take, rows of even
+    parity read [m_E; v_O] and rows of odd parity [v_E; m_O] through their
+    rows of d_plus: three products of (rows x block_dim) by (block_dim x
+    slots n_sys), whatever the number of slots.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, perms, partner=None):
-        a, b = np.asarray(a), np.asarray(b)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-            raise DimensionMismatch("a and b must be square and of one shape")
+    def __init__(self, d_plus: np.ndarray, perms, partner=None):
+        d_plus = np.asarray(d_plus)
+        if d_plus.ndim != 2 or d_plus.shape[0] != d_plus.shape[1] or d_plus.shape[0] % 4:
+            raise DimensionMismatch(
+                "d_plus must be square over a (dilation, direction, level) register"
+            )
         perms = np.asarray(perms, dtype=np.intp)
         if perms.ndim != 2:
             raise DimensionMismatch("expected permutations of shape (slots, n_sys)")
@@ -189,54 +200,64 @@ class FactoredSelect(LinOp):
             and np.array_equal(partner[partner], slots)
         ):
             raise DimensionMismatch("partner must be an involution on the slots")
-        self.a, self.b = a, b
+        self.d_plus = d_plus
         self.perms, self.partner = perms, partner
-        # apply gathers slot k with perms[k]^-1 into slot partner[k]; the
-        # adjoint runs the same loop with perms[partner[k]], which is that
-        # same inverse when the slots are paired
-        self.inverses = np.argsort(perms, axis=1)
-        self._adjoint_gathers = perms[partner]
-        self._targets = partner.tolist()
-        self.block_dim = a.shape[0]
-        self.dim = self.slots * self.block_dim * self.n_sys
+        # (P v)[j, x] = v[partner[j], perms[partner[j]]^-1 [x]], and
+        # (P^T v)[j, x] = v[partner[j], perms[j][x]]: the gathers of apply
+        # and adjoint_apply over the flattened (slot, system) axis
+        base = partner[:, None] * self.n_sys
+        self._gather = (base + np.argsort(perms, axis=1)[partner]).ravel()
+        self._adjoint_gather = (base + perms).ravel()
+        self.block_dim = d_plus.shape[0]
+        self.dim = self.block_dim * self.slots * self.n_sys
 
-    def _run(self, v, a, b, gathers, out=None):
-        shape = v.shape
-        w = v.reshape(shape[:-1] + (self.slots, self.block_dim, self.n_sys))
+    def _run(self, v, d, gather, out, work):
+        shape, dtype = v.shape, np.result_type(v, d)
+        if work is None:
+            # a copy, in the dtype that the swap below writes back into it
+            v, work = v.astype(dtype), np.empty(shape, dtype)
+        w = v.reshape(shape[:-1] + (self.block_dim, self.slots * self.n_sys))
+        # gather is a bijection built from checked ones, so clip never
+        # clips; it spares take the buffered copy that mode="raise" makes
+        m = np.take(w, gather, axis=-1, out=work.reshape(w.shape), mode="clip")
         if out is None:
-            out = np.empty(shape, np.result_type(v, a, b))
-        res = np.matmul(a, w, out=out.reshape(w.shape))
-        # one slot of permuted input and one of its product, reused by every slot
-        moved = np.empty(w.shape[:-3] + w.shape[-2:], w.dtype)
-        prod = np.empty(moved.shape, res.dtype)
-        for k, (g, target) in enumerate(zip(gathers, self._targets)):
-            # g is a checked bijection, so clip never clips; it spares take
-            # the buffered copy that mode="raise" makes for out
-            np.take(w[..., k, :, :], g, axis=-1, out=moved, mode="clip")
-            res[..., target, :, :] += np.matmul(b, moved, out=prod)
-        return res.reshape(shape)
+            out = np.empty(shape, dtype)
+        res = out.reshape(w.shape)
+        q = self.block_dim // 4
+        odd = slice(q, 3 * q)
+        # the odd halves of m and w trade places through the rows that the
+        # last product writes: m becomes [m_E; w_O] and w [w_E; m_O]
+        np.copyto(res[..., odd, :], m[..., odd, :])
+        np.copyto(m[..., odd, :], w[..., odd, :])
+        np.copyto(w[..., odd, :], res[..., odd, :])
+        np.matmul(d[:q], m, out=res[..., :q, :])
+        np.matmul(d[3 * q :], m, out=res[..., 3 * q :, :])
+        np.matmul(d[odd], w, out=res[..., odd, :])
+        return out
 
-    def apply(self, v, out=None):
-        """out, when given, is a C-contiguous array of v's shape that must
-        not overlap v; the result is written there and returned."""
-        return self._run(v, self.a, self.b, self.inverses, out)
+    def apply(self, v, out=None, work=None):
+        """out and work, when given, are C-contiguous arrays of v's shape
+        and of the result's dtype that overlap neither v nor each other;
+        the result is written to out and returned. work receives the
+        gathered operand, and v is then overwritten as well; without work,
+        v is left as it was."""
+        return self._run(v, self.d_plus, self._gather, out, work)
 
-    def adjoint_apply(self, v, out=None):
-        return self._run(v, self.a.conj().T, self.b.conj().T, self._adjoint_gathers, out)
+    def adjoint_apply(self, v, out=None, work=None):
+        return self._run(v, self.d_plus.conj().T, self._adjoint_gather, out, work)
 
     def unitarity_residual(self) -> float:
-        """||S^dag S - I||_2 of this operator, from its arrays: inf unless
-        slot partner[k] holds the inverse of perms[k], an exact check in
-        O(slots n_sys). With that pairing the slot swap is a symmetric
-        involution, on whose +-1 eigenspaces the operator is a +- b, so the
-        norm is the larger of ||(a +- b)^H (a +- b) - I||_2, two products
-        of block_dim x block_dim matrices."""
-        if not np.array_equal(self.perms[self.partner], self.inverses):
+        """||S^dag S - I||_2 of this operator, from the arrays its apply
+        reads: inf unless the gather of apply is an involution, that is P
+        is symmetric, an exact check in O(slots n_sys). Then the operator
+        is d_plus and -K d_plus K on P's +-1 eigenspaces, so the norm is
+        ||d_plus^H d_plus - I||_2, one product of block_dim x block_dim
+        matrices."""
+        g = self._gather
+        if not np.array_equal(g[g], np.arange(g.size)):
             return math.inf
-        eye = np.eye(self.block_dim)
-        return max(
-            _hermitian_norm(m.conj().T @ m - eye) for m in (self.a + self.b, self.a - self.b)
-        )
+        d = self.d_plus
+        return _hermitian_norm(d.conj().T @ d - np.eye(self.block_dim))
 
     def sandwich(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """The (n_sys, n_sys) matrix M[y, x] = left_y^T (this operator)
@@ -249,9 +270,13 @@ class FactoredSelect(LinOp):
         with a00 and b00 the leading d x d corners of a and b. Costs
         O(n_sys slots d^2), against O(n_sys dim) for one apply."""
         d = right.shape[-1]
-        a_right = right @ self.a[:d, :d].T
-        b_right = right @ self.b[:d, :d].T
-        out = np.zeros((self.n_sys, self.n_sys), np.result_type(left, right, self.a, self.b))
+        corner = self.d_plus[:d, :d]
+        # dilation xor direction of the leading d block values
+        parity = np.repeat([0, 1, 1, 0], self.block_dim // 4)[:d]
+        flips = parity[:, None] != parity
+        a_right = right @ np.where(flips, corner, 0.0).T
+        b_right = right @ np.where(flips, 0.0, corner).T
+        out = np.zeros((self.n_sys, self.n_sys), np.result_type(left, right, corner))
         cols = np.arange(self.n_sys)
         out[cols, cols] = np.einsum("xkd,xkd->x", left, a_right)
         # slot k links x to y = perms[k][x]; fixed points and identity
@@ -268,28 +293,22 @@ class SystemControlledReflection(LinOp):
     1e-28. Each factor is a symmetric involution, so the operator is its
     own adjoint.
 
-    passive = (outer, size) inserts a register of size values, on which
-    every factor is the identity, after the first outer values of the
-    leading register: the operand layout is (outer, size, d // outer,
-    n_sys). The reflection broadcasts over that register instead of moving
-    it, so no copy of the operand is made; the default (1, 1) is the plain
-    (d, n_sys) layout."""
+    passive prepends a register of that many values on which every factor
+    is the identity: the operand layout is (passive, d, n_sys). The
+    reflection broadcasts over that register instead of moving it, so no
+    copy of the operand is made; the default 1 is the plain (d, n_sys)
+    layout."""
 
-    def __init__(self, u: np.ndarray, passive: tuple[int, int] = (1, 1)):
+    def __init__(self, u: np.ndarray, passive: int = 1):
         u = np.asarray(u, dtype=float)
         if u.ndim != 2:
             raise DimensionMismatch("expected reflection vectors of shape (n_sys, d)")
-        outer, size = passive
         self.n_sys, self.block_dim = u.shape
-        if self.block_dim % outer:
-            raise DimensionMismatch(f"cannot split {self.block_dim} values after {outer}")
-        inner = self.block_dim // outer
         nrm2 = np.einsum("xa,xa->x", u, u)
-        # stored as a contiguous u^T, in the operand layout with the passive
-        # register of size 1
-        self._ut = np.ascontiguousarray(u.T).reshape(outer, 1, inner, self.n_sys)
-        self.layout = (outer, size, inner, self.n_sys)
-        self.dim = self.n_sys * self.block_dim * size
+        # stored as a contiguous u^T, in the operand layout
+        self._ut = np.ascontiguousarray(u.T)
+        self.layout = (passive, self.block_dim, self.n_sys)
+        self.dim = self.n_sys * self.block_dim * passive
         self._coef = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 >= 1e-28)
 
     def unitarity_residual(self) -> float:
@@ -297,7 +316,7 @@ class SystemControlledReflection(LinOp):
         H_x = I - c_x u_x u_x^T, H_x^T H_x - I = c_x (c_x |u_x|^2 - 2) u_x
         u_x^T has rank 1 and norm |c_x |u_x|^2| |c_x |u_x|^2 - 2|, and the
         factors act on disjoint system states. O(n_sys d)."""
-        ut = self._ut.reshape(self.block_dim, self.n_sys)
+        ut = self._ut
         scaled = self._coef * np.einsum("ax,ax->x", ut, ut)
         res = np.abs(scaled * (scaled - 2.0))
         return float(res.max()) if np.isfinite(res).all() else math.inf
@@ -306,7 +325,7 @@ class SystemControlledReflection(LinOp):
         """The states r_x = H_x e_0 that the factors prepare from |0>, as an
         (n_sys, d) array over the leading register (passive register left
         out): e_0 - (2 u_x[0] / |u_x|^2) u_x."""
-        ut = self._ut.reshape(self.block_dim, self.n_sys)
+        ut = self._ut
         states = -(self._coef * ut[0]) * ut
         states[0] += 1.0
         return states.T
@@ -316,10 +335,10 @@ class SystemControlledReflection(LinOp):
         not overlap v; the result is written there and returned."""
         shape = v.shape
         w = v.reshape(shape[:-1] + self.layout)
-        proj = np.einsum("kax,...kpax->...px", self._ut[:, 0], w)
+        proj = np.einsum("ax,...pax->...px", self._ut, w)
         proj *= self._coef
         res = np.multiply(
-            self._ut, proj[..., None, :, None, :],
+            self._ut, proj[..., None, :],
             out=None if out is None else out.reshape(w.shape),
         )
         np.subtract(w, res, out=res)
@@ -331,14 +350,18 @@ class SystemControlledReflection(LinOp):
 
 class FusedReflection(LinOp):
     """prep . sel . prep for a system-controlled reflection prep whose
-    leading register, passive register included, holds the slot and block
-    registers of the factored select sel."""
+    passive register leads the block register of the factored select sel,
+    and whose reflected register holds the rest of the block register and
+    then the select's slot register."""
 
     def __init__(self, prep: SystemControlledReflection, sel: FactoredSelect):
-        outer, size, inner, n_sys = prep.layout
-        if (sel.slots, sel.block_dim, sel.n_sys) != (outer, size * inner, n_sys):
+        passive, inner, n_sys = prep.layout
+        if (
+            sel.block_dim % passive
+            or (sel.block_dim // passive * sel.slots, sel.n_sys) != (inner, n_sys)
+        ):
             raise DimensionMismatch(
-                f"select of shape {(sel.slots, sel.block_dim, sel.n_sys)} does "
+                f"select of shape {(sel.block_dim, sel.slots, sel.n_sys)} does "
                 f"not fit the reflection layout {prep.layout}"
             )
         self.prep, self.sel = prep, sel
@@ -346,14 +369,19 @@ class FusedReflection(LinOp):
         self.dim = prep.dim
 
     def _run(self, v, sel_method, out, scratch):
-        # the nodes write to out, scratch and out in turn; only the first
-        # reads v, so v itself may serve as scratch
-        v = sel_method(self.prep.apply(v, out=out), out=scratch)
-        return self.prep.apply(v, out=out)
+        # the nodes write to out, res and out in turn, and the select also
+        # overwrites its operand and work; only the first node reads v, so
+        # v itself may serve as work or res
+        work, res = (None, None) if scratch is None else scratch
+        first = self.prep.apply(v, out=out)
+        if work is None:
+            work = np.empty_like(first)
+        return self.prep.apply(sel_method(first, out=res, work=work), out=first)
 
     def apply(self, v, out=None, scratch=None):
-        """out and scratch, when given, are non-overlapping C-contiguous
-        arrays of v's shape; the result is written to out and returned."""
+        """out and scratch, when given, are an array and a pair of arrays,
+        all C-contiguous of v's shape and none overlapping another; v may
+        be one of the pair. The result is written to out and returned."""
         return self._run(v, self.sel.apply, out, scratch)
 
     def adjoint_apply(self, v, out=None, scratch=None):
@@ -375,8 +403,10 @@ class FusedReflection(LinOp):
         sum_k r_y[k]^T a00 r_x[k] [y = x] + r_y[partner[k]]^T b00 r_x[k]
         [y = p_k(x)], with a00, b00 the corners of the select pair on the
         passive register's 0 value: O(n_sys slots d^2)."""
-        outer, _, inner, n = self.prep.layout
-        r = self.prep.prepared_states().reshape(n, outer, inner)
+        _, inner, n = self.prep.layout
+        slots = self.sel.slots
+        r = self.prep.prepared_states().reshape(n, inner // slots, slots)
+        r = np.ascontiguousarray(r.transpose(0, 2, 1))
         return self.sel.sandwich(r, r)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from .cnf import VAR_CAP, CnfFormula, gibbs_from_cnf
 from .errors import EnergyOutOfRange, ParwalkError, TooManyVariables
 from .markov import GibbsModel
-from .parchain import ProposalDecomposition, hypercube_proposal
+from .parchain import hypercube_proposal
 
 
 def hamming_energies(n: int) -> np.ndarray:

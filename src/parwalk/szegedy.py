@@ -35,7 +35,8 @@ IDENT_TOL = 1e-10
 class SzegedyWalk:
     """Isometry T in block-diagonal form (column x holds vals[x] on rows
     x m ... x m + m - 1, m = vals.shape[1]), reflector R given by the
-    involution perm (R v = v[perm]), and trt = T^dag R T. The dense T,
+    involution perm (R v = v[perm]), trt = T^dag R T, and trt_dev, the
+    largest entry of |trt - the matrix it was checked against|. The dense T,
     reflector and one walk step W = R (2 T T^dag - I) are computed on first
     access."""
 
@@ -43,6 +44,7 @@ class SzegedyWalk:
     vals: np.ndarray
     perm: np.ndarray
     trt: np.ndarray
+    trt_dev: float
 
     @property
     def total_dim(self) -> int:
@@ -91,10 +93,10 @@ def _checked_walk(
     if np.iscomplexobj(prod):
         trt = trt + 1j * np.bincount(idx, prod.imag, n * n)
     trt = trt.reshape(n, n)
-    dev = np.abs(trt - expected).max()
+    dev = float(np.abs(trt - expected).max())
     if not dev <= IDENT_TOL:
         raise DecompositionMismatch(f"{what} by {dev:.3e}")
-    return SzegedyWalk(variant=variant, vals=vals, perm=perm, trt=trt)
+    return SzegedyWalk(variant=variant, vals=vals, perm=perm, trt=trt, trt_dev=dev)
 
 
 def standard_walk(p: StochasticMatrix) -> SzegedyWalk:

@@ -356,10 +356,10 @@ def cycle_chain(kind, n_states, levels, seed=0, beta=0.8):
 def dense_fused_op(model, prop, rule):
     """The fused route built densely: one eigh of the whole select matrix
 
-        H = sum_k |k><k| (x) (L^T (x) J-hat^T + L (x) J-hat) (x) I
-              + |k'><k| (x) I_2 (x) G-hat (x) Pi_k
+        H = sum_k (L^T (x) J-hat^T + L (x) J-hat) (x) |k><k| (x) I
+              + I_2 (x) G-hat (x) |k'><k| (x) Pi_k
 
-    over the paired slots (k' = partner[k]) on (select, direction, level,
+    over the paired slots (k' = partner[k]) on (direction, level, select,
     system), divided by 4B and dilated, and an (N, d, d) stack of
     Householder matrices."""
     n = model.n
@@ -376,36 +376,33 @@ def dense_fused_op(model, prop, rule):
     ja_t = np.zeros((bt, bt))
     ja_t[: model.levels, : model.levels] = tables.rejection
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
-    hop = np.kron(lower.T, np.kron(ja_t.T, np.eye(n))) + np.kron(
-        lower, np.kron(ja_t, np.eye(n))
-    )
-    r = 2 * bt * n
-    h = np.zeros((k_dim, r, k_dim, r))
+    hop = np.kron(lower.T, ja_t.T) + np.kron(lower, ja_t)
+    acc = np.kron(np.eye(2), ga_t)
+    h = np.zeros((2 * bt, k_dim, n, 2 * bt, k_dim, n))
     for k, (p, k_bar) in enumerate(zip(perms, partner)):
         pim = np.zeros((n, n))
         pim[p, np.arange(n)] = 1.0
-        h[k, :, k] += hop
-        h[k_bar, :, k] += np.kron(np.eye(2), np.kron(ga_t, pim))
-    h = h.reshape(k_dim * r, -1) / (4.0 * bt)
+        h[:, k, :, :, k, :] += np.einsum("ij,xy->ixjy", hop, np.eye(n))
+        h[:, k_bar, :, :, k, :] += np.einsum("ij,xy->ixjy", acc, pim)
+    h = h.reshape(2 * bt * k_dim * n, -1) / (4.0 * bt)
     lam, vec = np.linalg.eigh(h)
     c = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
-    # np.block puts the dilation register first; move it behind the select
-    sel = np.block([[h, c], [c, -h]]).reshape(2, k_dim, r, 2, k_dim, r)
-    sel = sel.transpose(1, 0, 2, 4, 3, 5).reshape(2 * k_dim * r, -1)
+    # np.block puts the dilation register first, where the layout has it
+    sel = np.block([[h, c], [c, -h]])
     e = model.energies
-    # registers (select, dilation, direction, level, system); the
+    # registers (dilation, direction, level, select, system); the
     # preparation is the identity on the dilation register
-    dims = (k_dim, 2, 2, bt, n)
+    dims = (2, 2, bt, k_dim, n)
     prep = np.zeros(dims + dims)
     for x in range(n):
-        t = np.zeros((k_dim, 2, bt))
+        t = np.zeros((2, bt, k_dim))
         for k, (w, p) in enumerate(zip(weights, perms)):
             if w > 0.0:
-                t[k, 0, e[x]] += math.sqrt(0.5 * w)
-                t[k, 1, e[p[x]]] += math.sqrt(0.5 * w)
+                t[0, e[x], k] += math.sqrt(0.5 * w)
+                t[1, e[p[x]], k] += math.sqrt(0.5 * w)
         h = householder_to(t.reshape(-1)).reshape(2 * t.shape)
         for dil in range(2):
-            prep[:, dil, :, :, x, :, dil, :, :, x] = h
+            prep[dil, :, :, :, x, dil, :, :, :, x] = h
     prep = prep.reshape(math.prod(dims), -1)
     return prep @ sel @ prep
 
@@ -474,23 +471,34 @@ def test_paired_select_gathers_with_the_inverse(monkeypatch, kind):
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     q = decompose_discriminant(model, prop, rule).q
     assert np.abs(extract_block(be) - q).max() < 1e-12
-    monkeypatch.setattr(
-        FactoredSelect, "apply",
-        lambda self, v, out=None: self._run(v, self.a, self.b, self.perms, out),
-    )
+    def with_p_k(self, v, out=None, work=None):
+        gather = self.partner[:, None] * self.n_sys + self.perms[self.partner]
+        return self._run(v, self.d_plus, gather.ravel(), out, work)
+
+    monkeypatch.setattr(FactoredSelect, "apply", with_p_k)
     assert np.abs(extract_block(be) - q).max() > 1e-2
 
 
 def test_fused_select_pair_splits_one_dilation_by_parity():
-    # a and b are the entries of D_+ across which the parity of (dilation,
-    # direction) flips and keeps; D_+- = a +- b are both involutions
+    # a and b are the entries of D_+ across which the parity K of (dilation,
+    # direction) flips and keeps; D_- = a - b = -K D_+ K, and both are
+    # involutions
     model, prop = build_hypercube(3, energy="random", levels=5, seed=4, beta=0.7)
     sel = build_ancilla_efficient_Q(model, prop, level_tables(model, glauber())).op.sel
+    d_plus = sel.d_plus
+    sign = np.repeat([1.0, -1.0, -1.0, 1.0], 8)
     parity = np.repeat([0, 1, 1, 0], 8)
     flips = parity[:, None] != parity[None, :]
-    assert np.all(sel.a[~flips] == 0.0) and np.all(sel.b[flips] == 0.0)
-    for d in (sel.a + sel.b, sel.a - sel.b):
+    a, b = np.where(flips, d_plus, 0.0), np.where(flips, 0.0, d_plus)
+    assert np.array_equal(a - b, -sign[:, None] * d_plus * sign)
+    for d in (a + b, a - b):
         assert np.abs(d @ d - np.eye(32)).max() < 1e-14
+    # the operator is a (x) I + b (x) P on (block, slot, system)
+    p = np.zeros((sel.slots * sel.n_sys,) * 2)
+    for k, (perm, j) in enumerate(zip(sel.perms, sel.partner)):
+        p[j * sel.n_sys + perm, k * sel.n_sys + np.arange(sel.n_sys)] = 1.0
+    want = np.kron(a, np.eye(len(p))) + np.kron(b, p)
+    assert np.abs(sel.dense() - want).max() == 0.0
 
 
 @pytest.mark.parametrize(
@@ -587,7 +595,7 @@ def test_chunked_extraction_memory_at_n7():
     # one batch of all 128 columns would be 64 MiB per temporary; a chunk's
     # working set is about 2 MiB, and verify_encoding's unitarity spot
     # check and the probes run in chunks of the same width (measured peak:
-    # 2.13 MiB; the structured block of this fused encoding is ~1 MiB)
+    # 1.60 MiB; the structured block of this fused encoding is ~1 MiB)
     model, prop = build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8)
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     q = decompose_discriminant(model, prop, metropolis()).q
@@ -627,7 +635,10 @@ def test_chunked_spot_check_applies_each_vector_once(monkeypatch):
     def norms(rows):
         return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
-    v = np.random.Generator(np.random.SFC64(7)).standard_normal((SPOT_VECTORS, dim))
+    # the probes draw first from the same generator, then the spot vectors
+    rng = np.random.Generator(np.random.SFC64(7))
+    rng.standard_normal((PROBES, be.sys_dim))
+    v = rng.random((SPOT_VECTORS, dim)) - 0.5
     v /= norms(v)[:, None]
     w = be.op.apply(v)
     want = max(np.abs(norms(w) - 1.0).max(), np.abs(be.op.adjoint_apply(w) - v).max())
@@ -646,18 +657,59 @@ def test_chunked_spot_check_applies_each_vector_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_spot_check_sees_a_select_entry_the_block_never_reads(n):
-    # a[d-1, d-2] acts on the dilation-1 half of the select block, which the
-    # structured block (dilation-0 corners) never reads; it breaks
+    # d_plus[d-1, d-2] acts on the dilation-1 half of the select block,
+    # which the structured block (dilation-0 corners) never reads; it breaks
     # unitarity by ~1e-7, and the node certificate must see that
     model, prop = build_hypercube(n, energy="hamming")
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     q = decompose_discriminant(model, prop, metropolis()).q
     sel = be.op.sel
     d = sel.block_dim
-    sel.a[d - 1, d - 2] += 1e-7
+    sel.d_plus[d - 1, d - 2] += 1e-7
     report = verify_encoding(be, q)
     assert report.max_abs_dev <= 1e-15
     assert report.unitary_dev > UNITARY_TOL
+    assert not report.passed
+
+
+def test_spot_vector_sees_a_fault_on_a_padding_slot(monkeypatch):
+    # n = 3 uses 3 of 4 select slots. The probe images V|0,v> and V V|0,v>
+    # carry no amplitude on the padding slot, so an apply that scales that
+    # slot by 1 + 1e-6 passes the probes and the node certificate, and only
+    # the spot vector, a quarter of whose weight lies there, sees it
+    model, prop = build_hypercube(3, energy="hamming")
+    rule = metropolis()
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    q = decompose_discriminant(model, prop, rule).q
+    sel, n = be.op.sel, be.sys_dim
+    assert (sel.slots, len(prop.paired_slots()[1])) == (4, 3)
+
+    def slot(w, k):
+        # registers (dilation, direction, level, select, system)
+        return w.reshape(w.shape[:-1] + (-1, sel.slots, n))[..., k, :]
+
+    v = np.zeros((1, be.op.dim))
+    v[0, :n] = np.random.default_rng(3).standard_normal(n)
+    once = be.op.apply(v)
+    assert np.abs(slot(once, 3)).max() == 0.0
+    assert np.abs(slot(be.op.apply(once), 3)).max() == 0.0
+    clean = verify_encoding(be, q)
+    assert clean.passed
+    apply = FusedReflection.apply
+
+    def padded_scaled(self, v, out=None, scratch=None):
+        w = apply(self, v, out, scratch)
+        slot(w, 3)[...] *= 1.0 + 1e-6
+        return w
+
+    monkeypatch.setattr(FusedReflection, "apply", padded_scaled)
+    report = verify_encoding(be, q)
+    assert report.max_abs_dev <= 1e-15
+    # the probes read exactly what they read without the fault
+    assert report.probe_reflection_dev == clean.probe_reflection_dev <= 1e-14
+    assert report.probe_block_dev == clean.probe_block_dev <= 1e-15
+    assert be.op.unitarity_residual() <= 1e-14
+    assert 1e-7 <= report.unitary_dev <= 1e-6
     assert not report.passed
 
 
@@ -679,7 +731,7 @@ def test_certificate_sees_a_select_fault_where_spot_vectors_fade():
     assert be.op.unitarity_residual() <= 1e-14
     sel = be.op.sel
     d = sel.block_dim
-    sel.a[d - 1, d - 2] += 1e-8
+    sel.d_plus[d - 1, d - 2] += 1e-8
     assert 0.5e-8 <= be.op.unitarity_residual() <= 4e-8
     report = verify_encoding(be, q)
     assert report.max_abs_dev <= 1e-15
@@ -698,7 +750,7 @@ def test_certificate_rejects_a_partner_map_that_pairs_no_inverses():
     assert sel.partner[0] == 1 and sel.unitarity_residual() <= 1e-14
     perms = sel.perms.copy()
     perms[1] = perms[0]
-    unpaired = FactoredSelect(sel.a, sel.b, perms, sel.partner)
+    unpaired = FactoredSelect(sel.d_plus, perms, sel.partner)
     assert unpaired.unitarity_residual() == math.inf
     broken = replace(be, op=FusedReflection(be.op.prep, unpaired))
     assert broken.op.unitarity_residual() == math.inf
@@ -788,20 +840,25 @@ def test_fused_encoding_is_probed():
     assert report.probe_block_dev <= 1e-14
 
 
-def scale_dilation(sel, v, factors):
-    """v with the dilation register of every select slot scaled by factors."""
-    w = v.reshape(v.shape[:-1] + (sel.slots, 2, -1, sel.n_sys))
-    return (w * np.asarray(factors)[:, None, None]).reshape(v.shape)
+def scale_dilation(v, factors):
+    """v with the leading dilation register scaled by factors."""
+    w = v.reshape(v.shape[:-1] + (2, -1))
+    return (w * np.asarray(factors)[:, None]).reshape(v.shape)
 
 
 def test_probes_catch_a_select_with_rotated_slots(monkeypatch):
     # slot k applies slot k+1's permutation: still a unitary involution whose
     # node arrays are right, so only the probe of the block catches it
-    def rotated(self, v, out=None):
-        return self._run(v, self.a, self.b, np.roll(self.perms, -1, axis=0), out)
+    apply, adjoint = FactoredSelect.apply, FactoredSelect.adjoint_apply
 
-    def rotated_adjoint(self, v, out=None):
-        return self._run(v, self.a.T, self.b.T, np.roll(self.inverses, -1, axis=0), out)
+    def turned(self):
+        return FactoredSelect(self.d_plus, np.roll(self.perms, -1, axis=0), self.partner)
+
+    def rotated(self, v, out=None, work=None):
+        return apply(turned(self), v, out, work)
+
+    def rotated_adjoint(self, v, out=None, work=None):
+        return adjoint(turned(self), v, out, work)
 
     be, q = fused_n4()
     monkeypatch.setattr(FactoredSelect, "apply", rotated)
@@ -820,11 +877,11 @@ def test_probes_catch_an_operator_that_is_no_involution(monkeypatch):
     apply, adjoint = FactoredSelect.apply, FactoredSelect.adjoint_apply
     monkeypatch.setattr(
         FactoredSelect, "apply",
-        lambda self, v, out=None: apply(self, scale_dilation(self, v, [1, -1]), out),
+        lambda self, v, out=None, work=None: apply(self, scale_dilation(v, [1, -1]), out),
     )
     monkeypatch.setattr(
         FactoredSelect, "adjoint_apply",
-        lambda self, v, out=None: scale_dilation(self, adjoint(self, v), [1, -1]),
+        lambda self, v, out=None, work=None: scale_dilation(adjoint(self, v), [1, -1]),
     )
     be, q = fused_n4()
     report = verify_encoding(be, q)
@@ -858,8 +915,8 @@ def test_probes_catch_an_output_of_wrong_norm(monkeypatch):
     # (the unitarity spot check fails too)
     apply = FactoredSelect.apply
 
-    def stretched(self, v, out=None):
-        return scale_dilation(self, apply(self, scale_dilation(self, v, [1, 0.5])), [1, 2])
+    def stretched(self, v, out=None, work=None):
+        return scale_dilation(apply(self, scale_dilation(v, [1, 0.5])), [1, 2])
 
     monkeypatch.setattr(FactoredSelect, "apply", stretched)
     be, q = fused_n4()

@@ -20,6 +20,7 @@ from parwalk.blockenc import (
     extract_block,
     extraction_chunk_width,
     verify_encoding,
+    verify_workspace,
 )
 from parwalk.cli import main
 from parwalk.linops import FactoredSelect
@@ -207,8 +208,11 @@ def test_inject_fault_fails_verification(capsys, monkeypatch):
 def test_faulty_select_fails_verification_through_the_probes(capsys, monkeypatch):
     # each slot applies the next slot's permutation; the fused block is read
     # from the node arrays, which are right, so only the probes see it
-    def rotated(self, v, out=None):
-        return self._run(v, self.a, self.b, np.roll(self.perms, -1, axis=0), out)
+    apply = FactoredSelect.apply
+
+    def rotated(self, v, out=None, work=None):
+        turned = FactoredSelect(self.d_plus, np.roll(self.perms, -1, axis=0), self.partner)
+        return apply(turned, v, out, work)
 
     monkeypatch.setattr(FactoredSelect, "apply", rotated)
     code, out, err = run(
@@ -392,18 +396,19 @@ def test_max_n_raises_cap_and_prints_estimate(capsys):
     )
     assert code == 0
     assert "cap raised to n=4" in err
-    # sizes below 1 MiB print in KiB: the walk's 2 * 4^2 entries of T, as
-    # many index entries and T^dag R T of 4 x 4 floats (640 B), and the
-    # probe workspace of three chunks of all 4 columns of 4 * 2^5 floats
-    assert "a walk isometry of ~1 KiB" in err
-    assert "a probe workspace of ~12 KiB" in err
+    # sizes below 1 MiB print in KiB, to one decimal: the walk's 2 * 4^2
+    # entries of T, as many index entries and T^dag R T of 4 x 4 floats
+    # (640 B), and the probe workspace of four chunks of the 2 columns the
+    # probes apply at once, of 4 * 2^5 floats each
+    assert "a walk isometry of ~0.6 KiB" in err
+    assert "a probe workspace of ~8.0 KiB" in err
 
 
 def test_max_n_estimate_prices_one_extraction_chunk(capsys, monkeypatch):
     # n = 7, B = 16: the encoding verify builds has 3 + 4 + 2 = 9 ancillas,
     # so one column is 2^7 * 2^9 * 8 bytes = 512 KiB, above the chunk
     # budget: one column per chunk, and verify_encoding's workspace holds
-    # three such chunks, 1.5 MiB, printed to the nearest MiB
+    # four such chunks, 2 MiB, printed to one decimal
     model, prop = build_hypercube(7, energy="random", levels=16, seed=0)
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     chunk_bytes = extraction_chunk_width(be.sys_dim, be.op.dim) * be.op.dim * 8
@@ -419,16 +424,33 @@ def test_max_n_estimate_prices_one_extraction_chunk(capsys, monkeypatch):
     monkeypatch.setattr(parwalk.blockenc.np, "empty", recorded)
     verify_encoding(be, extract_block(be))
     monkeypatch.undo()
-    assert max(workspaces) == 3 * chunk_bytes
+    assert max(workspaces) == 4 * chunk_bytes
+    assert max(workspaces) == math.prod(verify_workspace(be.sys_dim, be.op.dim)) * 8
     args = parwalk.cli._parser().parse_args(["verify", "--max-n", "7"])
     parwalk.cli._check_cap(args, 7, 16)
     err = capsys.readouterr().err
-    assert "a probe workspace of ~2 MiB" in err
+    assert "a probe workspace of ~2.0 MiB" in err
     # n = 10, B = 16: 4 + 4 + 2 = 10 ancillas, one column of 8 MiB
     args = parwalk.cli._parser().parse_args(["verify", "--max-n", "10"])
     parwalk.cli._check_cap(args, 10, 16)
     err = capsys.readouterr().err
-    assert "a probe workspace of ~24 MiB" in err
+    assert "a probe workspace of ~32.0 MiB" in err
+    # a size of 1.5 MiB prints as such, not rounded half to even to 2
+    assert parwalk.cli._size(3 * 2**19) == "~1.5 MiB"
+    # n = 4, B = 17: 2 + 5 + 2 = 9 ancillas, columns of 64 KiB, four to a
+    # chunk; the workspace holds only the two the probes apply at once
+    model, prop = build_hypercube(4, energy="random", levels=17, seed=0)
+    be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
+    assert extraction_chunk_width(be.sys_dim, be.op.dim) == 4
+    workspaces.clear()
+    monkeypatch.setattr(parwalk.blockenc.np, "empty", recorded)
+    verify_encoding(be, extract_block(be))
+    monkeypatch.undo()
+    assert max(workspaces) == 4 * 2 * be.op.dim * 8
+    assert max(workspaces) == math.prod(verify_workspace(be.sys_dim, be.op.dim)) * 8
+    args = parwalk.cli._parser().parse_args(["verify", "--max-n", "4"])
+    parwalk.cli._check_cap(args, 4, 17)
+    assert "a probe workspace of ~512.0 KiB" in capsys.readouterr().err
 
 
 def test_max_n_estimate_follows_the_construction(capsys):

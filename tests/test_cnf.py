@@ -1,6 +1,5 @@
 """DIMACS parsing and violated-clause energy functions."""
 
-import numpy as np
 import pytest
 
 from parwalk.cnf import (

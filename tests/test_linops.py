@@ -89,44 +89,77 @@ def test_select_block_diagonal():
     assert np.abs(op.dense() - want).max() < 1e-14
 
 
+def parity_parts(d_plus):
+    """a and b: the entries of d_plus across which the parity of (dilation,
+    direction) flips and keeps, zero elsewhere."""
+    parity = np.repeat([0, 1, 1, 0], d_plus.shape[0] // 4)
+    flips = parity[:, None] != parity
+    return np.where(flips, d_plus, 0.0), np.where(flips, 0.0, d_plus)
+
+
+def dense_select(d_plus, perms, partner=None):
+    """a (x) I + b (x) sum_k |partner[k]><k| (x) Pi_k on (block, slot,
+    system), built entry by entry: Pi_k |x> = |p_k x>."""
+    slots, n = perms.shape
+    partner = range(slots) if partner is None else partner
+    swap = np.zeros((slots, n, slots, n))
+    for k, (p, j) in enumerate(zip(perms, partner)):
+        for x in range(n):
+            swap[j, p[x], k, x] = 1.0
+    a, b = parity_parts(d_plus)
+    return np.kron(a, np.eye(slots * n)) + np.kron(b, swap.reshape(slots * n, -1))
+
+
 def test_factored_select_matches_dense_blocks():
-    # sum_k |k><k| (x) (a (x) I + b (x) Pi_k^T), system register trailing
+    # a (x) I + b (x) sum_k |k><k| (x) Pi_k with the block register leading
+    # and the system register trailing
     rng = np.random.default_rng(9)
-    a, b = rng.normal(size=(2, 3, 3))
+    d_plus = rng.normal(size=(4, 4))
     perms = np.array([[1, 0, 3, 2], [0, 1, 2, 3], [2, 3, 0, 1]])
-    op = FactoredSelect(a, b, perms)
-    want = np.zeros((36, 36))
+    op = FactoredSelect(d_plus, perms)
+    want = np.zeros((4, 3, 4, 4, 3, 4))
+    a, b = parity_parts(d_plus)
     for k, p in enumerate(perms):
         pk = np.zeros((4, 4))
         pk[np.arange(4), p] = 1.0  # (P_k v)[x] = v[p[x]]
-        want[12 * k : 12 * k + 12, 12 * k : 12 * k + 12] = (
-            np.kron(a, np.eye(4)) + np.kron(b, pk)
+        want[:, k, :, :, k, :] = np.einsum("ij,xy->ixjy", a, np.eye(4)) + np.einsum(
+            "ij,xy->ixjy", b, pk
         )
+    want = want.reshape(48, 48)
     assert np.abs(op.dense() - want).max() < 1e-14
-    batch = rng.normal(size=(5, 36))
+    assert np.abs(want - dense_select(d_plus, perms)).max() == 0.0
+    batch = rng.normal(size=(5, 48))
+    kept = batch.copy()
     assert np.abs(op.adjoint_apply(batch) - batch @ want).max() < 1e-13
+    assert np.array_equal(batch, kept)
+    # a complex d_plus on a real operand
+    cplx = d_plus + 1j * d_plus.T
+    op = FactoredSelect(cplx, perms)
+    assert np.abs(op.dense() - dense_select(cplx, perms)).max() < 1e-14
+    assert np.abs(Adjoint(op).dense() - dense_select(cplx, perms).conj().T).max() < 1e-14
     # non-involutive slots take the inverse permutation in the adjoint
-    cyc = FactoredSelect(a, b, np.array([[1, 2, 0]]))
+    cyc = FactoredSelect(d_plus, np.array([[1, 2, 0]]))
     assert np.abs(Adjoint(cyc).dense() - cyc.dense().T).max() < 1e-14
+    for bad in (d_plus[:2], d_plus[:3, :3], d_plus[0]):
+        with pytest.raises(DimensionMismatch):
+            FactoredSelect(bad, perms)
     with pytest.raises(DimensionMismatch):
-        FactoredSelect(a, b[:2, :2], perms)
-    with pytest.raises(DimensionMismatch):
-        FactoredSelect(a, b, perms[0])
+        FactoredSelect(d_plus, perms[0])
 
 
 def test_factored_select_sandwich_matches_dense():
     # states on the first d = 2 of 4 block values; slot 1 is a 3-cycle with a
     # fixed point, slot 2 the identity, so slots also add to the diagonal
     rng = np.random.default_rng(12)
-    a, b = rng.normal(size=(2, 4, 4))
+    d_plus = rng.normal(size=(4, 4))
     perms = np.array([[1, 0, 3, 2], [1, 2, 0, 3], [0, 1, 2, 3]])
-    op = FactoredSelect(a, b, perms)
+    op = FactoredSelect(d_plus, perms)
     left, right = rng.normal(size=(2, 4, 3, 2))
 
     def columns(states):
         # column x: states[x] padded to the block register, at system x
         padded = np.pad(states, ((0, 0), (0, 0), (0, 2)))
-        return np.einsum("xkd,yx->kdyx", padded, np.eye(4)).reshape(-1, 4)
+        return np.einsum("xkd,yx->dkyx", padded, np.eye(4)).reshape(-1, 4)
 
     want = columns(left).T @ op.dense() @ columns(right)
     assert np.abs(op.sandwich(left, right) - want).max() < 1e-14
@@ -137,39 +170,40 @@ def test_factored_select_sends_the_b_term_to_the_partner_slot():
     # sum_k |k><k| (x) a (x) I + |partner[k]><k| (x) b (x) Pi_k, with
     # Pi_k |x> = |p_k x>, so slot k's system is gathered with p_k^-1
     rng = np.random.default_rng(16)
-    a, b = rng.normal(size=(2, 3, 3))
+    d_plus = rng.normal(size=(4, 4))
     cyc = np.array([1, 2, 0, 3])
     perms = np.array([cyc, np.argsort(cyc), [3, 2, 1, 0]])
     partner = np.array([1, 0, 2])
-    op = FactoredSelect(a, b, perms, partner)
-    want = np.zeros((3, 12, 3, 12))
+    op = FactoredSelect(d_plus, perms, partner)
+    a, b = parity_parts(d_plus)
+    want = np.zeros((4, 3, 4, 4, 3, 4))
     for k, (p, j) in enumerate(zip(perms, partner)):
         pim = np.zeros((4, 4))
         pim[p, np.arange(4)] = 1.0
-        want[k, :, k] += np.kron(a, np.eye(4))
-        want[j, :, k] += np.kron(b, pim)
-    want = want.reshape(36, 36)
+        want[:, k, :, :, k, :] += np.einsum("ij,xy->ixjy", a, np.eye(4))
+        want[:, j, :, :, k, :] += np.einsum("ij,xy->ixjy", b, pim)
+    want = want.reshape(48, 48)
     assert np.abs(op.dense() - want).max() < 1e-14
+    assert np.abs(want - dense_select(d_plus, perms, partner)).max() == 0.0
     assert np.abs(Adjoint(op).dense() - want.T).max() < 1e-14
-    # with symmetric a and b the slot swap makes the operator symmetric
-    sym = FactoredSelect(a + a.T, b + b.T, perms, partner).dense()
+    # with a symmetric d_plus the slot swap makes the operator symmetric
+    sym = FactoredSelect(d_plus + d_plus.T, perms, partner).dense()
     assert np.abs(sym - sym.T).max() < 1e-14
     # the sandwich reads left at the partner slot
     left, right = rng.normal(size=(2, 4, 3, 2))
-    cols = [np.einsum("xkd,yx->kdyx", np.pad(t, ((0, 0), (0, 0), (0, 1))), np.eye(4))
+    cols = [np.einsum("xkd,yx->dkyx", np.pad(t, ((0, 0), (0, 0), (0, 2))), np.eye(4))
             for t in (left, right)]
     dense = cols[0].reshape(-1, 4).T @ want @ cols[1].reshape(-1, 4)
     assert np.abs(op.sandwich(left, right) - dense).max() < 1e-14
     for bad in ([1, 2, 0], [1, 1, 2], [0, 1], [1, 0, 3], [-2, 0, 2]):
         with pytest.raises(DimensionMismatch, match="involution"):
-            FactoredSelect(a, b, perms, np.array(bad))
+            FactoredSelect(d_plus, perms, np.array(bad))
 
 
 def orthogonal_select(rng, perms, partner=None, block=4):
-    """A factored select that is unitary when its slots are paired: a +- b
-    are orthogonal."""
-    plus, minus = random_unitary(rng, block), random_unitary(rng, block)
-    return FactoredSelect((plus + minus) / 2, (plus - minus) / 2, perms, partner)
+    """A factored select that is unitary when its slots are paired: d_plus
+    is orthogonal, and so then is -K d_plus K."""
+    return FactoredSelect(random_unitary(rng, block), perms, partner)
 
 
 def unitarity_defect(op):
@@ -184,19 +218,23 @@ def test_factored_select_residual_is_its_unitarity_defect():
     op = orthogonal_select(rng, perms, np.array([1, 0, 2]))
     assert op.unitarity_residual() <= 1e-14
     assert unitarity_defect(op) <= 1e-14
-    # a fault in either array, of either sign of the slot swap, is read at
-    # its size: the residual is the norm, not only a bound on it
-    for array, (i, j) in ((op.a, (3, 2)), (op.b, (0, 1))):
-        array[i, j] += 1e-6
+    # a fault in a (parity flips) or in b (parity kept) is read at its
+    # size: the residual is the norm, not only a bound on it
+    for i, j in ((3, 2), (0, 3)):
+        op.d_plus[i, j] += 1e-6
         assert abs(op.unitarity_residual() - unitarity_defect(op)) <= 1e-14
         assert op.unitarity_residual() > 1e-7
-        array[i, j] -= 1e-6
+        op.d_plus[i, j] -= 1e-6
+    # a - b = -K (a + b) K entry by entry, so one product serves both signs
+    a, b = parity_parts(op.d_plus)
+    sign = np.array([1.0, -1.0, -1.0, 1.0])
+    assert np.array_equal(a - b, -sign[:, None] * (a + b) * sign)
     # partners that are not each other's inverses, or a non-involution
     # that is its own partner, leave the slot swap no involution
-    unpaired = FactoredSelect(op.a, op.b, np.array([cyc, cyc, perms[2]]), op.partner)
+    unpaired = FactoredSelect(op.d_plus, np.array([cyc, cyc, perms[2]]), op.partner)
     assert unpaired.unitarity_residual() == math.inf
-    assert FactoredSelect(op.a, op.b, perms).unitarity_residual() == math.inf
-    op.a[0, 0] = np.nan
+    assert FactoredSelect(op.d_plus, perms).unitarity_residual() == math.inf
+    op.d_plus[0, 0] = np.nan
     assert op.unitarity_residual() == math.inf
 
 
@@ -204,7 +242,7 @@ def test_system_controlled_reflection_residual_is_its_unitarity_defect():
     rng = np.random.default_rng(18)
     u = rng.normal(size=(3, 8))
     u[1] = 0.0  # identity fallback
-    op = SystemControlledReflection(u, passive=(2, 2))
+    op = SystemControlledReflection(u, passive=2)
     assert op.unitarity_residual() <= 1e-14
     assert unitarity_defect(op) <= 1e-14
     op._coef[2] *= 1.0 + 1e-6
@@ -217,14 +255,14 @@ def test_system_controlled_reflection_residual_is_its_unitarity_defect():
 def test_fused_reflection_residual_bounds_its_unitarity_defect():
     rng = np.random.default_rng(19)
     k_dim, bt, n = 2, 2, 4
-    u = rng.normal(size=(n, k_dim * 2 * bt))
-    prep = SystemControlledReflection(u, passive=(k_dim, 2))
+    u = rng.normal(size=(n, 2 * bt * k_dim))
+    prep = SystemControlledReflection(u, passive=2)
     # involutions x -> x xor k, each its own partner
     sel = orthogonal_select(rng, np.arange(n) ^ np.arange(k_dim)[:, None], block=4 * bt)
     tree = FusedReflection(prep, sel)
     assert tree.unitarity_residual() <= 1e-14
     # a fault in prep, in sel, and in both
-    faults = [[(prep._coef, 1)], [(sel.b, 5)], [(prep._coef, 0), (sel.a, 7)]]
+    faults = [[(prep._coef, 1)], [(sel.d_plus, 5)], [(prep._coef, 0), (sel.d_plus, 7)]]
     for eps in (1e-6, 1e-3):
         for fault in faults:
             for array, i in fault:
@@ -236,12 +274,11 @@ def test_fused_reflection_residual_bounds_its_unitarity_defect():
 
 
 def test_permutations_must_be_bijections():
-    a = np.eye(2)
     for bad in ([0, 0, 1], [0, 1, 3], [-1, 0, 1]):
         with pytest.raises(DimensionMismatch):
             Permutation(np.array(bad))
         with pytest.raises(DimensionMismatch):
-            FactoredSelect(a, a, np.array([[0, 1, 2], bad]))
+            FactoredSelect(np.eye(4), np.array([[0, 1, 2], bad]))
     with pytest.raises(DimensionMismatch):
         Permutation(np.array([[0, 1]]))
 
@@ -250,13 +287,13 @@ def test_prepared_states_are_the_images_of_e0():
     rng = np.random.default_rng(13)
     u = rng.normal(size=(3, 8))
     u[1] = 0.0  # identity fallback
-    op = SystemControlledReflection(u, passive=(2, 2))
+    op = SystemControlledReflection(u, passive=2)
     e0 = np.zeros((3, op.dim))
     e0[np.arange(3), np.arange(3)] = 1.0  # |0, x>: leading registers in 0
-    images = op.apply(e0).reshape(3, 2, 2, 4, 3)
+    images = op.apply(e0).reshape(3, 2, 8, 3)
     # passive register in 0, system state x unchanged
-    assert np.abs(images[:, :, 1]).max() == 0.0
-    want = np.stack([images[x, :, 0, :, x].reshape(-1) for x in range(3)])
+    assert np.abs(images[:, 1]).max() == 0.0
+    want = np.stack([images[x, 0, :, x] for x in range(3)])
     assert np.array_equal(op.prepared_states(), want)
     assert np.array_equal(op.prepared_states()[1], np.eye(8)[0])
 
@@ -282,58 +319,66 @@ def test_system_controlled_reflection_matches_householder():
 
 
 def test_passive_register_reflection_matches_embedded():
-    # the fused route's layout: select, dilation, direction, level, system,
-    # with the dilation register passive
+    # the fused route's layout: dilation, direction, level, select, system,
+    # with the leading dilation register passive
     rng = np.random.default_rng(11)
     for k_dim, bt, n, batch in ((8, 16, 16, (2, 3)), (1, 1, 2, (3,)), (2, 4, 8, (5,))):
-        u = rng.normal(size=(n, k_dim * 2 * bt))
+        u = rng.normal(size=(n, 2 * bt * k_dim))
         u[0] = 0.0  # identity fallback
-        dims = [k_dim, 2, 2, bt, n]
-        moved = Embedded(SystemControlledReflection(u), dims, [0, 2, 3, 4])
-        op = SystemControlledReflection(u, passive=(k_dim, 2))
+        dims = [2, 2, bt, k_dim, n]
+        moved = Embedded(SystemControlledReflection(u), dims, [1, 2, 3, 4])
+        op = SystemControlledReflection(u, passive=2)
         assert op.dim == moved.dim
         v = rng.normal(size=batch + (op.dim,))
         assert np.array_equal(op.apply(v), moved.apply(v))
         assert np.array_equal(op.adjoint_apply(v), moved.adjoint_apply(v))
     assert np.abs(op.dense() - moved.dense()).max() == 0.0
-    with pytest.raises(DimensionMismatch):
-        SystemControlledReflection(np.zeros((2, 6)), passive=(4, 2))
 
 
 def fused_nodes(rng, k_dim, bt, n):
-    """A reflection on (select, dilation, direction x level, system) with
+    """A reflection on (dilation, direction x level x select, system) with
     the dilation register passive, and a factored select that fits it."""
-    u = rng.normal(size=(n, k_dim * 2 * bt))
-    prep = SystemControlledReflection(u, passive=(k_dim, 2))
+    u = rng.normal(size=(n, 2 * bt * k_dim))
+    prep = SystemControlledReflection(u, passive=2)
     perms = np.array([rng.permutation(n) for _ in range(k_dim)])
-    a, b = rng.normal(size=(2, 4 * bt, 4 * bt))
-    return prep, FactoredSelect(a, b, perms)
+    return prep, FactoredSelect(rng.normal(size=(4 * bt, 4 * bt)), perms)
 
 
 def test_destinations_give_the_allocating_results():
-    # the fused reflection's nodes write into out, and it runs them through
-    # out, scratch and out in turn; v may serve as scratch, since only the
-    # first node reads it
+    # the fused reflection's nodes write into out, the select's result and
+    # out in turn, and the select overwrites its operand and its gather
+    # array; v may serve as either scratch array, since only the first node
+    # reads it
     rng = np.random.default_rng(12)
     prep, sel = fused_nodes(rng, 4, 2, 8)
     tree = FusedReflection(prep, sel)
     plain = Compose(prep, sel, prep)
     v = rng.normal(size=(3, tree.dim))
+    kept = v.copy()
     for op in (prep, sel):
         for method in ("apply", "adjoint_apply"):
             out = np.empty_like(v)
             got = getattr(op, method)(v, out=out)
             assert np.shares_memory(got, out)
             assert np.array_equal(out, getattr(op, method)(v))
+            assert np.array_equal(v, kept)
+    for method in ("apply", "adjoint_apply"):
+        own, out, work = v.copy(), np.empty_like(v), np.empty_like(v)
+        got = getattr(sel, method)(own, out=out, work=work)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, getattr(sel, method)(v))
     for method in ("apply", "adjoint_apply"):
         want = getattr(plain, method)(v)
         assert np.array_equal(getattr(tree, method)(v), want)
-        out, scratch = np.empty_like(v), np.empty_like(v)
-        got = getattr(tree, method)(v, out=out, scratch=scratch)
+        out, first, second = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+        got = getattr(tree, method)(v, out=out, scratch=(first, second))
         assert np.shares_memory(got, out) and np.array_equal(got, want)
-        own = v.copy()
-        got = getattr(tree, method)(own, out=out, scratch=own)
-        assert np.shares_memory(got, out) and np.array_equal(got, want)
+        assert np.array_equal(v, kept)
+        for scratch in ((None, second), (first, None)):
+            own = v.copy()
+            pair = tuple(own if s is None else s for s in scratch)
+            got = getattr(tree, method)(own, out=out, scratch=pair)
+            assert np.shares_memory(got, out) and np.array_equal(got, want)
 
 
 def test_fused_reflection_block_is_its_zero_block():
@@ -348,19 +393,24 @@ def test_fused_reflection_block_is_its_zero_block():
 def test_fused_reflection_rejects_a_select_off_its_layout():
     rng = np.random.default_rng(14)
     prep, sel = fused_nodes(rng, 4, 2, 8)
-    a, b = sel.a, sel.b
-    big = rng.normal(size=(2, 16, 16))
+    d_plus = sel.d_plus
     misfits = [
         # slots, block size, system size, one at a time
-        FactoredSelect(a, b, sel.perms[:2]),
-        FactoredSelect(a[:4, :4], b[:4, :4], sel.perms),
-        FactoredSelect(a, b, np.tile(np.arange(16), (4, 1))),
-        # slots and block size traded at the reflection's dimension
-        FactoredSelect(*big, sel.perms[:2]),
+        (prep, FactoredSelect(d_plus, sel.perms[:2])),
+        (prep, FactoredSelect(d_plus[:4, :4], sel.perms)),
+        (prep, FactoredSelect(d_plus, np.tile(np.arange(16), (4, 1)))),
+        # a passive register that does not lead the block register
+        (SystemControlledReflection(rng.normal(size=(8, 8)), passive=8),
+         FactoredSelect(np.eye(4), np.tile(np.arange(8), (16, 1)))),
     ]
-    for bad in misfits:
+    for node, bad in misfits:
         with pytest.raises(DimensionMismatch, match="does not fit"):
-            FusedReflection(prep, bad)
+            FusedReflection(node, bad)
+    # the reflected register does not mark where the slot register starts:
+    # slots and block size traded at its dimension fit, and the block reads
+    # the same split
+    traded = FusedReflection(prep, FactoredSelect(rng.normal(size=(16, 16)), sel.perms[:2]))
+    assert np.abs(traded.block() - traded.dense()[:8, :8]).max() < 1e-13
 
 
 def test_embedded_acts_on_selected_registers():
