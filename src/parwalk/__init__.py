@@ -4,12 +4,7 @@ discriminants, with Szegedy-walk oracles and gap-amplification checks."""
 from .blockenc import (
     BlockEncoding,
     build_ancilla_efficient_Q,
-    compressed_hadamard_be,
     extract_block,
-    hadamard_be,
-    lcu,
-    svd_block_encoding,
-    unitary_encoding,
     verify_encoding,
 )
 from .cnf import CnfFormula, gibbs_from_cnf, load_dimacs, parse_dimacs
@@ -67,7 +62,6 @@ __all__ = [
     "build_hypercube",
     "certify_stationary",
     "check_detailed_balance",
-    "compressed_hadamard_be",
     "custom_rule",
     "decompose_discriminant",
     "discriminant",
@@ -76,10 +70,8 @@ __all__ = [
     "gibbs_distribution",
     "gibbs_from_cnf",
     "glauber",
-    "hadamard_be",
     "hypercube_proposal",
     "lazy",
-    "lcu",
     "level_tables",
     "load_dimacs",
     "metropolis",
@@ -93,9 +85,7 @@ __all__ = [
     "spectral_gaps",
     "standard_walk",
     "stationary_distribution",
-    "svd_block_encoding",
     "transition_matrix",
-    "unitary_encoding",
     "verify_encoding",
     "walk_phases",
     "walk_spectrum",

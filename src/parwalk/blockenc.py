@@ -1,24 +1,25 @@
-"""Composable exact block encodings.
+"""The block encoding of a chain's discriminant matrix, and its checks.
 
 A block encoding presents a matrix L as the top-left block of a unitary V
 on ancilla (x) system space: L = gamma (<0^c| (x) I) V (|0^c> (x) I), with
-the ancilla register leading in the index layout. Constructions below track
-two ancilla counts per encoding: the logical count actually used and the
-count quoted by the source analysis for that construction; the logical
-count never exceeds the quoted one.
+the ancilla register leading in the index layout. An encoding records two
+ancilla counts: the logical count it builds and the count quoted by the
+source analysis; the logical count never exceeds the quoted one.
 
-The headline constructor build_ancilla_efficient_Q encodes the discriminant
-matrix of a propose-accept/reject chain with gamma = 4B and at most
+build_ancilla_efficient_Q encodes the discriminant matrix of a
+propose-accept/reject chain with gamma = 4B and at most
 2 ceil(log kappa) + ceil(log B) + 2 ancilla qubits, where B counts energy
-levels (padded to a power of two) and kappa proposal permutations. One fused
-route serves every symmetric proposal: the accept and reject terms share
-one select register over the proposal's inverse-paired slots (at most
-2 kappa of them), so it needs ceil(log slots) + ceil(log B) + 2 qubits. It
-is built in factored form, from one 4B x 4B matrix and one Householder
-vector per system state, so its cost grows linearly with the system size.
-verify_encoding reads its block from that structure; extract_block, which
-applies any encoding to every basis column, is the oracle the tests
-compare it to.
+levels (padded to a power of two) and kappa proposal permutations. The
+Hadamard product with an energy-dependent table reads a ceil(log B)-qubit
+level register instead of a ceil(log N)-qubit copy of the system state.
+One fused route serves every symmetric proposal: the accept and reject
+terms share one select register over the proposal's inverse-paired slots
+(at most 2 kappa of them), so it needs ceil(log slots) + ceil(log B) + 2
+qubits. It is built in factored form, from one 4B x 4B matrix and one
+Householder vector per system state, so its cost grows linearly with the
+system size. verify_encoding reads its block from that structure;
+extract_block, which applies any encoding to every basis column, is the
+oracle the tests compare it to.
 """
 
 from __future__ import annotations
@@ -28,32 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadWeights,
-    BoundViolated,
-    DimensionMismatch,
-    EnergyOutOfRange,
-    NonPowerOfTwoDim,
-    NormTooLarge,
-    ScaleMismatch,
-    WeightMismatch,
-)
-from .linops import (
-    Adjoint,
-    Compose,
-    DenseUnitary,
-    Embedded,
-    FactoredSelect,
-    FusedReflection,
-    Identity,
-    LinOp,
-    Permutation,
-    Select,
-    SystemControlledReflection,
-    energy_shift,
-    householder_to,
-    xor_shift,
-)
+from .errors import BoundViolated, DimensionMismatch, ScaleMismatch
+from .linops import FactoredSelect, FusedReflection, LinOp, SystemControlledReflection
 from .markov import GibbsModel
 from .parchain import LevelTables, ProposalDecomposition
 
@@ -114,11 +91,6 @@ class BlockEncoding:
                 f"logical ancilla count {self.anc_qubits} exceeds the quoted "
                 f"count {self.paper_anc}"
             )
-
-
-def unitary_encoding(op: LinOp) -> BlockEncoding:
-    """A unitary is its own 0-ancilla encoding with gamma = 1."""
-    return BlockEncoding(sys_dim=op.dim, anc_qubits=0, paper_anc=0, gamma=1.0, op=op)
 
 
 def extraction_chunk_width(sys_dim: int, op_dim: int) -> int:
@@ -306,165 +278,6 @@ def verify_encoding(
         probe_reflection_dev=reflection_dev,
         probe_block_dev=block_dev,
     )
-
-
-def _checked_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise BadWeights("weights must be a nonempty vector")
-    # written so that a NaN weight fails
-    if not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-12):
-        raise BadWeights("weights must be nonnegative and sum to 1")
-    return w
-
-
-def prepare_unitary(weights: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix of dimension 2^ceil(log k) whose first column
-    is sqrt(weights), zero-padded."""
-    w = _checked_weights(weights)
-    dim = _pow2_pad(w.size)
-    col = np.zeros(dim)
-    col[: w.size] = np.sqrt(w)
-    return householder_to(col)
-
-
-def lcu(weights, encodings: list) -> BlockEncoding:
-    """Linear combination sum_k w_k L_k of equal-scale encodings.
-
-    Adds ceil(log kappa) logical ancillas (prepare/select/unprepare); the
-    quoted circuit-level count for a permutation select is 2 ceil(log k) - 1.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.size != len(encodings):
-        raise WeightMismatch(f"{w.size} weights for {len(encodings)} encodings")
-    if not encodings:
-        raise WeightMismatch("need at least one encoding")
-    w = _checked_weights(w)
-    sys_dims = {be.sys_dim for be in encodings}
-    if len(sys_dims) != 1:
-        raise DimensionMismatch("operands must share the system dimension")
-    gammas = {be.gamma for be in encodings}
-    if max(gammas) - min(gammas) > 1e-12 * max(gammas):
-        raise ScaleMismatch("lcu operands must share one scale")
-    n = encodings[0].sys_dim
-    gamma = encodings[0].gamma
-
-    m = _ceil_log2(w.size)
-    cmax = max(be.anc_qubits for be in encodings)
-    block = (1 << cmax) * n
-    # extra ancillas prepend in |0>; the block-encoding contract is unchanged
-    ops = [
-        be.op if be.anc_qubits == cmax
-        else Embedded(be.op, [1 << (cmax - be.anc_qubits), be.op.dim], [1])
-        for be in encodings
-    ]
-    ops.extend(Identity(block) for _ in range((1 << m) - len(ops)))
-
-    if m == 0:
-        op = ops[0]
-    else:
-        prep = prepare_unitary(w)
-        op = Compose(
-            Embedded(DenseUnitary(prep.T), [1 << m, block], [0]),
-            Select(ops),
-            Embedded(DenseUnitary(prep), [1 << m, block], [0]),
-        )
-    paper = max(2 * m - 1, 0) + max(be.paper_anc for be in encodings)
-    return BlockEncoding(
-        sys_dim=n, anc_qubits=m + cmax, paper_anc=paper, gamma=gamma, op=op
-    )
-
-
-def _tagged_product(
-    be_l: BlockEncoding, be_m: BlockEncoding, tag: Permutation
-) -> BlockEncoding:
-    """Entrywise product through a tag register: tag acts on (register (x)
-    system) and maps |0, x> to |t_x, x>, so with be_l encoding a table L-hat
-    on the register the result encodes L-hat[t_y, t_x] M[y, x]."""
-    n = be_m.sys_dim
-    reg = be_l.sys_dim
-    bits = reg.bit_length() - 1
-    dims = [1 << be_l.anc_qubits, 1 << be_m.anc_qubits, reg, n]
-    op = Compose(
-        Embedded(Adjoint(tag), dims, [2, 3]),
-        Embedded(be_l.op, dims, [0, 2]),
-        Embedded(be_m.op, dims, [1, 3]),
-        Embedded(tag, dims, [2, 3]),
-    )
-    return BlockEncoding(
-        sys_dim=n,
-        anc_qubits=be_l.anc_qubits + be_m.anc_qubits + bits,
-        paper_anc=be_l.paper_anc + be_m.paper_anc + bits,
-        gamma=be_l.gamma * be_m.gamma,
-        op=op,
-    )
-
-
-def hadamard_be(be_l: BlockEncoding, be_m: BlockEncoding) -> BlockEncoding:
-    """Entrywise product L (.) M through the copy isometry |x> -> |x>|x>;
-    costs a full log N register, which the compressed variant avoids."""
-    if be_l.sys_dim != be_m.sys_dim:
-        raise DimensionMismatch("operands must share the system dimension")
-    n = be_l.sys_dim
-    if n & (n - 1):
-        raise NonPowerOfTwoDim(f"copy register needs a power of two, got {n}")
-    return _tagged_product(be_l, be_m, xor_shift(n))
-
-
-def compressed_hadamard_be(
-    be_lhat: BlockEncoding, be_m: BlockEncoding, energies: np.ndarray
-) -> BlockEncoding:
-    """L (.) M where L is energy-dependent with encoded table L-hat.
-
-    The copy register shrinks to a level register: T_E |x> = |E_x>|x>,
-    realized as the modular shift |e, x> -> |e + E_x, x>.
-    """
-    bt = be_lhat.sys_dim
-    if bt & (bt - 1):
-        raise NonPowerOfTwoDim(f"level register needs a power of two, got {bt}")
-    e = np.asarray(energies, dtype=np.intp)
-    if e.min() < 0 or e.max() >= bt:
-        raise EnergyOutOfRange(
-            f"energies must lie in [0, {bt - 1}], got [{e.min()}, {e.max()}]"
-        )
-    n = be_m.sys_dim
-    if e.size != n:
-        raise DimensionMismatch(f"{e.size} energies for system dimension {n}")
-    return _tagged_product(be_lhat, be_m, energy_shift(e, bt))
-
-
-def svd_block_encoding(lhat: np.ndarray) -> BlockEncoding:
-    """One-ancilla encoding of a small real matrix at scale equal to its
-    (power-of-two padded) dimension.
-
-    Valid whenever ||lhat|| <= dim, which the 1-norm/inf-norm bound
-    guarantees for tables with entries in [0, 1].
-    """
-    lhat = np.asarray(lhat, dtype=float)
-    if lhat.ndim != 2 or lhat.shape[0] != lhat.shape[1]:
-        raise DimensionMismatch("table must be square")
-    b = lhat.shape[0]
-    bt = _pow2_pad(b)
-    # |entry| <= spectral norm <= bt; written so that NaN and inf fail
-    if not np.abs(lhat).max() <= bt:
-        raise NormTooLarge(
-            f"table entries must be finite and at most {bt} in absolute value"
-        )
-    padded = np.zeros((bt, bt))
-    padded[:b, :b] = lhat
-    u_, sig, vh_ = np.linalg.svd(padded / bt)
-    if not sig.max() <= 1 + 1e-12:
-        raise NormTooLarge(f"singular value {sig.max():.6f} exceeds 1 after scaling")
-    sig = np.clip(sig, 0.0, 1.0)
-    # the rotation [[s, c], [c, -s]], c = sqrt(1 - s^2), of level x's
-    # ancilla is the reflection about (c, -(1 + s)), of squared norm >= 2
-    u = np.stack([np.sqrt(1.0 - sig**2), -(1.0 + sig)], axis=1)
-    op = Compose(
-        Embedded(DenseUnitary(u_), [2, bt], [1]),
-        SystemControlledReflection(u),
-        Embedded(DenseUnitary(vh_), [2, bt], [1]),
-    )
-    return BlockEncoding(sys_dim=bt, anc_qubits=1, paper_anc=1, gamma=float(bt), op=op)
 
 
 def build_ancilla_efficient_Q(

@@ -89,8 +89,8 @@ class _Timer:
 
 def _build_bundle(args, need_matrices: bool):
     """Model echo plus (model, prop), the latter None for counts-only."""
-    if not math.isfinite(args.beta):
-        raise ParwalkError(f"--beta must be finite, got {args.beta}")
+    if not (math.isfinite(args.beta) and args.beta >= 0.0):
+        raise ParwalkError(f"--beta must be finite and nonnegative, got {args.beta}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ParwalkError(f"--tol must be finite and nonnegative, got {args.tol}")
     if args.model == "hypercube":
@@ -103,6 +103,8 @@ def _build_bundle(args, need_matrices: bool):
             raise ParwalkError("random energies need --B")
         if levels < 1:
             raise ParwalkError(f"--B must be at least 1, got {levels}")
+        if args.energy == "random" and args.seed < 0:
+            raise ParwalkError(f"seed must be nonnegative, got {args.seed}")
         echo = {
             "source": "hypercube",
             "n": int(args.n),
@@ -149,6 +151,11 @@ def _size(nbytes: int) -> str:
 
 def _check_cap(args, n: int, levels: int):
     cap = DEFAULT_CAP if args.max_n is None else args.max_n
+    # a refused n allocates nothing, so nothing is priced
+    if n > cap:
+        raise ParwalkError(
+            f"n={n} exceeds the dense-build cap {cap}; raise it with --max-n"
+        )
     # an n past the enumeration cap is rejected by the model builder, and
     # its arrays are not priced
     if args.max_n is not None and n <= VAR_CAP:
@@ -172,10 +179,6 @@ def _check_cap(args, n: int, levels: int):
         print(
             f"cap raised to n={args.max_n}: n={n} allocates " + " and ".join(parts),
             file=sys.stderr,
-        )
-    if n > cap:
-        raise ParwalkError(
-            f"n={n} exceeds the dense-build cap {cap}; raise it with --max-n"
         )
 
 

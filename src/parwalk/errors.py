@@ -53,15 +53,7 @@ class DecompositionMismatch(ParwalkError):
     pass
 
 
-class NonPowerOfTwoDim(ParwalkError):
-    pass
-
-
 class EnergyOutOfRange(ParwalkError):
-    pass
-
-
-class NormTooLarge(ParwalkError):
     pass
 
 

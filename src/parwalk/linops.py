@@ -1,9 +1,13 @@
-"""Matrix-free linear operators used to assemble block-encoding unitaries.
+"""Matrix-free operators of the fused reflection encoding.
 
-Every operator exposes apply/adjoint_apply acting on the last axis of an
-ndarray, so a single call can process a batch of vectors. Composite encodings
-are trees of the primitives below; nothing here ever materializes a full
-unitary unless dense() is called explicitly, and that is guarded by a size cap.
+The encoding V = prep . sel . prep is one FusedReflection node over two
+others: a SystemControlledReflection prep, one Householder reflection per
+system state, and a FactoredSelect sel, one square matrix shared by every
+select slot plus the slot permutations. Each node exposes
+apply/adjoint_apply acting on the last axis of an ndarray, so a single call
+can process a batch of vectors, and bounds its own unitarity defect from
+its arrays. Nothing here ever materializes a full unitary unless dense() is
+called explicitly, and that is guarded by a size cap.
 """
 
 from __future__ import annotations
@@ -39,17 +43,6 @@ class LinOp:
         return np.ascontiguousarray(self.apply(eye).T)
 
 
-class Identity(LinOp):
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def apply(self, v):
-        return v
-
-    def adjoint_apply(self, v):
-        return v
-
-
 def _hermitian_norm(m: np.ndarray) -> float:
     """Spectral norm of a hermitian matrix: its largest |eigenvalue|; inf
     when m has a non-finite entry."""
@@ -62,103 +55,6 @@ def _check_bijections(perms: np.ndarray) -> None:
     """Raise unless every row of perms is a bijection on {0..len-1}."""
     if np.any(np.sort(perms, axis=-1) != np.arange(perms.shape[-1])):
         raise DimensionMismatch("each permutation must be a bijection on {0..dim-1}")
-
-
-class Permutation(LinOp):
-    """Relabeling unitary |i> -> |targets[i]>."""
-
-    def __init__(self, targets: np.ndarray):
-        targets = np.asarray(targets, dtype=np.intp)
-        if targets.ndim != 1:
-            raise DimensionMismatch("expected a vector of targets")
-        _check_bijections(targets)
-        self.dim = targets.size
-        self.targets = targets
-
-    def apply(self, v):
-        out = np.empty_like(v)
-        out[..., self.targets] = v
-        return out
-
-    def adjoint_apply(self, v):
-        return v[..., self.targets]
-
-
-class DenseUnitary(LinOp):
-    """Small explicit unitary block, applied by matmul."""
-
-    def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch("dense operator must be square")
-        self.dim = mat.shape[0]
-        self.mat = mat
-
-    def apply(self, v):
-        return v @ self.mat.T
-
-    def adjoint_apply(self, v):
-        return v @ self.mat.conj()
-
-
-class Compose(LinOp):
-    """Product of operators in matrix order: Compose(A, B) applies B first."""
-
-    def __init__(self, *ops: LinOp):
-        dims = {op.dim for op in ops}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"cannot compose operators of dims {sorted(dims)}")
-        self.ops = ops
-        self.dim = ops[0].dim
-
-    def apply(self, v):
-        for op in reversed(self.ops):
-            v = op.apply(v)
-        return v
-
-    def adjoint_apply(self, v):
-        for op in self.ops:
-            v = op.adjoint_apply(v)
-        return v
-
-
-class Adjoint(LinOp):
-    """Hermitian adjoint of a wrapped operator."""
-
-    def __init__(self, op: LinOp):
-        self.op = op
-        self.dim = op.dim
-
-    def apply(self, v):
-        return self.op.adjoint_apply(v)
-
-    def adjoint_apply(self, v):
-        return self.op.apply(v)
-
-
-class Select(LinOp):
-    """Block-diagonal selector sum_k |k><k| (x) ops[k]."""
-
-    def __init__(self, ops: list[LinOp]):
-        dims = {op.dim for op in ops}
-        if len(dims) != 1:
-            raise DimensionMismatch("selected blocks must share one dimension")
-        self.ops = ops
-        self.block_dim = ops[0].dim
-        self.dim = len(ops) * self.block_dim
-
-    def _run(self, v, method):
-        shape = v.shape
-        w = v.reshape(shape[:-1] + (len(self.ops), self.block_dim)).copy()
-        for k, op in enumerate(self.ops):
-            w[..., k, :] = getattr(op, method)(w[..., k, :])
-        return w.reshape(shape)
-
-    def apply(self, v):
-        return self._run(v, "apply")
-
-    def adjoint_apply(self, v):
-        return self._run(v, "adjoint_apply")
 
 
 class FactoredSelect(LinOp):
@@ -408,82 +304,3 @@ class FusedReflection(LinOp):
         r = self.prep.prepared_states().reshape(n, inner // slots, slots)
         r = np.ascontiguousarray(r.transpose(0, 2, 1))
         return self.sel.sandwich(r, r)
-
-
-class Embedded(LinOp):
-    """Lift an operator onto selected registers of a larger register layout.
-
-    dims lists every register dimension in index order; axes names the
-    registers the inner operator acts on, in the inner operator's own order.
-    """
-
-    def __init__(self, op: LinOp, dims: list[int], axes: list[int]):
-        self.op = op
-        self.dims = list(dims)
-        self.axes = list(axes)
-        self.dim = int(np.prod(self.dims))
-        sub = int(np.prod([self.dims[a] for a in self.axes]))
-        if sub != op.dim:
-            raise DimensionMismatch(
-                f"operator dim {op.dim} does not match selected registers ({sub})"
-            )
-
-    def _run(self, v, method):
-        shape = v.shape
-        w = v.reshape(shape[:-1] + tuple(self.dims))
-        base = len(shape) - 1
-        nreg = len(self.dims)
-        src = [base + a for a in self.axes]
-        dst = [base + nreg - len(self.axes) + i for i in range(len(self.axes))]
-        w = np.moveaxis(w, src, dst)
-        inter = w.shape
-        w = w.reshape(inter[: nreg + base - len(self.axes)] + (self.op.dim,))
-        w = getattr(self.op, method)(w)
-        w = w.reshape(inter)
-        w = np.moveaxis(w, dst, src)
-        return w.reshape(shape)
-
-    def apply(self, v):
-        return self._run(v, "apply")
-
-    def adjoint_apply(self, v):
-        return self._run(v, "adjoint_apply")
-
-
-def energy_shift(energies: np.ndarray, levels: int) -> Permutation:
-    """Unitary completion of the energy tagging isometry |x> -> |E_x>|x>.
-
-    Acts on (level register (x) system) as |e, x> -> |e + E_x mod levels, x>,
-    hence maps |0, x> to |E_x, x>.
-    """
-    energies = np.asarray(energies, dtype=np.intp)
-    n = energies.size
-    e = np.arange(levels)[:, None]
-    x = np.arange(n)[None, :]
-    targets = ((e + energies[None, :]) % levels) * n + x
-    return Permutation(targets.reshape(-1))
-
-
-def xor_shift(n: int) -> Permutation:
-    """Unitary completion of the copy isometry |x> -> |x>|x> for n a power of
-    two: |a, x> -> |a XOR x, x>."""
-    a = np.arange(n)[:, None]
-    x = np.arange(n)[None, :]
-    targets = (a ^ x) * n + x
-    return Permutation(targets.reshape(-1))
-
-
-def householder_to(target: np.ndarray) -> np.ndarray:
-    """Real orthogonal involution mapping e_0 to the given unit vector.
-
-    Reflection about (e_0 - target); reduces to the identity when target = e_0.
-    Used to complete state-preparation columns deterministically.
-    """
-    target = np.asarray(target, dtype=float)
-    e0 = np.zeros_like(target)
-    e0[0] = 1.0
-    u = e0 - target
-    nrm2 = u @ u
-    if nrm2 < 1e-28:
-        return np.eye(target.size)
-    return np.eye(target.size) - (2.0 / nrm2) * np.outer(u, u)

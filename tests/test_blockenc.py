@@ -1,5 +1,5 @@
-"""Block-encoding layer: primitives, products, sums, and the
-ancilla-efficient discriminant construction."""
+"""Block-encoding layer: the ancilla-efficient discriminant construction,
+its checks, and the paper's products against dense references."""
 
 import math
 import tracemalloc
@@ -13,40 +13,20 @@ from parwalk.blockenc import (
     PROBES,
     SPOT_VECTORS,
     UNITARY_TOL,
-    BlockEncoding,
     build_ancilla_efficient_Q,
-    compressed_hadamard_be,
     extract_block,
     extraction_chunk_width,
     fused_ancillas,
-    hadamard_be,
-    lcu,
     paper_ancillas,
-    prepare_unitary,
-    svd_block_encoding,
-    unitary_encoding,
     verify_encoding,
 )
 from parwalk.errors import (
-    BadWeights,
     BoundViolated,
     DimensionMismatch,
-    EnergyOutOfRange,
     FunctionalEquationViolated,
-    NonPowerOfTwoDim,
-    NormTooLarge,
     ScaleMismatch,
-    WeightMismatch,
 )
-from parwalk.linops import (
-    Compose,
-    DenseUnitary,
-    FactoredSelect,
-    FusedReflection,
-    Identity,
-    Permutation,
-    householder_to,
-)
+from parwalk.linops import FactoredSelect, FusedReflection, LinOp
 from parwalk.cnf import parse_dimacs
 from parwalk.markov import GibbsModel
 from parwalk.models import build_cnf, build_hypercube
@@ -59,8 +39,7 @@ from parwalk.parchain import (
     metropolis,
     proposal_from_permutations,
 )
-
-RT2 = math.sqrt(2.0)
+from test_linops import householder_to
 
 
 def two_state_chain(beta=math.log(2.0)):
@@ -72,35 +51,25 @@ def two_state_chain(beta=math.log(2.0)):
 # ---------------------------------------------------------------- primitives
 
 
-def test_identity_encoding():
-    be = unitary_encoding(Identity(3))
-    assert be.anc_qubits == 0 and be.gamma == 1.0
-    assert np.abs(extract_block(be) - np.eye(3)).max() == 0.0
-
-
-def test_unitary_encoding():
-    rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    be = unitary_encoding(DenseUnitary(q))
-    assert np.abs(extract_block(be) - q).max() < 1e-14
+def two_state_encoding():
+    model, prop = two_state_chain()
+    return build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
 
 
 def test_encoding_rejects_wrong_operator_dim():
     with pytest.raises(DimensionMismatch):
-        BlockEncoding(sys_dim=3, anc_qubits=1, paper_anc=1, gamma=1.0,
-                      op=DenseUnitary(np.eye(4)))
+        replace(two_state_encoding(), sys_dim=3)
 
 
 def test_encoding_rejects_nonpositive_scale():
     with pytest.raises(ScaleMismatch):
-        BlockEncoding(sys_dim=2, anc_qubits=0, paper_anc=0, gamma=0.0,
-                      op=DenseUnitary(np.eye(2)))
+        replace(two_state_encoding(), gamma=0.0)
 
 
 def test_logical_count_must_meet_quoted_count():
+    be = two_state_encoding()
     with pytest.raises(BoundViolated):
-        BlockEncoding(sys_dim=2, anc_qubits=1, paper_anc=0, gamma=1.0,
-                      op=DenseUnitary(np.eye(4)))
+        replace(be, paper_anc=be.anc_qubits - 1)
 
 
 def test_verify_encoding_pass_and_fail():
@@ -118,91 +87,6 @@ def test_verify_encoding_pass_and_fail():
         verify_encoding(be, np.eye(3))
 
 
-# --------------------------------------------------------------- svd encoding
-
-
-def test_svd_encoding_of_small_table():
-    lhat = np.array([[1.0, 1.0 / RT2], [1.0 / RT2, 1.0]])
-    be = svd_block_encoding(lhat)
-    assert be.gamma == 2.0 and be.anc_qubits == 1
-    assert np.abs(extract_block(be) - lhat).max() < 1e-12
-    dense = be.op.dense()
-    assert np.abs(dense.T @ dense - np.eye(dense.shape[0])).max() < 1e-12
-
-
-def test_svd_encoding_pads_to_power_of_two():
-    lhat = np.full((3, 3), 0.5)
-    be = svd_block_encoding(lhat)
-    assert be.sys_dim == 4 and be.gamma == 4.0
-    want = np.zeros((4, 4))
-    want[:3, :3] = lhat
-    assert np.abs(extract_block(be) - want).max() < 1e-12
-
-
-def test_svd_encoding_rejects_oversized_norm():
-    with pytest.raises(NormTooLarge):
-        svd_block_encoding(2.0 * np.ones((3, 3)))  # spectral norm 6 > 4
-    with pytest.raises(DimensionMismatch):
-        svd_block_encoding(np.ones((2, 3)))
-
-
-def test_svd_encoding_reflections_are_the_level_rotations():
-    # the middle node reflects the ancilla of level x about (c, -(1 + s));
-    # the operator it replaced rotated it by [[s, c], [c, -s]]
-    rng = np.random.default_rng(15)
-    u, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    lhat = 4.0 * (u * [1.0, 0.3, 0.0, 0.0]) @ v.T
-    be = svd_block_encoding(lhat)
-    u_, sig, vh_ = np.linalg.svd(lhat / 4.0)
-    sig = np.clip(sig, 0.0, 1.0)
-    assert np.abs(sig - [1.0, 0.3, 0.0, 0.0]).max() < 1e-14
-    rots = np.zeros((8, 8))
-    for x, s in enumerate(sig):
-        c = math.sqrt(1.0 - s**2)
-        rots[x::4, x::4] = [[s, c], [c, -s]]
-    want = np.kron(np.eye(2), u_) @ rots @ np.kron(np.eye(2), vh_)
-    assert np.abs(be.op.ops[1].dense() - rots).max() < 1e-15
-    assert np.abs(be.op.dense() - want).max() < 1e-15
-
-
-# ------------------------------------------------------- linear combinations
-
-
-def test_prepare_unitary_first_column():
-    w = np.array([0.5, 0.25, 0.25])
-    u = prepare_unitary(w)
-    assert u.shape == (4, 4)
-    assert np.abs(u @ u.T - np.eye(4)).max() < 1e-12
-    assert np.abs(u[:, 0] - np.array([*np.sqrt(w), 0.0])).max() < 1e-12
-    with pytest.raises(BadWeights):
-        prepare_unitary(np.array([0.5, 0.4]))
-
-
-def test_lcu_recovers_proposal_matrix():
-    prop = hypercube_proposal(2)
-    encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
-    be = lcu(prop.weights, encs)
-    assert be.anc_qubits == 1 and be.paper_anc == 1 and be.gamma == 1.0
-    assert np.abs(extract_block(be) - prop.s).max() < 1e-12
-
-
-def test_lcu_four_terms_ancillas():
-    prop = hypercube_proposal(4)
-    encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
-    be = lcu(prop.weights, encs)
-    assert be.anc_qubits == 2 and be.paper_anc == 3
-    assert np.abs(extract_block(be) - prop.s).max() < 1e-12
-
-
-def test_lcu_weight_count_mismatch():
-    enc = unitary_encoding(Identity(2))
-    with pytest.raises(WeightMismatch):
-        lcu(np.array([0.5]), [enc, enc])
-    with pytest.raises(WeightMismatch):
-        lcu(np.array([]), [])
-
-
 def _nan_rule():
     return custom_rule(lambda d, b: float("nan"))
 
@@ -210,18 +94,6 @@ def _nan_rule():
 @pytest.mark.parametrize(
     "call, error",
     [
-        pytest.param(lambda: lcu([0.5], [unitary_encoding(Identity(2))]),
-                     BadWeights, id="lcu-one-weight-half"),
-        pytest.param(lambda: lcu([float("nan")], [unitary_encoding(Identity(2))]),
-                     BadWeights, id="lcu-one-weight-nan"),
-        pytest.param(lambda: lcu([2.0], [unitary_encoding(Identity(2))]),
-                     BadWeights, id="lcu-one-weight-two"),
-        pytest.param(lambda: prepare_unitary([float("nan"), 0.5]),
-                     BadWeights, id="prepare-nan-weight"),
-        pytest.param(lambda: svd_block_encoding([[0.5, np.inf], [0.0, 0.5]]),
-                     NormTooLarge, id="svd-inf-entry"),
-        pytest.param(lambda: svd_block_encoding([[0.5, np.nan], [0.0, 0.5]]),
-                     NormTooLarge, id="svd-nan-entry"),
         pytest.param(lambda: _nan_rule().table(1.0, 3),
                      FunctionalEquationViolated, id="rule-nan-table"),
         # the builder takes the tables, which validate the rule
@@ -238,70 +110,89 @@ def test_malformed_inputs_raise_parwalk_errors(call, error):
         call()
 
 
-def test_lcu_rejects_mixed_scales():
-    a = unitary_encoding(Identity(2))
-    b = svd_block_encoding(np.eye(2))  # gamma = 2
-    with pytest.raises(ScaleMismatch):
-        lcu(np.array([0.5, 0.5]), [a, b])
+# ------------------------------------ the paper's products, densely built
 
 
-# ------------------------------------------------------- entrywise products
+def dilation(mat):
+    """The real unitary [[L, (I - L L^T)^1/2], [(I - L^T L)^1/2, -L^T]]
+    with one leading ancilla and block L, for ||L|| <= 1."""
+    def root(h):
+        lam, vec = np.linalg.eigh(h)
+        return (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+
+    eye = np.eye(len(mat))
+    return np.block([[mat, root(eye - mat @ mat.T)], [root(eye - mat.T @ mat), -mat.T]])
 
 
-def test_hadamard_be_ones_mask_is_identity_on_entries():
-    ones = svd_block_encoding(np.ones((2, 2)))  # gamma 2
-    rng = np.random.default_rng(1)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-    be_m = unitary_encoding(DenseUnitary(q))
-    be = hadamard_be(ones, be_m)
-    assert be.gamma == 2.0
-    assert be.anc_qubits == ones.anc_qubits + be_m.anc_qubits + 1
-    assert np.abs(extract_block(be) - q).max() < 1e-12
+def lcu_unitary(prop):
+    """prep^T (sum_k |k><k| (x) Pi_k) prep on (select, system), where prep
+    prepares sqrt(w) on the ceil(log kappa)-qubit select register."""
+    k_dim, n = 1 << (prop.kappa - 1).bit_length(), prop.n
+    col = np.zeros(k_dim)
+    col[: prop.kappa] = np.sqrt(prop.weights)
+    prep = np.kron(householder_to(col), np.eye(n))
+    # padding slots hold the identity; Pi_k |x> = |p_k x>
+    perms = list(prop.perms) + [np.arange(n)] * (k_dim - prop.kappa)
+    select = np.zeros((k_dim * n, k_dim * n))
+    for k, p in enumerate(perms):
+        select[k * n + p, k * n + np.arange(n)] = 1.0
+    return prep.T @ select @ prep
 
 
-def test_hadamard_be_requires_power_of_two():
-    with pytest.raises(NonPowerOfTwoDim):
-        hadamard_be(unitary_encoding(Identity(3)), unitary_encoding(Identity(3)))
+def tagged_product(u_l, u_m, shift, levels, n):
+    """T^dag (U_L (x) U_M) T on (anc_L, level, anc_M, system), with U_L on
+    (anc_L, level), U_M on (anc_M, system) and T |a, e, b, x> =
+    |a, shift(e, x), b, x>: its |0>-block and its ancilla count."""
+    regs = (len(u_l) // levels, levels, len(u_m) // n, n)
+    a, e, b, x = np.indices(regs)
+    index = np.arange(math.prod(regs)).reshape(regs)
+    tag = np.zeros((index.size, index.size))
+    tag[index[a, shift(e, x), b, x].ravel(), index.ravel()] = 1.0
+    v = tag.T @ np.kron(u_l, u_m) @ tag
+    assert np.abs(v.T @ v - np.eye(len(v))).max() < 1e-12
+    return v[:n, :n], (len(v) // n).bit_length() - 1
+
+
+def test_lcu_recovers_proposal_matrix():
+    # the LCU of a proposal's permutations has block S, with ceil(log
+    # kappa) ancillas
+    for n in (2, 3, 4):
+        prop = hypercube_proposal(n)
+        v = lcu_unitary(prop)
+        assert len(v) == (1 << (prop.kappa - 1).bit_length()) * prop.n
+        assert np.abs(v[: prop.n, : prop.n] - prop.s).max() < 1e-12
 
 
 def test_compressed_hadamard_matches_dense_product():
-    model, prop = two_state_chain()
+    # tagged by T_E |e, x> = |e + E_x mod B, x>, the dilation of the table
+    # L-hat = G-hat / B and the LCU of S give the block L-hat[E_y, E_x]
+    # S[y, x], the accept part of Q over B, with c_L + c_M + ceil(log B)
+    # ancillas
+    model, prop = build_hypercube(3, energy="random", levels=4, seed=5, beta=0.9)
     rule = metropolis()
-    table = level_tables(model, rule).ga
-    be_tab = svd_block_encoding(table)
-    encs = [unitary_encoding(Permutation(p)) for p in prop.perms]
-    be_s = lcu(prop.weights, encs)
-    be = compressed_hadamard_be(be_tab, be_s, model.energies)
+    u_l = dilation(level_tables(model, rule).ga / 4.0)
+    u_m = lcu_unitary(prop)
+    block, anc = tagged_product(
+        u_l, u_m, lambda e, x: (e + model.energies[x]) % 4, 4, model.n
+    )
     dec = decompose_discriminant(model, prop, rule)
-    want = dec.ga * dec.s  # the off-diagonal accept part of Q
-    assert np.abs(extract_block(be) - want).max() < 1e-10
-    assert be.gamma == 2.0  # inherits the table scale
+    assert np.abs(4.0 * block - dec.ga * dec.s).max() < 1e-12
+    assert anc == 1 + (prop.kappa - 1).bit_length() + 2
 
 
 def test_compressed_product_with_identity_energies_is_the_copy_product():
-    # the level register replaces the copy register: with B = N levels and
-    # E_x = x, both products encode the same block with the same counts
+    # with B = N levels and E_x = x, the level register is the copy
+    # register of |x> -> |x>|x> (T |a, x> = |a XOR x, x>): the same block
+    # with ceil(log N) qubits either way
     rng = np.random.default_rng(3)
     lhat = rng.uniform(0.0, 1.0, size=(4, 4))
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    be_l = svd_block_encoding(lhat)
-    be_m = unitary_encoding(DenseUnitary(q))
-    copy = hadamard_be(be_l, be_m)
-    level = compressed_hadamard_be(be_l, be_m, np.arange(4))
-    assert (level.anc_qubits, level.paper_anc, level.gamma) == (
-        copy.anc_qubits, copy.paper_anc, copy.gamma
-    )
-    assert np.abs(extract_block(level) - extract_block(copy)).max() < 1e-14
-    assert np.abs(extract_block(copy) - lhat * q).max() < 1e-12
-
-
-def test_compressed_hadamard_validates_energies():
-    be_tab = svd_block_encoding(np.eye(2))
-    be_m = unitary_encoding(Identity(2))
-    with pytest.raises(EnergyOutOfRange):
-        compressed_hadamard_be(be_tab, be_m, np.array([0, 5]))
-    with pytest.raises(DimensionMismatch):
-        compressed_hadamard_be(be_tab, be_m, np.array([0, 1, 0]))
+    u_l = dilation(lhat / 4.0)
+    level, level_anc = tagged_product(u_l, q, lambda e, x: (e + x) % 4, 4, 4)
+    copy, copy_anc = tagged_product(u_l, q, lambda e, x: e ^ x, 4, 4)
+    assert level_anc == copy_anc == 1 + 0 + 2
+    assert np.abs(level - copy).max() < 1e-14
+    assert np.abs(4.0 * copy - lhat * q).max() < 1e-12
 
 
 # ------------------------------------------------- discriminant construction
@@ -815,13 +706,23 @@ def test_generic_and_hand_built_encodings_are_extracted_in_full():
     q = decompose_discriminant(model, prop, rule).q
     assert np.abs(extract_block(generic) - q).max() < 1e-12
     assert verify_encoding(generic, q).passed
-    prep, sel = generic.op.prep, generic.op.sel
-    by_hand = replace(generic, op=Compose(prep, sel, prep))
+    by_hand = replace(generic, op=HandBuilt(generic.op.prep, generic.op.sel))
     assert np.abs(extract_block(by_hand) - structured_block(generic)).max() <= 1e-15
-    flip = unitary_encoding(Permutation(np.array([1, 0])))
-    for be, target in ((by_hand, q), (flip, np.array([[0.0, 1.0], [1.0, 0.0]]))):
+    # the fused node itself, read as encoding a system of twice the size
+    resplit = replace(generic, sys_dim=16, anc_qubits=generic.anc_qubits - 1)
+    for be, target in ((by_hand, q), (resplit, np.zeros((16, 16)))):
         with pytest.raises(DimensionMismatch, match="FusedReflection"):
             verify_encoding(be, target)
+
+
+class HandBuilt(LinOp):
+    """prep . sel . prep as three separate applies, not one FusedReflection."""
+
+    def __init__(self, prep, sel):
+        self.prep, self.sel, self.dim = prep, sel, prep.dim
+
+    def apply(self, v):
+        return self.prep.apply(self.sel.apply(self.prep.apply(v)))
 
 
 def fused_n4():

@@ -389,6 +389,19 @@ def test_cap_exceeded_is_an_input_error(capsys):
     assert "error:" in err and "--max-n" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("verify", "--n", "3", "--max-n", "0"), ("compare", "--n", "3", "--max-n", "1")]
+)
+def test_refused_max_n_prints_no_estimate(capsys, argv):
+    # a refused n allocates nothing, so its sizes are not printed
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: ParwalkError: n=3 exceeds the dense-build cap {argv[-1]}; "
+        "raise it with --max-n\n"
+    )
+
+
 def test_max_n_raises_cap_and_prints_estimate(capsys):
     code, _, err = run(
         capsys, "build", "--n", "2", "--max-n", "4", "--json",
@@ -756,12 +769,15 @@ def test_random_energy_requires_level_count(capsys):
         (("--beta", "nan"), "--beta"),
         (("--beta=-inf",), "--beta"),
         (("--energy", "random", "--B", "4", "--seed", "-1"), "seed"),
+        (("--beta", "-1"), "--beta"),
     ],
 )
 def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
-    code, out, err = run(capsys, "verify", *argv, "--json")
-    assert code == 2 and out == ""
-    assert f"error: ParwalkError: {flag} " in err
+    # --counts-only builds no chain, and must refuse the same flags
+    for command in (("verify",), ("compare", "--counts-only")):
+        code, out, err = run(capsys, *command, *argv, "--json")
+        assert code == 2 and out == ""
+        assert f"error: ParwalkError: {flag} " in err
 
 
 @pytest.mark.parametrize("rule", ["metropolis", "glauber"])
