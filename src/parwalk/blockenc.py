@@ -15,11 +15,13 @@ level register instead of a ceil(log N)-qubit copy of the system state.
 One fused route serves every symmetric proposal: the accept and reject
 terms share one select register over the proposal's inverse-paired slots
 (at most 2 kappa of them), so it needs ceil(log slots) + ceil(log B) + 2
-qubits. It is built in factored form, from one 4B x 4B matrix and one
+qubits. Its operator, a FusedReflection, is one real symmetric involution
+V = prep . sel . prep held in factored form, one 4B x 4B matrix and one
 Householder vector per system state, so its cost grows linearly with the
-system size. verify_encoding reads its block from that structure;
-extract_block, which applies any encoding to every basis column, is the
-oracle the tests compare it to.
+system size; this module fixes its register layout (dilation, direction,
+level, select, system), applies it, and certifies it. verify_encoding
+reads its block from that structure; extract_block, which applies an
+encoding to every basis column, is the oracle the tests compare it to.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated, DimensionMismatch, ScaleMismatch
-from .linops import FactoredSelect, FusedReflection, LinOp, SystemControlledReflection
 from .markov import GibbsModel
 from .parchain import LevelTables, ProposalDecomposition
 
@@ -68,6 +69,189 @@ def paper_ancillas(kappa: int, levels: int) -> int:
     return fused_ancillas(kappa, levels) + _ceil_log2(kappa)
 
 
+class FusedReflection:
+    """V = prep . sel . prep, matrix-free, on the registers (dilation,
+    direction, level, select, system), the system trailing; apply acts on
+    the last axis of an array, so one call serves a batch of vectors.
+
+    prep = I_2 (x) sum_x (I - 2 u_x u_x^T / |u_x|^2) (x) |x><x| reflects
+    (direction, level, select) for every system state x, the identity
+    where |u_x|^2 < 1e-28, and leaves the dilation register alone; u is
+    the (n_sys, d) array of the vectors u_x.
+
+    sel = a (x) I + b (x) P on (block, select, system), with the block
+    register (dilation, direction, level) and the slot swap P = sum_k
+    |partner[k]><k| (x) Pi_k, Pi_k |x> = |perms[k][x]>, for partner an
+    involution on the slots. a and b are the entries of the square d_plus
+    across which the parity K = (-1)^(dilation xor direction) flips and
+    keeps, a = (d_plus - K d_plus K) / 2 and b = (d_plus + K d_plus K) / 2.
+    When slot partner[k] holds the inverse of perms[k], P is a symmetric
+    involution, on whose +-1 eigenspaces sel is a + b = d_plus and
+    a - b = -K d_plus K.
+
+    Each Householder factor is a real symmetric involution by construction
+    and P, with the slots paired, a symmetric permutation, so V is a real
+    symmetric involution when d_plus is one: apply then serves as its own
+    adjoint, and unitarity_residual bounds both how far V is from
+    orthogonal and how far from symmetric.
+    """
+
+    def __init__(self, u, d_plus, perms, partner):
+        d_plus = np.asarray(d_plus, dtype=float)
+        if d_plus.ndim != 2 or d_plus.shape[0] != d_plus.shape[1] or d_plus.shape[0] % 4:
+            raise DimensionMismatch(
+                "d_plus must be square over a (dilation, direction, level) register"
+            )
+        perms = np.asarray(perms, dtype=np.intp)
+        if perms.ndim != 2:
+            raise DimensionMismatch("expected permutations of shape (slots, n_sys)")
+        if np.any(np.sort(perms, axis=-1) != np.arange(perms.shape[-1])):
+            raise DimensionMismatch("each permutation must be a bijection on {0..n_sys-1}")
+        self.slots, self.n_sys = perms.shape
+        slots = np.arange(self.slots)
+        partner = np.asarray(partner, dtype=np.intp)
+        if partner.shape != slots.shape or not (
+            np.all((partner >= 0) & (partner < self.slots))
+            and np.array_equal(partner[partner], slots)
+        ):
+            raise DimensionMismatch("partner must be an involution on the slots")
+        self.block_dim = d_plus.shape[0]
+        # prep reflects (direction, level, select): half the block register
+        # times the select register
+        u = np.asarray(u, dtype=float)
+        fit = (self.n_sys, self.block_dim // 2 * self.slots)
+        if u.shape != fit:
+            raise DimensionMismatch(
+                f"reflection vectors of shape {u.shape} do not fit the select: "
+                f"expected {fit}"
+            )
+        self.d_plus, self.perms, self.partner = d_plus, perms, partner
+        self.dim = 2 * u.size
+        # (P v)[j, x] = v[partner[j], perms[partner[j]]^-1 [x]]: the gather of
+        # the select over the flattened (select, system) axis
+        self._gather = (
+            partner[:, None] * self.n_sys + np.argsort(perms, axis=1)[partner]
+        ).ravel()
+        nrm2 = np.einsum("xa,xa->x", u, u)
+        # stored as a contiguous u^T, in the operand layout
+        self._ut = np.ascontiguousarray(u.T)
+        self._coef = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 >= 1e-28)
+
+    def _reflect(self, v, out):
+        """prep v, written to out (a new array when None), a C-contiguous
+        array of v's shape that does not overlap v. The reflection
+        broadcasts over the dilation register instead of moving it."""
+        shape = v.shape
+        w = v.reshape(shape[:-1] + (2,) + self._ut.shape)
+        proj = np.einsum("ax,...pax->...px", self._ut, w)
+        proj *= self._coef
+        res = np.multiply(
+            self._ut, proj[..., None, :],
+            out=None if out is None else out.reshape(w.shape),
+        )
+        np.subtract(w, res, out=res)
+        return res.reshape(shape)
+
+    def _select(self, v, out, work):
+        """sel v, written to out (a new array when None). work receives the
+        gathered operand, and v is overwritten as well; out, work and v are
+        C-contiguous of one shape, and none overlaps another.
+
+        With m = P v gathered over (select, system) in one np.take, rows of
+        even parity read [m_E; v_O] and rows of odd parity [v_E; m_O]
+        through their rows of d_plus: three products of (rows x block_dim)
+        by (block_dim x slots n_sys), whatever the number of slots."""
+        shape = v.shape
+        w = v.reshape(shape[:-1] + (self.block_dim, self.slots * self.n_sys))
+        # the gather is a bijection built from checked ones, so clip never
+        # clips; it spares take the buffered copy that mode="raise" makes
+        m = np.take(w, self._gather, axis=-1, out=work.reshape(w.shape), mode="clip")
+        if out is None:
+            out = np.empty(shape)
+        res = out.reshape(w.shape)
+        d, q = self.d_plus, self.block_dim // 4
+        odd = slice(q, 3 * q)
+        # the odd halves of m and w trade places through the rows that the
+        # last product writes: m becomes [m_E; w_O] and w [w_E; m_O]
+        np.copyto(res[..., odd, :], m[..., odd, :])
+        np.copyto(m[..., odd, :], w[..., odd, :])
+        np.copyto(w[..., odd, :], res[..., odd, :])
+        np.matmul(d[:q], m, out=res[..., :q, :])
+        np.matmul(d[3 * q :], m, out=res[..., 3 * q :, :])
+        np.matmul(d[odd], w, out=res[..., odd, :])
+        return out
+
+    def apply(self, v, out=None, scratch=None):
+        """V v. out and scratch, when given, are an array and a pair of
+        arrays, all C-contiguous of v's shape and none overlapping another;
+        v may be one of the pair. The result is written to out and
+        returned; without them, v is left as it was."""
+        # prep writes to out, sel to the second scratch array and prep again
+        # to out; sel also overwrites its operand and the first scratch
+        # array. Only the first prep reads v, so v may serve as either
+        first = self._reflect(v, out)
+        work, res = (np.empty_like(first), None) if scratch is None else scratch
+        return self._reflect(self._select(first, res, work), first)
+
+    def unitarity_residual(self) -> float:
+        """An upper bound on ||V^T V - I||_2 and on ||V - V^T||_2, from the
+        arrays apply reads: O(n_sys d + block_dim^3) against O(dim) for one
+        apply.
+
+        prep: H_x^T H_x - I = c_x (c_x |u_x|^2 - 2) u_x u_x^T has rank 1,
+        and the factors act on disjoint system states, so e_P = max_x
+        |s_x (s_x - 2)| with s_x = c_x |u_x|^2 is ||prep^T prep - I||_2.
+        sel: inf unless the gather is an involution, that is P is
+        symmetric, an exact check in O(slots n_sys). Then sel is d_plus
+        and -K d_plus K on P's +-1 eigenspaces, so e_S = max(||d_plus^T
+        d_plus - I||_2, ||d_plus - d_plus^T||_F) bounds ||sel^T sel - I||_2
+        and ||sel - sel^T||_2. With prep^T prep = I + E_P and sel^T sel =
+        I + E_S, V^T V - I = E_P + prep^T (E_S + sel^T E_P sel) prep, of
+        norm at most (1 + e_P)^2 (1 + e_S) - 1, which also bounds V - V^T =
+        prep (sel - sel^T) prep."""
+        ut = self._ut
+        scaled = self._coef * np.einsum("ax,ax->x", ut, ut)
+        res = np.abs(scaled * (scaled - 2.0))
+        e_p = float(res.max()) if np.isfinite(res).all() else math.inf
+        g, d = self._gather, self.d_plus
+        if not (np.array_equal(g[g], np.arange(g.size)) and np.isfinite(d).all()):
+            return math.inf
+        defect = np.abs(np.linalg.eigvalsh(d.T @ d - np.eye(self.block_dim))).max()
+        e_s = max(float(defect), float(np.linalg.norm(d - d.T)))
+        return (1.0 + e_p) ** 2 * (1.0 + e_s) - 1.0
+
+    def block(self) -> np.ndarray:
+        """The (n_sys, n_sys) |0>-block, read from the arrays without running
+        apply. prep maps |0, x> to |r_x>|x>, r_x = e_0 - c_x u_x[0] u_x, with
+        the dilation register in |0>, and it is a real symmetric involution,
+        so the block is
+
+            sum_k r_y[k]^T a00 r_x[k] [y = x]
+                  + r_y[partner[k]]^T b00 r_x[k] [y = perms[k][x]]
+
+        with r_x[k] the (direction, level) values of r_x at slot k and a00,
+        b00 the corners of a and b on dilation 0: O(n_sys slots d^2)."""
+        ut, n, d = self._ut, self.n_sys, self.block_dim // 2
+        r = -(self._coef * ut[0]) * ut
+        r[0] += 1.0
+        # (n_sys, slots, d): the slot register follows (direction, level)
+        r = np.ascontiguousarray(r.T.reshape(n, d, self.slots).transpose(0, 2, 1))
+        corner = self.d_plus[:d, :d]
+        # on dilation 0 the parity is the direction
+        direction = np.repeat([0, 1], self.block_dim // 4)
+        flips = direction[:, None] != direction
+        a_r = r @ np.where(flips, corner, 0.0).T
+        b_r = r @ np.where(flips, 0.0, corner).T
+        out = np.zeros((n, n))
+        cols = np.arange(n)
+        out[cols, cols] = np.einsum("xkd,xkd->x", r, a_r)
+        # slot k links x to y = perms[k][x]; fixed points and identity
+        # slots land on the diagonal, so the terms are accumulated
+        r_k = r[self.perms, self.partner[:, None]]
+        np.add.at(out, (self.perms, cols), np.einsum("kxd,xkd->kx", r_k, b_r))
+        return out
+
+
 @dataclass(frozen=True)
 class BlockEncoding:
     """Unitary op on 2^anc_qubits * sys_dim whose |0...0> ancilla block is
@@ -77,12 +261,13 @@ class BlockEncoding:
     anc_qubits: int
     paper_anc: int
     gamma: float
-    op: LinOp
+    op: FusedReflection
 
     def __post_init__(self):
-        if self.op.dim != (1 << self.anc_qubits) * self.sys_dim:
+        if (self.op.n_sys, self.op.dim) != (self.sys_dim, self.sys_dim << self.anc_qubits):
             raise DimensionMismatch(
-                f"operator dim {self.op.dim} != 2^{self.anc_qubits} * {self.sys_dim}"
+                f"operator on {self.op.n_sys} system states of dim {self.op.dim} "
+                f"!= 2^{self.anc_qubits} * {self.sys_dim}"
             )
         if not self.gamma > 0:
             raise ScaleMismatch(f"scale must be positive, got {self.gamma!r}")
@@ -116,35 +301,33 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     n = be.sys_dim
     dim = be.op.dim
     width = extraction_chunk_width(n, dim)
-    block = None
+    block = np.empty((n, n))
     for lo in range(0, n, width):
         hi = min(lo + width, n)
         # no reference to the input is kept here, so it is freed as soon as
-        # the first node has consumed it
-        top = be.op.apply(_basis_columns(lo, hi, dim))[:, :n]
-        if block is None:
-            block = np.empty((n, n), dtype=top.dtype)
-        block[:, lo:hi] = top.T
+        # the first reflection has consumed it
+        block[:, lo:hi] = be.op.apply(_basis_columns(lo, hi, dim))[:, :n].T
     block *= be.gamma
     return block
 
 
 # random system vectors v on which the real operator of a fused encoding is
-# probed, since its block is read from the node arrays and not from apply
+# probed, since its block is read from the operator's arrays and not from
+# apply
 PROBES = 2
-# random unit vectors of the unitarity spot check; the node arrays certify
-# unitarity, and the spot vector ties apply and adjoint_apply to them
+# random unit vectors of the unitarity spot check; the operator's arrays
+# certify unitarity, and the spot vector ties apply to them
 SPOT_VECTORS = 1
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, with no temporary for a real array."""
-    return np.sqrt(np.einsum("ij,ij->i", rows.conj(), rows).real)
+    """Euclidean norm of every row, with no temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def _max_abs(x: np.ndarray) -> float:
-    """max |x|, taken in place where x is real; x is overwritten."""
-    return float(np.abs(x, out=x if x.dtype.kind == "f" else None).max())
+    """max |x|, taken in place; x is overwritten."""
+    return float(np.abs(x, out=x).max())
 
 
 def _worst(*devs: float) -> float:
@@ -180,9 +363,10 @@ def _probe(be: BlockEncoding, target: np.ndarray, rng, work: np.ndarray):
 
 
 def _spot_check(be: BlockEncoding, rng, work: np.ndarray) -> float:
-    """The larger of | ||V v|| - 1 | and |V^dag V v - v| over SPOT_VECTORS
+    """The larger of | ||V v|| - 1 | and |V V v - v| over SPOT_VECTORS
     random unit vectors v, drawn into work[0] and applied in chunks through
-    work[1..3]."""
+    work[1..3]. V is certified symmetric to within its unitarity residual,
+    so V V v stands for V^T V v."""
     width = work.shape[1]
     unitary_dev = 0.0
     for lo in range(0, SPOT_VECTORS, width):
@@ -194,7 +378,7 @@ def _spot_check(be: BlockEncoding, rng, work: np.ndarray) -> float:
         v /= _norms(v)[:, None]
         w = be.op.apply(v, out=image, scratch=(spare, gathered))
         norm_dev = np.abs(_norms(w) - 1.0).max()
-        back = be.op.adjoint_apply(w, out=spare, scratch=(w, gathered))
+        back = be.op.apply(w, out=spare, scratch=(w, gathered))
         back -= v
         unitary_dev = _worst(unitary_dev, norm_dev, _max_abs(back))
     return unitary_dev
@@ -204,10 +388,10 @@ def verify_workspace(sys_dim: int, op_dim: int) -> tuple[int, int, int]:
     """Shape of the one workspace block verify_encoding allocates: four
     arrays of a chunk of vectors of op_dim floats, which hold the vectors,
     their image, and the gathered operand and the result of the select.
-    The probes use three, since only the first node of V reads its input;
-    the spot vectors are read again after their round trip. A chunk is
-    extraction_chunk_width vectors, but never more than the probes or the
-    spot check apply at once, so no row of the block goes unused."""
+    The probes use three, since only the first reflection of V reads its
+    input; the spot vectors are read again after their round trip. A chunk
+    is extraction_chunk_width vectors, but never more than the probes or
+    the spot check apply at once, so no row of the block goes unused."""
     width = min(extraction_chunk_width(sys_dim, op_dim), max(PROBES, SPOT_VECTORS))
     return (4, width, op_dim)
 
@@ -227,16 +411,16 @@ class EncodingReport:
 def verify_encoding(
     be: BlockEncoding, target: np.ndarray, tol: float = EXTRACT_TOL, seed: int = 7
 ) -> EncodingReport:
-    """Compare the block of a fused encoding (a FusedReflection on the
-    system) to target and check the unitarity of its operator.
+    """Compare the block of a fused encoding to target and check the
+    unitarity of its operator.
 
-    The block is read from the node arrays by FusedReflection.block in
-    O(N slots (4B)^2); the real operator is then probed on PROBES random
+    The block is read from the operator's arrays by FusedReflection.block
+    in O(N slots (4B)^2); the real operator is then probed on PROBES random
     Gaussian vectors |0^c, v>, which must give a reflection (norm 1, V
     V|0,v> = |0,v>, within UNITARY_TOL) whose ancilla-0 part is target v /
-    gamma (within tol). unitary_dev is the larger of the node certificate
-    FusedReflection.unitarity_residual, a bound on ||V^dag V - I||_2 in
-    O(N d + (4B)^3), and a spot check of apply and adjoint_apply on
+    gamma (within tol). unitary_dev is the larger of the certificate
+    FusedReflection.unitarity_residual, a bound on ||V^T V - I||_2 and
+    ||V - V^T||_2 in O(N d + (4B)^3), and a spot check of apply on
     SPOT_VECTORS random vectors, uniform in each entry; it must be within
     UNITARY_TOL. The bound is at least the spot statistic of every unit
     vector, so the spot check only sees what apply does beyond the arrays.
@@ -248,11 +432,6 @@ def verify_encoding(
     if target.shape != (be.sys_dim, be.sys_dim):
         raise DimensionMismatch(
             f"target shape {target.shape} vs system dim {be.sys_dim}"
-        )
-    if not (isinstance(be.op, FusedReflection) and be.op.n_sys == be.sys_dim):
-        raise DimensionMismatch(
-            f"verify_encoding reads the block of a FusedReflection on the "
-            f"system, not of a {type(be.op).__name__}"
         )
     dev = float(np.abs(be.gamma * be.op.block() - target).max())
     # one chunk's arrays in one block: glibc keeps a block of that size for
@@ -304,7 +483,7 @@ def build_ancilla_efficient_Q(
     The direction sign negates the accept term and keeps the hopping terms,
     so D_- = -K D_+ K with K = (-1)^(dilation xor direction); A and B are
     then the entries of D_+ across which that parity flips and keeps, with
-    exact zeros elsewhere, and the FactoredSelect stores D_+ alone. A
+    exact zeros elsewhere, and the FusedReflection stores D_+ alone. A
     paired-energy state preparation, one Householder vector per system
     state, contracts the direction, level and select registers against it,
     and leaves the leading dilation register alone; for y = p_k x,
@@ -342,12 +521,6 @@ def build_ancilla_efficient_Q(
     lam, vec = np.linalg.eigh(top)
     c = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
     d_plus = np.block([[top, c], [c, -top]])
-    # padding slots hold the identity, each its own partner
-    sel = FactoredSelect(
-        d_plus,
-        list(perms) + [np.arange(n)] * (k_dim - slots),
-        np.concatenate([partner, np.arange(slots, k_dim)]),
-    )
 
     # paired-energy state t_x on (direction, level, select), prepared by the
     # reflection about e_0 - t_x
@@ -359,14 +532,16 @@ def build_ancilla_efficient_Q(
         amp = math.sqrt(0.5 * w)
         u[rows, e * k_dim + k] -= amp
         u[rows, (bt + e[p]) * k_dim + k] -= amp
-    # registers: dilation, direction, level, select, system; the
-    # preparation leaves the leading dilation register alone
-    prep = SystemControlledReflection(u, passive=2)
 
     return BlockEncoding(
         sys_dim=n,
         anc_qubits=fused_ancillas(slots, model.levels),
         paper_anc=paper_ancillas(prop.kappa, model.levels),
         gamma=scale,
-        op=FusedReflection(prep, sel),
+        # padding slots hold the identity, each its own partner
+        op=FusedReflection(
+            u, d_plus,
+            list(perms) + [np.arange(n)] * (k_dim - slots),
+            np.concatenate([partner, np.arange(slots, k_dim)]),
+        ),
     )

@@ -182,14 +182,15 @@ def _check_cap(args, n: int, levels: int):
         )
 
 
-def _spectrum_quantities(dec, model):
+def _spectrum_quantities(dec, pi):
     """Embed the chain (lazy when periodic) and return gap data. Q is solved
     once: a periodic chain's lazy spectrum is derived from that solve, and the
-    embedding checks it against the lazy discriminant built from (I + P)/2."""
+    embedding checks it against the lazy discriminant built from (I + P)/2
+    and the chain's Gibbs distribution pi."""
     report = used = spectral_gaps(dec.q)
     q_used = dec.q
     if report.periodic:
-        q_used = discriminant(lazy(dec.p), gibbs_distribution(model))
+        q_used = discriminant(lazy(dec.p), pi)
         used = report.lazy()
     if used.delta_plus <= EIG_TOL:
         # the stationary and phase-gap checks cannot tell lambda_2 from 1
@@ -296,7 +297,7 @@ def _run_report(args):
                 f"deviation {enc_rep.probe_block_dev:.3e}",
             ))
 
-    spectrum, emb, spec = timer.time("spectrum", lambda: _spectrum_quantities(dec, model))
+    spectrum, emb, spec = timer.time("spectrum", lambda: _spectrum_quantities(dec, pi))
     deviations["tst"] = {"value": emb.tst_dev, "tol": args.tol}
     if not emb.tst_dev <= args.tol:
         failures.append(("DecompositionMismatch", f"tst deviates by {emb.tst_dev:.3e}"))
@@ -348,7 +349,7 @@ def cmd_spectrum(args) -> int:
     echo, model, prop = _build_bundle(args, need_matrices=True)
     rule = _rule(args.acceptance)
     dec = decompose_discriminant(model, prop, rule)
-    spectrum, _, spec = _spectrum_quantities(dec, model)
+    spectrum, _, spec = _spectrum_quantities(dec, gibbs_distribution(model))
     lines = ["index,lambda,predicted_phase,measured_phase,abs_err"]
     for i, (lam, pred, meas) in enumerate(
         zip(spec.lambdas, spec.predicted, spec.measured)

@@ -14,8 +14,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EnergyOutOfRange,
     NotErgodic,
     NotReversible,
+    ParwalkError,
     SpectrumOutOfRange,
 )
 
@@ -83,23 +85,19 @@ class GibbsModel:
         if e.ndim != 1 or e.size == 0:
             raise DimensionMismatch("energies must be a nonempty vector")
         if not np.issubdtype(e.dtype, np.integer):
-            raise DimensionMismatch("energies must be integers")
+            raise EnergyOutOfRange("energies must be integers")
         if e.min() < 0 or e.max() >= self.levels:
-            raise SpectrumOutOfRange(
+            raise EnergyOutOfRange(
                 f"energies must lie in [0, {self.levels - 1}], got range "
                 f"[{e.min()}, {e.max()}]"
             )
         if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise DimensionMismatch(f"beta must be finite and nonnegative, got {self.beta!r}")
+            raise ParwalkError(f"beta must be finite and nonnegative, got {self.beta!r}")
         object.__setattr__(self, "energies", e.astype(np.intp))
 
     @property
     def n(self) -> int:
         return self.energies.size
-
-    @property
-    def partition_function(self) -> float:
-        return float(np.exp(-self.beta * self.energies).sum())
 
 
 @dataclass(frozen=True)

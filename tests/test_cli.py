@@ -16,6 +16,7 @@ import parwalk.cli
 import parwalk.parchain
 from parwalk.blockenc import (
     UNITARY_TOL,
+    FusedReflection,
     build_ancilla_efficient_Q,
     extract_block,
     extraction_chunk_width,
@@ -23,7 +24,6 @@ from parwalk.blockenc import (
     verify_workspace,
 )
 from parwalk.cli import main
-from parwalk.linops import FactoredSelect
 from parwalk.markov import (
     StochasticMatrix,
     discriminant,
@@ -207,14 +207,16 @@ def test_inject_fault_fails_verification(capsys, monkeypatch):
 
 def test_faulty_select_fails_verification_through_the_probes(capsys, monkeypatch):
     # each slot applies the next slot's permutation; the fused block is read
-    # from the node arrays, which are right, so only the probes see it
-    apply = FactoredSelect.apply
+    # from the operator's arrays, which are right, so only the probes see it
+    select = FusedReflection._select
 
-    def rotated(self, v, out=None, work=None):
-        turned = FactoredSelect(self.d_plus, np.roll(self.perms, -1, axis=0), self.partner)
-        return apply(turned, v, out, work)
+    def rotated(self, v, out, work):
+        turned = FusedReflection(
+            self._ut.T, self.d_plus, np.roll(self.perms, -1, axis=0), self.partner
+        )
+        return select(turned, v, out, work)
 
-    monkeypatch.setattr(FactoredSelect, "apply", rotated)
+    monkeypatch.setattr(FusedReflection, "_select", rotated)
     code, out, err = run(
         capsys, "verify", "--n", "3", "--energy", "random", "--B", "4", "--json",
         "--deterministic",
@@ -316,6 +318,50 @@ def test_spectrum_reports_lazy_flag_in_reports(capsys):
     assert report["pass"] is True
 
 
+PINNED = json.loads((Path(__file__).parent / "pinned_reports.json").read_text(encoding="utf-8"))
+PINNED_CNF = """p cnf 5 8
+1 -2 3 0
+-1 4 5 0
+2 -3 -4 0
+-2 -5 1 0
+3 4 -1 0
+-3 5 2 0
+-4 -5 -2 0
+1 2 5 0
+"""
+
+
+def assert_same_report(got, want, key="report"):
+    """got equals want in its keys, strings, integers, booleans and
+    tolerances, and in every other float to within 1e-12, so that BLAS
+    builds that round differently agree."""
+    assert type(got) is type(want), key
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), key
+        for name in want:
+            assert_same_report(got[name], want[name], f"{key}.{name}")
+    elif isinstance(want, float) and not key.endswith(".tol"):
+        assert abs(got - want) <= 1e-12, (key, got, want)
+    else:
+        assert got == want, key
+
+
+@pytest.mark.parametrize("chain", sorted(PINNED))
+def test_verify_reports_are_pinned(capsys, tmp_path, chain):
+    # the reports of a range of chains (both rules, a periodic chain, padded
+    # and unpadded level counts, a CNF instance, n = 7), as the fused
+    # operator's earlier three-node form wrote them
+    path = tmp_path / "pinned.cnf"
+    path.write_text(PINNED_CNF, encoding="utf-8")
+    argv = [arg.replace("{cnf}", str(path)) for arg in PINNED[chain]["argv"]]
+    code, out, err = run(capsys, "verify", *argv, "--json", "--deterministic")
+    assert code == 0, err
+    want = PINNED[chain]["report"]
+    if want["model"]["source"] == "cnf":
+        want["model"]["path"] = str(path)
+    assert_same_report(json.loads(out), want)
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 @pytest.mark.parametrize("beta", ["0", "1"], ids=["periodic", "aperiodic"])
 def test_the_chain_discriminant_is_solved_once(capsys, monkeypatch, command, beta):
@@ -335,9 +381,17 @@ def test_the_chain_discriminant_is_solved_once(capsys, monkeypatch, command, bet
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    # and the Gibbs distribution, which the lazy discriminant reads, is
+    # built once per command too
+    gibbs = []
+    monkeypatch.setattr(
+        parwalk.cli, "gibbs_distribution",
+        lambda model: gibbs.append(model) or gibbs_distribution(model),
+    )
     code, _, err = run(capsys, command, "--n", "4", "--beta", beta)
     assert code == 0, err
     assert solves == ["eigh"]
+    assert len(gibbs) == 1
 
 
 # ------------------------------------------------------------------ compare
@@ -635,7 +689,7 @@ def strict_json(text):
 def test_non_finite_deviations_are_written_as_strict_json(capsys, monkeypatch, tmp_path,
                                                           value, written):
     # an unpaired select certifies its unitarity as inf
-    monkeypatch.setattr(FactoredSelect, "unitarity_residual", lambda self: value)
+    monkeypatch.setattr(FusedReflection, "unitarity_residual", lambda self: value)
     path = tmp_path / "report.json"
     code, out, err = run(
         capsys, "verify", "--n", "3", "--json", "--deterministic", "--out", str(path),

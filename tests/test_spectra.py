@@ -162,8 +162,9 @@ def test_block_encoding_pair_spectrum():
     rule = metropolis()
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
     dec = decompose_discriminant(model, prop, rule)
-    # the qubitized walk V (2 Pi_0 - I), Pi_0 the projector on ancillas |0^c>
-    v = be.op.dense()
+    # the qubitized walk V (2 Pi_0 - I), Pi_0 the projector on ancillas |0^c>;
+    # the columns of V are the images of the basis vectors
+    v = be.op.apply(np.eye(be.op.dim)).T
     signs = -np.ones(v.shape[0])
     signs[: be.sys_dim] = 1.0
     spec = walk_spectrum(walk_phases(v * signs), spectral_gaps(dec.q / be.gamma).eigenvalues)
