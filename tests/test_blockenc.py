@@ -713,6 +713,33 @@ def test_structured_block_matches_full_extraction(chain, rule):
     assert np.abs(structured_block(be) - extract_block(be)).max() <= 1e-15
 
 
+def test_generic_and_hand_built_encodings_are_extracted_in_full():
+    # extract_block, the tests' oracle, applies any operator to every basis
+    # column: the fused reflection, and its three factors applied one by one;
+    # the fused node read as encoding a system of twice the size is refused
+    model, prop = cycle_chain("pair", 8, 3)
+    rule = metropolis()
+    generic = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
+    q = decompose_discriminant(model, prop, rule).q
+    assert np.abs(extract_block(generic) - q).max() < 1e-12
+    assert verify_encoding(generic, q).passed
+    by_hand = replace(generic, op=HandBuilt(generic.op))
+    assert np.abs(extract_block(by_hand) - structured_block(generic)).max() <= 1e-15
+    with pytest.raises(DimensionMismatch, match="system states"):
+        replace(generic, sys_dim=16, anc_qubits=generic.anc_qubits - 1)
+
+
+class HandBuilt:
+    """prep . sel . prep of a FusedReflection as three separate calls."""
+
+    def __init__(self, op):
+        self.op, self.dim, self.n_sys = op, op.dim, op.n_sys
+
+    def apply(self, v):
+        first = self.op._reflect(v, None)
+        return self.op._reflect(self.op._select(first, None, np.empty_like(first)), None)
+
+
 def fused_n4():
     model, prop = build_hypercube(4, energy="random", levels=7, seed=2, beta=0.8)
     rule = metropolis()

@@ -267,6 +267,30 @@ def test_system_controlled_reflection_matches_householder():
     assert np.abs(d @ d - np.eye(24)).max() < 1e-13
 
 
+def test_passive_register_reflection_matches_embedded():
+    # the leading dilation register is passive: the reflection acts on each
+    # half of the operand alone, and its matrix is I_2 (x) its first quarter,
+    # the Householder factors on (direction, level, select, system)
+    rng = np.random.default_rng(11)
+    for k_dim, bt, n, batch in ((8, 16, 16, (2, 3)), (1, 1, 2, (3,)), (2, 4, 8, (5,))):
+        perms = np.tile(np.arange(n), (k_dim, 1))
+        u = rng.normal(size=(n, 2 * bt * k_dim))
+        u[0] = 0.0  # identity fallback
+        op = FusedReflection(u, np.eye(4 * bt), perms, np.arange(k_dim))
+        v = rng.normal(size=batch + (op.dim,))
+        got = op._reflect(v, None).reshape(batch + (2, -1))
+        for p in range(2):
+            half = np.zeros_like(v).reshape(got.shape)
+            half[..., p, :] = v.reshape(got.shape)[..., p, :]
+            alone = op._reflect(half.reshape(v.shape), None).reshape(got.shape)
+            assert np.array_equal(alone[..., p, :], got[..., p, :])
+            assert not alone[..., 1 - p, :].any()
+    d = op._reflect(np.eye(op.dim), None).T
+    plain = d[: op.dim // 2, : op.dim // 2]
+    assert np.abs(d - np.kron(np.eye(2), plain)).max() == 0.0
+    assert np.abs(d - dense_prep(u)).max() < 1e-14
+
+
 def test_destinations_give_the_allocating_results():
     # apply writes into out, the second scratch array and out in turn, and
     # overwrites the first scratch array; v may serve as either scratch
@@ -301,6 +325,18 @@ def test_fused_reflection_block_is_its_zero_block():
         n = perms.shape[1]
         assert op.n_sys == n
         assert np.abs(op.block() - dense_matrix(op)[:n, :n]).max() < 1e-13
+
+
+def test_factored_select_sandwich_matches_dense():
+    # the block is the select between the prepared states: slot 1 is a
+    # 3-cycle with a fixed point, slot 2 the identity, so slots also add to
+    # the diagonal, and every slot is its own partner
+    rng = np.random.default_rng(12)
+    perms = np.array([[1, 0, 3, 2], [1, 2, 0, 3], [0, 1, 2, 3]])
+    op, u = reflection(rng, 1, perms, np.arange(3))
+    prep = dense_prep(u)
+    want = (prep @ dense_select(op.d_plus, perms, np.arange(3)) @ prep)[:4, :4]
+    assert np.abs(op.block() - want).max() < 1e-14
 
 
 def test_fused_reflection_rejects_a_select_off_its_layout():
