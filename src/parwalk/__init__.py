@@ -18,7 +18,6 @@ from .markov import (
     discriminant,
     gibbs_distribution,
     lazy,
-    qsample,
     spectral_gaps,
     stationary_distribution,
 )
@@ -27,14 +26,12 @@ from .parchain import (
     AcceptanceRule,
     ProposalDecomposition,
     acceptance_matrix,
-    custom_rule,
     decompose_discriminant,
     glauber,
     hypercube_proposal,
     level_tables,
     metropolis,
-    proposal_from_permutations,
-    r_matrix,
+    rejection_diagonal,
     transition_matrix,
 )
 from .spectra import (
@@ -62,7 +59,6 @@ __all__ = [
     "build_hypercube",
     "certify_stationary",
     "check_detailed_balance",
-    "custom_rule",
     "decompose_discriminant",
     "discriminant",
     "eigenbasis_embedding",
@@ -78,10 +74,8 @@ __all__ = [
     "par_walk",
     "parse_dimacs",
     "phase_gap_check",
-    "proposal_from_permutations",
-    "qsample",
     "quantum_enhanced_walk",
-    "r_matrix",
+    "rejection_diagonal",
     "spectral_gaps",
     "standard_walk",
     "stationary_distribution",

@@ -33,9 +33,10 @@ from .blockenc import (  # noqa: F401
 )
 from .cnf import VAR_CAP, load_dimacs
 from .errors import BoundViolated, NotErgodic, ParwalkError
-# stationary_distribution is not called here: certify_stationary checks the
-# Gibbs state instead. It stays bound in this module because
-# perfbench/tracing.py wraps parwalk.cli.stationary_distribution.
+# gibbs_distribution and stationary_distribution are not called here: the
+# chain decomposition returns the Gibbs state, and certify_stationary checks
+# it. They stay bound in this module because perfbench/tracing.py wraps
+# parwalk.cli.gibbs_distribution and parwalk.cli.stationary_distribution.
 from .markov import (  # noqa: F401
     EIG_TOL,
     certify_stationary,
@@ -94,8 +95,6 @@ def _build_bundle(args, need_matrices: bool):
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ParwalkError(f"--tol must be finite and nonnegative, got {args.tol}")
     if args.model == "hypercube":
-        if args.n is None:
-            raise ParwalkError("hypercube models need --n")
         if args.n < 1:
             raise ParwalkError(f"--n must be at least 1, got {args.n}")
         levels = args.n + 1 if args.energy == "hamming" else args.levels
@@ -182,15 +181,15 @@ def _check_cap(args, n: int, levels: int):
         )
 
 
-def _spectrum_quantities(dec, pi):
+def _spectrum_quantities(dec):
     """Embed the chain (lazy when periodic) and return gap data. Q is solved
     once: a periodic chain's lazy spectrum is derived from that solve, and the
     embedding checks it against the lazy discriminant built from (I + P)/2
-    and the chain's Gibbs distribution pi."""
+    and the chain's Gibbs distribution dec.pi."""
     report = used = spectral_gaps(dec.q)
     q_used = dec.q
     if report.periodic:
-        q_used = discriminant(lazy(dec.p), pi)
+        q_used = discriminant(lazy(dec.p), dec.pi)
         used = report.lazy()
     if used.delta_plus <= EIG_TOL:
         # the stationary and phase-gap checks cannot tell lambda_2 from 1
@@ -254,8 +253,7 @@ def _run_report(args):
              f"(G(.)A)(.)S + R deviates from Q by {decomp_dev:.3e}")
         )
 
-    pi = gibbs_distribution(model)
-    if not check_detailed_balance(dec.p, pi, tol=BALANCE_TOL):
+    if not check_detailed_balance(dec.p, dec.pi, tol=BALANCE_TOL):
         failures.append(
             ("NotReversible", f"detailed balance fails at {BALANCE_TOL}")
         )
@@ -297,7 +295,7 @@ def _run_report(args):
                 f"deviation {enc_rep.probe_block_dev:.3e}",
             ))
 
-    spectrum, emb, spec = timer.time("spectrum", lambda: _spectrum_quantities(dec, pi))
+    spectrum, emb, spec = timer.time("spectrum", lambda: _spectrum_quantities(dec))
     deviations["tst"] = {"value": emb.tst_dev, "tol": args.tol}
     if not emb.tst_dev <= args.tol:
         failures.append(("DecompositionMismatch", f"tst deviates by {emb.tst_dev:.3e}"))
@@ -314,7 +312,7 @@ def _run_report(args):
     try:
         timer.time(
             "stationary",
-            lambda: certify_stationary(dec.p, pi, prop.perms, tol=STATIONARY_TOL),
+            lambda: certify_stationary(dec.p, dec.pi, prop.perms, tol=STATIONARY_TOL),
         )
     except NotErgodic as exc:
         failures.append(("NotErgodic", str(exc)))
@@ -348,8 +346,7 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     echo, model, prop = _build_bundle(args, need_matrices=True)
     rule = _rule(args.acceptance)
-    dec = decompose_discriminant(model, prop, rule)
-    spectrum, _, spec = _spectrum_quantities(dec, gibbs_distribution(model))
+    spectrum, _, spec = _spectrum_quantities(decompose_discriminant(model, prop, rule))
     lines = ["index,lambda,predicted_phase,measured_phase,abs_err"]
     for i, (lam, pred, meas) in enumerate(
         zip(spec.lambdas, spec.predicted, spec.measured)

@@ -49,7 +49,6 @@ class GapReport:
     phase_gap: float
     predicted: float
     lower_bound: float
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -170,9 +169,7 @@ def phase_gap_check(spec: WalkSpectrum, delta_plus: float) -> GapReport:
         raise BoundViolated(
             f"phase gap {spec.phase_gap:.10f} below sqrt(2 Delta+) = {lower:.10f}"
         )
-    return GapReport(
-        phase_gap=spec.phase_gap, predicted=predicted, lower_bound=lower, holds=True
-    )
+    return GapReport(phase_gap=spec.phase_gap, predicted=predicted, lower_bound=lower)
 
 
 def eigenbasis_embedding(q: np.ndarray, gaps: SpectralReport) -> EigenbasisEmbedding:

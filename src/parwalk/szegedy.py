@@ -40,7 +40,6 @@ class SzegedyWalk:
     reflector and one walk step W = R (2 T T^dag - I) are computed on first
     access."""
 
-    variant: str
     vals: np.ndarray
     perm: np.ndarray
     trt: np.ndarray
@@ -77,7 +76,7 @@ def _swap(n: int) -> np.ndarray:
 
 
 def _checked_walk(
-    variant: str, vals: np.ndarray, perm: np.ndarray, expected: np.ndarray, what: str
+    vals: np.ndarray, perm: np.ndarray, expected: np.ndarray, what: str
 ) -> SzegedyWalk:
     n, m = vals.shape
     # the columns' row blocks are disjoint, so T^dag T is diagonal
@@ -96,7 +95,7 @@ def _checked_walk(
     dev = float(np.abs(trt - expected).max())
     if not dev <= IDENT_TOL:
         raise DecompositionMismatch(f"{what} by {dev:.3e}")
-    return SzegedyWalk(variant=variant, vals=vals, perm=perm, trt=trt, trt_dev=dev)
+    return SzegedyWalk(vals=vals, perm=perm, trt=trt, trt_dev=dev)
 
 
 def standard_walk(p: StochasticMatrix) -> SzegedyWalk:
@@ -108,7 +107,7 @@ def standard_walk(p: StochasticMatrix) -> SzegedyWalk:
     pi = stationary_distribution(p)
     q = discriminant(p, pi)  # raises NotReversible first if unbalanced
     return _checked_walk(
-        "standard", np.sqrt(p.entries.T), _swap(p.n), q,
+        np.sqrt(p.entries.T), _swap(p.n), q,
         "T^dag S T deviates from the discriminant",
     )
 
@@ -122,11 +121,7 @@ def _par_q(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _flagged_walk(
-    variant: str,
-    accepted: np.ndarray,
-    rejected: np.ndarray,
-    expected: np.ndarray,
-    what: str,
+    accepted: np.ndarray, rejected: np.ndarray, expected: np.ndarray, what: str
 ) -> SzegedyWalk:
     """Walk on C^N (x) C^N (x) C^2: column x carries accepted[y, x] on
     |x,y,0> and rejected[y, x] on |x,y,1>, at index 2 (x n + y) + flag,
@@ -136,7 +131,7 @@ def _flagged_walk(
     vals = np.stack([accepted.T, rejected.T], axis=-1).reshape(n, 2 * n)
     perm = np.arange(2 * n * n)
     perm[0::2] = 2 * _swap(n)
-    return _checked_walk(variant, vals, perm, expected, what)
+    return _checked_walk(vals, perm, expected, what)
 
 
 def par_walk(dec: DiscriminantDecomposition) -> SzegedyWalk:
@@ -150,7 +145,7 @@ def par_walk(dec: DiscriminantDecomposition) -> SzegedyWalk:
     """
     s, a = dec.s, dec.a
     return _flagged_walk(
-        "par", np.sqrt(s * a), np.sqrt(s * (1.0 - a)), dec.q,
+        np.sqrt(s * a), np.sqrt(s * (1.0 - a)), dec.q,
         "T^dag R T deviates from Q",
     )
 
@@ -179,6 +174,6 @@ def quantum_enhanced_walk(u_prop: np.ndarray, a: np.ndarray) -> SzegedyWalk:
     if a.shape != (n, n):
         raise DimensionMismatch(f"acceptance shape {a.shape} vs unitary dim {n}")
     return _flagged_walk(
-        "quantum_enhanced", u * np.sqrt(a), u * np.sqrt(1.0 - a),
+        u * np.sqrt(a), u * np.sqrt(1.0 - a),
         _par_q(np.abs(u) ** 2, a), "T^dag R T deviates from the induced Q",
     )

@@ -31,13 +31,13 @@ from parwalk.cnf import parse_dimacs
 from parwalk.markov import GibbsModel
 from parwalk.models import build_cnf, build_hypercube
 from parwalk.parchain import (
-    custom_rule,
+    AcceptanceRule,
+    ProposalDecomposition,
     decompose_discriminant,
     glauber,
     hypercube_proposal,
     level_tables,
     metropolis,
-    proposal_from_permutations,
 )
 from test_linops import dense_matrix, dense_prep, dense_select, householder_to
 
@@ -93,7 +93,7 @@ def test_verify_encoding_pass_and_fail():
 
 
 def _nan_rule():
-    return custom_rule(lambda d, b: float("nan"))
+    return AcceptanceRule("custom", lambda d, b: float("nan"))
 
 
 @pytest.mark.parametrize(
@@ -180,8 +180,10 @@ def test_compressed_hadamard_matches_dense_product():
     block, anc = tagged_product(
         u_l, u_m, lambda e, x: (e + model.energies[x]) % 4, 4, model.n
     )
-    dec = decompose_discriminant(model, prop, rule)
-    assert np.abs(4.0 * block - dec.ga * dec.s).max() < 1e-12
+    e = model.energies
+    ga = level_tables(model, rule).ga[np.ix_(e, e)]
+    np.fill_diagonal(ga, 1.0)
+    assert np.abs(4.0 * block - ga * prop.s).max() < 1e-12
     assert anc == 1 + (prop.kappa - 1).bit_length() + 2
 
 
@@ -244,7 +246,7 @@ def cycle_chain(kind, n_states, levels, seed=0, beta=0.8):
         swap_turn[:5] = [1, 0, 3, 4, 2]
         turn_back[2:5] = [4, 2, 3]
         weights, perms = [0.5, 0.5], [swap_turn, turn_back]
-    prop = proposal_from_permutations(weights, perms)
+    prop = ProposalDecomposition(weights, perms)
     energies = np.random.default_rng(seed).integers(0, levels, size=n_states)
     return GibbsModel(energies=energies, levels=levels, beta=beta), prop
 
@@ -433,7 +435,7 @@ def test_ancilla_bound_across_small_grid():
     # fused route with one slot each and quote the same count
     for n_states in (4, 8):
         cyc = (np.arange(n_states) + 1) % n_states
-        prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
+        prop = ProposalDecomposition([0.5, 0.5], [cyc, np.argsort(cyc)])
         model = GibbsModel(energies=np.arange(n_states) % 3, levels=3, beta=0.6)
         be = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
         assert not prop.all_involutions
@@ -457,7 +459,7 @@ def one_batch_block(be):
 def test_chunked_extraction_matches_one_batch_on_generic_route(monkeypatch):
     # a generic proposal, a cycle and its inverse, on paired select slots
     cyc = (np.arange(8) + 1) % 8
-    prop = proposal_from_permutations([0.5, 0.5], [cyc, np.argsort(cyc)])
+    prop = ProposalDecomposition([0.5, 0.5], [cyc, np.argsort(cyc)])
     model = GibbsModel(energies=np.array([0, 1, 2, 1, 0, 2, 1, 1]), levels=3, beta=0.6)
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     assert not prop.all_involutions

@@ -33,7 +33,7 @@ from parwalk.markov import (
 )
 from parwalk.models import build_hypercube
 from parwalk.parchain import (
-    custom_rule,
+    AcceptanceRule,
     decompose_discriminant,
     level_tables,
     metropolis,
@@ -189,11 +189,12 @@ def test_inject_fault_fails_verification(capsys, monkeypatch):
     # recompose Q from an accept table perturbed at a live proposal entry
     def faulted(model, prop, rule):
         dec = decompose_discriminant(model, prop, rule)
-        ga = dec.ga.copy()
+        ga = dec.tables.ga[np.ix_(model.energies, model.energies)]
+        np.fill_diagonal(ga, 1.0)
         ys, xs = np.nonzero(dec.s * (1.0 - np.eye(dec.s.shape[0])))
         ga[ys[0], xs[0]] += 1e-6
         ga[xs[0], ys[0]] += 1e-6
-        dev = float(np.abs(ga * dec.s + dec.r - dec.q).max())
+        dev = float(np.abs(ga * dec.s + np.diag(dec.r) - dec.q).max())
         return dataclasses.replace(dec, deviation=dev)
 
     monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted)
@@ -382,12 +383,13 @@ def test_the_chain_discriminant_is_solved_once(capsys, monkeypatch, command, bet
 
         monkeypatch.setattr(np.linalg, name, counted)
     # and the Gibbs distribution, which the lazy discriminant reads, is
-    # built once per command too
+    # built once per command too, by the decomposition, wherever it is called
     gibbs = []
-    monkeypatch.setattr(
-        parwalk.cli, "gibbs_distribution",
-        lambda model: gibbs.append(model) or gibbs_distribution(model),
-    )
+    for module in (parwalk.parchain, parwalk.cli):
+        monkeypatch.setattr(
+            module, "gibbs_distribution",
+            lambda model: gibbs.append(model) or gibbs_distribution(model),
+        )
     code, _, err = run(capsys, command, "--n", "4", "--beta", beta)
     assert code == 0, err
     assert solves == ["eigh"]
@@ -642,14 +644,32 @@ def test_one_verify_evaluates_the_rule_once(capsys, monkeypatch):
         calls["level_table"] += 1
         return level_table(*args)
 
-    monkeypatch.setattr(parwalk.cli, "_rule", lambda _name: custom_rule(f))
+    # and no norm of a level table is computed: ||t||_2 <= sqrt(||t||_1
+    # ||t||_inf) <= B holds for every B x B table with entries in [0, 1]
+    table_norms = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted_svd(a, *args, **kwargs):
+        if np.shape(a) == (7, 7):
+            table_norms.append("svd")
+        return svd(a, *args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if np.shape(x) == (7, 7) and ord == 2:
+            table_norms.append("norm")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(parwalk.cli, "_rule", lambda _name: AcceptanceRule("custom", f))
     monkeypatch.setattr(parwalk.parchain, "_level_table", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
     code, _, _ = run(
         capsys, "verify", "--n", "4", "--energy", "random", "--B", "7",
         "--json", "--deterministic",
     )
     assert code == 0
     assert calls == {"f": 2 * 7 - 1, "level_table": 2}
+    assert table_norms == []
 
 
 def test_verify_fails_a_chain_whose_gibbs_state_is_not_stationary(capsys, monkeypatch):

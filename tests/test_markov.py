@@ -23,7 +23,6 @@ from parwalk.markov import (
     discriminant,
     gibbs_distribution,
     lazy,
-    qsample,
     spectral_gaps,
     stationary_distribution,
 )
@@ -32,7 +31,6 @@ from parwalk.parchain import (
     ProposalDecomposition,
     decompose_discriminant,
     metropolis,
-    proposal_from_permutations,
 )
 
 RT = np.sqrt(0.5)
@@ -168,7 +166,7 @@ def test_certificate_rejects_a_proposal_of_two_cycles():
     # one involution pairs the states {0, 1}, {2, 3}, {4, 5}: P is block
     # diagonal and every Gibbs-weighted mix of the blocks is stationary
     model = GibbsModel(energies=np.array([0, 1, 2, 0, 1, 2]), levels=3, beta=0.7)
-    prop = proposal_from_permutations([1.0], [np.array([1, 0, 3, 2, 5, 4])])
+    prop = ProposalDecomposition([1.0], [np.array([1, 0, 3, 2, 5, 4])])
     p = decompose_discriminant(model, prop, metropolis()).p
     pi = gibbs_distribution(model)
     assert np.abs(p.entries @ pi.probs - pi.probs).max() <= 1e-15
@@ -251,7 +249,7 @@ def test_certificate_connects_long_paths():
     even = np.where(states % 2 == 0, np.minimum(states + 1, n - 1), states - 1)
     odd = np.where(states % 2 == 1, np.minimum(states + 1, n - 1), states - 1)
     odd[0] = 0
-    prop = proposal_from_permutations([0.5, 0.5], [even, odd])
+    prop = ProposalDecomposition([0.5, 0.5], [even, odd])
     model = GibbsModel(energies=np.zeros(n, dtype=int), levels=1, beta=1.0)
     p = decompose_discriminant(model, prop, metropolis()).p
     pi = gibbs_distribution(model)
@@ -362,7 +360,7 @@ def test_spectral_gaps_rejects_non_finite_q(bad):
 
 def test_qsample(two_state):
     _, pi = two_state
-    amps = qsample(pi)
+    amps = np.sqrt(pi.probs)
     assert np.allclose(amps, [0.816497, 0.577350], atol=1e-6)
     assert abs(np.dot(amps, amps) - 1.0) < 1e-14
 
@@ -370,7 +368,7 @@ def test_qsample(two_state):
 def test_qsample_is_unit_discriminant_eigenvector(two_state):
     p, pi = two_state
     q = discriminant(p, pi)
-    amps = qsample(pi)
+    amps = np.sqrt(pi.probs)
     assert np.abs(q @ amps - amps).max() < 1e-12
 
 

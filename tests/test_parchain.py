@@ -2,6 +2,8 @@
 energy-dependent tables, and the discriminant decomposition
 Q = (G (.) A) (.) S + R."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,16 +17,15 @@ from parwalk.errors import (
 )
 from parwalk.markov import GibbsModel, gibbs_distribution, discriminant
 from parwalk.parchain import (
+    AcceptanceRule,
     ProposalDecomposition,
     acceptance_matrix,
-    custom_rule,
     decompose_discriminant,
     glauber,
     hypercube_proposal,
     level_tables,
     metropolis,
-    proposal_from_permutations,
-    r_matrix,
+    rejection_diagonal,
     transition_matrix,
 )
 
@@ -42,9 +43,7 @@ def swap_proposal():
 
 def cycle_pair_proposal():
     # 3-cycle plus its inverse with equal weights: symmetric but not involutions
-    return proposal_from_permutations(
-        np.array([0.5, 0.5]), (np.array([1, 2, 0]), np.array([2, 0, 1]))
-    )
+    return ProposalDecomposition([0.5, 0.5], (np.array([1, 2, 0]), np.array([2, 0, 1])))
 
 
 class TestProposalDecomposition:
@@ -73,7 +72,7 @@ class TestProposalDecomposition:
     def test_asymmetric_mix_rejected(self):
         # a lone 3-cycle gives S = Pi which is not symmetric
         with pytest.raises(NotSymmetric):
-            proposal_from_permutations(np.array([1.0]), (np.array([1, 2, 0]),))
+            ProposalDecomposition(np.array([1.0]), (np.array([1, 2, 0]),))
 
     def test_cycle_pair_is_symmetric_but_not_involutive(self):
         prop = cycle_pair_proposal()
@@ -132,19 +131,19 @@ class TestProposalDecomposition:
         ids=["split", "mixed", "partial"],
     )
     def test_paired_slots_split_lone_permutations(self, weights, perms, slots):
-        prop = proposal_from_permutations(weights, [np.array(p) for p in perms])
+        prop = ProposalDecomposition(weights, [np.array(p) for p in perms])
         w, p, partner = prop.paired_slots()
         assert len(p) == len(w) == slots <= 2 * prop.kappa
         assert np.array_equal(partner[partner], np.arange(slots))
         for k, j in enumerate(partner):
             assert np.array_equal(p[j], np.argsort(p[k])) and w[j] == w[k]
         # the same S, and the same rejection R under any acceptance matrix
-        paired = proposal_from_permutations(w, p)
+        paired = ProposalDecomposition(w, p)
         assert np.abs(paired.s - prop.s).max() < 1e-15
         a = np.random.default_rng(0).uniform(0.1, 1.0, size=(prop.n, prop.n))
         np.fill_diagonal(a, 1.0)
         a = np.minimum(a, a.T)
-        assert np.abs(r_matrix(paired, a) - r_matrix(prop, a)).max() < 1e-15
+        assert np.abs(rejection_diagonal(paired, a) - rejection_diagonal(prop, a)).max() < 1e-15
 
 
 class TestAcceptanceRules:
@@ -168,12 +167,12 @@ class TestAcceptanceRules:
             assert np.abs(sym - sym[::-1]).max() < 1e-12
 
     def test_scaled_metropolis_is_valid(self):
-        rule = custom_rule(lambda d, b: 0.5 * min(1.0, np.exp(-b * d)))
+        rule = AcceptanceRule("custom", lambda d, b: 0.5 * min(1.0, np.exp(-b * d)))
         vals = rule.table(1.0, 3)
         assert vals.max() <= 0.5
 
     def test_functional_equation_violation(self):
-        rule = custom_rule(lambda d, b: 0.7)
+        rule = AcceptanceRule("custom", lambda d, b: 0.7)
         with pytest.raises(FunctionalEquationViolated):
             rule.table(1.0, 3)
 
@@ -185,10 +184,10 @@ class TestAcceptanceRules:
         ):
             rule.table(100.0, 16)
         with pytest.raises(FunctionalEquationViolated, match="must lie in"):
-            custom_rule(lambda d, b: float("nan")).table(1.0, 3)
+            AcceptanceRule("custom", lambda d, b: float("nan")).table(1.0, 3)
 
     def test_range_violation(self):
-        rule = custom_rule(lambda d, b: 2.0 * np.exp(-0.5 * b * d))
+        rule = AcceptanceRule("custom", lambda d, b: 2.0 * np.exp(-0.5 * b * d))
         with pytest.raises(ParwalkError):
             rule.table(1.0, 2)
 
@@ -205,7 +204,7 @@ class TestAcceptanceRules:
         # no N x N check repeats the table's: each builder validates the
         # rule's values through rule.table before gathering from them
         with pytest.raises(FunctionalEquationViolated):
-            build(two_state_model(), custom_rule(lambda d, b: 0.7))
+            build(two_state_model(), AcceptanceRule("custom", lambda d, b: 0.7))
 
 
 class TestEnergyTables:
@@ -266,8 +265,8 @@ class TestChainAssembly:
 
     def test_r_matrix_two_state(self):
         a = acceptance_matrix(two_state_model(), metropolis())
-        r = r_matrix(swap_proposal(), a)
-        assert np.abs(r - np.diag([0.5, 0.0])).max() < 1e-15
+        r = rejection_diagonal(swap_proposal(), a)
+        assert r.shape == (2,) and np.abs(r - [0.5, 0.0]).max() < 1e-15
 
     def test_r_matrix_is_diagonal_for_cycles(self):
         # r_x gathers the acceptance out of x, a[p_k x, x], not a[x, p_k x]
@@ -278,21 +277,24 @@ class TestChainAssembly:
             sum(w * (1.0 - a[p[x], x]) for w, p in zip(prop.weights, prop.perms))
             for x in range(3)
         ]
-        assert np.abs(r_matrix(prop, a) - np.diag(want)).max() < 1e-15
+        assert np.abs(rejection_diagonal(prop, a) - want).max() < 1e-15
 
     def test_shape_guards(self):
         a = acceptance_matrix(two_state_model(), metropolis())
         with pytest.raises(DimensionMismatch):
             transition_matrix(hypercube_proposal(2), a)
         with pytest.raises(DimensionMismatch):
-            r_matrix(hypercube_proposal(2), a)
+            rejection_diagonal(hypercube_proposal(2), a)
 
 
 class TestDecomposition:
     def test_two_state_oracle(self):
-        dec = decompose_discriminant(two_state_model(), swap_proposal(), metropolis())
-        assert np.abs(dec.ga - np.array([[1.0, RT], [RT, 1.0]])).max() < 1e-14
-        assert np.abs(dec.r - np.diag([0.5, 0.0])).max() < 1e-14
+        model = two_state_model()
+        dec = decompose_discriminant(model, swap_proposal(), metropolis())
+        ga = dec.tables.ga[np.ix_(model.energies, model.energies)]
+        np.fill_diagonal(ga, 1.0)
+        assert np.abs(ga - np.array([[1.0, RT], [RT, 1.0]])).max() < 1e-14
+        assert np.abs(dec.r - [0.5, 0.0]).max() < 1e-14
         assert np.abs(dec.q - np.array([[0.5, RT], [RT, 0.0]])).max() < 1e-14
         assert dec.deviation < 1e-14
 
@@ -301,10 +303,26 @@ class TestDecomposition:
         rule = glauber()
         dec = decompose_discriminant(model, hypercube_proposal(2), rule)
         e = model.energies
-        off = ~np.eye(4, dtype=bool)
+        ga = level_tables(model, rule).ga[np.ix_(e, e)]
         # states 0 and 3 share E = 2: their entry is f(0) = 1/2, not 1
-        assert np.array_equal(dec.ga[off], level_tables(model, rule).ga[np.ix_(e, e)][off])
-        assert np.all(np.diag(dec.ga) == 1.0)
+        assert ga[0, 3] == ga[3, 0] == 0.5
+        # with the unit acceptance of staying put on the diagonal, the
+        # recorded deviation is that of this gathered table
+        np.fill_diagonal(ga, 1.0)
+        assert np.abs(ga * dec.s + np.diag(dec.r) - dec.q).max() == dec.deviation
+
+    def test_the_record_holds_each_chain_quantity_once(self):
+        # four N x N arrays: G(.)A is gathered only for the deviation, and
+        # R is kept as its diagonal
+        model = GibbsModel(energies=np.array([2, 0, 1, 2]), levels=3, beta=0.9)
+        prop = hypercube_proposal(2)
+        dec = decompose_discriminant(model, prop, glauber())
+        fields = {f.name: getattr(dec, f.name) for f in dataclasses.fields(dec)}
+        fields["p"] = dec.p.entries
+        square = [k for k, v in fields.items() if np.shape(v) == (4, 4)]
+        assert sorted(square) == ["a", "p", "q", "s"]
+        assert dec.s is prop.s and dec.r.shape == (4,)
+        assert np.array_equal(dec.pi.probs, gibbs_distribution(model).probs)
 
     def test_glauber_diagonal_cancellation(self):
         # the f(0) diagonal of GA and the rejection diagonal jointly

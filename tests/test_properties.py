@@ -3,8 +3,9 @@ random involutions with fixed points, optionally joined by a cycle and its
 inverse at one weight or by [C, C, C^-1] at weights (w, w, 2w), whose
 slots split in two, random energies on B levels, beta from 0 to 40 and
 both acceptance rules. The embedding's phases are checked against the
-dense diagonalization of its walk on the same chains, and the command
-line's exit-code contract over its flag ranges."""
+dense diagonalization of its walk on the same chains, the discriminant's
+one reversibility check against the three it replaced on perturbed
+chains, and the command line's exit-code contract over its flag ranges."""
 
 import contextlib
 import io
@@ -22,8 +23,10 @@ from parwalk.blockenc import (  # noqa: E402
     fused_ancillas,
 )
 from parwalk.cli import main  # noqa: E402
+from parwalk.errors import NotReversible  # noqa: E402
 from parwalk.markov import (  # noqa: E402
     GibbsModel,
+    StochasticMatrix,
     discriminant,
     gibbs_distribution,
     lazy,
@@ -34,7 +37,7 @@ from parwalk.parchain import (  # noqa: E402
     glauber,
     level_tables,
     metropolis,
-    proposal_from_permutations,
+    ProposalDecomposition,
 )
 from parwalk.spectra import eigenbasis_embedding, walk_phases  # noqa: E402
 from test_spectra import dense_walk  # noqa: E402
@@ -69,7 +72,7 @@ def chains(draw):
             perms += [cyc, np.argsort(cyc)]
             weights += [w, w]
     weights = np.array(weights, dtype=float)
-    prop = proposal_from_permutations(weights / weights.sum(), perms)
+    prop = ProposalDecomposition(weights / weights.sum(), perms)
     levels = draw(st.integers(1, 9))
     energies = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)))
     beta = draw(st.floats(0.0, 40.0))
@@ -118,6 +121,65 @@ def test_block_phases_match_the_dense_walk(chain):
     # no phase sits near the cut at pi: the embedded chain is aperiodic
     assert np.abs(phases - np.sort(np.angle(np.linalg.eigvals(u)))).max() <= 1e-12
     assert np.abs(phases - np.sort(walk_phases(u))).max() <= 1e-12
+
+
+def three_checks_pass(p, pi):
+    """The reversibility checks discriminant made before one replaced them:
+    detailed balance, the entrywise form sqrt(p_xy p_yx) and symmetry, each
+    within 1e-10."""
+    flow = p * pi[None, :]
+    root = np.sqrt(pi)
+    q = (p * root[None, :]) / root[:, None]
+    return bool(
+        np.abs(flow - flow.T).max() <= 1e-10
+        and np.abs(q - np.sqrt(p * p.T)).max() <= 1e-10
+        and np.abs(q - q.T).max() <= 1e-10
+    )
+
+
+@st.composite
+def perturbed_chains(draw):
+    """A chain of chains() with a share 10^-16 ... 1 of one transition
+    probability moved to another entry of its column: stochastic, and
+    reversible only when the move is below the tolerance."""
+    model, prop, rule = draw(chains())
+    p = decompose_discriminant(model, prop, rule).p.entries.copy()
+    x = draw(st.integers(0, model.n - 1))
+    src = draw(st.sampled_from(np.flatnonzero(p[:, x]).tolist()))
+    dst = draw(st.integers(0, model.n - 1))
+    moved = p[src, x] * 10.0 ** draw(st.floats(-16.0, 0.0))
+    p[src, x] -= moved
+    p[dst, x] += moved
+    return StochasticMatrix(p), gibbs_distribution(model)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(perturbed_chains())
+def test_one_symmetry_check_rejects_what_the_three_did(chain):
+    p, pi = chain
+    if three_checks_pass(p.entries, pi.probs):
+        q = discriminant(p, pi)
+        assert np.array_equal(q, q.T)
+    else:
+        with pytest.raises(NotReversible):
+            discriminant(p, pi)
+
+
+def test_perturbed_chains_reach_both_verdicts_and_wide_pi():
+    # the property above sees chains on either side of the check, and
+    # stationary distributions spanning many orders of magnitude
+    verdicts, spans = set(), []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(perturbed_chains())
+    def record(chain):
+        p, pi = chain
+        verdicts.add(three_checks_pass(p.entries, pi.probs))
+        spans.append(pi.probs.max() / pi.probs.min())
+
+    record()
+    assert verdicts == {True, False}
+    assert max(spans) > 1e100
 
 
 @st.composite

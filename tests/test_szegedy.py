@@ -11,7 +11,7 @@ import pytest
 import parwalk.cli
 import parwalk.parchain
 from parwalk.errors import DecompositionMismatch, NotReversible, NotSymmetricUnitary
-from parwalk.markov import GibbsModel, StochasticMatrix, qsample, stationary_distribution
+from parwalk.markov import GibbsModel, StochasticMatrix, stationary_distribution
 from parwalk.models import hamming_energies
 from parwalk.parchain import (
     acceptance_matrix,
@@ -70,7 +70,7 @@ def test_standard_walk_two_state():
     walk_identities(walk, dec.q)
     assert abs(dec.q[0, 1] - 1.0 / RT2) < 1e-12
     # the stationary qsample lifts to a fixed point of one walk step
-    psi = walk.t @ qsample(stationary_distribution(p))
+    psi = walk.t @ np.sqrt(stationary_distribution(p).probs)
     assert np.linalg.norm(walk.w @ psi - psi) < 1e-12
 
 
@@ -177,7 +177,7 @@ def test_checked_walk_rejects_a_column_off_unit_norm(scale):
     vals = walk.vals.copy()
     vals[2] *= scale
     with pytest.raises(DecompositionMismatch, match="orthonormal"):
-        _checked_walk("par", vals, walk.perm, walk.trt, "T^dag R T deviates")
+        _checked_walk(vals, walk.perm, walk.trt, "T^dag R T deviates")
 
 
 def _lazy_fields_match_dense_products(walk):
