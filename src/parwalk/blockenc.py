@@ -255,20 +255,13 @@ class FusedReflection:
 @dataclass(frozen=True)
 class BlockEncoding:
     """Unitary op on 2^anc_qubits * sys_dim whose |0...0> ancilla block is
-    the encoded matrix divided by gamma."""
+    the encoded matrix divided by gamma; both dimensions are read from op."""
 
-    sys_dim: int
-    anc_qubits: int
     paper_anc: int
     gamma: float
     op: FusedReflection
 
     def __post_init__(self):
-        if (self.op.n_sys, self.op.dim) != (self.sys_dim, self.sys_dim << self.anc_qubits):
-            raise DimensionMismatch(
-                f"operator on {self.op.n_sys} system states of dim {self.op.dim} "
-                f"!= 2^{self.anc_qubits} * {self.sys_dim}"
-            )
         if not self.gamma > 0:
             raise ScaleMismatch(f"scale must be positive, got {self.gamma!r}")
         if self.anc_qubits > self.paper_anc:
@@ -276,6 +269,16 @@ class BlockEncoding:
                 f"logical ancilla count {self.anc_qubits} exceeds the quoted "
                 f"count {self.paper_anc}"
             )
+
+    @property
+    def sys_dim(self) -> int:
+        return self.op.n_sys
+
+    @property
+    def anc_qubits(self) -> int:
+        """log2(op.dim / sys_dim): the operator's dimension is the system's
+        times a power of two."""
+        return (self.op.dim // self.op.n_sys).bit_length() - 1
 
 
 def extraction_chunk_width(sys_dim: int, op_dim: int) -> int:
@@ -409,17 +412,15 @@ class EncodingReport:
     probe_block_dev: float
 
 
-def verify_encoding(
-    be: BlockEncoding, target: np.ndarray, tol: float = EXTRACT_TOL
-) -> EncodingReport:
-    """Compare the block of a fused encoding to target and check the
-    unitarity of its operator.
+def verify_encoding(be: BlockEncoding, target: np.ndarray) -> EncodingReport:
+    """Compare the block of a fused encoding to target, within EXTRACT_TOL,
+    and check the unitarity of its operator.
 
     The block is read from the operator's arrays by FusedReflection.block
     in O(N slots (4B)^2); the real operator is then probed on PROBES random
     Gaussian vectors |0^c, v>, which must give a reflection (norm 1, V
     V|0,v> = |0,v>, within UNITARY_TOL) whose ancilla-0 part is target v /
-    gamma (within tol). unitary_dev is the larger of the certificate
+    gamma (within EXTRACT_TOL). unitary_dev is the larger of the certificate
     FusedReflection.unitarity_residual, a bound on ||V^T V - I||_2 and
     ||V - V^T||_2 in O(N d + (4B)^3), and a spot check of apply on
     SPOT_VECTORS random vectors, uniform in each entry; it must be within
@@ -450,7 +451,7 @@ def verify_encoding(
         max_abs_dev=dev,
         unitary_dev=unitary_dev,
         passed=bool(
-            dev <= tol and block_dev <= tol
+            dev <= EXTRACT_TOL and block_dev <= EXTRACT_TOL
             and unitary_dev <= UNITARY_TOL and reflection_dev <= UNITARY_TOL
         ),
         probe_reflection_dev=reflection_dev,
@@ -533,8 +534,6 @@ def build_ancilla_efficient_Q(
         u[rows, (bt + e[p]) * k_dim + k] -= amp
 
     return BlockEncoding(
-        sys_dim=n,
-        anc_qubits=fused_ancillas(slots, model.levels),
         paper_anc=paper_ancillas(prop.kappa, model.levels),
         gamma=scale,
         # padding slots hold the identity, each its own partner

@@ -17,9 +17,14 @@ import time
 
 import numpy as np
 
-# extract_block is not called here: verify_encoding reads the block from
-# the encoding's structure. It stays bound in this module because
-# perfbench/tracing.py wraps parwalk.cli.extract_block.
+# The imports marked noqa: F401 bind names that are not called here, because
+# perfbench/tracing.py wraps each of them by its name in parwalk.cli:
+# extract_block (verify_encoding reads the block from the encoding's
+# structure), acceptance_matrix, transition_matrix, gibbs_distribution and
+# discriminant (the chain decomposition returns A, P, pi and Q),
+# check_detailed_balance (the decomposition's docstring bounds the balance
+# defect), lazy (a periodic chain's lazy discriminant is (I + Q)/2) and
+# stationary_distribution (certify_stationary checks the Gibbs state).
 from .blockenc import (  # noqa: F401
     EXTRACT_TOL,
     UNITARY_TOL,
@@ -33,10 +38,6 @@ from .blockenc import (  # noqa: F401
 )
 from .cnf import VAR_CAP, load_dimacs
 from .errors import BoundViolated, NotErgodic, ParwalkError
-# gibbs_distribution and stationary_distribution are not called here: the
-# chain decomposition returns the Gibbs state, and certify_stationary checks
-# it. They stay bound in this module because perfbench/tracing.py wraps
-# parwalk.cli.gibbs_distribution and parwalk.cli.stationary_distribution.
 from .markov import (  # noqa: F401
     EIG_TOL,
     certify_stationary,
@@ -48,10 +49,6 @@ from .markov import (  # noqa: F401
     stationary_distribution,
 )
 from .models import build_cnf, build_hypercube
-# acceptance_matrix and transition_matrix are not called here: the chain
-# decomposition returns A and P. They stay bound in this module because
-# perfbench/tracing.py wraps parwalk.cli.acceptance_matrix and
-# parwalk.cli.transition_matrix.
 from .parchain import (  # noqa: F401
     DECOMP_TOL,
     acceptance_matrix,
@@ -61,11 +58,10 @@ from .parchain import (  # noqa: F401
     metropolis,
     transition_matrix,
 )
-from .spectra import eigenbasis_embedding, phase_gap_check, walk_spectrum
+from .spectra import RESIDUAL_TOL, eigenbasis_embedding, phase_gap_check, walk_spectrum
 from .szegedy import IDENT_TOL, par_ancillas, par_walk
 
 DEFAULT_CAP = 6
-BALANCE_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 
@@ -92,8 +88,6 @@ def _build_bundle(args, need_matrices: bool):
     """Model echo plus (model, prop), the latter None for counts-only."""
     if not (math.isfinite(args.beta) and args.beta >= 0.0):
         raise ParwalkError(f"--beta must be finite and nonnegative, got {args.beta}")
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ParwalkError(f"--tol must be finite and nonnegative, got {args.tol}")
     if args.model == "hypercube":
         if args.n < 1:
             raise ParwalkError(f"--n must be at least 1, got {args.n}")
@@ -158,38 +152,48 @@ def _check_cap(args, n: int, levels: int):
     # an n past the enumeration cap is rejected by the model builder, and
     # its arrays are not priced
     if args.max_n is not None and n <= VAR_CAP:
-        # the arrays whose size grows fastest with n, for the constructions
-        # requested: what the flagged walk holds (the 2 N^2 entries of T,
-        # the 2 N^2 index of its reflector and T^dag R T), and the workspace
-        # that verify_encoding runs its probes and spot vector through
-        # (verify_workspace of N 2^c floats, c the count the fused route
-        # builds); both bit-flip families propose with kappa = n through
-        # involutions
+        # the arrays that grow fastest with n, of what the command builds:
+        # the chain record (a, p, q, s) and eigh's copy of Q, eigenvectors
+        # and 2 N^2 + 6 N + 1 floats of LAPACK work (for compare, only S and
+        # the two N x N temporaries of its symmetry check); the encoding's
+        # N 2^(c-1) reflection entries, held twice, and verify_encoding's
+        # workspace, c the fused route's ancillas (kappa = n involutions for
+        # both bit-flip families); the walk's T, reflector index and T^dag R T
         states = 1 << n
+        square = states * states * 8
+        dim = states << fused_ancillas(n, levels)
+        chain = args.command != "compare"
+        encodes = not chain or (args.command != "spectrum" and args.construction != "szegedy")
         parts = []
-        if args.construction in ("szegedy", "both"):
-            rows = 2 * states * states
-            walk_bytes = rows * (8 + np.dtype(np.intp).itemsize) + states * states * 8
-            parts.append(f"a walk isometry of {_size(walk_bytes)}")
-        if args.construction in ("compressed", "both"):
-            dim = states << fused_ancillas(n, levels)
+        if chain:
+            parts.append(f"a chain record of {_size(4 * square)}")
+            parts.append(f"a dense eigensolve of {_size(4 * square + (6 * states + 1) * 8)}")
+        else:
+            parts.append(f"a dense proposal with its symmetry check of {_size(3 * square)}")
+        if encodes:
+            parts.append(f"an encoding of {_size(dim * 8)}")
+        if encodes and chain:
             work_bytes = math.prod(verify_workspace(states, dim)) * 8
             parts.append(f"a probe workspace of {_size(work_bytes)}")
+        if args.command in ("build", "verify") and args.construction != "compressed":
+            rows = 2 * states * states
+            walk_bytes = rows * (8 + np.dtype(np.intp).itemsize) + square
+            parts.append(f"a walk isometry of {_size(walk_bytes)}")
         print(
-            f"cap raised to n={args.max_n}: n={n} allocates " + " and ".join(parts),
+            f"cap raised to n={args.max_n}: n={n} allocates " + ", ".join(parts),
             file=sys.stderr,
         )
 
 
 def _spectrum_quantities(dec):
     """Embed the chain (lazy when periodic) and return gap data. Q is solved
-    once: a periodic chain's lazy spectrum is derived from that solve, and the
-    embedding checks it against the lazy discriminant built from (I + P)/2
-    and the chain's Gibbs distribution dec.pi."""
+    once: a periodic chain's lazy spectrum is derived from that solve, and its
+    lazy discriminant from Q, as (I + Q)/2, the discriminant of (I + P)/2."""
     report = used = spectral_gaps(dec.q)
     q_used = dec.q
     if report.periodic:
-        q_used = discriminant(lazy(dec.p), dec.pi)
+        q_used = 0.5 * dec.q
+        q_used.flat[:: q_used.shape[0] + 1] += 0.5
         used = report.lazy()
     if used.delta_plus <= EIG_TOL:
         # the stationary and phase-gap checks cannot tell lambda_2 from 1
@@ -245,21 +249,11 @@ def _run_report(args):
     failures = []
 
     rule = _rule(args.acceptance)
+    # decompose_discriminant raises past DECOMP_TOL and eigenbasis_embedding
+    # past RESIDUAL_TOL, so their deviations are reported, not compared here
     dec = timer.time("chain", lambda: decompose_discriminant(model, prop, rule))
-    decomp_dev = float(dec.deviation)
-    if not decomp_dev <= DECOMP_TOL:
-        failures.append(
-            ("DecompositionMismatch",
-             f"(G(.)A)(.)S + R deviates from Q by {decomp_dev:.3e}")
-        )
-
-    if not check_detailed_balance(dec.p, dec.pi, tol=BALANCE_TOL):
-        failures.append(
-            ("NotReversible", f"detailed balance fails at {BALANCE_TOL}")
-        )
-
     deviations = {
-        "decomposition": {"value": decomp_dev, "tol": DECOMP_TOL},
+        "decomposition": {"value": float(dec.deviation), "tol": DECOMP_TOL},
         "extraction": None,
         "unitarity": None,
         "tst": None,
@@ -277,11 +271,8 @@ def _run_report(args):
             "encoding",
             lambda: build_ancilla_efficient_Q(model, prop, dec.tables),
         )
-        enc_rep = timer.time(
-            "extraction", lambda: verify_encoding(be, dec.q, tol=args.tol)
-        )
-        ext_dev = float(enc_rep.max_abs_dev)
-        deviations["extraction"] = {"value": ext_dev, "tol": args.tol}
+        enc_rep = timer.time("extraction", lambda: verify_encoding(be, dec.q))
+        deviations["extraction"] = {"value": float(enc_rep.max_abs_dev), "tol": EXTRACT_TOL}
         deviations["unitarity"] = {"value": float(enc_rep.unitary_dev), "tol": UNITARY_TOL}
         ancillas["logical"] = be.anc_qubits
         gamma = float(be.gamma)
@@ -296,9 +287,7 @@ def _run_report(args):
             ))
 
     spectrum, emb, spec = timer.time("spectrum", lambda: _spectrum_quantities(dec))
-    deviations["tst"] = {"value": emb.tst_dev, "tol": args.tol}
-    if not emb.tst_dev <= args.tol:
-        failures.append(("DecompositionMismatch", f"tst deviates by {emb.tst_dev:.3e}"))
+    deviations["tst"] = {"value": emb.tst_dev, "tol": RESIDUAL_TOL}
     try:
         phase_gap_check(spec, spectrum["delta_plus"])
     except BoundViolated as exc:
@@ -424,7 +413,6 @@ def _parser() -> argparse.ArgumentParser:
             choices=("compressed", "szegedy", "both"),
             default="both",
         )
-        p.add_argument("--tol", type=float, default=EXTRACT_TOL)
         p.add_argument("--cnf-file", help="DIMACS CNF path for --model cnf")
         p.add_argument(
             "--max-n", type=int, help="raise the dense-build cap (prints estimate)"
@@ -436,7 +424,8 @@ def _parser() -> argparse.ArgumentParser:
             action="store_true",
             help="zero the timing fields for byte-stable reports",
         )
-        p.add_argument("--counts-only", action="store_true")
+        if name == "compare":
+            p.add_argument("--counts-only", action="store_true")
     return parser
 
 

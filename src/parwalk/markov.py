@@ -163,8 +163,9 @@ def certify_stationary(p: StochasticMatrix, pi: Distribution, perms, tol: float)
     them (p[perms[k][x], x] > 0 and p[x, perms[k][x]] > 0) is connected. Its
     edges are positive entries of p in both directions, so connectivity
     makes p irreducible, and an irreducible chain has exactly one
-    stationary distribution; with detailed balance checked as well, this is
-    what state reduction (stationary_distribution) establishes, in O(N^2)
+    stationary distribution; with detailed balance, which discriminant's
+    symmetry check and decompose_discriminant's bound give, this is what
+    state reduction (stationary_distribution) establishes, in O(N^2)
     for the one product P pi and O(N kappa) per sweep of label propagation
     instead of O(N^3). A chain connected only through one-way moves, or
     through moves that no permutation proposes, is rejected too. Raises
@@ -209,7 +210,8 @@ def certify_stationary(p: StochasticMatrix, pi: Distribution, perms, tol: float)
 
 
 def check_detailed_balance(p: StochasticMatrix, pi: Distribution, tol: float = STRUCT_TOL) -> bool:
-    """True when p_xy pi_y = p_yx pi_x entrywise within tol."""
+    """True when p_xy pi_y = p_yx pi_x entrywise within tol; the CLI runs no
+    such check, as decompose_discriminant bounds the defect instead."""
     if p.n != pi.n:
         raise DimensionMismatch(f"matrix dim {p.n} vs distribution dim {pi.n}")
     flow = p.entries * pi.probs[None, :]
@@ -268,6 +270,7 @@ def _gap_report(vals: np.ndarray, vecs: np.ndarray) -> SpectralReport:
 
 
 def lazy(p: StochasticMatrix) -> StochasticMatrix:
-    """Half-lazy chain (I + P)/2; shifts the spectrum to [0, 1]."""
+    """Half-lazy chain (I + P)/2; shifts the spectrum to [0, 1]. Its
+    discriminant is (I + Q)/2, which the CLI derives from Q instead."""
     return StochasticMatrix(0.5 * (np.eye(p.n) + p.entries))
 

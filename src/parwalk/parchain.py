@@ -188,23 +188,18 @@ def glauber() -> AcceptanceRule:
     return AcceptanceRule("glauber", f)
 
 
-def _level_table(vals: np.ndarray, levels: int) -> np.ndarray:
-    """levels x levels table t[E', E] = vals[E' - E + levels - 1]."""
-    lv = np.arange(levels)
-    return vals[np.subtract.outer(lv, lv) + levels - 1]
-
-
 @dataclass(frozen=True)
 class LevelTables:
-    """The validated acceptance values of one chain, values[d + B - 1] =
-    f(d) for |d| < B, and the B x B level tables gathered from them:
-    ga[E', E] = e^{beta(E'-E)/2} f(E'-E), symmetric with entries in [0, 1],
-    and rejection[E', E] = 1 - f(E'-E). The diagonal of ga carries f(0), not
-    the unit acceptance of staying put; rejection's diagonal cancels it.
+    """The B x B level tables of one chain, indexed [E', E]: values[E', E] =
+    f(E'-E), the rule's validated acceptance values, ga[E', E] =
+    e^{beta(E'-E)/2} f(E'-E), symmetric with entries in [0, 1], and
+    rejection[E', E] = 1 - f(E'-E). The diagonal of values and ga carries
+    f(0), not the unit acceptance of staying put; rejection's diagonal
+    cancels it.
 
     No norm is computed here: ||t||_2 <= sqrt(||t||_1 ||t||_inf) holds for
     every matrix, and sqrt(||t||_1 ||t||_inf) <= B for every B x B matrix
-    with entries in [0, 1], which both tables are."""
+    with entries in [0, 1], which ga and rejection are."""
 
     values: np.ndarray
     ga: np.ndarray
@@ -213,20 +208,22 @@ class LevelTables:
 
 def level_tables(model: GibbsModel, rule: AcceptanceRule) -> LevelTables:
     """Evaluate the rule once (rule.table checks the functional equation)
-    and build the G(.)A and rejection tables from those values."""
+    and gather the three level tables from those 2B - 1 values."""
     vals = rule.table(model.beta, model.levels)
+    lv = np.arange(model.levels)
+    deltas = np.subtract.outer(lv, lv)
+    f = vals[deltas + model.levels - 1]
     # a validated table has 0 < f(d) <= e^{-beta d}, which bounds beta |d|
     # by ~745, so the reweighting below cannot overflow
-    deltas = np.arange(-(model.levels - 1), model.levels)
-    ga = _level_table(np.exp(0.5 * model.beta * deltas) * vals, model.levels)
-    return LevelTables(vals, ga, _level_table(1.0 - vals, model.levels))
+    return LevelTables(f, np.exp(0.5 * model.beta * deltas) * f, 1.0 - f)
 
 
-def _gather_acceptance(model: GibbsModel, vals: np.ndarray) -> np.ndarray:
+def _at_states(model: GibbsModel, table: np.ndarray) -> np.ndarray:
+    """N x N matrix table[E_y, E_x] at (y, x), with a unit diagonal."""
     e = model.energies
-    a = vals[np.subtract.outer(e, e) + model.levels - 1]
-    np.fill_diagonal(a, 1.0)
-    return a
+    out = table[np.ix_(e, e)]
+    np.fill_diagonal(out, 1.0)
+    return out
 
 
 def acceptance_matrix(model: GibbsModel, rule: AcceptanceRule) -> np.ndarray:
@@ -234,7 +231,7 @@ def acceptance_matrix(model: GibbsModel, rule: AcceptanceRule) -> np.ndarray:
 
     Its detailed-balance ratio a_yx / a_xy = e^{-beta delta} is the
     functional equation that rule.table checks on the same values."""
-    return _gather_acceptance(model, rule.table(model.beta, model.levels))
+    return _at_states(model, level_tables(model, rule).values)
 
 
 def transition_matrix(prop: ProposalDecomposition, a: np.ndarray) -> StochasticMatrix:
@@ -283,44 +280,48 @@ class DiscriminantDecomposition:
     deviation: float
 
 
-def _recompose_dev(prod: np.ndarray, r: np.ndarray, target: np.ndarray) -> float:
-    """max |prod + diag(r) - target|, computed in prod's own storage."""
-    prod.flat[:: prod.shape[0] + 1] += r
-    prod -= target
-    return float(np.abs(prod, out=prod).max())
-
-
 def decompose_discriminant(
     model: GibbsModel, prop: ProposalDecomposition, rule: AcceptanceRule
 ) -> DiscriminantDecomposition:
-    """Build the chain and verify Q = (G(.)A)(.)S + R within 1e-10."""
+    """Build the chain and verify Q = (G(.)A)(.)S + R within DECOMP_TOL.
+
+    Detailed balance needs no check of its own: with d = E_y - E_x, the
+    flow defect p_yx pi_x - p_xy pi_y off the diagonal is s_yx sqrt(pi_x
+    pi_y) (e^{beta d/2} f(d) - e^{-beta d/2} f(-d)), where rule.table bounds
+    the bracket by RATIO_TOL and sqrt(pi_x pi_y) <= 1/2, so the defect is at
+    most RATIO_TOL / 2 plus rounding; the diagonal terms cancel exactly.
+    That takes S exactly symmetric, as the bit-flip S of every built-in
+    model is; ProposalDecomposition admits |s_yx - s_xy| <= 1e-12 more."""
     if model.n != prop.n:
         raise DimensionMismatch(f"model dim {model.n} vs proposal dim {prop.n}")
     tables = level_tables(model, rule)
-    a = _gather_acceptance(model, tables.values)
+    a = _at_states(model, tables.values)
     s = prop.s
     p = transition_matrix(prop, a)
     r = rejection_diagonal(prop, a)
     pi = gibbs_distribution(model)
     q = discriminant(p, pi)
 
-    # P = A(.)S + R holds verbatim because a_xx is forced to 1
-    p_dev = _recompose_dev(a * s, r, p.entries)
+    # transition_matrix writes every off-diagonal entry as the product a * s,
+    # so P = A(.)S + R can differ only on the diagonal, where it compares the
+    # two formulas for the rejection probability
+    p_dev = float(np.abs(np.diagonal(a) * np.diagonal(s) + r - np.diagonal(p.entries)).max())
     if not p_dev <= 1e-12:
-        raise DecompositionMismatch(f"P = A(.)S + R fails by {p_dev:.3e}")
+        raise DecompositionMismatch(f"|A(.)S + R - P| = {p_dev:.3e} exceeds 1e-12")
 
-    e = model.energies
     # symmetric, since rule.table checked the functional equation
-    ga = tables.ga[np.ix_(e, e)]
-    np.fill_diagonal(ga, 1.0)
+    ga = _at_states(model, tables.ga)
     if ga.min() < 0 or ga.max() > 1 + 1e-12:
         raise DecompositionMismatch("G(.)A entries leave [0, 1]")
 
+    # the recomposition, in ga's own storage
     ga *= s
-    deviation = _recompose_dev(ga, r, q)
+    ga.flat[:: ga.shape[0] + 1] += r
+    ga -= q
+    deviation = float(np.abs(ga, out=ga).max())
     if not deviation <= DECOMP_TOL:
         raise DecompositionMismatch(
-            f"(G(.)A)(.)S + R deviates from Q by {deviation:.3e}"
+            f"|(G(.)A)(.)S + R - Q| = {deviation:.3e} exceeds {DECOMP_TOL:g}"
         )
     return DiscriminantDecomposition(
         tables=tables, pi=pi, a=a, p=p, s=s, r=r, q=q, deviation=deviation

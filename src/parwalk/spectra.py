@@ -195,10 +195,17 @@ def eigenbasis_embedding(q: np.ndarray, gaps: SpectralReport) -> EigenbasisEmbed
     lam = _land_unit(lam)
 
     # written so that NaN fails: nothing else here reads q's entries
-    if not np.abs(vecs.T @ vecs - np.eye(q.shape[0])).max() <= RESIDUAL_TOL:
-        raise SpectrumOutOfRange("embedding isometry lost orthonormality")
+    ortho_dev = float(np.abs(vecs.T @ vecs - np.eye(q.shape[0])).max())
+    if not ortho_dev <= RESIDUAL_TOL:
+        raise SpectrumOutOfRange(
+            f"embedding isometry lost orthonormality: |V^T V - I| = "
+            f"{ortho_dev:.3e} exceeds {RESIDUAL_TOL:g}"
+        )
     tst_dev = float(np.abs((vecs * lam) @ vecs.T - q).max())
     if not tst_dev <= RESIDUAL_TOL:
-        raise SpectrumOutOfRange("t^dag s t deviates from q")
+        raise SpectrumOutOfRange(
+            f"t^dag s t deviates from q: |V diag(lambda) V^T - q| = "
+            f"{tst_dev:.3e} exceeds {RESIDUAL_TOL:g}"
+        )
     thetas = np.arccos(lam)
     return EigenbasisEmbedding(phases=np.r_[thetas, -thetas], tst_dev=tst_dev)

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import parwalk.cli
 from parwalk.blockenc import UNITARY_TOL, build_ancilla_efficient_Q, extract_block
 from parwalk.cli import main
 from parwalk.markov import (
@@ -299,6 +300,27 @@ def test_derived_lazy_spectrum_matches_the_lazy_chain():
         assert np.abs(derived - np.linalg.eigvalsh(q_lazy)[::-1]).max() <= 1e-12, label
         count += 1
     assert count == 32
+
+
+def test_derived_lazy_discriminant_is_the_lazy_chains(monkeypatch):
+    # the CLI embeds a periodic chain's lazy discriminant as (I + Q)/2; on
+    # every periodic chain of the gate axes it is, bit for bit, the
+    # discriminant of the separately built lazy chain (I + P)/2
+    embedded = []
+    embed = parwalk.cli.eigenbasis_embedding
+    monkeypatch.setattr(
+        parwalk.cli, "eigenbasis_embedding", lambda q, gaps: embedded.append(q) or embed(q, gaps)
+    )
+    count = 0
+    for label, model, prop, rule in grid((1, 2, 3, 4, 5)):
+        dec = decompose_discriminant(model, prop, rule)
+        if not spectral_gaps(dec.q).periodic:
+            continue
+        embedded.clear()
+        assert parwalk.cli._spectrum_quantities(dec)[0]["lazy"], label
+        assert np.array_equal(embedded[0], discriminant(lazy(dec.p), dec.pi)), label
+        count += 1
+    assert count == 20
 
 
 def test_criterion_7_norm_bound():

@@ -57,13 +57,14 @@ def two_state_encoding():
 
 
 def test_encoding_rejects_wrong_operator_dim():
+    # both dimensions are read from the operator, so an encoding whose
+    # system or ancilla count disagrees with its operator cannot be built
     be = two_state_encoding()
-    with pytest.raises(DimensionMismatch):
-        replace(be, sys_dim=3)
-    # the operator read as encoding a system of twice the size, with one
-    # ancilla fewer: the dimension fits, the operator's system does not
-    with pytest.raises(DimensionMismatch, match="system states"):
-        replace(be, sys_dim=2 * be.sys_dim, anc_qubits=be.anc_qubits - 1)
+    assert be.sys_dim == be.op.n_sys == 2
+    assert be.op.dim == be.sys_dim << be.anc_qubits
+    for field in ("sys_dim", "anc_qubits"):
+        with pytest.raises(TypeError):
+            replace(be, **{field: 3})
 
 
 def test_encoding_rejects_nonpositive_scale():
@@ -717,8 +718,7 @@ def test_structured_block_matches_full_extraction(chain, rule):
 
 def test_generic_and_hand_built_encodings_are_extracted_in_full():
     # extract_block, the tests' oracle, applies any operator to every basis
-    # column: the fused reflection, and its three factors applied one by one;
-    # the fused node read as encoding a system of twice the size is refused
+    # column: the fused reflection, and its three factors applied one by one
     model, prop = cycle_chain("pair", 8, 3)
     rule = metropolis()
     generic = build_ancilla_efficient_Q(model, prop, level_tables(model, rule))
@@ -727,8 +727,6 @@ def test_generic_and_hand_built_encodings_are_extracted_in_full():
     assert verify_encoding(generic, q).passed
     by_hand = replace(generic, op=HandBuilt(generic.op))
     assert np.abs(extract_block(by_hand) - structured_block(generic)).max() <= 1e-15
-    with pytest.raises(DimensionMismatch, match="system states"):
-        replace(generic, sys_dim=16, anc_qubits=generic.anc_qubits - 1)
 
 
 class HandBuilt:

@@ -186,24 +186,23 @@ def test_verify_text_output_lists_fields(capsys):
 
 
 def test_inject_fault_fails_verification(capsys, monkeypatch):
-    # recompose Q from an accept table perturbed at a live proposal entry
-    def faulted(model, prop, rule):
-        dec = decompose_discriminant(model, prop, rule)
-        ga = dec.tables.ga[np.ix_(model.energies, model.energies)]
-        np.fill_diagonal(ga, 1.0)
-        ys, xs = np.nonzero(dec.s * (1.0 - np.eye(dec.s.shape[0])))
-        ga[ys[0], xs[0]] += 1e-6
-        ga[xs[0], ys[0]] += 1e-6
-        dev = float(np.abs(ga * dec.s + np.diag(dec.r) - dec.q).max())
-        return dataclasses.replace(dec, deviation=dev)
+    # Q off by 1e-6 at a live proposal entry, inside the decomposition: its
+    # own check of the recomposition is the one that reports it
+    def faulted(p, pi):
+        q = discriminant(p, pi)
+        ys, xs = np.nonzero(p.entries * (1.0 - np.eye(p.n)))
+        q[ys[0], xs[0]] += 1e-6
+        q[xs[0], ys[0]] += 1e-6
+        return q
 
-    monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted)
+    monkeypatch.setattr(parwalk.parchain, "discriminant", faulted)
     code, out, err = run(capsys, "verify", "--n", "2", "--json", "--deterministic")
-    assert code == 1
-    assert "FAIL DecompositionMismatch" in err
-    report = json.loads(out)
-    assert report["pass"] is False
-    assert report["deviations"]["decomposition"]["value"] > 1e-10
+    assert code == 2 and out == ""
+    found = re.fullmatch(
+        r"error: DecompositionMismatch: \|\(G\(\.\)A\)\(\.\)S \+ R - Q\| = (\S+) exceeds 1e-10\n",
+        err,
+    )
+    assert found and abs(float(found.group(1)) - 1e-6) <= 1e-9
 
 
 def test_faulty_select_fails_verification_through_the_probes(capsys, monkeypatch):
@@ -445,6 +444,16 @@ def test_cap_exceeded_is_an_input_error(capsys):
     assert "error:" in err and "--max-n" in err
 
 
+@pytest.mark.parametrize("command", ["build", "verify", "spectrum"])
+def test_only_compare_accepts_counts_only(capsys, command):
+    # the other commands build the chain in any case, so the flag is refused
+    # rather than ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "2", "--counts-only"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --counts-only" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [("verify", "--n", "3", "--max-n", "0"), ("compare", "--n", "3", "--max-n", "1")]
 )
@@ -471,6 +480,34 @@ def test_max_n_raises_cap_and_prints_estimate(capsys):
     # probes apply at once, of 4 * 2^5 floats each
     assert "a walk isometry of ~0.6 KiB" in err
     assert "a probe workspace of ~8.0 KiB" in err
+    # and the chain record's four N x N float arrays (512 B), eigh's copy of
+    # Q, its eigenvectors and 2 N^2 + 6 N + 1 floats of LAPACK work (712 B),
+    # and the encoding's 2^5 / 2 reflection entries per state, held twice
+    assert err == (
+        "cap raised to n=4: n=2 allocates a chain record of ~0.5 KiB, a dense "
+        "eigensolve of ~0.7 KiB, an encoding of ~1.0 KiB, a probe workspace of "
+        "~8.0 KiB, a walk isometry of ~0.6 KiB\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, priced",
+    [
+        ("compare", "a dense proposal with its symmetry check of ~384.0 MiB, "
+                    "an encoding of ~32.0 MiB"),
+        ("spectrum", "a chain record of ~512.0 MiB, a dense eigensolve of ~512.2 MiB"),
+        ("verify", "a chain record of ~512.0 MiB, a dense eigensolve of ~512.2 MiB, "
+                   "an encoding of ~32.0 MiB, a probe workspace of ~128.0 MiB"),
+    ],
+)
+def test_max_n_estimate_prices_what_each_command_allocates(capsys, command, priced):
+    # n = 12, B = 16: compare builds only the proposal and the encoding,
+    # spectrum only the chain and its eigensolve, and neither a walk nor a
+    # probe workspace
+    extra = ["--construction", "compressed"] if command == "verify" else []
+    args = parwalk.cli._parser().parse_args([command, "--max-n", "12", *extra])
+    parwalk.cli._check_cap(args, 12, 16)
+    assert capsys.readouterr().err == f"cap raised to n=12: n=12 allocates {priced}\n"
 
 
 def test_max_n_estimate_prices_one_extraction_chunk(capsys, monkeypatch):
@@ -586,35 +623,44 @@ def test_nonexistent_cnf_path(capsys, tmp_path):
 
 
 def test_verify_prints_every_failure(capsys, monkeypatch):
-    embed = parwalk.cli.eigenbasis_embedding
-    monkeypatch.setattr(parwalk.cli, "check_detailed_balance", lambda *a, **k: False)
-    # a NaN deviation fails the thresholds like a large one
-    for dev, text in ((1.0, "1.000e+00"), (math.nan, "nan")):
-        def faulted(model, prop, rule, dev=dev):
-            dec = decompose_discriminant(model, prop, rule)
-            return dataclasses.replace(dec, deviation=dev)
+    # the three checks that verify reports rather than raises fail at once:
+    # the encoding, the phase gap and the stationary state
+    verify, spectrum = parwalk.cli.verify_encoding, parwalk.cli.walk_spectrum
 
-        def faulted_embedding(q, gaps, dev=dev):
-            return dataclasses.replace(embed(q, gaps), tst_dev=dev)
+    def faulted_chain(model, prop, rule):
+        # 1e-6 of state 0's mass moved from staying to its first proposal
+        dec = decompose_discriminant(model, prop, rule)
+        moved = dec.p.entries.copy()
+        moved[0, 0] -= 1e-6
+        moved[prop.perms[0][0], 0] += 1e-6
+        return dataclasses.replace(dec, p=StochasticMatrix(moved))
 
-        monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted)
-        monkeypatch.setattr(parwalk.cli, "eigenbasis_embedding", faulted_embedding)
-        code, out, err = run(capsys, "verify", "--n", "2", "--json", "--deterministic")
-        assert code == 1
-        assert err.splitlines() == [
-            f"FAIL DecompositionMismatch: (G(.)A)(.)S + R deviates from Q by {text}",
-            "FAIL NotReversible: detailed balance fails at 1e-12",
-            f"FAIL DecompositionMismatch: tst deviates by {text}",
-        ]
-        assert json.loads(out)["pass"] is False
+    def faulted_encoding(be, target):
+        return dataclasses.replace(verify(be, target), max_abs_dev=1.0, passed=False)
+
+    def faulted_spectrum(phases, eigenvalues):
+        return dataclasses.replace(spectrum(phases, eigenvalues), phase_gap=0.5)
+
+    monkeypatch.setattr(parwalk.cli, "decompose_discriminant", faulted_chain)
+    monkeypatch.setattr(parwalk.cli, "verify_encoding", faulted_encoding)
+    monkeypatch.setattr(parwalk.cli, "walk_spectrum", faulted_spectrum)
+    code, out, err = run(capsys, "verify", "--n", "2", "--json", "--deterministic")
+    assert code == 1 and json.loads(out)["pass"] is False
+    fails = err.splitlines()
+    assert [line.split(":")[0] for line in fails] == [
+        "FAIL DecompositionMismatch", "FAIL BoundViolated", "FAIL NotErgodic",
+    ]
+    assert fails[0].startswith("FAIL DecompositionMismatch: encoding deviation 1.000e+00")
+    assert fails[1].startswith("FAIL BoundViolated: phase gap 0.5000000000 != arccos")
+    assert fails[2].startswith("FAIL NotErgodic: |P pi - pi| = 5.")
 
 
 def test_block_deviation_prints_one_fail_line(capsys, monkeypatch):
     # the detailed line already names the extraction deviation
     verify = parwalk.cli.verify_encoding
 
-    def faulted(be, target, tol):
-        return dataclasses.replace(verify(be, target, tol=tol), max_abs_dev=1.0, passed=False)
+    def faulted(be, target):
+        return dataclasses.replace(verify(be, target), max_abs_dev=1.0, passed=False)
 
     monkeypatch.setattr(parwalk.cli, "verify_encoding", faulted)
     code, out, err = run(
@@ -631,18 +677,18 @@ def test_block_deviation_prints_one_fail_line(capsys, monkeypatch):
 
 def test_one_verify_evaluates_the_rule_once(capsys, monkeypatch):
     # the decomposition's level tables build the encoding: 2B - 1 rule
-    # values and two level tables per chain (4 (2B - 1) and three before)
-    calls = {"f": 0, "level_table": 0}
+    # values, gathered once into the B x B tables, per chain (4 (2B - 1)
+    # values before the tables were shared)
+    calls = {"f": 0, "level_tables": 0}
     rule = metropolis()
-    level_table = parwalk.parchain._level_table
 
     def f(d, beta):
         calls["f"] += 1
         return rule.f(d, beta)
 
     def counted(*args):
-        calls["level_table"] += 1
-        return level_table(*args)
+        calls["level_tables"] += 1
+        return level_tables(*args)
 
     # and no norm of a level table is computed: ||t||_2 <= sqrt(||t||_1
     # ||t||_inf) <= B holds for every B x B table with entries in [0, 1]
@@ -660,7 +706,7 @@ def test_one_verify_evaluates_the_rule_once(capsys, monkeypatch):
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(parwalk.cli, "_rule", lambda _name: AcceptanceRule("custom", f))
-    monkeypatch.setattr(parwalk.parchain, "_level_table", counted)
+    monkeypatch.setattr(parwalk.parchain, "level_tables", counted)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     code, _, _ = run(
@@ -668,7 +714,7 @@ def test_one_verify_evaluates_the_rule_once(capsys, monkeypatch):
         "--json", "--deterministic",
     )
     assert code == 0
-    assert calls == {"f": 2 * 7 - 1, "level_table": 2}
+    assert calls == {"f": 2 * 7 - 1, "level_tables": 1}
     assert table_norms == []
 
 
@@ -732,7 +778,14 @@ def test_eigenpairs_that_miss_q_are_an_input_error(capsys, monkeypatch):
     monkeypatch.setattr(parwalk.cli, "spectral_gaps", shifted)
     code, out, err = run(capsys, "verify", "--n", "3", "--json")
     assert code == 2 and out == ""
-    assert err.splitlines() == ["error: SpectrumOutOfRange: t^dag s t deviates from q"]
+    # the message names the deviation and the tolerance: a shift of 1e-6
+    # in lambda_2 moves q by 1e-6 times an entry of v_2 v_2^T
+    found = re.fullmatch(
+        r"error: SpectrumOutOfRange: t\^dag s t deviates from q: "
+        r"\|V diag\(lambda\) V\^T - q\| = (\S+) exceeds 1e-09\n",
+        err,
+    )
+    assert found and 1e-9 < float(found.group(1)) <= 1e-6
 
 
 def test_the_traced_benchmark_finds_every_function_it_wraps(capsys):
@@ -837,9 +890,6 @@ def test_random_energy_requires_level_count(capsys):
         (("--n", "-1"), "--n"),
         (("--n", "0"), "--n"),
         (("--energy", "random", "--B", "0"), "--B"),
-        (("--tol", "-1"), "--tol"),
-        (("--tol", "nan"), "--tol"),
-        (("--tol", "inf"), "--tol"),
         (("--beta", "nan"), "--beta"),
         (("--beta=-inf",), "--beta"),
         (("--energy", "random", "--B", "4", "--seed", "-1"), "seed"),

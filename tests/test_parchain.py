@@ -311,6 +311,29 @@ class TestDecomposition:
         np.fill_diagonal(ga, 1.0)
         assert np.abs(ga * dec.s + np.diag(dec.r) - dec.q).max() == dec.deviation
 
+    @pytest.mark.parametrize("rule", [metropolis(), glauber()], ids=["metropolis", "glauber"])
+    def test_p_is_a_s_off_the_diagonal_bit_for_bit(self, rule):
+        # why P = A(.)S + R is checked on the diagonal alone: off it,
+        # transition_matrix writes the very product a * s
+        model = GibbsModel(energies=np.array([1, 0, 3, 2, 2, 0, 1, 3]), levels=4, beta=0.7)
+        dec = decompose_discriminant(model, hypercube_proposal(3), rule)
+        off = ~np.eye(8, dtype=bool)
+        assert np.array_equal(dec.p.entries[off], (dec.a * dec.s)[off])
+        assert np.abs(dec.s.diagonal() + dec.r - dec.p.entries.diagonal()).max() <= 1e-15
+
+    def test_values_is_the_acceptance_level_table(self):
+        # values[E', E] = f(E' - E), the table a is gathered from, with a
+        # unit diagonal put in at the states
+        model = GibbsModel(energies=np.array([2, 0, 1, 2]), levels=3, beta=0.9)
+        rule = glauber()
+        tables = level_tables(model, rule)
+        lv = np.arange(3)
+        want = [[rule.f(int(i - j), 0.9) for j in lv] for i in lv]
+        assert np.array_equal(tables.values, want)
+        assert np.array_equal(tables.rejection, 1.0 - tables.values)
+        assert np.array_equal(acceptance_matrix(model, rule), decompose_discriminant(
+            model, hypercube_proposal(2), rule).a)
+
     def test_the_record_holds_each_chain_quantity_once(self):
         # four N x N arrays: G(.)A is gathered only for the deviation, and
         # R is kept as its diagonal

@@ -3,12 +3,15 @@ random involutions with fixed points, optionally joined by a cycle and its
 inverse at one weight or by [C, C, C^-1] at weights (w, w, 2w), whose
 slots split in two, random energies on B levels, beta from 0 to 40 and
 both acceptance rules. The embedding's phases are checked against the
-dense diagonalization of its walk on the same chains, the discriminant's
-one reversibility check against the three it replaced on perturbed
-chains, and the command line's exit-code contract over its flag ranges."""
+dense diagonalization of its walk on the same chains, the detailed balance
+of every decomposed chain (with a rule at the limit of the functional
+equation's tolerance as well), the discriminant's one reversibility check
+against the three it replaced on perturbed chains, and the command line's
+exit-code contract over its flag ranges."""
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -27,12 +30,15 @@ from parwalk.errors import NotReversible  # noqa: E402
 from parwalk.markov import (  # noqa: E402
     GibbsModel,
     StochasticMatrix,
+    check_detailed_balance,
     discriminant,
     gibbs_distribution,
     lazy,
     spectral_gaps,
 )
 from parwalk.parchain import (  # noqa: E402
+    RATIO_TOL,
+    AcceptanceRule,
     decompose_discriminant,
     glauber,
     level_tables,
@@ -96,6 +102,32 @@ def test_encoding_properties(chain):
     assert be.anc_qubits <= be.paper_anc == 2 * m + b + 2
     probes = np.random.default_rng(0).standard_normal((3, be.op.dim))
     assert np.abs(be.op.apply(be.op.apply(probes)) - probes).max() <= 1e-10
+
+
+def near_limit_rule():
+    """Metropolis with f(d) raised by 0.99 RATIO_TOL e^{-beta d/2} for d > 0:
+    its functional-equation defect e^{beta d/2} f(d) - e^{-beta d/2} f(-d)
+    is 0.99 RATIO_TOL, just inside what rule.table admits."""
+    def f(d, beta):
+        excess = 0.99 * RATIO_TOL * math.exp(-0.5 * beta * d) if d > 0 else 0.0
+        return math.exp(min(0.0, -beta * d)) + excess
+
+    return AcceptanceRule("near-limit", f)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chains(), st.booleans())
+def test_every_decomposed_chain_is_reversible_within_1e_12(chain, near_limit):
+    # decompose_discriminant checks no detailed balance of its own: its
+    # docstring bounds the defect by RATIO_TOL / 2 plus rounding, for S
+    # symmetric, and this is that bound's check on every chain returned
+    model, prop, rule = chain
+    if near_limit:
+        rule = near_limit_rule()
+    dec = decompose_discriminant(model, prop, rule)
+    assert check_detailed_balance(dec.p, dec.pi, tol=1e-12)
+    flow = dec.p.entries * dec.pi.probs[None, :]
+    assert np.abs(flow - flow.T).max() <= 0.5 * RATIO_TOL + 1e-15
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -192,7 +224,6 @@ def cli_calls(draw):
         f"--beta={draw(st.floats(0.0, 50.0) | st.floats())!r}",
         "--acceptance", draw(st.sampled_from(["metropolis", "glauber"])),
         "--construction", draw(st.sampled_from(["compressed", "szegedy", "both"])),
-        "--tol", "1e-9",
         "--json",
     ]
     levels = draw(st.none() | st.integers(-2, 20))
