@@ -886,14 +886,18 @@ def test_random_energy_requires_level_count(capsys):
 
 @pytest.mark.parametrize(
     "argv, flag",
+    # explicit ids keep each case's name fixed when cases are added or removed
     [
-        (("--n", "-1"), "--n"),
-        (("--n", "0"), "--n"),
-        (("--energy", "random", "--B", "0"), "--B"),
-        (("--beta", "nan"), "--beta"),
-        (("--beta=-inf",), "--beta"),
-        (("--energy", "random", "--B", "4", "--seed", "-1"), "seed"),
-        (("--beta", "-1"), "--beta"),
+        pytest.param(("--n", "-1"), "--n", id="argv0---n"),
+        pytest.param(("--n", "0"), "--n", id="argv1---n"),
+        pytest.param(("--energy", "random", "--B", "0"), "--B", id="argv2---B"),
+        pytest.param(("--beta", "nan"), "--beta", id="argv6---beta"),
+        pytest.param(("--beta=-inf",), "--beta", id="argv7---beta"),
+        pytest.param(
+            ("--energy", "random", "--B", "4", "--seed", "-1"), "seed",
+            id="argv8-seed",
+        ),
+        pytest.param(("--beta", "-1"), "--beta", id="argv9---beta"),
     ],
 )
 def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
