@@ -315,13 +315,14 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
 
 
 # random system vectors v on which the real operator of a fused encoding is
-# probed, since its block is read from the operator's arrays and not from
-# apply
+# probed, as |0^c, v>, since its block is read from the operator's arrays
+# and not from apply
 PROBES = 2
-# seed of the one generator that draws the probes and then the spot vectors
+# seed of the one generator that draws the probe and spot rows of each chunk
 SEED = 7
-# random unit vectors of the unitarity spot check; the operator's arrays
-# certify unitarity, and the spot vector ties apply to them
+# random unit vectors of the unitarity spot check, applied in the same pass
+# as the probes; the operator's arrays certify unitarity, and the spot
+# vector ties apply to them
 SPOT_VECTORS = 1
 
 
@@ -330,74 +331,60 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
-def _max_abs(x: np.ndarray) -> float:
-    """max |x|, taken in place; x is overwritten."""
-    return float(np.abs(x, out=x).max())
-
-
 def _worst(*devs: float) -> float:
     """The largest deviation, NaN if any is NaN: the builtin max keeps its
     first argument when a later one is NaN, so a NaN output would pass."""
     return float(np.max(devs))
 
 
-def _probe(be: BlockEncoding, target: np.ndarray, rng, work: np.ndarray):
-    """Apply the operator to |0^c, v> for PROBES random unit vectors v, in
-    chunks that run through the workspace arrays work[0..2], and return two
-    deviations: the reflection deviation, the larger of | ||V|0,v>|| - 1 |
-    and |V V|0,v> - |0,v>|, and the block deviation |gamma <0^c|V|0^c, v> -
-    target v|."""
+def _round_trips(be: BlockEncoding, target: np.ndarray, rng, work: np.ndarray):
+    """Apply the operator twice to each of PROBES vectors |0^c, v>, v a
+    random Gaussian unit system vector, and SPOT_VECTORS random unit
+    vectors, uniform in each entry, in chunks of work.shape[1] rows of the
+    workspace block work. Return the probes' reflection deviation, their
+    block deviation |gamma <0^c|V|0^c, v> - target v|, and the spot
+    deviation, where a vector x deviates by the larger of | ||V x|| - 1 |
+    and |V V x - x|. V is certified symmetric to within its unitarity
+    residual, so V V x stands for V^T V x."""
     n = be.sys_dim
-    width = work.shape[1]
-    reflection_dev = block_dev = 0.0
-    for lo in range(0, PROBES, width):
-        m = min(width, PROBES - lo)
-        basis, image, spare = work[:3, :m]
-        v = rng.standard_normal((m, n))
+    total = PROBES + SPOT_VECTORS
+    dev = np.empty(total)
+    block_dev = np.empty(PROBES)
+    for lo in range(0, total, work.shape[1]):
+        hi = min(lo + work.shape[1], total)
+        x, image, back, gathered = work[:, : hi - lo]
+        # each chunk draws its probe rows, then its spot rows, so the draws
+        # do not depend on the chunk width
+        probes = max(0, min(PROBES, hi) - lo)
+        v = rng.standard_normal((probes, n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        basis.fill(0.0)
-        basis[:, :n] = v
-        w = be.op.apply(basis, out=image, scratch=(basis, spare))
-        top_dev = np.abs(be.gamma * w[:, :n] - v @ target.T).max()
-        norm_dev = np.abs(_norms(w) - 1.0).max()
-        w = be.op.apply(w, out=spare, scratch=(w, basis))
-        w[:, :n] -= v
-        reflection_dev = _worst(reflection_dev, norm_dev, _max_abs(w))
-        block_dev = _worst(block_dev, top_dev)
-    return reflection_dev, block_dev
-
-
-def _spot_check(be: BlockEncoding, rng, work: np.ndarray) -> float:
-    """The larger of | ||V v|| - 1 | and |V V v - v| over SPOT_VECTORS
-    random unit vectors v, drawn into work[0] and applied in chunks through
-    work[1..3]. V is certified symmetric to within its unitarity residual,
-    so V V v stands for V^T V v."""
-    width = work.shape[1]
-    unitary_dev = 0.0
-    for lo in range(0, SPOT_VECTORS, width):
-        v, image, spare, gathered = work[:, : min(width, SPOT_VECTORS - lo)]
+        x[:probes].fill(0.0)
+        x[:probes, :n] = v
         # uniform on [-1/2, 1/2): once normalised, the same vectors as a
         # draw on [-1, 1), at a quarter of the cost of a Gaussian draw
-        rng.random(out=v)
-        v -= 0.5
-        v /= _norms(v)[:, None]
-        w = be.op.apply(v, out=image, scratch=(spare, gathered))
-        norm_dev = np.abs(_norms(w) - 1.0).max()
-        back = be.op.apply(w, out=spare, scratch=(w, gathered))
-        back -= v
-        unitary_dev = _worst(unitary_dev, norm_dev, _max_abs(back))
-    return unitary_dev
+        spot = x[probes:]
+        rng.random(out=spot)
+        spot -= 0.5
+        spot /= _norms(spot)[:, None]
+        w = be.op.apply(x, out=image, scratch=(back, gathered))
+        top = np.abs(be.gamma * w[:probes, :n] - v @ target.T)
+        block_dev[lo : lo + probes] = top.max(axis=1)
+        norm_dev = np.abs(_norms(w) - 1.0)
+        w = be.op.apply(w, out=back, scratch=(w, gathered))
+        w -= x
+        dev[lo:hi] = np.maximum(norm_dev, np.abs(w, out=w).max(axis=1))
+    # ndarray.max, like _worst, returns NaN if any entry is NaN
+    return float(dev[:PROBES].max()), float(block_dev.max()), float(dev[PROBES:].max())
 
 
 def verify_workspace(sys_dim: int, op_dim: int) -> tuple[int, int, int]:
     """Shape of the one workspace block verify_encoding allocates: four
     arrays of a chunk of vectors of op_dim floats, which hold the vectors,
     their image, and the gathered operand and the result of the select.
-    The probes use three, since only the first reflection of V reads its
-    input; the spot vectors are read again after their round trip. A chunk
-    is extraction_chunk_width vectors, but never more than the probes or
-    the spot check apply at once, so no row of the block goes unused."""
-    width = min(extraction_chunk_width(sys_dim, op_dim), max(PROBES, SPOT_VECTORS))
+    A chunk is extraction_chunk_width vectors, but never more than the
+    PROBES + SPOT_VECTORS vectors of the round trips, so no row of the
+    block goes unused."""
+    width = min(extraction_chunk_width(sys_dim, op_dim), PROBES + SPOT_VECTORS)
     return (4, width, op_dim)
 
 
@@ -426,10 +413,10 @@ def verify_encoding(be: BlockEncoding, target: np.ndarray) -> EncodingReport:
     SPOT_VECTORS random vectors, uniform in each entry; it must be within
     UNITARY_TOL. The bound is at least the spot statistic of every unit
     vector, so the spot check only sees what apply does beyond the arrays.
-    The probes and then the spot vectors are drawn from one SFC64(SEED)
-    generator. They share the workspace block verify_workspace, allocated
-    once per call, so that their vectors allocate no arrays of op.dim
-    floats."""
+    The probes and the spot vectors take their round trips in one pass,
+    drawn from one SFC64(SEED) generator into the workspace block
+    verify_workspace, allocated once per call, so that their vectors
+    allocate no arrays of op.dim floats."""
     target = np.asarray(target)
     if target.shape != (be.sys_dim, be.sys_dim):
         raise DimensionMismatch(
@@ -440,13 +427,12 @@ def verify_encoding(be: BlockEncoding, target: np.ndarray) -> EncodingReport:
     # the next call, where separate arrays were trimmed and faulted in
     # again (~970 minor faults per n = 7, B = 16 chain), and encode-n7 ran
     # ~15% slower in the benchmark. With four arrays no page of the encode-n7
-    # chains faults in again; with three, the spot vector drawn a second
-    # time after its round trip, ~350 did per chain, and encode-n7 ran
-    # ~20% slower
+    # chains faults in again; with three, ~350 did per chain, and encode-n7
+    # ran ~20% slower
     work = np.empty(verify_workspace(be.sys_dim, be.op.dim))
     rng = np.random.Generator(np.random.SFC64(SEED))
-    reflection_dev, block_dev = _probe(be, target, rng, work)
-    unitary_dev = _worst(be.op.unitarity_residual(), _spot_check(be, rng, work))
+    reflection_dev, block_dev, spot_dev = _round_trips(be, target, rng, work)
+    unitary_dev = _worst(be.op.unitarity_residual(), spot_dev)
     return EncodingReport(
         max_abs_dev=dev,
         unitary_dev=unitary_dev,

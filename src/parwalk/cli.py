@@ -28,6 +28,7 @@ import numpy as np
 from .blockenc import (  # noqa: F401
     EXTRACT_TOL,
     UNITARY_TOL,
+    _ceil_log2,
     _pow2_pad,
     build_ancilla_efficient_Q,
     extract_block,
@@ -91,48 +92,39 @@ def _build_bundle(args, need_matrices: bool):
     if args.model == "hypercube":
         if args.n < 1:
             raise ParwalkError(f"--n must be at least 1, got {args.n}")
-        levels = args.n + 1 if args.energy == "hamming" else args.levels
+        n, energy = args.n, args.energy
+        levels = n + 1 if energy == "hamming" else args.levels
         if levels is None:
             raise ParwalkError("random energies need --B")
         if levels < 1:
             raise ParwalkError(f"--B must be at least 1, got {levels}")
-        if args.energy == "random" and args.seed < 0:
+        if energy == "random" and args.seed < 0:
             raise ParwalkError(f"seed must be nonnegative, got {args.seed}")
-        echo = {
-            "source": "hypercube",
-            "n": int(args.n),
-            "states": 1 << args.n,
-            "energy": args.energy,
-            "levels": int(levels),
-            "seed": int(args.seed),
-            "beta": float(args.beta),
-            "acceptance": args.acceptance,
-        }
-        if not need_matrices:
-            return echo, None, None
-        _check_cap(args, args.n, levels)
-        model, prop = build_hypercube(
-            args.n, energy=args.energy, levels=levels, seed=args.seed, beta=args.beta
+        source = {"source": "hypercube"}
+        build = functools.partial(
+            build_hypercube, n, energy=energy, levels=levels, seed=args.seed, beta=args.beta
         )
-        return echo, model, prop
-    if args.cnf_file is None:
-        raise ParwalkError("cnf models need --cnf-file")
-    formula = load_dimacs(args.cnf_file)
+    else:
+        if args.cnf_file is None:
+            raise ParwalkError("cnf models need --cnf-file")
+        formula = load_dimacs(args.cnf_file)
+        n, levels, energy = formula.num_vars, formula.num_clauses + 1, "violated-clauses"
+        source = {"source": "cnf", "path": args.cnf_file}
+        build = functools.partial(build_cnf, formula, beta=args.beta)
     echo = {
-        "source": "cnf",
-        "path": args.cnf_file,
-        "n": int(formula.num_vars),
-        "states": 1 << formula.num_vars,
-        "energy": "violated-clauses",
-        "levels": int(formula.num_clauses + 1),
+        **source,
+        "n": int(n),
+        "states": 1 << n,
+        "energy": energy,
+        "levels": int(levels),
         "seed": int(args.seed),
         "beta": float(args.beta),
         "acceptance": args.acceptance,
     }
     if not need_matrices:
         return echo, None, None
-    _check_cap(args, formula.num_vars, formula.num_clauses + 1)
-    model, prop = build_cnf(formula, beta=args.beta)
+    _check_cap(args, n, levels)
+    model, prop = build()
     return echo, model, prop
 
 
@@ -149,29 +141,39 @@ def _check_cap(args, n: int, levels: int):
         raise ParwalkError(
             f"n={n} exceeds the dense-build cap {cap}; raise it with --max-n"
         )
+    # the level dilation D_+ is a dense (4 pad(B))^2 array, so the level
+    # register is held to the cap as the system register is
+    if _ceil_log2(levels) > cap:
+        raise ParwalkError(
+            f"B={levels} needs {_ceil_log2(levels)} level qubits, over the "
+            f"dense-build cap {cap}; raise it with --max-n"
+        )
     # an n past the enumeration cap is rejected by the model builder, and
     # its arrays are not priced
     if args.max_n is not None and n <= VAR_CAP:
-        # the arrays that grow fastest with n, of what the command builds:
-        # the chain record (a, p, q, s) and eigh's copy of Q, eigenvectors
-        # and 2 N^2 + 6 N + 1 floats of LAPACK work (for compare, only S and
-        # the two N x N temporaries of its symmetry check); the encoding's
-        # N 2^(c-1) reflection entries, held twice, and verify_encoding's
-        # workspace, c the fused route's ancillas (kappa = n involutions for
-        # both bit-flip families); the walk's T, reflector index and T^dag R T
+        # the arrays that grow fastest with n and B, of what the command
+        # builds: the chain record (a, p, q, s) and eigh's copy of Q,
+        # eigenvectors and 2 N^2 + 6 N + 1 floats of LAPACK work (compare
+        # builds no chain); the encoding's N 2^(c-1) reflection entries,
+        # held twice, c the fused route's ancillas (kappa = n involutions
+        # for both bit-flip families), its level dilation D_+ of (4 pad(B))^2
+        # floats, and verify_encoding's workspace; the walk's T, reflector
+        # index and T^dag R T. The peak RSS of n = 2 runs at B = 256...2048
+        # rose by ~3 dilations in compare (D_+ and the eigh that builds it)
+        # and by ~4 in verify (D_+^T D_+ and its eigvalsh, beside D_+)
         states = 1 << n
         square = states * states * 8
         dim = states << fused_ancillas(n, levels)
+        dilation = (4 * _pow2_pad(levels)) ** 2 * 8
         chain = args.command != "compare"
         encodes = not chain or (args.command != "spectrum" and args.construction != "szegedy")
         parts = []
         if chain:
             parts.append(f"a chain record of {_size(4 * square)}")
             parts.append(f"a dense eigensolve of {_size(4 * square + (6 * states + 1) * 8)}")
-        else:
-            parts.append(f"a dense proposal with its symmetry check of {_size(3 * square)}")
         if encodes:
             parts.append(f"an encoding of {_size(dim * 8)}")
+            parts.append(f"a level dilation of {_size((4 if chain else 3) * dilation)}")
         if encodes and chain:
             work_bytes = math.prod(verify_workspace(states, dim)) * 8
             parts.append(f"a probe workspace of {_size(work_bytes)}")

@@ -61,7 +61,13 @@ class ProposalDecomposition:
                 raise DimensionMismatch("each perm must be a bijection on {0..N-1}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "perms", perms)
-        if np.abs(self.s - self.s.T).max() > 1e-12:
+        # S - S^T from the N kappa slot entries, w_k at (p_k x, x) and -w_k
+        # at (x, p_k x), summed where entries land on the same (y, x)
+        rows, cols = np.concatenate(perms), np.tile(ref, len(perms))
+        _, at = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                          return_inverse=True)
+        signed = np.concatenate([np.repeat(w, n), -np.repeat(w, n)])
+        if np.abs(np.bincount(at, weights=signed)).max() > 1e-12:
             raise NotSymmetricProposal("assembled proposal matrix is not symmetric")
 
     @property
@@ -74,7 +80,8 @@ class ProposalDecomposition:
 
     @cached_property
     def s(self) -> np.ndarray:
-        """Dense S = sum_k w_k Pi_k, assembled once and read-only."""
+        """Dense S = sum_k w_k Pi_k, assembled once, on first use, and
+        read-only."""
         s = np.zeros((self.n, self.n))
         cols = np.arange(self.n)
         for w, p in zip(self.weights, self.perms):

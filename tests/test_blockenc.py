@@ -525,8 +525,8 @@ def test_chunked_spot_check_applies_each_vector_once(monkeypatch):
 
     monkeypatch.setattr(FusedReflection, "apply", scaled)
 
-    # the one-batch spot check, on all SPOT_VECTORS vectors at once, with
-    # the row norms verify_encoding takes
+    # the spot check of all SPOT_VECTORS vectors in one batch, with the
+    # row norms verify_encoding takes
     def norms(rows):
         return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
@@ -542,10 +542,11 @@ def test_chunked_spot_check_applies_each_vector_once(monkeypatch):
         monkeypatch.setattr(parwalk.blockenc, "CHUNK_BYTES", width * 8 * dim)
         seen.clear()
         report = verify_encoding(be, q)
-        # two applies per probe vector, then two per spot-check vector
-        batches = np.concatenate(seen)
-        assert batches.shape[0] == 2 * PROBES + 2 * SPOT_VECTORS
-        assert np.array_equal(batches[-2 * SPOT_VECTORS : -SPOT_VECTORS], v)
+        # two applies per chunk, its vectors and then their images; the
+        # spot vectors follow the probes, so with one chunk of all three
+        # the spot vector is row PROBES of the first batch
+        assert sum(map(len, seen)) == 2 * PROBES + 2 * SPOT_VECTORS
+        assert np.array_equal(np.concatenate(seen[::2])[PROBES:], v)
         assert report.max_abs_dev <= 1e-15
         assert report.unitary_dev == want and not report.passed
 

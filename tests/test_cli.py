@@ -40,6 +40,8 @@ from parwalk.parchain import (
 )
 from parwalk.szegedy import par_walk
 
+from oracles import hamming_spectrum
+
 LN2 = math.log(2.0)
 
 
@@ -467,6 +469,37 @@ def test_refused_max_n_prints_no_estimate(capsys, argv):
     )
 
 
+def test_verify_reports_the_hamming_chains_closed_form_gap(capsys):
+    # Metropolis at beta = 1: lambda_2 = 1 - (1 + e^-1) / n
+    code, out, err = run(
+        capsys, "verify", "--n", "8", "--max-n", "8", "--construction", "compressed",
+        "--json",
+    )
+    assert code == 0, err
+    spectrum = json.loads(out)["spectrum"]
+    delta_plus = (1.0 + math.exp(-1.0)) / 8
+    assert delta_plus == pytest.approx(1.0 - hamming_spectrum(8, 1.0, metropolis())[-2], abs=1e-15)
+    assert abs(spectrum["delta_plus"] - delta_plus) <= 1e-12
+    assert abs(spectrum["phase_gap"] - math.acos(1.0 - delta_plus)) <= 1e-12
+
+
+def test_level_count_is_held_to_the_cap(capsys):
+    # the level dilation D_+ is (4 pad(B))^2 floats: B = 64 pads to 2^6,
+    # within the default cap, and B = 65 to 2^7, past it unless raised
+    argv = ["verify", "--n", "2", "--energy", "random", "--json", "--deterministic"]
+    code, _, err = run(capsys, *argv, "--B", "64")
+    assert code == 0, err
+    code, out, err = run(capsys, *argv, "--B", "65")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: ParwalkError: B=65 needs 7 level qubits, over the dense-build "
+        "cap 6; raise it with --max-n\n"
+    )
+    code, _, err = run(capsys, *argv, "--B", "65", "--max-n", "7")
+    assert code == 0, err
+    assert "a level dilation of ~8.0 MiB" in err
+
+
 def test_max_n_raises_cap_and_prints_estimate(capsys):
     code, _, err = run(
         capsys, "build", "--n", "2", "--max-n", "4", "--json",
@@ -476,34 +509,36 @@ def test_max_n_raises_cap_and_prints_estimate(capsys):
     assert "cap raised to n=4" in err
     # sizes below 1 MiB print in KiB, to one decimal: the walk's 2 * 4^2
     # entries of T, as many index entries and T^dag R T of 4 x 4 floats
-    # (640 B), and the probe workspace of four chunks of the 2 columns the
-    # probes apply at once, of 4 * 2^5 floats each
+    # (640 B), and the probe workspace of four chunks of the 3 vectors of
+    # the round trips, of 4 * 2^5 floats each
     assert "a walk isometry of ~0.6 KiB" in err
-    assert "a probe workspace of ~8.0 KiB" in err
+    assert "a probe workspace of ~12.0 KiB" in err
     # and the chain record's four N x N float arrays (512 B), eigh's copy of
     # Q, its eigenvectors and 2 N^2 + 6 N + 1 floats of LAPACK work (712 B),
-    # and the encoding's 2^5 / 2 reflection entries per state, held twice
+    # the encoding's 2^5 / 2 reflection entries per state, held twice, and
+    # four level dilations of (4 * 4)^2 floats (B = 3 pads to 4)
     assert err == (
         "cap raised to n=4: n=2 allocates a chain record of ~0.5 KiB, a dense "
-        "eigensolve of ~0.7 KiB, an encoding of ~1.0 KiB, a probe workspace of "
-        "~8.0 KiB, a walk isometry of ~0.6 KiB\n"
+        "eigensolve of ~0.7 KiB, an encoding of ~1.0 KiB, a level dilation of "
+        "~8.0 KiB, a probe workspace of ~12.0 KiB, a walk isometry of ~0.6 KiB\n"
     )
 
 
 @pytest.mark.parametrize(
     "command, priced",
     [
-        ("compare", "a dense proposal with its symmetry check of ~384.0 MiB, "
-                    "an encoding of ~32.0 MiB"),
+        ("compare", "an encoding of ~32.0 MiB, a level dilation of ~96.0 KiB"),
         ("spectrum", "a chain record of ~512.0 MiB, a dense eigensolve of ~512.2 MiB"),
         ("verify", "a chain record of ~512.0 MiB, a dense eigensolve of ~512.2 MiB, "
-                   "an encoding of ~32.0 MiB, a probe workspace of ~128.0 MiB"),
+                   "an encoding of ~32.0 MiB, a level dilation of ~128.0 KiB, "
+                   "a probe workspace of ~128.0 MiB"),
     ],
 )
 def test_max_n_estimate_prices_what_each_command_allocates(capsys, command, priced):
-    # n = 12, B = 16: compare builds only the proposal and the encoding,
-    # spectrum only the chain and its eigensolve, and neither a walk nor a
-    # probe workspace
+    # n = 12, B = 16: compare builds only the encoding, whose level
+    # dilation of (4 * 16)^2 floats is priced three times (four in verify,
+    # which certifies it), spectrum only the chain and its eigensolve, and
+    # neither a walk nor a probe workspace
     extra = ["--construction", "compressed"] if command == "verify" else []
     args = parwalk.cli._parser().parse_args([command, "--max-n", "12", *extra])
     parwalk.cli._check_cap(args, 12, 16)
@@ -544,7 +579,7 @@ def test_max_n_estimate_prices_one_extraction_chunk(capsys, monkeypatch):
     # a size of 1.5 MiB prints as such, not rounded half to even to 2
     assert parwalk.cli._size(3 * 2**19) == "~1.5 MiB"
     # n = 4, B = 17: 2 + 5 + 2 = 9 ancillas, columns of 64 KiB, four to a
-    # chunk; the workspace holds only the two the probes apply at once
+    # chunk; the workspace holds only the three vectors of the round trips
     model, prop = build_hypercube(4, energy="random", levels=17, seed=0)
     be = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis()))
     assert extraction_chunk_width(be.sys_dim, be.op.dim) == 4
@@ -552,11 +587,11 @@ def test_max_n_estimate_prices_one_extraction_chunk(capsys, monkeypatch):
     monkeypatch.setattr(parwalk.blockenc.np, "empty", recorded)
     verify_encoding(be, extract_block(be))
     monkeypatch.undo()
-    assert max(workspaces) == 4 * 2 * be.op.dim * 8
+    assert max(workspaces) == 4 * 3 * be.op.dim * 8
     assert max(workspaces) == math.prod(verify_workspace(be.sys_dim, be.op.dim)) * 8
-    args = parwalk.cli._parser().parse_args(["verify", "--max-n", "4"])
+    args = parwalk.cli._parser().parse_args(["verify", "--max-n", "5"])
     parwalk.cli._check_cap(args, 4, 17)
-    assert "a probe workspace of ~512.0 KiB" in capsys.readouterr().err
+    assert "a probe workspace of ~768.0 KiB" in capsys.readouterr().err
 
 
 def test_max_n_estimate_follows_the_construction(capsys):

@@ -30,8 +30,11 @@ from parwalk.models import build_hypercube
 from parwalk.parchain import (
     ProposalDecomposition,
     decompose_discriminant,
+    glauber,
     metropolis,
 )
+
+from oracles import hamming_spectrum
 
 RT = np.sqrt(0.5)
 
@@ -391,3 +394,15 @@ def test_random_reversible_chains(seed):
     rep = spectral_gaps(q)
     assert rep.delta_plus >= rep.delta - 1e-15
     assert np.abs(np.sort(rep.eigenvalues) - np.sort(np.linalg.eigvals(p).real)).max() < 1e-9
+
+
+@pytest.mark.parametrize("rule", [metropolis, glauber])
+@pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_hamming_chain_has_its_product_spectrum(n, beta, rule):
+    # eigenvalue 1 - j c / n, c = f(1) + f(-1), with multiplicity C(n, j);
+    # Metropolis at beta = 0 has c = 2, so lambda_min = -1
+    model, prop = build_hypercube(n, beta=beta)
+    q = decompose_discriminant(model, prop, rule()).q
+    want = hamming_spectrum(n, beta, rule())
+    assert np.abs(np.linalg.eigvalsh(q) - want).max() <= 1e-12

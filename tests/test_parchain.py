@@ -12,6 +12,7 @@ from parwalk.errors import (
     DimensionMismatch,
     FunctionalEquationViolated,
     NotSymmetric,
+    NotSymmetricProposal,
     ParwalkError,
     WeightMismatch,
 )
@@ -73,6 +74,32 @@ class TestProposalDecomposition:
         # a lone 3-cycle gives S = Pi which is not symmetric
         with pytest.raises(NotSymmetric):
             ProposalDecomposition(np.array([1.0]), (np.array([1, 2, 0]),))
+
+    @pytest.mark.parametrize(
+        "weights, perms",
+        [
+            # C at 1/4 twice and C^-1 at 1/2: both C slots land on each
+            # (C x, x), and only their sum matches the transpose
+            ([0.25, 0.25, 0.5], [[1, 2, 3, 0], [1, 2, 3, 0], [3, 0, 1, 2]]),
+            # (0 1)(2 3 4) and (2 4 3): no slot is an involution or meets
+            # its inverse, yet the mix is symmetric
+            ([0.5, 0.5], [[1, 0, 3, 4, 2], [0, 1, 4, 2, 3]]),
+        ],
+        ids=["coincident", "lone"],
+    )
+    def test_symmetry_is_checked_on_the_slots(self, weights, perms):
+        prop = ProposalDecomposition(weights, [np.array(p) for p in perms])
+        # no dense S was assembled for the check
+        assert "s" not in vars(prop)
+        assert np.array_equal(prop.s, prop.s.T)
+
+    def test_coincident_slots_that_sum_unequal_are_rejected(self):
+        # C at 1/4 and 1/5 against C^-1 at 11/20: S - S^T is 9/20 - 11/20
+        # at every (C x, x)
+        cycle, inverse = np.array([1, 2, 3, 0]), np.array([3, 0, 1, 2])
+        message = "^assembled proposal matrix is not symmetric$"
+        with pytest.raises(NotSymmetricProposal, match=message):
+            ProposalDecomposition([0.25, 0.2, 0.55], (cycle, cycle, inverse))
 
     def test_cycle_pair_is_symmetric_but_not_involutive(self):
         prop = cycle_pair_proposal()
