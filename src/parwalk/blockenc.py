@@ -16,12 +16,13 @@ One fused route serves every symmetric proposal: the accept and reject
 terms share one select register over the proposal's inverse-paired slots
 (at most 2 kappa of them), so it needs ceil(log slots) + ceil(log B) + 2
 qubits. Its operator, a FusedReflection, is one real symmetric involution
-V = prep . sel . prep held in factored form, one 4B x 4B matrix and one
-Householder vector per system state, so its cost grows linearly with the
-system size; this module fixes its register layout (dilation, direction,
-level, select, system), applies it, and certifies it. verify_encoding
-reads its block from that structure; extract_block, which applies an
-encoding to every basis column, is the oracle the tests compare it to.
+V = prep . sel . prep held in factored form, one 4B x 4B matrix and the
+2 slots + 1 nonzero entries of one Householder vector per system state,
+so its cost grows linearly with the system size; this module fixes its
+register layout (dilation, direction, level, select, system), applies
+it, and certifies it. verify_encoding reads its block from that
+structure; extract_block, which applies an encoding to every basis
+column, is the oracle the tests compare it to.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ class FusedReflection:
 
     prep = I_2 (x) sum_x (I - 2 u_x u_x^T / |u_x|^2) (x) |x><x| reflects
     (direction, level, select) for every system state x, the identity
-    where |u_x|^2 < 1e-28, and leaves the dilation register alone; u is
-    the (n_sys, d) array of the vectors u_x.
+    where |u_x|^2 < 1e-28, and leaves the dilation register alone. u is
+    given in slot form: index and value, both (n_sys, m), hold the
+    register indices of u_x's entries, distinct within a row, and their
+    values; every other entry of u_x is 0. The fused route writes the
+    2 slots + 1 entries of e_0 - t_x, so prep costs O(n_sys slots) per
+    vector, not O(n_sys d).
 
     sel = a (x) I + b (x) P on (block, select, system), with the block
     register (dilation, direction, level) and the slot swap P = sum_k
@@ -96,7 +101,7 @@ class FusedReflection:
     orthogonal and how far from symmetric.
     """
 
-    def __init__(self, u, d_plus, perms, partner):
+    def __init__(self, index, value, d_plus, perms, partner):
         d_plus = np.asarray(d_plus, dtype=float)
         if d_plus.ndim != 2 or d_plus.shape[0] != d_plus.shape[1] or d_plus.shape[0] % 4:
             raise DimensionMismatch(
@@ -118,44 +123,75 @@ class FusedReflection:
         self.block_dim = d_plus.shape[0]
         # prep reflects (direction, level, select): half the block register
         # times the select register
-        u = np.asarray(u, dtype=float)
-        fit = (self.n_sys, self.block_dim // 2 * self.slots)
-        if u.shape != fit:
+        reg = self.block_dim // 2 * self.slots
+        index = np.asarray(index)
+        value = np.asarray(value, dtype=float)
+        if not (
+            index.ndim == 2 and index.shape == value.shape and index.shape[1] > 0
+            and index.shape[0] == self.n_sys and np.issubdtype(index.dtype, np.integer)
+            and np.all((index >= 0) & (index < reg))
+        ):
             raise DimensionMismatch(
-                f"reflection vectors of shape {u.shape} do not fit the select: "
-                f"expected {fit}"
+                f"reflection entries of shape {index.shape} do not fit the select: "
+                f"expected {self.n_sys} rows of indices in [0, {reg})"
             )
+        if np.any(np.diff(np.sort(index, axis=1), axis=1) == 0):
+            raise DimensionMismatch("each state's register indices must be distinct")
         self.d_plus, self.perms, self.partner = d_plus, perms, partner
-        self.dim = 2 * u.size
+        self.dim = 2 * reg * self.n_sys
         # (P v)[j, x] = v[partner[j], perms[partner[j]]^-1 [x]]: the gather of
         # the select over the flattened (select, system) axis
         self._gather = (
             partner[:, None] * self.n_sys + np.argsort(perms, axis=1)[partner]
         ).ravel()
-        nrm2 = np.einsum("xa,xa->x", u, u)
-        # stored as a contiguous u^T, in the operand layout
-        self._ut = np.ascontiguousarray(u.T)
+        # the slot arrays that apply, block and unitarity_residual read: _at,
+        # the (2, m, n_sys) offsets (p reg + index) n_sys + x of the entries
+        # in dilation half p of a vector, _val their (m, n_sys) values and
+        # _coef the coefficients 2 / |u_x|^2
+        at = index.T.astype(np.intp) * self.n_sys + np.arange(self.n_sys)
+        self._at = np.ascontiguousarray([at, at + reg * self.n_sys])
+        self._val = np.ascontiguousarray(value.T)
+        nrm2 = np.einsum("jx,jx->x", self._val, self._val)
         self._coef = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 >= 1e-28)
 
-    def _reflect(self, v, out):
-        """prep v, written to out (a new array when None), a C-contiguous
-        array of v's shape that does not overlap v. The reflection
-        broadcasts over the dilation register instead of moving it."""
-        shape = v.shape
-        w = v.reshape(shape[:-1] + (2,) + self._ut.shape)
-        proj = np.einsum("ax,...pax->...px", self._ut, w)
+    def _prep(self, v, free, spare):
+        """prep v in place, v a C-contiguous array; free and spare are
+        C-contiguous arrays of v's size, overlapping neither v nor each
+        other, whose contents it overwrites.
+
+        Each vector's entries at _at, in both dilation halves, are gathered
+        into free, their dot products with _val land in spare, free takes
+        the update c_x (u_x^T w) u_x, the entries are gathered again into
+        spare, which the dot products no longer need, and the difference is
+        put back. Each array holds 2 m n_sys floats per vector, at most its
+        size, however many entries u_x has; no pass touches an entry
+        outside _at."""
+        rows = v.reshape(-1, self.dim)
+        at = self._at.reshape(-1)
+        size = at.size * len(rows)
+        g = free.reshape(-1)[:size].reshape(len(rows), at.size)
+        cur = spare.reshape(-1)[:size].reshape(len(rows), at.size)
+        # at is in range by construction, so clip never clips; it spares
+        # take the buffered copy that mode="raise" makes
+        np.take(rows, at, axis=1, out=g, mode="clip")
+        # one row of entries per vector and dilation half: three-index
+        # einsums, which four indices would slow ~10-fold
+        entries = g.reshape((-1,) + self._val.shape)
+        proj = cur.reshape(entries.shape)[:, 0]
+        np.einsum("jx,qjx->qx", self._val, entries, out=proj)
         proj *= self._coef
-        res = np.multiply(
-            self._ut, proj[..., None, :],
-            out=None if out is None else out.reshape(w.shape),
-        )
-        np.subtract(w, res, out=res)
-        return res.reshape(shape)
+        # einsum broadcasts proj without the 64 KiB buffer of np.multiply
+        np.einsum("jx,qx->qjx", self._val, proj, out=entries)
+        np.take(rows, at, axis=1, out=cur, mode="clip")
+        cur -= g
+        # a put per vector takes numpy's fast path for one index array
+        for row, src in zip(rows, cur):
+            row[at] = src
 
     def _select(self, v, out, work):
-        """sel v, written to out (a new array when None). work receives the
-        gathered operand, and v is overwritten as well; out, work and v are
-        C-contiguous of one shape, and none overlaps another.
+        """sel v, written to out. work receives the gathered operand, and v
+        is overwritten as well; out, work and v are C-contiguous of one
+        shape, and none overlaps another.
 
         With m = P v gathered over (select, system) in one np.take, rows of
         even parity read [m_E; v_O] and rows of odd parity [v_E; m_O]
@@ -166,8 +202,6 @@ class FusedReflection:
         # the gather is a bijection built from checked ones, so clip never
         # clips; it spares take the buffered copy that mode="raise" makes
         m = np.take(w, self._gather, axis=-1, out=work.reshape(w.shape), mode="clip")
-        if out is None:
-            out = np.empty(shape)
         res = out.reshape(w.shape)
         d, q = self.d_plus, self.block_dim // 4
         odd = slice(q, 3 * q)
@@ -186,16 +220,23 @@ class FusedReflection:
         arrays, all C-contiguous of v's shape and none overlapping another;
         v may be one of the pair. The result is written to out and
         returned; without them, v is left as it was."""
-        # prep writes to out, sel to the second scratch array and prep again
-        # to out; sel also overwrites its operand and the first scratch
-        # array. Only the first prep reads v, so v may serve as either
-        first = self._reflect(v, out)
-        work, res = (np.empty_like(first), None) if scratch is None else scratch
-        return self._reflect(self._select(first, res, work), first)
+        # v is copied to the first scratch array and prepared there; sel
+        # writes to out, through the second scratch array, and overwrites
+        # the first; the second prep runs on out. Only the copy reads v, so
+        # v may serve as either scratch array
+        if out is None:
+            out = np.empty(v.shape)
+        first, work = (np.empty(v.shape), np.empty(v.shape)) if scratch is None else scratch
+        if first is not v:
+            np.copyto(first, v)
+        self._prep(first, work, out)
+        out = self._select(first, out, work)
+        self._prep(out, first, work)
+        return out
 
     def unitarity_residual(self) -> float:
         """An upper bound on ||V^T V - I||_2 and on ||V - V^T||_2, from the
-        arrays apply reads: O(n_sys d + block_dim^3) against O(dim) for one
+        arrays apply reads: O(n_sys m + block_dim^3) against O(dim) for one
         apply.
 
         prep: H_x^T H_x - I = c_x (c_x |u_x|^2 - 2) u_x u_x^T has rank 1,
@@ -209,8 +250,7 @@ class FusedReflection:
         I + E_S, V^T V - I = E_P + prep^T (E_S + sel^T E_P sel) prep, of
         norm at most (1 + e_P)^2 (1 + e_S) - 1, which also bounds V - V^T =
         prep (sel - sel^T) prep."""
-        ut = self._ut
-        scaled = self._coef * np.einsum("ax,ax->x", ut, ut)
+        scaled = self._coef * np.einsum("jx,jx->x", self._val, self._val)
         res = np.abs(scaled * (scaled - 2.0))
         e_p = float(res.max()) if np.isfinite(res).all() else math.inf
         g, d = self._gather, self.d_plus
@@ -221,34 +261,44 @@ class FusedReflection:
         return (1.0 + e_p) ** 2 * (1.0 + e_s) - 1.0
 
     def block(self) -> np.ndarray:
-        """The (n_sys, n_sys) |0>-block, read from the arrays without running
-        apply. prep maps |0, x> to |r_x>|x>, r_x = e_0 - c_x u_x[0] u_x, with
-        the dilation register in |0>, and it is a real symmetric involution,
-        so the block is
+        """The (n_sys, n_sys) |0>-block, read from the slot arrays without
+        running apply. prep maps |0, x> to |r_x>|x>, r_x = e_0 - c_x u_x[0]
+        u_x, with the dilation register in |0>, and it is a real symmetric
+        involution, so the block is
 
             sum_k r_y[k]^T a00 r_x[k] [y = x]
                   + r_y[partner[k]]^T b00 r_x[k] [y = perms[k][x]]
 
         with r_x[k] the (direction, level) values of r_x at slot k and a00,
-        b00 the corners of a and b on dilation 0: O(n_sys slots d^2)."""
-        ut, n, d = self._ut, self.n_sys, self.block_dim // 2
-        r = -(self._coef * ut[0]) * ut
-        r[0] += 1.0
-        # (n_sys, slots, d): the slot register follows (direction, level)
-        r = np.ascontiguousarray(r.T.reshape(n, d, self.slots).transpose(0, 2, 1))
+        b00 the corners of a and b on dilation 0. r_x is scattered from the
+        entries of u_x into an (n_sys, slots, d) array, d = block_dim / 2;
+        a00 and b00^T act on it in two products, and the b-term is read at
+        the m entries of each x: O(n_sys slots d^2)."""
+        n, kd, d = self.n_sys, self.slots, self.block_dim // 2
+        cols = np.arange(n)
+        at = self._at[0]
+        # u_x[0] is the entry at offset x, and an index is (direction,
+        # level) kd + slot
+        lead = self._coef * np.where(at == cols, self._val, 0.0).sum(axis=0)
+        entries = -lead * self._val
+        level, slot = np.divmod(at // n, kd)
+        r = np.zeros((n, kd, d))
+        r[cols, slot, level] = entries
+        r[:, 0, 0] += 1.0
         corner = self.d_plus[:d, :d]
         # on dilation 0 the parity is the direction
         direction = np.repeat([0, 1], self.block_dim // 4)
         flips = direction[:, None] != direction
-        a_r = r @ np.where(flips, corner, 0.0).T
-        b_r = r @ np.where(flips, 0.0, corner).T
         out = np.zeros((n, n))
-        cols = np.arange(n)
-        out[cols, cols] = np.einsum("xkd,xkd->x", r, a_r)
-        # slot k links x to y = perms[k][x]; fixed points and identity
-        # slots land on the diagonal, so the terms are accumulated
-        r_k = r[self.perms, self.partner[:, None]]
-        np.add.at(out, (self.perms, cols), np.einsum("kxd,xkd->kx", r_k, b_r))
+        out[cols, cols] = np.einsum("xkd,xkd->x", r, r @ np.where(flips, corner, 0.0).T)
+        # entry j of x, at slot k, meets slot partner[k] of y = perms[k][x],
+        # and so does e_0; fixed points and identity slots land on the
+        # diagonal, so the terms are accumulated
+        b_r = r @ np.where(flips, 0.0, corner)
+        y = self.perms[slot, cols]
+        np.add.at(out, (y, cols), entries * b_r[y, self.partner[slot], level])
+        head = self.perms[0]
+        np.add.at(out, (head, cols), b_r[head, self.partner[0], 0])
         return out
 
 
@@ -307,8 +357,8 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     block = np.empty((n, n))
     for lo in range(0, n, width):
         hi = min(lo + width, n)
-        # no reference to the input is kept here, so it is freed as soon as
-        # the first reflection has consumed it
+        # no reference to the input is kept here, so it is freed when the
+        # chunk's apply returns
         block[:, lo:hi] = be.op.apply(_basis_columns(lo, hi, dim))[:, :n].T
     block *= be.gamma
     return block
@@ -498,33 +548,44 @@ def build_ancilla_efficient_Q(
     ja_t[: model.levels, : model.levels] = tables.rejection
     scale = 4.0 * bt
 
-    lower = np.array([[0.0, 0.0], [1.0, 0.0]])
-    hop = np.kron(lower.T, ja_t.T) + np.kron(lower, ja_t)
-    acc = np.kron(np.eye(2), ga_t)
-    # D_+ = [[top, c], [c, -top]] with c = sqrt(I - top^2), a real symmetric
-    # involution, since top is real symmetric of spectral norm at most 1
-    top = (acc + hop) / scale
+    # I_2 (x) G-hat + L^T (x) J-hat^T + L (x) J-hat, L = |1><0|, in its
+    # direction blocks. D_+ = [[top, c], [c, -top]] with c = sqrt(I - top^2)
+    # is a real symmetric involution, since top is real symmetric of
+    # spectral norm at most 1
+    top = np.block([[ga_t, ja_t.T], [ja_t, ga_t]]) / scale
     lam, vec = np.linalg.eigh(top)
     c = (vec * np.sqrt(1.0 - np.clip(lam, -1.0, 1.0) ** 2)) @ vec.T
     d_plus = np.block([[top, c], [c, -top]])
 
     # paired-energy state t_x on (direction, level, select), prepared by the
-    # reflection about e_0 - t_x
+    # reflection about u_x = e_0 - t_x: e_0, and per slot k the entries
+    # (direction 0, E_x, k) and (direction 1, E_{p_k x}, k), at -sqrt(w_k / 2)
     e = model.energies
-    rows = np.arange(n)
-    u = np.zeros((n, 2 * bt * k_dim))
-    u[:, 0] = 1.0
-    for k, (w, p) in enumerate(zip(weights, perms)):
-        amp = math.sqrt(0.5 * w)
-        u[rows, e * k_dim + k] -= amp
-        u[rows, (bt + e[p]) * k_dim + k] -= amp
+    amp = np.sqrt(0.5 * np.asarray(weights))
+    index = np.zeros((n, 2 * slots + 1), dtype=np.intp)
+    index[:, 1::2] = e[:, None] * k_dim + np.arange(slots)
+    index[:, 2::2] = (bt + e[np.asarray(perms)].T) * k_dim + np.arange(slots)
+    value = np.empty(index.shape)
+    value[:, 0] = 1.0
+    value[:, 1::2] = value[:, 2::2] = -amp
+    # at E_x = 0, slot 0's direction-0 entry is e_0's: it adds there, and
+    # its column moves to (direction 0, level 1, slot 0) at 0, an index no
+    # such x uses; with every E_x = 0 there may be no level 1, and the
+    # column is dropped
+    zero = e == 0
+    value[zero, 0] -= amp[0]
+    if zero.all():
+        index, value = np.delete(index, 1, axis=1), np.delete(value, 1, axis=1)
+    else:
+        index[zero, 1] = k_dim
+        value[zero, 1] = 0.0
 
     return BlockEncoding(
         paper_anc=paper_ancillas(prop.kappa, model.levels),
         gamma=scale,
         # padding slots hold the identity, each its own partner
         op=FusedReflection(
-            u, d_plus,
+            index, value, d_plus,
             list(perms) + [np.arange(n)] * (k_dim - slots),
             np.concatenate([partner, np.arange(slots, k_dim)]),
         ),

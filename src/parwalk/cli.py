@@ -154,15 +154,20 @@ def _check_cap(args, n: int, levels: int):
         # the arrays that grow fastest with n and B, of what the command
         # builds: the chain record (a, p, q, s) and eigh's copy of Q,
         # eigenvectors and 2 N^2 + 6 N + 1 floats of LAPACK work (compare
-        # builds no chain); the encoding's N 2^(c-1) reflection entries,
-        # held twice, c the fused route's ancillas (kappa = n involutions
-        # for both bit-flip families), its level dilation D_+ of (4 pad(B))^2
-        # floats, and verify_encoding's workspace; the walk's T, reflector
-        # index and T^dag R T. The peak RSS of n = 2 runs at B = 256...2048
+        # builds no chain); the encoding's slot arrays, an index and a value
+        # for each of the 2 kappa + 1 reflection entries of a state and its
+        # coefficient, and the select's permutations and gather of pad(kappa)
+        # N indices each (kappa = n involutions for both bit-flip families),
+        # its level dilation D_+ of (4 pad(B))^2 floats, and
+        # verify_encoding's workspace of columns of N 2^c floats, c the
+        # fused route's ancillas; the walk's T, reflector index and
+        # T^dag R T. The peak RSS of n = 2 runs at B = 256...2048
         # rose by ~3 dilations in compare (D_+ and the eigh that builds it)
         # and by ~4 in verify (D_+^T D_+ and its eigvalsh, beside D_+)
         states = 1 << n
         square = states * states * 8
+        intp = np.dtype(np.intp).itemsize
+        slot_bytes = states * ((2 * n + 1) * (intp + 8) + 8 + 2 * _pow2_pad(n) * intp)
         dim = states << fused_ancillas(n, levels)
         dilation = (4 * _pow2_pad(levels)) ** 2 * 8
         chain = args.command != "compare"
@@ -172,14 +177,14 @@ def _check_cap(args, n: int, levels: int):
             parts.append(f"a chain record of {_size(4 * square)}")
             parts.append(f"a dense eigensolve of {_size(4 * square + (6 * states + 1) * 8)}")
         if encodes:
-            parts.append(f"an encoding of {_size(dim * 8)}")
+            parts.append(f"an encoding of {_size(slot_bytes)}")
             parts.append(f"a level dilation of {_size((4 if chain else 3) * dilation)}")
         if encodes and chain:
             work_bytes = math.prod(verify_workspace(states, dim)) * 8
             parts.append(f"a probe workspace of {_size(work_bytes)}")
         if args.command in ("build", "verify") and args.construction != "compressed":
             rows = 2 * states * states
-            walk_bytes = rows * (8 + np.dtype(np.intp).itemsize) + square
+            walk_bytes = rows * (8 + intp) + square
             parts.append(f"a walk isometry of {_size(walk_bytes)}")
         print(
             f"cap raised to n={args.max_n}: n={n} allocates " + ", ".join(parts),

@@ -249,10 +249,31 @@ def spectral_gaps(q: np.ndarray) -> SpectralReport:
         raise DimensionMismatch("spectral_gaps expects a nonempty square matrix")
     if not np.isfinite(q).all():
         raise SpectrumOutOfRange("q has non-finite entries")
-    if not np.abs(q - q.T).max() <= STRUCT_TOL:
+    if not _asymmetry(q) <= STRUCT_TOL:
         raise NotReversible("spectral_gaps expects a symmetric matrix")
     vals, vecs = np.linalg.eigh(q)
     return _gap_report(vals[::-1], vecs[:, ::-1])
+
+
+def _asymmetry(q: np.ndarray) -> float:
+    """max |q - q^T| over the upper triangle, NaN if an entry is NaN, in
+    blocks of b = ceil(N^(2/3)) rows. Each block's b columns below the
+    diagonal are first copied, rows of b floats at a time, so that no pass
+    strides down a column of q: two N x b arrays instead of two N x N
+    temporaries (16 MiB against 256 MiB at N = 4096), and about N^(1/3)
+    blocks, whose fixed cost of a few numpy calls is what small N pays."""
+    n = q.shape[0]
+    step = math.ceil(n ** (2 / 3))
+    rows, cols = np.empty((step, n)), np.empty((n, step))
+    peaks = np.empty(-(-n // step))
+    for i, lo in enumerate(range(0, n, step)):
+        hi = min(lo + step, n)
+        col = cols[: n - lo, : hi - lo]
+        np.copyto(col, q[lo:, lo:hi])
+        diff = np.subtract(q[lo:hi, lo:], col.T, out=rows[: hi - lo, : n - lo])
+        peaks[i] = np.abs(diff, out=diff).max()
+    # ndarray.max, unlike the builtin max, returns NaN if any peak is NaN
+    return float(peaks.max())
 
 
 def _gap_report(vals: np.ndarray, vecs: np.ndarray) -> SpectralReport:

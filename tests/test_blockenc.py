@@ -39,7 +39,14 @@ from parwalk.parchain import (
     level_tables,
     metropolis,
 )
-from test_linops import dense_matrix, dense_prep, dense_select, householder_to
+from test_linops import (
+    dense_matrix,
+    dense_prep,
+    dense_select,
+    dense_vectors,
+    householder_to,
+    slot_vectors,
+)
 
 
 def two_state_chain(beta=math.log(2.0)):
@@ -395,7 +402,7 @@ def test_fused_select_pair_splits_one_dilation_by_parity():
         p[j * op.n_sys + perm, k * op.n_sys + np.arange(op.n_sys)] = 1.0
     sel = np.kron(a, np.eye(len(p))) + np.kron(b, p)
     assert np.array_equal(sel, dense_select(d_plus, op.perms, op.partner))
-    prep = dense_prep(op._ut.T)
+    prep = dense_prep(dense_vectors(*slot_vectors(op), op.dim // 2 // op.n_sys))
     assert np.abs(dense_matrix(op) - prep @ sel @ prep).max() < 1e-13
 
 
@@ -503,6 +510,34 @@ def test_chunked_extraction_memory_at_n7():
         tracemalloc.stop()
     assert report.passed
     assert peak <= 4 * 2**20
+
+
+def test_a_buffered_apply_allocates_no_array():
+    # at n = 7, B = 16 a vector is 512 KiB, and a broadcast np.multiply
+    # over the gathered entries takes a 64 KiB buffer; the warm, buffered
+    # apply allocates neither, only numpy's views (about 2 KiB here)
+    model, prop = build_hypercube(7, energy="random", levels=16, seed=3, beta=0.8)
+    op = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis())).op
+    x, out, first, second = np.random.default_rng(2).random((4, 1, op.dim))
+    op.apply(x, out=out, scratch=(first, second))
+    tracemalloc.start()
+    try:
+        op.apply(x, out=out, scratch=(first, second))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**10
+
+
+def test_the_slot_form_holds_less_than_a_byte_per_register_entry():
+    # 2 kappa + 1 = 21 entries per state at n = 10, B = 16, where the
+    # register has op.dim = 2^20 entries; dense reflection vectors, held
+    # twice, took op.dim * 8 bytes
+    model, prop = build_hypercube(10, energy="random", levels=16, seed=3, beta=0.8)
+    op = build_ancilla_efficient_Q(model, prop, level_tables(model, metropolis())).op
+    assert op._at.shape == (2, 21, 1024) and op._val.shape == (21, 1024)
+    held = sum(a.nbytes for a in vars(op).values() if isinstance(a, np.ndarray))
+    assert held < op.dim
 
 
 def test_chunked_spot_check_applies_each_vector_once(monkeypatch):
@@ -666,7 +701,7 @@ def test_certificate_rejects_a_partner_map_that_pairs_no_inverses():
     assert op.partner[0] == 1 and op.unitarity_residual() <= 1e-14
     perms = op.perms.copy()
     perms[1] = perms[0]
-    broken = replace(be, op=FusedReflection(op._ut.T, op.d_plus, perms, op.partner))
+    broken = replace(be, op=FusedReflection(*slot_vectors(op), op.d_plus, perms, op.partner))
     assert broken.op.unitarity_residual() == math.inf
     report = verify_encoding(broken, q)
     assert report.unitary_dev == math.inf and not report.passed
@@ -737,8 +772,11 @@ class HandBuilt:
         self.op, self.dim, self.n_sys = op, op.dim, op.n_sys
 
     def apply(self, v):
-        first = self.op._reflect(v, None)
-        return self.op._reflect(self.op._select(first, None, np.empty_like(first)), None)
+        first, work, out = v.copy(), np.empty_like(v), np.empty_like(v)
+        self.op._prep(first, work, out)
+        self.op._select(first, out, work)
+        self.op._prep(out, first, work)
+        return out
 
 
 def fused_n4():
@@ -769,7 +807,9 @@ def test_probes_catch_a_select_with_rotated_slots(monkeypatch):
     # block catches it
     be, q = fused_n4()
     op = be.op
-    turned = FusedReflection(op._ut.T, op.d_plus, np.roll(op.perms, -1, axis=0), op.partner)
+    turned = FusedReflection(
+        *slot_vectors(op), op.d_plus, np.roll(op.perms, -1, axis=0), op.partner
+    )
     monkeypatch.setattr(op, "_gather", turned._gather)
     report = verify_encoding(be, q)
     assert not report.passed

@@ -214,7 +214,8 @@ def test_faulty_select_fails_verification_through_the_probes(capsys, monkeypatch
 
     def rotated(self, v, out, work):
         turned = FusedReflection(
-            self._ut.T, self.d_plus, np.roll(self.perms, -1, axis=0), self.partner
+            self._at[0].T // self.n_sys, self._val.T, self.d_plus,
+            np.roll(self.perms, -1, axis=0), self.partner,
         )
         return select(turned, v, out, work)
 
@@ -515,11 +516,12 @@ def test_max_n_raises_cap_and_prints_estimate(capsys):
     assert "a probe workspace of ~12.0 KiB" in err
     # and the chain record's four N x N float arrays (512 B), eigh's copy of
     # Q, its eigenvectors and 2 N^2 + 6 N + 1 floats of LAPACK work (712 B),
-    # the encoding's 2^5 / 2 reflection entries per state, held twice, and
-    # four level dilations of (4 * 4)^2 floats (B = 3 pads to 4)
+    # the encoding's slot arrays, 2 * 2 + 1 indices and values and one
+    # coefficient per state, and two select arrays of 2 indices per state
+    # (480 B), and four level dilations of (4 * 4)^2 floats (B = 3 pads to 4)
     assert err == (
         "cap raised to n=4: n=2 allocates a chain record of ~0.5 KiB, a dense "
-        "eigensolve of ~0.7 KiB, an encoding of ~1.0 KiB, a level dilation of "
+        "eigensolve of ~0.7 KiB, an encoding of ~0.5 KiB, a level dilation of "
         "~8.0 KiB, a probe workspace of ~12.0 KiB, a walk isometry of ~0.6 KiB\n"
     )
 
@@ -527,10 +529,10 @@ def test_max_n_raises_cap_and_prints_estimate(capsys):
 @pytest.mark.parametrize(
     "command, priced",
     [
-        ("compare", "an encoding of ~32.0 MiB, a level dilation of ~96.0 KiB"),
+        ("compare", "an encoding of ~2.6 MiB, a level dilation of ~96.0 KiB"),
         ("spectrum", "a chain record of ~512.0 MiB, a dense eigensolve of ~512.2 MiB"),
         ("verify", "a chain record of ~512.0 MiB, a dense eigensolve of ~512.2 MiB, "
-                   "an encoding of ~32.0 MiB, a level dilation of ~128.0 KiB, "
+                   "an encoding of ~2.6 MiB, a level dilation of ~128.0 KiB, "
                    "a probe workspace of ~128.0 MiB"),
     ],
 )

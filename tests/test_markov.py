@@ -3,9 +3,12 @@ spectral gaps. The 2-state chain with energies (0, 1) at beta = ln 2 is the
 worked oracle used throughout: P = [[1/2, 1], [1/2, 0]], pi = (2/3, 1/3),
 Q = [[1/2, 1/sqrt 2], [1/sqrt 2, 0]], eigenvalues (1, -1/2)."""
 
+import math
+
 import numpy as np
 import pytest
 
+from parwalk import markov
 from parwalk.errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -359,6 +362,37 @@ def test_spectral_gaps_rejects_non_finite_q(bad):
     q = np.array([[0.5, 0.1], [0.1, bad]])
     with pytest.raises(SpectrumOutOfRange, match="non-finite"):
         spectral_gaps(q)
+
+
+@pytest.mark.parametrize("rule", [metropolis, glauber], ids=["metropolis", "glauber"])
+def test_discriminant_and_its_lazy_form_are_exactly_symmetric(rule):
+    # discriminant returns (q + q^T)/2, and the lazy (I + Q)/2 that the CLI
+    # derives from it scales every entry and shifts the diagonal, so both
+    # are symmetric to the bit: the check in spectral_gaps reads 0 on them
+    model, prop = build_hypercube(5, energy="random", levels=7, seed=3, beta=0.8)
+    q = decompose_discriminant(model, prop, rule()).q
+    lazy_q = 0.5 * q
+    lazy_q.flat[:: q.shape[0] + 1] += 0.5
+    for m in (q, lazy_q):
+        assert np.array_equal(m, m.T)
+        assert markov._asymmetry(m) == 0.0
+        spectral_gaps(m)
+
+
+@pytest.mark.parametrize("i, j", [(20, 3), (3, 20), (31, 30), (0, 31)])
+def test_spectral_gaps_rejects_one_entry_off_by_2e10(i, j):
+    # N = 32 is checked in blocks of 11 rows; one entry off in any block,
+    # above or below the diagonal, is read at its size
+    model, prop = build_hypercube(5, energy="random", levels=7, seed=3, beta=0.8)
+    q = decompose_discriminant(model, prop, metropolis()).q.copy()
+    q[i, j] += 2e-10
+    assert abs(markov._asymmetry(q) - 2e-10) <= 1e-15
+    with pytest.raises(NotReversible, match="symmetric"):
+        spectral_gaps(q)
+    # a NaN reads as NaN, which fails the bound; spectral_gaps reports it
+    # as non-finite before it gets there
+    q[j, i] = np.nan
+    assert math.isnan(markov._asymmetry(q))
 
 
 def test_qsample(two_state):
